@@ -224,9 +224,29 @@ class Backend(abc.ABC):
         return float(storage.sum())
 
     # -- row/column extraction -----------------------------------------------------------
-    def take_rows(self, storage: Storage, rows: np.ndarray) -> Storage:
-        """Gather a subset of rows, preserving the storage format."""
-        return storage[np.asarray(rows, dtype=np.intp)]
+    def take_rows(self, storage: Storage, rows) -> Storage:
+        """A subset of rows, preserving the storage format.
+
+        An index array gathers (copies) the rows. A unit-step ``slice``
+        copies no cell: dense storage (resident or ``np.memmap``) is
+        basic-sliced into a view, and a CSR storage gets a new header
+        over views of its ``data`` / ``indices`` with a rebased
+        ``indptr`` (the full range returns ``storage`` itself).
+        """
+        if not isinstance(rows, slice):
+            return storage[np.asarray(rows, dtype=np.intp)]
+        if not sparse.issparse(storage):
+            return storage[rows]
+        start, stop, _ = rows.indices(storage.shape[0])
+        if (start, stop) == (0, storage.shape[0]):
+            return storage
+        storage = storage.tocsr()  # no copy when already CSR
+        lo, hi = storage.indptr[start], storage.indptr[stop]
+        return sparse.csr_matrix(
+            (storage.data[lo:hi], storage.indices[lo:hi], storage.indptr[start:stop + 1] - lo),
+            shape=(stop - start, storage.shape[1]),
+            copy=False,
+        )
 
     def take_columns(self, storage: Storage, columns) -> Storage:
         """Gather a subset of columns, preserving the storage format.

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import CostModelError
 
 #: Density at or below which a CSR kernel is expected to beat the dense BLAS
@@ -211,12 +213,19 @@ class CostParameters:
         if dataset.n_sources >= 2:
             base = dataset.factors[0]
             other = dataset.factors[1]
-            base_rows = set(base.indicator.mapped_target_rows())
-            other_rows = set(other.indicator.mapped_target_rows())
-            overlap_rows = len(base_rows & other_rows)
-            base_cols = set(base.mapping.mapped_target_indices())
-            other_cols = set(other.mapping.mapped_target_indices())
-            overlap_columns = len(base_cols & other_cols)
+            # The cached index arrays are duplicate-free (CI_k / CM_k map a
+            # target row / column at most once), so the overlaps are sorted
+            # intersections — no boxing of every mapped row into a set.
+            overlap_rows = int(np.intersect1d(
+                base.indicator.mapped_target_rows(),
+                other.indicator.mapped_target_rows(),
+                assume_unique=True,
+            ).size)
+            overlap_columns = int(np.intersect1d(
+                base.mapping.mapped_target_indices(),
+                other.mapping.mapped_target_indices(),
+                assume_unique=True,
+            ).size)
         if has_full_tgds_only is None:
             from repro.metadata.mappings import ScenarioType
 

@@ -17,21 +17,34 @@ term instead of a full Hadamard product: the rewrite computes the cheap
 ``I_k (D_k (M_kᵀ X))`` and subtracts the contribution of the (few)
 redundant cells.
 
-Execution is block-parallel above a row threshold: when
+One blocked engine runs ``lmm`` / ``transpose_lmm`` / ``crossprod``. When
 :mod:`repro.parallel` is configured with more than one worker and the
-target has at least ``REPRO_PARALLEL_MIN_ROWS`` rows, ``lmm`` /
-``transpose_lmm`` / ``crossprod`` fan their row blocks over the shared
-worker pool and reduce the partial results on the calling thread in
-fixed block order. The partition depends only on the block size — never
-the worker count — so parallel results are identical at any worker count
->= 2 and agree with the serial path to reassociation (<= 1e-8); one
-worker is the exact legacy path. FLOP counters are charged with the
-legacy per-factor formulas on the calling thread, preserving the
-telemetry mirror parity regardless of blocking.
+target has at least ``REPRO_PARALLEL_MIN_ROWS`` rows, the target rows are
+cut into the block-size grid and fanned over the shared worker pool, the
+partial results reduced on the calling thread in fixed block order;
+otherwise the same code runs one block on the calling thread. Either
+way the work is done in the source dimension — the FLOP counters' per-
+factor formulas describe what runs:
+
+* a **many-to-one** factor multiplies once per call (``D_k (M_kᵀ X)`` /
+  ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, fanned over *source*-row
+  blocks only when ``r_Sk`` itself clears the threshold); the target-row
+  blocks only lift. ``I_kᵀ X`` is one CSR product on the calling thread
+  (SciPy's kernel holds the GIL, so blocks of it would not overlap);
+* an **injective** factor's source rows partition with the target rows,
+  so each block multiplies its own — a slice *view* of ``D_k`` when the
+  row map is contiguous there, never more rows than the block has;
+* the same-source Gram term of a many-to-one factor without redundancy
+  is ``D_kᵀ diag(multiplicity) D_k`` over its distinct source rows.
+
+The partition depends only on the block size and the matrix shape —
+never the worker count — so results are identical at any worker count
+>= 2 and agree with the one-block path to reassociation (<= 1e-8).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +55,13 @@ from repro import telemetry as _telemetry
 from repro.backends import Backend, BackendSpec, resolve_backend
 from repro.backends.base import as_float64 as _as_float64
 from repro.exceptions import FactorizationError
-from repro.factorized.operator_plan import BlockedMatrixView, GramCache, OperatorPlan
+from repro.factorized.operator_plan import (
+    BlockedMatrixView,
+    GramCache,
+    OperatorPlan,
+    as_slice,
+    row_grid,
+)
 from repro.factorized.ops_counter import FlopCounter
 from repro.matrices.builder import IntegratedDataset, SourceFactor
 
@@ -83,9 +102,10 @@ class AmalurMatrix:
         # Gram cache for crossprod(); factors are immutable, so TᵀT never
         # changes for this view unless explicitly invalidated.
         self.gram_cache = GramCache()
-        # Row-block view over all columns, built lazily on the calling
-        # thread the first time an operator takes the parallel path (so
-        # the plans' correction caches are populated before fan-out).
+        # Row-block view over all columns — the engine of lmm /
+        # transpose_lmm — built lazily on the calling thread by the first
+        # operator call (so the plans' correction caches are populated
+        # before any fan-out).
         self._blocked_view: Optional[BlockedMatrixView] = None
 
     # -- shapes ---------------------------------------------------------------------
@@ -173,16 +193,66 @@ class AmalurMatrix:
                 return self._lmm(x)
         return self._lmm(x)
 
-    def _full_blocked_view(self) -> BlockedMatrixView:
+    # -- the blocked engine ---------------------------------------------------------------
+    @staticmethod
+    def _block_rows(n_rows: int) -> int:
+        """Block size to cut ``n_rows`` by: the configured one when the
+        count clears the parallel threshold, else everything in one block."""
+        if _parallel.should_parallelize(n_rows):
+            return _parallel.get_block_rows()
+        return max(n_rows, 1)
+
+    def _row_grid(self, n_rows: int) -> List[Tuple[int, int]]:
+        return row_grid(n_rows, self._block_rows(n_rows)) or [(0, 0)]
+
+    def _target_blocks(self) -> Tuple[BlockedMatrixView, Sequence[Tuple[int, int]]]:
+        """The all-columns row-block view and its target-row grid; the
+        view keeps the grid's per-block row structure between calls."""
         if self._blocked_view is None:
             self._blocked_view = self.blocked()
-        return self._blocked_view
+        view = self._blocked_view
+        return view, view.row_blocks(self._block_rows(self.n_rows))
 
-    def _row_block_bounds(self) -> List[Tuple[int, int]]:
-        return list(self._full_blocked_view().row_blocks(_parallel.get_block_rows()))
+    @staticmethod
+    def _map_blocks(fn, blocks, label: str) -> list:
+        """``fn`` over ``blocks`` in order; one block runs on the caller."""
+        if len(blocks) == 1:
+            return [fn(blocks[0])]
+        return _parallel.parallel_map(fn, blocks, label=label)
+
+    def _source_matmul(self, factor, operand: np.ndarray) -> np.ndarray:
+        """``D_k @ operand`` (r_Sk × m), once per call, in the source
+        dimension; fanned over *source*-row blocks when ``r_Sk`` itself
+        clears the parallel threshold."""
+        n_source_rows = factor.plan.n_source_rows
+        local = np.empty((n_source_rows, operand.shape[1]))
+
+        def _fill(bounds: Tuple[int, int]) -> None:
+            lo, hi = bounds
+            local[lo:hi] = self.backend.matmul(factor.storage_rows(slice(lo, hi)), operand)
+
+        self._map_blocks(_fill, self._row_grid(n_source_rows), "lmm.local")
+        return local
+
+    def _source_transpose_matmul(self, factor, projected: np.ndarray) -> np.ndarray:
+        """``D_kᵀ @ projected`` (c_Sk × m) — the transpose twin of
+        :meth:`_source_matmul`; source-row partials reduce in block order."""
+        def _partial(bounds: Tuple[int, int]) -> np.ndarray:
+            lo, hi = bounds
+            return self.backend.transpose_matmul(
+                factor.storage_rows(slice(lo, hi)), projected[lo:hi]
+            )
+
+        partials = self._map_blocks(
+            _partial, self._row_grid(factor.plan.n_source_rows), "transpose_lmm.local"
+        )
+        local = partials[0]
+        for piece in partials[1:]:
+            local += piece
+        return local
 
     def _charge_lmm_flops(self, m: int) -> None:
-        """The legacy per-factor ``lmm.*`` charges, independent of blocking."""
+        """The per-factor ``lmm.*`` charges — the source-dimension formulas."""
         for plan, storage in zip(self._plans, self._storages):
             self.counter.add("lmm.local", self.backend.matmul_flops(storage, m))
             self.counter.add("lmm.lift", float(plan.n_mapped_rows) * m)
@@ -190,7 +260,7 @@ class AmalurMatrix:
                 self.counter.add("lmm.correction", float(plan.correction().nnz) * m)
 
     def _charge_transpose_lmm_flops(self, m: int) -> None:
-        """The legacy per-factor ``tlmm.*`` charges, independent of blocking."""
+        """The per-factor ``tlmm.*`` charges — the source-dimension formulas."""
         for plan, storage in zip(self._plans, self._storages):
             self.counter.add("tlmm.project", float(plan.n_mapped_rows) * m)
             self.counter.add("tlmm.local", self.backend.matmul_flops(storage, m))
@@ -198,35 +268,28 @@ class AmalurMatrix:
             if plan.has_correction:
                 self.counter.add("tlmm.correction", float(plan.correction().nnz) * m)
 
-    def _lmm_blocked(self, x: np.ndarray) -> np.ndarray:
-        """Block-parallel ``T @ X``: each worker fills a disjoint row slice."""
-        m = x.shape[1]
-        view = self._full_blocked_view()
-        result = np.zeros((self.n_rows, m))
+    def _lmm(self, x: np.ndarray) -> np.ndarray:
+        """``Σ_k I_k (D_k (M_kᵀ X))`` with every row of ``D_k`` multiplied
+        once: a many-to-one factor multiplies up front, in the source
+        dimension, and the target-row blocks only lift; an injective
+        factor's source rows partition with the target rows, so each block
+        multiplies its own. Blocks fill disjoint slices of the result."""
+        view, blocks = self._target_blocks()
+        products = [
+            None if factor.plan.rows_injective
+            else self._source_matmul(factor, factor.operand_rows(x))
+            for factor in view.factors
+        ]
+        result = np.zeros((self.n_rows, x.shape[1]))
 
         def _fill(bounds: Tuple[int, int]) -> None:
             start, stop = bounds
-            result[start:stop] = view.lmm_block(x, start, stop)
+            out = result[start:stop]
+            for factor, product in zip(view.factors, products):
+                factor.lmm_block_add(x, start, stop, out, product)
 
-        _parallel.parallel_map(_fill, self._row_block_bounds(), label="lmm")
-        self._charge_lmm_flops(m)
-        return result
-
-    def _lmm(self, x: np.ndarray) -> np.ndarray:
-        m = x.shape[1]
-        if _parallel.should_parallelize(self.n_rows):
-            return self._lmm_blocked(x)
-        result = np.zeros((self.n_rows, m))
-        for plan, storage in zip(self._plans, self._storages):
-            gathered = plan.gather_operand_rows(x)  # (c_Sk × m)
-            local = self.backend.matmul(storage, gathered)  # (r_Sk × m)
-            self.counter.add("lmm.local", self.backend.matmul_flops(storage, m))
-            plan.lift_add(result, local)
-            self.counter.add("lmm.lift", float(plan.n_mapped_rows) * m)
-            if plan.has_correction:
-                correction = plan.correction()
-                result -= correction @ x
-                self.counter.add("lmm.correction", float(correction.nnz) * m)
+        self._map_blocks(_fill, blocks, "lmm")
+        self._charge_lmm_flops(x.shape[1])
         return result
 
     def rmm(self, x: np.ndarray) -> np.ndarray:
@@ -267,43 +330,36 @@ class AmalurMatrix:
                 return self._transpose_lmm(x)
         return self._transpose_lmm(x)
 
-    def _transpose_lmm_blocked(self, x: np.ndarray) -> np.ndarray:
-        """Block-parallel ``Tᵀ @ X``: per-block partial sums reduced in
-        block order on the calling thread (deterministic reassociation)."""
-        m = x.shape[1]
-        view = self._full_blocked_view()
-
-        def _partial(bounds: Tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
-            out = np.zeros((self.n_columns, m))
-            view.transpose_lmm_add(x[start:stop], start, stop, out)
-            return out
-
-        partials = _parallel.parallel_map(
-            _partial, self._row_block_bounds(), label="transpose_lmm"
-        )
-        result = np.zeros((self.n_columns, m))
-        for partial in partials:
-            result += partial
-        self._charge_transpose_lmm_flops(m)
-        return result
-
     def _transpose_lmm(self, x: np.ndarray) -> np.ndarray:
+        """``Σ_k M_k (D_kᵀ (I_kᵀ X))``, the mirror of :meth:`_lmm`: each
+        block multiplies its own rows of the injective factors and the
+        partials reduce here, in block order; a many-to-one factor
+        projects and multiplies once per call, in the source dimension.
+        Its projection stays on this thread — SciPy's CSR kernel holds
+        the GIL, so blocks of it could not overlap."""
         m = x.shape[1]
-        if _parallel.should_parallelize(self.n_rows):
-            return self._transpose_lmm_blocked(x)
+        view, blocks = self._target_blocks()
         result = np.zeros((self.n_columns, m))
-        for plan, storage in zip(self._plans, self._storages):
-            projected = plan.project_rows(x)  # (r_Sk × m)
-            self.counter.add("tlmm.project", float(plan.n_mapped_rows) * m)
-            local = self.backend.transpose_matmul(storage, projected)  # (c_Sk × m)
-            self.counter.add("tlmm.local", self.backend.matmul_flops(storage, m))
-            plan.scatter_add_rows(result, local)
-            self.counter.add("tlmm.scatter", float(plan.n_mapped_cols) * m)
-            if plan.has_correction:
-                correction = plan.correction()
-                result -= correction.T @ x
-                self.counter.add("tlmm.correction", float(correction.nnz) * m)
+        injective = [f for f in view.factors if f.plan.rows_injective]
+        if injective:
+
+            def _partial(bounds: Tuple[int, int]) -> np.ndarray:
+                start, stop = bounds
+                out = np.zeros((self.n_columns, m))
+                for factor in injective:
+                    factor.transpose_lmm_block_add(x[start:stop], start, stop, out)
+                return out
+
+            for out in self._map_blocks(_partial, blocks, "transpose_lmm"):
+                result += out
+        for factor in view.factors:
+            if factor.plan.rows_injective:
+                continue
+            projected = factor.plan.project_rows(x)  # (r_Sk × m)
+            factor.scatter_add(result, self._source_transpose_matmul(factor, projected))
+            if factor.correction is not None:
+                result -= factor.correction.T @ x
+        self._charge_transpose_lmm_flops(m)
         return result
 
     def crossprod(self) -> np.ndarray:
@@ -331,98 +387,78 @@ class AmalurMatrix:
         self.gram_cache.invalidate()
 
     def invalidate(self) -> None:
-        """Drop every lazily cached structure: the Gram *and* each plan's
-        correction/effective-contribution caches. Call after mutating a
-        factor's data in place (the serving layer's delta updates); plans'
-        index arrays stay valid while shapes and row/column maps do."""
+        """Drop every lazily cached structure: the Gram, each plan's
+        correction/effective-contribution caches *and* the row-block view
+        (its blocks hold slices of the corrections). Call after mutating
+        a factor's data in place (the serving layer's delta updates);
+        plans' index arrays stay valid while shapes and row/column maps do."""
         self.gram_cache.invalidate()
         for plan in self._plans:
             plan.invalidate()
-
-    def _compute_gram_blocked(self) -> np.ndarray:
-        """Block-parallel ``Tᵀ T``: row-block partial sums of every
-        same-source and cross-source term, reduced in a fixed task order.
-
-        The effective contributions and shared-row intersections are
-        prepared serially (they populate the plan caches); only the
-        ``blockᵀ block`` / ``leftᵀ right`` partial products fan out.
-        FLOP charges are the legacy whole-block formulas.
-        """
-        gram = np.zeros((self.n_columns, self.n_columns))
-        effective = [plan.effective_contribution() for plan in self._plans]
-        block_rows = _parallel.get_block_rows()
-        # (compute, target_rows_ix, transpose_target_ix_or_None), in the
-        # deterministic order the reduction below replays.
-        tasks: List[Tuple] = []
-        for k, (rows_k, block_k, cols_k) in enumerate(effective):
-            n_k = block_k.shape[0]
-            ix_same = np.ix_(cols_k, cols_k)
-            for lo in range(0, max(n_k, 1), block_rows):
-                hi = min(lo + block_rows, n_k)
-                tasks.append((self._gram_local_task(block_k, lo, hi), ix_same, None))
-            self.counter.add("crossprod.local", self.backend.crossprod_flops(block_k))
-            for other in range(k + 1, self.dataset.n_sources):
-                rows_l, block_l, cols_l = effective[other]
-                shared, idx_k, idx_l = np.intersect1d(
-                    rows_k, rows_l, assume_unique=False, return_indices=True
-                )
-                if shared.size == 0:
-                    continue
-                left = self.backend.take_rows(block_k, idx_k)
-                right = self.backend.take_rows(block_l, idx_l)
-                for lo in range(0, shared.size, block_rows):
-                    hi = min(lo + block_rows, shared.size)
-                    tasks.append(
-                        (
-                            self._gram_cross_task(left, right, lo, hi),
-                            np.ix_(cols_k, cols_l),
-                            np.ix_(cols_l, cols_k),
-                        )
-                    )
-                self.counter.add(
-                    "crossprod.cross", self.backend.gram_pair_flops(left, right)
-                )
-        partials = _parallel.parallel_map(
-            lambda task: task[0](), tasks, label="crossprod"
-        )
-        for (_, ix, ix_t), partial in zip(tasks, partials):
-            gram[ix] += partial
-            if ix_t is not None:
-                gram[ix_t] += partial.T
-        gram.setflags(write=False)
-        return gram
-
-    def _gram_local_task(self, block, lo: int, hi: int):
-        return lambda: self.backend.crossprod(block[lo:hi])
-
-    def _gram_cross_task(self, left, right, lo: int, hi: int):
-        return lambda: self.backend.gram_pair(left[lo:hi], right[lo:hi])
+        self._blocked_view = None
 
     def _compute_gram(self) -> np.ndarray:
-        if _parallel.should_parallelize(self.n_rows):
-            return self._compute_gram_blocked()
-        gram = np.zeros((self.n_columns, self.n_columns))
-        effective = [plan.effective_contribution() for plan in self._plans]
-        for k, (rows_k, block_k, cols_k) in enumerate(effective):
-            # Same-source term, computed in source dimensions.
-            local = self.backend.crossprod(block_k)
-            self.counter.add("crossprod.local", self.backend.crossprod_flops(block_k))
-            gram[np.ix_(cols_k, cols_k)] += local
-            for other in range(k + 1, self.dataset.n_sources):
-                rows_l, block_l, cols_l = effective[other]
+        """``Tᵀ T`` as row-block partial sums of every same-source and
+        cross-source term, reduced in a fixed task order — one block per
+        term, on the calling thread, unless the target clears the
+        parallel threshold.
+
+        Same-source terms run on each plan's
+        :meth:`~OperatorPlan.local_gram_operands` (the source dimension
+        for a many-to-one factor without redundancy). The effective
+        contributions and shared-row intersections of the cross terms are
+        prepared serially (they populate the plan caches); only the
+        partial products fan out. FLOP charges are whole-term formulas.
+        """
+        take = self.backend.take_rows
+        # The cross terms pair target rows, so they need every factor's
+        # effective contribution; a lone factor never expands its block.
+        effective = (
+            [plan.effective_contribution() for plan in self._plans]
+            if len(self._plans) > 1 else []
+        )
+        # (compute, target index, transpose target index or None), in the
+        # deterministic order the reduction below replays.
+        tasks: List[Tuple] = []
+        for k, plan in enumerate(self._plans):
+            cols_k = plan.target_cols
+            block, weighted = plan.local_gram_operands()
+            for lo, hi in self._row_grid(block.shape[0]):
+                rows = slice(lo, hi)
+                if weighted is None:
+                    compute = partial(self.backend.crossprod, take(block, rows))
+                else:
+                    compute = partial(
+                        self.backend.gram_pair, take(block, rows), take(weighted, rows)
+                    )
+                tasks.append((compute, np.ix_(cols_k, cols_k), None))
+            self.counter.add("crossprod.local", self.backend.crossprod_flops(block))
+            for rows_l, block_l, cols_l in effective[k + 1:]:
+                rows_k, block_k, _ = effective[k]
                 shared, idx_k, idx_l = np.intersect1d(
                     rows_k, rows_l, assume_unique=False, return_indices=True
                 )
                 if shared.size == 0:
                     continue
-                left = self.backend.take_rows(block_k, idx_k)
-                right = self.backend.take_rows(block_l, idx_l)
-                cross = self.backend.gram_pair(left, right)
+                # Both row lists ascend, so the matched positions do too.
+                left = take(block_k, as_slice(idx_k, ascending=True))
+                right = take(block_l, as_slice(idx_l, ascending=True))
+                for lo, hi in self._row_grid(shared.size):
+                    rows = slice(lo, hi)
+                    compute = partial(self.backend.gram_pair, take(left, rows), take(right, rows))
+                    tasks.append((compute, np.ix_(cols_k, cols_l), np.ix_(cols_l, cols_k)))
                 self.counter.add(
                     "crossprod.cross", self.backend.gram_pair_flops(left, right)
                 )
-                gram[np.ix_(cols_k, cols_l)] += cross
-                gram[np.ix_(cols_l, cols_k)] += cross.T
+        if _parallel.should_parallelize(self.n_rows):
+            partials = _parallel.parallel_map(lambda task: task[0](), tasks, label="crossprod")
+        else:
+            partials = [task[0]() for task in tasks]
+        gram = np.zeros((self.n_columns, self.n_columns))
+        for (_, ix, ix_t), term in zip(tasks, partials):
+            gram[ix] += term
+            if ix_t is not None:
+                gram[ix_t] += term.T
         gram.setflags(write=False)
         return gram
 

@@ -26,9 +26,24 @@ What is precomputed
   use plain fancy indexing.
 * the factor's **effective contribution** for ``crossprod`` — the
   deduplicated block of covered rows × mapped columns in backend storage
-  form (CSR stays CSR) — cached after the first Gram computation.
+  form (CSR stays CSR) — and, for a many-to-one factor without
+  redundancy, the **source-dimension Gram operands** (distinct source
+  rows and their multiplicity-weighted copy); cached after the first
+  Gram computation.
 * the sparse **correction matrix** holding the values of the factor's
   redundant cells, cached after first use by any operator.
+
+Row blocks
+----------
+:class:`BlockedMatrixView` / :class:`BlockedFactorView` execute the same
+rewrites one target-row block at a time — for bounded-memory training
+over spilled factors, and as the engine of ``AmalurMatrix.lmm`` /
+``transpose_lmm`` (one block when serial). They multiply in the source
+dimension: a block never multiplies more rows of ``D_k`` than it has
+distinct source rows, and a contiguous range of them is a *view* of the
+storage, not a gather. The per-block row structure (:class:`BlockRows`)
+is kept for the blocks of the view's current grid only; see
+:class:`BlockedFactorView` for what it holds and costs.
 
 When plans are invalidated
 --------------------------
@@ -43,7 +58,7 @@ arrays cannot leak across views.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -54,6 +69,29 @@ from repro.backends.base import Storage
 from repro.matrices.builder import SourceFactor
 from repro.reliability import faults as _faults
 from repro.reliability.retry import SPILL_RETRY
+
+
+def row_grid(n_rows: int, block_rows: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` bounds of the fewest blocks of at most
+    ``block_rows`` rows that cover ``n_rows``, evenly sized — a ragged
+    last block would leave its worker idle while the others finish. A
+    pure function of the two counts, never of the worker count."""
+    n_blocks = -(-n_rows // max(1, int(block_rows)))
+    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)] if n_blocks else [0]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def as_slice(index: np.ndarray, ascending: bool = False):
+    """``index`` as a ``slice`` when it is a non-empty ascending run of
+    consecutive integers — indexing with it then yields a view instead of
+    a copy — and unchanged otherwise. For a strictly ``ascending`` index
+    the end points decide; any other is checked element by element."""
+    n = index.size
+    if n and index[-1] - index[0] == n - 1 and (
+        ascending or bool(np.all(np.diff(index) == 1))
+    ):
+        return slice(int(index[0]), int(index[0]) + n)
+    return index
 
 
 class GramCache:
@@ -142,13 +180,13 @@ class OperatorPlan:
         "target_rows",
         "source_rows",
         "rows_injective",
-        "rows_fully_mapped",
         "projector",
         "n_mapped_rows",
         "n_mapped_cols",
         "has_correction",
         "_correction",
         "_effective",
+        "_gram_operands",
     )
 
     def __init__(self, factor: SourceFactor, storage: Storage, backend: Backend):
@@ -169,10 +207,6 @@ class OperatorPlan:
         self.rows_injective = indicator.is_injective
         self.n_mapped_rows = int(self.target_rows.size)
         self.n_mapped_cols = int(self.target_cols.size)
-        # Every target row covered ⇒ the lift is a pure gather followed by
-        # a contiguous add, which beats a fancy-indexed scatter by a wide
-        # margin at millions of rows.
-        self.rows_fully_mapped = self.n_mapped_rows == indicator.n_target_rows
         # I_kᵀ as CSR for the many-to-one accumulation; 1:1 joins scatter
         # with fancy indexing instead (cheaper than a sparse matmul).
         self.projector: Optional[sparse.csr_matrix] = None
@@ -187,32 +221,15 @@ class OperatorPlan:
         self.has_correction = not factor.redundancy.is_trivial
         self._correction: Optional[sparse.csr_matrix] = None
         self._effective = None
+        self._gram_operands = None
 
     # -- mapping-side kernels (columns) ----------------------------------------------------
-    def gather_operand_rows(self, x: np.ndarray) -> np.ndarray:
-        """``M_kᵀ X`` — gather operand rows onto source columns (c_Sk × m)."""
-        gathered = np.zeros((self.n_source_columns, x.shape[1]))
-        gathered[self.source_cols] = x[self.target_cols]
-        return gathered
-
-    def scatter_add_rows(self, out: np.ndarray, local: np.ndarray) -> None:
-        """``out += M_k @ local`` — scatter source-column rows of ``local``
-        onto the mapped target-column rows of ``out`` (transpose-LMM)."""
-        self.backend.scatter_add(out, self.target_cols, local[self.source_cols])
-
     def scatter_add_columns(self, out: np.ndarray, local: np.ndarray) -> None:
         """``out += local @ M_kᵀ`` — scatter source columns of ``local`` onto
         the mapped target columns of ``out`` (RMM)."""
         out[:, self.target_cols] += local[:, self.source_cols]
 
     # -- indicator-side kernels (rows) -----------------------------------------------------
-    def lift_add(self, out: np.ndarray, local: np.ndarray) -> None:
-        """``out += I_k @ local`` — lift source rows onto target rows (LMM)."""
-        if self.rows_fully_mapped:
-            out += local[self.source_rows]
-        else:
-            self.backend.scatter_add(out, self.target_rows, local[self.source_rows])
-
     def project_rows(self, x: np.ndarray) -> np.ndarray:
         """``I_kᵀ X`` — accumulate target rows onto source rows (r_Sk × m)."""
         if self.rows_injective:
@@ -228,6 +245,7 @@ class OperatorPlan:
         still valid as long as the factor's shape and maps are unchanged."""
         self._correction = None
         self._effective = None
+        self._gram_operands = None
         if _telemetry.ENABLED:
             _telemetry.counter_add("plan_cache.invalidate")
 
@@ -294,6 +312,32 @@ class OperatorPlan:
             self._effective = (self.target_rows, block, self.target_cols)
         return self._effective
 
+    def local_gram_operands(self) -> Tuple[Storage, Optional[Storage]]:
+        """``(block, weighted)`` operands of the factor's same-source Gram
+        term over its mapped columns: ``blockᵀ block`` when ``weighted`` is
+        ``None``, else ``blockᵀ weighted``.
+
+        A many-to-one factor without redundant cells contributes
+        ``D_kᵀ diag(multiplicity) D_k`` — every target row fed by a source
+        row repeats it verbatim — so the term is computed on the distinct
+        source rows that reach the target (``block``) against their
+        multiplicity-weighted copy, never on the join. Masked factors
+        (cells differ per target row) and injective ones (nothing to
+        collapse) use the effective contribution. Cached like it.
+        """
+        if self.has_correction or self.rows_injective:
+            return self.effective_contribution()[1], None
+        if self._gram_operands is None:
+            multiplicity = np.bincount(self.source_rows, minlength=self.n_source_rows)
+            touched = np.flatnonzero(multiplicity)
+            block = self.backend.take_columns(
+                self.backend.take_rows(self.storage, as_slice(touched, ascending=True)),
+                self.source_cols,
+            )
+            weights = multiplicity[touched].astype(np.float64)[:, None]
+            self._gram_operands = (block, self.backend.elementwise_multiply(block, weights))
+        return self._gram_operands
+
     def __repr__(self) -> str:
         return (
             f"OperatorPlan({self.factor.name!r}, mapped_rows={self.n_mapped_rows}, "
@@ -302,28 +346,89 @@ class OperatorPlan:
         )
 
 
-class BlockedFactorView:
-    """Row-block execution structure of one factor for out-of-core training.
+class BlockRows:
+    """One factor's row structure inside one target-row block.
 
-    Reuses the compiled plan's gather indices: ``plan.target_rows`` is
-    sorted ascending (it comes from ``np.nonzero`` over ``CI_k``), so the
-    slice of the row maps falling inside a target-row block ``[start,
-    stop)`` is found with two ``searchsorted`` probes — no per-block index
-    rebuild, and the factor's backing storage (typically an
-    ``np.memmap`` spilled by the streaming builder) is only ever gathered
-    one block of rows at a time.
+    ``targets`` holds the block-relative positions of the target rows the
+    factor covers and ``rows`` the **distinct** source rows behind them —
+    each a ``slice`` when contiguous, so ``D_k[rows]`` and ``out[targets]``
+    are views. ``inverse`` is ``None`` for an injective factor (``rows``
+    lists one source row per covered target row, in target order); for a
+    many-to-one factor it maps every covered target row to its position
+    in ``rows``. ``correction`` holds the block's rows of the factor's
+    redundancy correction (``None`` without redundancy). The many-to-one
+    projector ``I_k[block]ᵀ`` is built on the first :meth:`project`.
+    """
+
+    __slots__ = (
+        "n_block_rows", "targets", "rows", "n_rows", "inverse", "correction", "_projector",
+    )
+
+    def __init__(self, n_block_rows: int, targets, rows, inverse, correction):
+        self.n_block_rows = n_block_rows
+        self.targets = targets
+        self.rows = rows
+        #: Rows of ``D_k`` the block multiplies (distinct source rows).
+        self.n_rows = rows.stop - rows.start if isinstance(rows, slice) else int(rows.size)
+        self.inverse = inverse
+        self.correction = correction
+        self._projector: Optional[sparse.csr_matrix] = None
+
+    def lift_add(self, out: np.ndarray, local: np.ndarray) -> None:
+        """``out += I_k[block] @ local``, ``local`` holding one row per
+        entry of ``rows``."""
+        out[self.targets] += local if self.inverse is None else local[self.inverse]
+
+    def project(self, x_block: np.ndarray) -> np.ndarray:
+        """``I_k[block]ᵀ @ x_block`` — one row per entry of ``rows``."""
+        if self.inverse is None:
+            return x_block[self.targets]
+        if self._projector is None:
+            targets = self.targets
+            if isinstance(targets, slice):
+                targets = np.arange(targets.start, targets.stop)
+            self._projector = sparse.csr_matrix(
+                (np.ones(targets.size), (self.inverse, targets)),
+                shape=(self.n_rows, self.n_block_rows),
+            )
+        return self._projector @ x_block
+
+
+class BlockedFactorView:
+    """Row-block execution structure of one factor.
+
+    Work bound: a block never multiplies more rows of ``D_k`` than it has
+    distinct source rows — at most ``min(block rows, r_Sk)`` — and a
+    contiguous run of source rows is handed to the backend as a *view*
+    (resident array, ``np.memmap`` spill and CSR alike), never a copy.
+    Injective factors read the source rows behind the block's target rows
+    (a slice when the row map is contiguous there, a gather otherwise);
+    many-to-one factors multiply the block's distinct source rows once
+    and lift / project through the block's slice of ``I_k``.
+
+    ``plan.target_rows`` is sorted ascending (it comes from ``np.nonzero``
+    over ``CI_k``), so the part of the row maps inside a target-row block
+    ``[start, stop)`` is found with two ``searchsorted`` probes. The
+    resulting :class:`BlockRows` — index arrays, the many-to-one
+    projector, the block's correction rows — is kept for the blocks of
+    the grid :meth:`BlockedMatrixView.row_blocks` last handed out; any
+    other range (a serving predict window) is derived on the fly and
+    dropped. A kept block costs nothing for a contiguous injective
+    factor and, per covered target row of a many-to-one factor, one
+    ``intp`` (``inverse``) plus one CSR entry (projector) — the order of
+    the plan's own ``projector`` and row maps.
 
     ``keep_targets`` optionally restricts the view to a subset of target
     columns *at the index level* (``CM_k`` re-aimed at the subset's
-    positions), so selecting the feature columns of a spilled dataset
-    copies no data — unlike ``AmalurMatrix.select_columns``, which slices
-    ``D_k`` itself.
+    positions): unselected source columns meet zero operand rows, so
+    ``D_k`` is never column-sliced — unlike ``AmalurMatrix.select_columns``,
+    which slices ``D_k`` itself.
     """
 
     __slots__ = (
         "plan", "backend", "storage",
-        "sel_source_cols", "sel_target_pos", "all_source_cols", "n_out_columns",
-        "_correction_sel",
+        "sel_source_cols", "sel_target_pos",
+        "correction", "_kept", "_spilled",
     )
 
     def __init__(self, plan: OperatorPlan, keep_targets: Optional[np.ndarray] = None):
@@ -334,7 +439,6 @@ class BlockedFactorView:
         if keep_targets is None:
             self.sel_source_cols = plan.source_cols
             self.sel_target_pos = plan.target_cols
-            self.n_out_columns = n_target_columns
         else:
             keep_targets = np.asarray(keep_targets, dtype=np.intp)
             new_position = np.full(n_target_columns, -1, dtype=np.int64)
@@ -342,70 +446,124 @@ class BlockedFactorView:
             kept = new_position[plan.target_cols] >= 0
             self.sel_source_cols = plan.source_cols[kept]
             self.sel_target_pos = new_position[plan.target_cols[kept]].astype(np.intp)
-            self.n_out_columns = int(keep_targets.size)
-        self.all_source_cols = (
-            self.sel_source_cols.size == plan.n_source_columns
-        )
-        self._correction_sel = None
+        #: The factor's redundancy correction over the view's columns.
+        self.correction: Optional[sparse.csr_matrix] = None
         if plan.has_correction:
             correction = plan.correction()
             if keep_targets is None:
-                self._correction_sel = correction
+                self.correction = correction
             else:
-                self._correction_sel = correction[:, keep_targets].tocsr()
+                self.correction = correction[:, keep_targets].tocsr()
+        self._kept: dict = {}
+        # Backend preparation hands a spilled factor over as a plain
+        # ndarray *view* of its np.memmap, so look down the base chain.
+        base = self.storage
+        while isinstance(base, np.ndarray) and not isinstance(base, np.memmap):
+            base = base.base
+        self._spilled = isinstance(base, np.memmap)
 
-    def _row_bounds(self, start: int, stop: int) -> Tuple[int, int]:
-        rows = self.plan.target_rows
-        return (
-            int(np.searchsorted(rows, start, side="left")),
-            int(np.searchsorted(rows, stop, side="left")),
-        )
+    # -- mapping-side kernels (columns) ----------------------------------------------------
+    def operand_rows(self, x: np.ndarray) -> np.ndarray:
+        """``M_kᵀ X`` — gather operand rows onto source columns (c_Sk × m)."""
+        gathered = np.zeros((self.plan.n_source_columns, x.shape[1]))
+        gathered[self.sel_source_cols] = x[self.sel_target_pos]
+        return gathered
 
-    def _storage_block(self, lo: int, hi: int):
-        """The (rows × selected columns) slice of ``D_k`` a block touches.
+    def scatter_add(self, out: np.ndarray, local: np.ndarray) -> None:
+        """``out += M_k @ local`` — scatter source-column rows of ``local``
+        onto the view's target-column rows of ``out`` (transpose-LMM)."""
+        self.backend.scatter_add(out, self.sel_target_pos, local[self.sel_source_cols])
+
+    # -- indicator-side structure (rows) ---------------------------------------------------
+    def keep_blocks(self, blocks: Sequence[Tuple[int, int]]) -> None:
+        """Make ``blocks`` the grid whose :class:`BlockRows` are kept."""
+        self._kept = dict.fromkeys(blocks)
+
+    def block(self, start: int, stop: int) -> BlockRows:
+        """The factor's row structure inside target rows ``[start, stop)``."""
+        kept = self._kept
+        spec = kept.get((start, stop))
+        if spec is None:
+            spec = self._derive_block(start, stop)
+            if (start, stop) in kept:
+                kept[(start, stop)] = spec
+        return spec
+
+    def _derive_block(self, start: int, stop: int) -> BlockRows:
+        plan = self.plan
+        lo, hi = np.searchsorted(plan.target_rows, (start, stop), side="left")
+        targets = plan.target_rows[lo:hi] - start
+        source = plan.source_rows[lo:hi]
+        if plan.rows_injective:
+            rows, inverse = as_slice(source), None
+        else:
+            distinct, inverse = np.unique(source, return_inverse=True)
+            rows = as_slice(distinct, ascending=True)
+            if rows is distinct and plan.n_source_rows <= source.size:
+                # Scattered, but the whole of D_k is no larger than the
+                # block: multiply it as it stands instead of copying
+                # (nearly) all of it.
+                rows, inverse = slice(0, plan.n_source_rows), source
+        correction = self.correction
+        if correction is not None:
+            correction = self.backend.take_rows(correction, slice(start, stop))  # a view
+        return BlockRows(stop - start, as_slice(targets, ascending=True), rows, inverse, correction)
+
+    def storage_rows(self, rows):
+        """The rows of ``D_k`` a multiply reads, every column of them.
 
         This is the spill *refault* site: with a fault plan active, a
-        triggered ``spill.read`` fault is retried with backoff — the
-        gather is a pure read of disjoint source rows, so a retried
-        refault returns bit-identical data.
+        triggered ``spill.read`` fault is retried with backoff — the read
+        is pure, so a retried refault returns bit-identical data.
         """
         if _faults.ACTIVE:
-            return SPILL_RETRY.call(self._storage_block_once, lo, hi, site="spill.read")
-        return self._storage_block_once(lo, hi)
+            return SPILL_RETRY.call(self._storage_rows_once, rows, site="spill.read")
+        return self._storage_rows_once(rows)
 
-    def _storage_block_once(self, lo: int, hi: int):
-        _faults.fault_point("spill.read", lo=lo, hi=hi)
-        block = self.backend.take_rows(self.storage, self.plan.source_rows[lo:hi])
-        if not self.all_source_cols:
-            block = self.backend.take_columns(block, self.sel_source_cols)
-        if _telemetry.ENABLED and isinstance(self.storage, np.memmap):
-            # The gather pulled these rows off the spill file (or its page
-            # cache); account them as spill read traffic.
-            _telemetry.counter_add("spill.bytes_read", float(getattr(block, "nbytes", 0)))
+    def _storage_rows_once(self, rows):
+        _faults.fault_point("spill.read", factor=self.plan.factor.name)
+        block = self.backend.take_rows(self.storage, rows)
+        if _telemetry.ENABLED and self._spilled:
+            # These rows come off the spill file (or its page cache);
+            # account them as spill read traffic.
+            _telemetry.counter_add("spill.bytes_read", float(block.nbytes))
         return block
 
-    def lmm_block_add(self, x: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
-        """Add this factor's share of ``(T @ X)[start:stop]`` into ``out``."""
-        lo, hi = self._row_bounds(start, stop)
-        if hi > lo:
-            gathered = np.zeros((self.sel_source_cols.size, x.shape[1]))
-            gathered[:] = x[self.sel_target_pos]
-            local = self.backend.matmul(self._storage_block(lo, hi), gathered)
-            out[self.plan.target_rows[lo:hi] - start] += local
-        if self._correction_sel is not None:
-            out -= self._correction_sel[start:stop] @ x
+    # -- block kernels ---------------------------------------------------------------------
+    def lmm_block_add(
+        self,
+        x: np.ndarray,
+        start: int,
+        stop: int,
+        out: np.ndarray,
+        product: Optional[np.ndarray] = None,
+    ) -> None:
+        """Add this factor's share of ``(T @ X)[start:stop]`` into ``out``,
+        multiplying only the block's distinct rows of ``D_k`` — or none at
+        all when the caller hands in ``product = D_k (M_kᵀ X)`` over every
+        source row, computed once for all blocks."""
+        spec = self.block(start, stop)
+        if spec.n_rows:
+            if product is None:
+                local = self.backend.matmul(self.storage_rows(spec.rows), self.operand_rows(x))
+            else:
+                local = product[spec.rows]
+            spec.lift_add(out, local)
+        if spec.correction is not None:
+            out -= spec.correction @ x
 
     def transpose_lmm_block_add(
         self, x_block: np.ndarray, start: int, stop: int, out: np.ndarray
     ) -> None:
         """Accumulate this factor's share of ``Tᵀ X`` for rows ``[start, stop)``."""
-        lo, hi = self._row_bounds(start, stop)
-        if hi > lo:
-            rows = x_block[self.plan.target_rows[lo:hi] - start]
-            local = self.backend.transpose_matmul(self._storage_block(lo, hi), rows)
-            out[self.sel_target_pos] += local
-        if self._correction_sel is not None:
-            out -= self._correction_sel[start:stop].T @ x_block
+        spec = self.block(start, stop)
+        if spec.n_rows:
+            local = self.backend.transpose_matmul(
+                self.storage_rows(spec.rows), spec.project(x_block)
+            )
+            self.scatter_add(out, local)
+        if spec.correction is not None:
+            out -= spec.correction.T @ x_block
 
 
 class BlockedMatrixView:
@@ -425,13 +583,20 @@ class BlockedMatrixView:
         n_target_columns: int,
         keep_targets: Optional[np.ndarray] = None,
     ):
-        self.factors = [BlockedFactorView(plan, keep_targets) for plan in plans]
+        # A factor none of whose columns is selected contributes nothing.
+        self.factors = [
+            view
+            for view in (BlockedFactorView(plan, keep_targets) for plan in plans)
+            if view.sel_source_cols.size
+        ]
         n_columns = (
             int(np.asarray(keep_targets).size)
             if keep_targets is not None
             else n_target_columns
         )
         self.shape = (int(n_rows), n_columns)
+        self._grid_rows = 0
+        self._grid: List[Tuple[int, int]] = []
 
     @property
     def n_rows(self) -> int:
@@ -442,12 +607,19 @@ class BlockedMatrixView:
         return self.shape[1]
 
     def row_blocks(self, block_rows: int) -> Sequence[Tuple[int, int]]:
-        """The ``[start, stop)`` block bounds covering every target row."""
+        """The ``[start, stop)`` block bounds covering every target row.
+
+        The grid handed out last is the one whose per-block row structure
+        the factors keep (see :class:`BlockedFactorView`); asking for a
+        different block size drops the previous grid's.
+        """
         block_rows = max(1, int(block_rows))
-        return [
-            (start, min(start + block_rows, self.shape[0]))
-            for start in range(0, self.shape[0], block_rows)
-        ]
+        if block_rows != self._grid_rows:
+            grid = row_grid(self.shape[0], block_rows)
+            for factor in self.factors:
+                factor.keep_blocks(grid)
+            self._grid, self._grid_rows = grid, block_rows
+        return self._grid
 
     def lmm_block(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         """``(T @ X)[start:stop]`` — one row block of the LMM result."""

@@ -6,17 +6,25 @@ CSV ingest, spillable ``D_k`` assembly, and the streaming GD loop.
 
 Determinism contract:
 
-* Work is partitioned by **block size**, never by worker count, and every
-  reduction happens on the calling thread in block order. Results are
-  therefore identical for any worker count >= 2.
+* Work is partitioned by **block size** (and the matrix shape), never by
+  worker count, and every reduction happens on the calling thread in
+  block order. Results are therefore identical for any worker count >= 2.
 * ``REPRO_NUM_THREADS=1`` (or :func:`set_num_workers(1) <set_num_workers>`)
-  is the *exact legacy path* — not a one-worker pool — so single-threaded
-  runs are bit-for-bit the pre-engine code.
+  never touches a pool: every map is a plain loop on the calling thread.
+  The factorized operators then run the blocked engine with *one* block —
+  the same code, not a twin.
 * Factor assembly is pure data movement into disjoint row slices: the
   built factors are bit-identical at every worker count. Floating-point
   reductions (Gram, GD gradients) reassociate across blocks, so blocked
-  results agree with the unblocked serial path to <= 1e-8 while remaining
+  results agree with the one-block path to <= 1e-8 while remaining
   bit-identical across worker counts.
+
+Work bound of the blocked operators (``repro.factorized``): a block never
+multiplies more rows of ``D_k`` than it has distinct source rows — at most
+``min(block rows, r_Sk)`` — and contiguous ranges of them are views of
+the factor's storage, never copies; a resident many-to-one factor
+multiplies once per call, in the source dimension. Fanning out therefore
+divides the work of the one-block path, it never multiplies it.
 """
 
 from repro.parallel.config import (

@@ -19,6 +19,7 @@ from repro.backends import AutoBackend, Backend, DenseBackend, SparseBackend
 from repro.costmodel.amalur_cost import AmalurCostModel
 from repro.costmodel.decision import Decision, DecisionAdvisor
 from repro.costmodel.parameters import CostParameters
+from repro.exceptions import CatalogError
 from repro.matrices.builder import IntegratedDataset
 from repro.metadata.mappings import ScenarioType
 from repro.silos.orchestrator import Orchestrator
@@ -106,7 +107,11 @@ class Optimizer:
         for factor in dataset.factors:
             try:
                 silo = self.orchestrator.silo_of_table(factor.name)
-            except Exception:
+            except CatalogError:
+                # No registered silo holds this factor (a synthetic or
+                # derived dataset): nothing to constrain. Any other
+                # failure must surface — swallowing it would silently
+                # skip a privacy constraint.
                 continue
             if not silo.allows_factorized_pushdown:
                 return (

@@ -21,8 +21,9 @@ it two ways:
 
 Only ratios, parity errors, fractions and booleans are ever compared —
 never absolute seconds. Metrics that need parallel hardware
-(``BENCH_PARALLEL``'s scaling speedup) carry ``requires_cores`` and are
-skipped, with a note, when the recorded run had fewer cores.
+(``BENCH_PARALLEL``'s scaling speedup and blocked-over-serial ratio) carry
+``requires_cores`` and are skipped, with a note, when the recorded run had
+fewer cores.
 
 CLI::
 
@@ -120,8 +121,15 @@ TRAJECTORY: Dict[str, List[MetricSpec]] = {
         MetricSpec("parity.flop_counters_equal", "bool"),
         MetricSpec("parity.max_weight_diff", "parity", 1e-10,
                    description="parallel training matches sequential weights"),
-        MetricSpec("scaling.speedup", "higher", 1.5, retention=0.5, requires_cores=4,
-                   description="block-parallel GD speedup (needs real cores)"),
+        MetricSpec("scaling.speedup", "higher", 1.0, retention=0.5, requires_cores=2,
+                   description="4-worker streaming build + GD is never slower than serial "
+                               "(needs real cores)"),
+        MetricSpec("resident.blocked_over_serial.gd_fit", "higher", 0.8, retention=0.5,
+                   requires_cores=2,
+                   description="blocked GD fit on a resident 10:1 join keeps >= 0.8x of the "
+                               "one-worker speed (needs real cores)"),
+        MetricSpec("resident.max_abs_diff", "parity", 1e-8,
+                   description="blocked resident operators match serial"),
     ],
     "BENCH_RELIABILITY.json": [
         MetricSpec("checkpoint.overhead_fraction", "lower", 0.05,

@@ -1,5 +1,6 @@
 """Tests for repro.system.optimizer and repro.system.plan."""
 
+import pytest
 
 from repro.costmodel.decision import Decision
 from repro.datagen.hospital import hospital_integrated_dataset, hospital_tables
@@ -54,6 +55,22 @@ class TestStrategySelection:
     def test_optimizer_without_orchestrator_never_federates(self, hospital_dataset):
         plan = Optimizer().plan(hospital_dataset, ModelSpec())
         assert plan.strategy in (Decision.FACTORIZE, Decision.MATERIALIZE)
+
+    def test_unregistered_table_constrains_nothing(self, hospital_dataset):
+        # "no registered silo holds table" is the one lookup failure that
+        # means "no privacy constraint here".
+        plan = Optimizer(Orchestrator()).plan(hospital_dataset, ModelSpec())
+        assert plan.strategy in (Decision.FACTORIZE, Decision.MATERIALIZE)
+
+    def test_failing_silo_lookup_is_not_swallowed(self, hospital_dataset):
+        # Any other failure must propagate: skipping it would silently
+        # drop the privacy check of the silo behind the failing lookup.
+        class BrokenOrchestrator(Orchestrator):
+            def silo_of_table(self, table_name):
+                raise RuntimeError("catalog backend unavailable")
+
+        with pytest.raises(RuntimeError, match="catalog backend unavailable"):
+            Optimizer(BrokenOrchestrator()).plan(hospital_dataset, ModelSpec())
 
     def test_union_with_no_export_silo_federates(self):
         dataset = hospital_integrated_dataset(ScenarioType.UNION)

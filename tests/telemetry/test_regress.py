@@ -114,14 +114,38 @@ class TestCompare:
                 "flop_counters_equal": True,
                 "max_weight_diff": 0.0,
             },
-            "scaling": {"speedup": 1.0},  # would fail the 1.5 floor on >=4 cores
+            # Both would fail their floors on a multi-core run.
+            "scaling": {"speedup": 0.7},
+            "resident": {"blocked_over_serial": {"gd_fit": 0.1}, "max_abs_diff": 0.0},
         }
         write(fresh, "BENCH_PARALLEL.json", one_core)
         findings = compare(fresh, tmp_path)
         parallel = [f for f in findings if f["file"] == "BENCH_PARALLEL.json"]
-        scaling = [f for f in parallel if "scaling" in str(f.get("metric"))]
-        assert scaling and all(f["status"] == "skip" for f in scaling)
+        gated = [
+            f for f in parallel
+            if f["metric"] in ("scaling.speedup", "resident.blocked_over_serial.gd_fit")
+        ]
+        assert len(gated) == 2 and all(f["status"] == "skip" for f in gated)
         assert not any(f["status"] == "fail" for f in parallel)
+
+    def test_blocked_over_serial_floor_enforced_on_two_cores(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        pessimized = {
+            "cores": 2,
+            "parity": {
+                "factors_bit_identical": True,
+                "flop_counters_equal": True,
+                "max_weight_diff": 0.0,
+            },
+            "scaling": {"speedup": 1.3},
+            # The default-path pessimization this floor exists for: two
+            # workers 13x slower than one.
+            "resident": {"blocked_over_serial": {"gd_fit": 0.078}, "max_abs_diff": 0.0},
+        }
+        write(fresh, "BENCH_PARALLEL.json", pessimized)
+        failed = [f for f in compare(fresh, tmp_path) if f["status"] == "fail"]
+        assert [f["metric"] for f in failed] == ["resident.blocked_over_serial.gd_fit"]
 
     def test_missing_bool_guard_fails(self, tmp_path):
         fresh = tmp_path / "fresh"
