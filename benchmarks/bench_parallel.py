@@ -17,14 +17,14 @@ Three phases:
 * **Scaling** (core-count aware): the 450k×287 streaming scenario from
   ``bench_streaming`` — hashed chunk ingest → spilled factor build → six
   ``StreamingGD`` iterations — timed end-to-end at 1 worker and at 4
-  workers.  On ≥2 cores the 4-worker run must not be slower than the
-  serial one (see the note on the floor below); on a single core no
-  speedup is physically possible — four workers time-slice one CPU and
-  the blocked reduction buffers are pure cost — so the guard only
-  bounds the engine's overhead (the 4-worker run may be at most 2×
-  slower than serial) and the floor is recorded as skipped.  Both runs
-  must produce bit-identical spilled factors (SHA-256 over the memmap
-  blocks) and weights within 1e-8.
+  workers.  The speedup floor scales with the machine: on ≥4 cores the
+  4-worker run must be ≥2.0× faster, on 2-3 cores ≥1.2×; on a single
+  core no speedup is physically possible — four workers time-slice one
+  CPU and the blocked reduction buffers are pure cost — so the guard
+  only bounds the engine's overhead (the 4-worker run may be at most 2×
+  slower than serial) and the floor is recorded as skipped.  Both runs must produce
+  bit-identical spilled factors (SHA-256 over the memmap blocks) and
+  weights within 1e-8.
 
 * **Resident many-to-one** (core-count aware): a 10:1 key–foreign-key
   join held in memory, four row blocks above ``REPRO_PARALLEL_MIN_ROWS``
@@ -37,21 +37,10 @@ Three phases:
   wins).  On ≥2 cores the GD fit must reach 0.8; results must agree
   within 1e-8 on every machine.
 
-The scaling floor was re-based when the blocked kernels stopped copying
-row blocks.  Training is the smaller part of this scenario and got
-smaller: 4.7 s → 1.2 s serial, 4.2 s → 1.0–2.2 s with 4 workers on the
-2-core sandbox.  What the total measures is the build, and there the
-serial run (which goes first and pays for the cold pages) swings between
-10 s and 43 s from run to run: seven runs of the parent and of this
-change read 1.10× to 2.65×, and the old floors (≥1.2× on 2-3 cores,
-≥2.0× on ≥4) failed at random.  The floor now only requires that
-fanning out never costs more than it saves (≥ 1.0× on ≥2 cores); the
-resident phase carries the regression floor of the blocked operators.
-
 The committed JSON records the core count it was generated on.  The CI
 job always enforces the fresh in-run guards on its own runner and only
-consults the committed ratios when the baseline came from comparable
-hardware.
+consults a committed ratio when the baseline came from comparable
+hardware (≥4 cores for the scaling speedup, ≥2 for the resident ratio).
 """
 
 from __future__ import annotations
@@ -86,8 +75,9 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_PARALLEL.json"
 PARITY_TOLERANCE = 1e-8
 PARITY_WORKERS = (1, 2, 8)
 SCALING_WORKERS = 4
-# Floors for the 4-worker scaling run (see the module docstring).
-SPEEDUP_FLOOR_MULTI_CORE = 1.0
+# Core-count-aware speedup floors for the 4-worker scaling run.
+SPEEDUP_FLOOR_4_CORES = 2.0
+SPEEDUP_FLOOR_2_CORES = 1.2
 SERIAL_OVERHEAD_CEILING = 2.0  # on 1 core the engine may cost at most 2x
 
 # Resident 10:1 join: four full row blocks at the default block size.
@@ -232,8 +222,10 @@ def run_scaling(tmp_dir: Path, cores: int) -> dict:
     speedup = serial["total_seconds"] / threaded["total_seconds"]
     max_weight_diff = float(np.max(np.abs(threaded.pop("_coef") - serial.pop("_coef"))))
     factors_identical = threaded.pop("_digests") == serial.pop("_digests")
-    if cores >= 2:
-        floor, guard = SPEEDUP_FLOOR_MULTI_CORE, f">= {SPEEDUP_FLOOR_MULTI_CORE}x enforced"
+    if cores >= 4:
+        floor, guard = SPEEDUP_FLOOR_4_CORES, f">= {SPEEDUP_FLOOR_4_CORES}x enforced"
+    elif cores >= 2:
+        floor, guard = SPEEDUP_FLOOR_2_CORES, f">= {SPEEDUP_FLOOR_2_CORES}x enforced"
     else:
         # No speedup is possible on one core; only bound the overhead.
         floor = 1.0 / SERIAL_OVERHEAD_CEILING

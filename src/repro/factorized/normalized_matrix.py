@@ -440,9 +440,8 @@ class AmalurMatrix:
                 )
                 if shared.size == 0:
                     continue
-                # Both row lists ascend, so the matched positions do too.
-                left = take(block_k, as_slice(idx_k, ascending=True))
-                right = take(block_l, as_slice(idx_l, ascending=True))
+                left = take(block_k, as_slice(idx_k))
+                right = take(block_l, as_slice(idx_l))
                 for lo, hi in self._row_grid(shared.size):
                     rows = slice(lo, hi)
                     compute = partial(self.backend.gram_pair, take(left, rows), take(right, rows))

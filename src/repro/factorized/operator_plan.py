@@ -39,9 +39,9 @@ Row blocks
 rewrites one target-row block at a time — for bounded-memory training
 over spilled factors, and as the engine of ``AmalurMatrix.lmm`` /
 ``transpose_lmm`` (one block when serial). They multiply in the source
-dimension: a block never multiplies more rows of ``D_k`` than it has
-distinct source rows, and a contiguous range of them is a *view* of the
-storage, not a gather. The per-block row structure (:class:`BlockRows`)
+dimension: a block multiplies its distinct source rows of ``D_k`` — never
+more than ``min(block rows, r_Sk)`` — and a contiguous range of them is a
+*view* of the storage, not a gather. The per-block row structure (:class:`BlockRows`)
 is kept for the blocks of the view's current grid only; see
 :class:`BlockedFactorView` for what it holds and costs.
 
@@ -74,22 +74,21 @@ from repro.reliability.retry import SPILL_RETRY
 def row_grid(n_rows: int, block_rows: int) -> List[Tuple[int, int]]:
     """``[start, stop)`` bounds of the fewest blocks of at most
     ``block_rows`` rows that cover ``n_rows``, evenly sized — a ragged
-    last block would leave its worker idle while the others finish. A
-    pure function of the two counts, never of the worker count."""
+    last block would leave its worker idle while the others finish
+    (70 000 rows cut 65 536 + 4 464 ran a 20-iteration GD fit at 0.65× of
+    one worker on two cores, 35 000 + 35 000 at 0.81×). A pure function
+    of the two counts, never of the worker count."""
     n_blocks = -(-n_rows // max(1, int(block_rows)))
     edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)] if n_blocks else [0]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def as_slice(index: np.ndarray, ascending: bool = False):
+def as_slice(index: np.ndarray):
     """``index`` as a ``slice`` when it is a non-empty ascending run of
     consecutive integers — indexing with it then yields a view instead of
-    a copy — and unchanged otherwise. For a strictly ``ascending`` index
-    the end points decide; any other is checked element by element."""
+    a copy — and unchanged otherwise."""
     n = index.size
-    if n and index[-1] - index[0] == n - 1 and (
-        ascending or bool(np.all(np.diff(index) == 1))
-    ):
+    if n and index[-1] - index[0] == n - 1 and bool((index[1:] - index[:-1] == 1).all()):
         return slice(int(index[0]), int(index[0]) + n)
     return index
 
@@ -331,7 +330,7 @@ class OperatorPlan:
             multiplicity = np.bincount(self.source_rows, minlength=self.n_source_rows)
             touched = np.flatnonzero(multiplicity)
             block = self.backend.take_columns(
-                self.backend.take_rows(self.storage, as_slice(touched, ascending=True)),
+                self.backend.take_rows(self.storage, as_slice(touched)),
                 self.source_cols,
             )
             weights = multiplicity[touched].astype(np.float64)[:, None]
@@ -350,27 +349,31 @@ class BlockRows:
     """One factor's row structure inside one target-row block.
 
     ``targets`` holds the block-relative positions of the target rows the
-    factor covers and ``rows`` the **distinct** source rows behind them —
-    each a ``slice`` when contiguous, so ``D_k[rows]`` and ``out[targets]``
-    are views. ``inverse`` is ``None`` for an injective factor (``rows``
-    lists one source row per covered target row, in target order); for a
-    many-to-one factor it maps every covered target row to its position
-    in ``rows``. ``correction`` holds the block's rows of the factor's
-    redundancy correction (``None`` without redundancy). The many-to-one
-    projector ``I_k[block]ᵀ`` is built on the first :meth:`project`.
+    factor covers and ``rows`` the source rows of ``D_k`` the block
+    multiplies — each a ``slice`` when contiguous, so ``D_k[rows]`` and
+    ``out[targets]`` are views. ``inverse`` maps every covered target row
+    to its position in ``rows``; it is ``None`` when ``rows`` already
+    lists one source row per covered target row, in target order (an
+    injective factor read through its row map). ``injective`` says no
+    position repeats in ``inverse``, so projecting is a plain scatter;
+    otherwise the projector ``I_k[block]ᵀ`` is built on the first
+    :meth:`project`. ``correction`` holds the block's rows of the
+    factor's redundancy correction (``None`` without redundancy).
     """
 
     __slots__ = (
-        "n_block_rows", "targets", "rows", "n_rows", "inverse", "correction", "_projector",
+        "n_block_rows", "targets", "rows", "n_rows", "inverse", "injective", "correction",
+        "_projector",
     )
 
-    def __init__(self, n_block_rows: int, targets, rows, inverse, correction):
+    def __init__(self, n_block_rows: int, targets, rows, inverse, injective, correction):
         self.n_block_rows = n_block_rows
         self.targets = targets
         self.rows = rows
-        #: Rows of ``D_k`` the block multiplies (distinct source rows).
+        #: Rows of ``D_k`` the block multiplies.
         self.n_rows = rows.stop - rows.start if isinstance(rows, slice) else int(rows.size)
         self.inverse = inverse
+        self.injective = injective
         self.correction = correction
         self._projector: Optional[sparse.csr_matrix] = None
 
@@ -383,6 +386,10 @@ class BlockRows:
         """``I_k[block]ᵀ @ x_block`` — one row per entry of ``rows``."""
         if self.inverse is None:
             return x_block[self.targets]
+        if self.injective:
+            projected = np.zeros((self.n_rows, x_block.shape[1]))
+            projected[self.inverse] = x_block[self.targets]
+            return projected
         if self._projector is None:
             targets = self.targets
             if isinstance(targets, slice):
@@ -397,14 +404,16 @@ class BlockRows:
 class BlockedFactorView:
     """Row-block execution structure of one factor.
 
-    Work bound: a block never multiplies more rows of ``D_k`` than it has
-    distinct source rows — at most ``min(block rows, r_Sk)`` — and a
-    contiguous run of source rows is handed to the backend as a *view*
-    (resident array, ``np.memmap`` spill and CSR alike), never a copy.
-    Injective factors read the source rows behind the block's target rows
-    (a slice when the row map is contiguous there, a gather otherwise);
-    many-to-one factors multiply the block's distinct source rows once
-    and lift / project through the block's slice of ``I_k``.
+    Work bound: a block multiplies at most ``min(block rows, r_Sk)`` rows
+    of ``D_k`` — its distinct source rows, handed to the backend as a
+    *view* when they are a contiguous run (resident array, ``np.memmap``
+    spill and CSR alike), never a copy. Scattered rows are gathered,
+    unless they cover at least half of a ``D_k`` no larger than the
+    block: then ``D_k`` is multiplied where it lies and the product is
+    indexed instead. Injective factors read the source rows behind the
+    block's target rows; many-to-one factors multiply the block's
+    distinct source rows once and lift / project through the block's
+    slice of ``I_k``.
 
     ``plan.target_rows`` is sorted ascending (it comes from ``np.nonzero``
     over ``CI_k``), so the part of the row maps inside a target-row block
@@ -495,19 +504,25 @@ class BlockedFactorView:
         targets = plan.target_rows[lo:hi] - start
         source = plan.source_rows[lo:hi]
         if plan.rows_injective:
-            rows, inverse = as_slice(source), None
+            rows, inverse, n_touched = as_slice(source), None, source.size
         else:
             distinct, inverse = np.unique(source, return_inverse=True)
-            rows = as_slice(distinct, ascending=True)
-            if rows is distinct and plan.n_source_rows <= source.size:
-                # Scattered, but the whole of D_k is no larger than the
-                # block: multiply it as it stands instead of copying
-                # (nearly) all of it.
-                rows, inverse = slice(0, plan.n_source_rows), source
+            rows, n_touched = as_slice(distinct), distinct.size
+        if not isinstance(rows, slice) and plan.n_source_rows <= min(stop - start, 2 * n_touched):
+            # Scattered over at least half of a D_k no larger than the
+            # block: multiply it where it lies and index the small
+            # product. Gathering copies every row before the multiply
+            # reads it again — shuffled 1:1 keys, 80 000 × 60, one operand
+            # column: 10.3 ms gathered, 2.0 ms whole; the two break even
+            # near a quarter of the rows touched (near half at eight
+            # operand columns).
+            rows, inverse = slice(0, plan.n_source_rows), source
         correction = self.correction
         if correction is not None:
             correction = self.backend.take_rows(correction, slice(start, stop))  # a view
-        return BlockRows(stop - start, as_slice(targets, ascending=True), rows, inverse, correction)
+        return BlockRows(
+            stop - start, as_slice(targets), rows, inverse, plan.rows_injective, correction
+        )
 
     def storage_rows(self, rows):
         """The rows of ``D_k`` a multiply reads, every column of them.

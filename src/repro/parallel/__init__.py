@@ -19,8 +19,8 @@ Determinism contract:
   results agree with the one-block path to <= 1e-8 while remaining
   bit-identical across worker counts.
 
-Work bound of the blocked operators (``repro.factorized``): a block never
-multiplies more rows of ``D_k`` than it has distinct source rows — at most
+Work bound of the blocked operators (``repro.factorized``): a block
+multiplies its distinct source rows of ``D_k`` — at most
 ``min(block rows, r_Sk)`` — and contiguous ranges of them are views of
 the factor's storage, never copies; a resident many-to-one factor
 multiplies once per call, in the source dimension. Fanning out therefore

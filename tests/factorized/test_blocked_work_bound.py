@@ -173,6 +173,46 @@ def test_contiguous_row_maps_are_views_of_the_storage(spilled, tmp_path):
         assert sum(len(factor._kept) for factor in view.factors) > 0
 
 
+@pytest.mark.parametrize("backend_name", ["dense", "sparse"])
+@pytest.mark.parametrize("matched", [N_OTHER, N_OTHER - 3], ids=["permuted", "partly-matched"])
+def test_a_scattered_injective_map_multiplies_d_k_where_it_lies(matched, backend_name):
+    """Shuffled 1:1 join keys: one block covering most of ``D_k`` multiplies
+    it whole (a view) and indexes the product instead of copying the rows;
+    blocks smaller than ``D_k`` still gather, inside the work bound."""
+    rng = np.random.default_rng(17)
+    keys = np.full(N_TARGET, -1, dtype=np.int64)
+    keys[rng.permutation(N_TARGET)[:matched]] = rng.permutation(N_OTHER)[:matched]
+    dataset = IntegratedDataset(
+        target_columns=OTHER_COLUMNS, n_target_rows=N_TARGET,
+        factors=[SourceFactor(
+            "S2", rng.standard_normal((N_OTHER, len(OTHER_COLUMNS))), OTHER_COLUMNS,
+            MappingMatrix("S2", OTHER_COLUMNS, OTHER_COLUMNS, {c: c for c in OTHER_COLUMNS}),
+            IndicatorMatrix("S2", N_TARGET, N_OTHER, keys),
+            RedundancyMatrix.all_ones("S2", N_TARGET, len(OTHER_COLUMNS)),
+        )],
+        scenario=ScenarioType.LEFT_JOIN, name="T_scattered",
+    )
+    target = dataset.materialize()
+    view = AmalurMatrix(dataset, backend=backend_name).blocked()
+    (factor,) = view.factors
+    assert factor.plan.rows_injective
+    x = rng.standard_normal((view.n_columns, 2))
+    y = rng.standard_normal((N_TARGET, 2))
+    for block_rows in (N_TARGET, 7):
+        blocks = view.row_blocks(block_rows)
+        for start, stop in blocks:
+            spec = factor.block(start, stop)
+            assert spec.n_rows <= min(stop - start, N_OTHER)
+            whole = spec.rows == slice(0, N_OTHER) if isinstance(spec.rows, slice) else False
+            assert whole == (block_rows == N_TARGET)
+        lifted = np.vstack([view.lmm_block(x, *bounds) for bounds in blocks])
+        assert np.max(np.abs(lifted - target @ x)) <= 1e-10
+        projected = np.zeros((view.n_columns, 2))
+        for start, stop in blocks:
+            view.transpose_lmm_add(y[start:stop], start, stop, projected)
+        assert np.max(np.abs(projected - target.T @ y)) <= 1e-10
+
+
 def test_csr_row_ranges_share_the_storage_buffers():
     backend = SparseBackend()
     storage = backend.prepare(np.arange(40.0).reshape(10, 4) % 3)

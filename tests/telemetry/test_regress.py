@@ -114,8 +114,8 @@ class TestCompare:
                 "flop_counters_equal": True,
                 "max_weight_diff": 0.0,
             },
-            # Both would fail their floors on a multi-core run.
-            "scaling": {"speedup": 0.7},
+            # Would fail the 1.5 / 0.8 floors on a multi-core run.
+            "scaling": {"speedup": 1.0},
             "resident": {"blocked_over_serial": {"gd_fit": 0.1}, "max_abs_diff": 0.0},
         }
         write(fresh, "BENCH_PARALLEL.json", one_core)
