@@ -1,8 +1,9 @@
 """Block-parallel execution engine.
 
 A single scheduler shared by every layer that walks row blocks: the
-factorized operators (LMM / transpose-LMM / Gram partial sums), chunked
-CSV ingest, spillable ``D_k`` assembly, and the streaming GD loop.
+factorized operators (LMM / transpose-LMM / Gram partial sums),
+spillable ``D_k`` assembly, and the streaming GD loop. (Chunked CSV
+ingest holds the GIL cell by cell and stays on the caller's thread.)
 
 Determinism contract:
 

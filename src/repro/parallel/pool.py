@@ -10,9 +10,10 @@ Three primitives cover every parallel call site in the engine:
 
 ``imap_ordered(fn, iterable)``
     Lazy ordered map with a bounded in-flight window, for pipelines that
-    must not materialize every task at once (chunked CSV parse, spillable
-    ``D_k`` assembly). At most ``window`` results are buffered, so peak
-    memory stays at ``window x chunk`` instead of the whole stream.
+    must not materialize every task at once (spillable ``D_k`` assembly,
+    ``StreamingGD`` block passes). At most ``window`` results are
+    buffered, so peak memory stays at ``window x chunk`` instead of the
+    whole stream.
 
 ``prefetch(iterable)``
     A background feeder that keeps ``depth`` items ready ahead of the
@@ -23,8 +24,8 @@ Pools are plain ``ThreadPoolExecutor``s, cached per size. Threads are the
 right vehicle here: the hot kernels are BLAS matmuls and numpy slice
 copies, all of which release the GIL. Tasks submitted from *inside* a
 worker run inline on that worker (no nested fan-out), which makes
-composition — a parallel builder consuming a parallel ingest — safe by
-construction instead of deadlock-prone.
+composition — a blocked operator inside a parallel ``StreamingGD`` pass —
+safe by construction instead of deadlock-prone.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro.relational.table import Table
-from repro.relational.types import NULL_LITERALS, DataType, _parse_string, is_null
+from repro.relational.types import NULL_LITERALS, DataType, _parse_string
 
 PathLike = Union[str, Path]
 
@@ -64,21 +66,25 @@ def _protect_string(value: str) -> str:
     return value
 
 
-def _write_protected_rows(writer, names, string_columns, rows) -> None:
-    """Stream ``rows`` through the NULL/typing escape protection."""
-    for row in rows:
-        writer.writerow(
-            [
-                ""
-                if is_null(value)
-                else (
-                    _protect_string(value)
-                    if name in string_columns and isinstance(value, str)
-                    else value
-                )
-                for name, value in zip(names, row)
-            ]
-        )
+def _csv_rows(block):
+    """Rows of CSV cells for a :class:`Table` or one chunk, built column-at-a-time.
+
+    Each column becomes one ``tolist()`` with ``""`` at its NULL positions
+    (an invalid cell, or a NaN); only STRING columns pay the per-cell
+    escape protection.
+    """
+    columns = []
+    for column in block.schema:
+        storage, valid = block.column_values(column.name), block.column_valid(column.name)
+        cells = storage.tolist()
+        if column.dtype is DataType.STRING:
+            cells = [_protect_string(cell) if isinstance(cell, str) else cell for cell in cells]
+        elif column.dtype is DataType.FLOAT:
+            valid = valid & ~np.isnan(storage)
+        for pos in np.nonzero(~valid)[0].tolist():
+            cells[pos] = ""
+        columns.append(cells)
+    return zip(*columns)
 
 
 def write_csv(table, path: PathLike, delimiter: str = ",") -> None:
@@ -100,19 +106,10 @@ def write_csv(table, path: PathLike, delimiter: str = ",") -> None:
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(table, TableChunkStream):
-        schema = table.schema
-        row_source = (
-            row for chunk in table.chunks() for row in chunk.to_table(table.name).rows()
-        )
-    else:
-        schema = table.schema
-        row_source = table.rows()
-    string_columns = {
-        column.name for column in schema if column.dtype is DataType.STRING
-    }
-    names = schema.names
+    names = table.schema.names
+    blocks = table.chunks() if isinstance(table, TableChunkStream) else (table,)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(names)
-        _write_protected_rows(writer, names, string_columns, row_source)
+        for block in blocks:
+            writer.writerows(_csv_rows(block))

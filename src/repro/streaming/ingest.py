@@ -3,13 +3,36 @@
 :class:`ChunkedCsvReader` reads row blocks and coerces them straight into
 typed numpy columns + validity masks — the storage layout of
 :class:`repro.relational.Table` — without the per-cell ``parse_cell`` loop
-of the seed reader. Parsing is *block-at-a-time*: each raw chunk is
-classified with numpy string kernels (null literals, booleans, integer
-candidates) and converted with whole-array ``astype`` casts; only cells the
-vectorized casts cannot handle fall back to the scalar parser, so the
-semantics are exactly those of ``[parse_cell(c) for c in cells]`` followed
-by :func:`repro.relational.types.coerce_column` — the parity suite asserts
-this cell-for-cell.
+of the seed reader. Parsing is *column-at-a-time, sweep then classify*
+(:func:`parse_cell_block`):
+
+1. **Float sweep.** The column's cells — the very ``str`` objects
+   ``csv.reader`` produced — go through one
+   ``np.array(cells, dtype=np.float64)``. numpy converts a ``str`` by
+   calling Python's ``float()``, the function the reference parser
+   (``parse_cell`` → ``_parse_string``) calls, so a value it returns is
+   the reference value: NaN is NULL, a non-integral value is a FLOAT, and
+   no string kernel runs at all.
+2. **Int sweep.** Integral-valued cells (``"3"``, but also ``"3.0"``,
+   ``"1e3"`` and anything that overflowed to ``inf``) might be INTs; only
+   Python's ``int()`` can tell, so that subset gets one
+   ``np.array(..., dtype=np.int64)`` — again the reference's own function.
+3. **Peel, then sweep again.** When the float sweep raises, NULL and bool
+   literals are peeled off first — only cells of at most five characters
+   after ``strip`` (the longest literal is ``"false"``) are lower-cased —
+   and the remaining cells are swept as in 1–2, so an empty cell does not
+   cost a numeric column its fast path.
+4. **Classify.** Only cells a sweep *rejected* — the peeled column when
+   its float sweep raises, the integral subset when the int sweep raises
+   on ``"12.0"`` or ``"9223372036854775808"`` — reach the ``np.char``
+   classifier, which finds escaped cells, integer candidates and float
+   candidates with string kernels and hands whatever its casts reject to
+   the scalar ``parse_cell``.
+
+Every step either returns what ``float()``/``int()`` returned or defers, so
+the semantics are exactly those of ``[parse_cell(c) for c in cells]``
+followed by :func:`repro.relational.types.coerce_column` — the parity and
+property suites assert this cell-for-cell.
 
 Two consumption modes share one code path:
 
@@ -20,12 +43,10 @@ Two consumption modes share one code path:
   per-column type flags and the row count, then a second pass yields typed
   :class:`TableChunk` blocks that are never retained.
 
-Both modes parse in parallel when ``repro.parallel`` is configured with
-more than one worker: the file is still *read* sequentially (one handle,
-one pass), but each raw row block is classified and typed on a worker via
-an ordered bounded-window map, so chunk boundaries, per-chunk results and
-yield order — and therefore every downstream byte — are identical to the
-serial path at any worker count.
+Ingest runs on the caller's thread at any ``repro.parallel`` worker count:
+``csv.reader`` and the per-cell ``float()``/``int()`` of the sweeps all
+hold the GIL, so fanning raw blocks out to worker threads only added
+hand-offs (two workers measured slower than one).
 """
 
 from __future__ import annotations
@@ -36,7 +57,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.exceptions import TableError
 from repro.reliability import faults as _faults
@@ -56,8 +76,10 @@ from repro.streaming.chunks import DEFAULT_CHUNK_ROWS, TableChunk, TableChunkStr
 
 PathLike = Union[str, Path]
 
-_NULL_LITERAL_ARR = np.asarray(NULL_LITERALS, dtype=np.str_)
-_BOOL_LITERAL_ARR = np.asarray(("true", "false"), dtype=np.str_)
+#: Stripped, lower-cased spelling -> what the cell is: ``None`` for NULL, else the bool.
+_LITERALS = {**dict.fromkeys(NULL_LITERALS), "true": True, "false": False}
+_LITERAL_MAX_LEN = max(map(len, _LITERALS))
+_NOT_A_LITERAL = object()
 
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
@@ -130,6 +152,126 @@ class ParsedColumnBlock:
         self.extra: List[Tuple[int, int]] = []  # out-of-int64-range python ints
 
     # -- classification -------------------------------------------------------------
+    def _add(self, bucket: str, positions: np.ndarray, values: np.ndarray) -> None:
+        """Append ``(positions, values)`` to the ``bool``/``int``/``float`` bucket."""
+        pos_attr, val_attr = bucket + "_pos", bucket + "_vals"
+        held = getattr(self, pos_attr)
+        if held.size:
+            positions = np.concatenate([held, positions])
+            values = np.concatenate([getattr(self, val_attr), values])
+        setattr(self, pos_attr, positions)
+        setattr(self, val_attr, values)
+
+    def _sweep(self, cells: Sequence[str], positions: np.ndarray) -> bool:
+        """Bucket ``cells[positions]`` with one ``float()`` and one ``int()`` sweep.
+
+        numpy converts a ``str`` with Python's ``float()``/``int()`` — the
+        functions ``_parse_string`` calls — so whatever a sweep returns is
+        the reference value. Returns False, with nothing bucketed, when
+        some cell is not a float; integral-valued cells ``int()`` rejects
+        (``"12.0"``, ``"1e3"``, beyond int64) go to :meth:`_classify`.
+        """
+        try:
+            values = np.array(_take(cells, positions), dtype=np.float64)
+        except ValueError:
+            return False
+        # inf counts as integral: only int() can tell "1e400" from a 400-digit integer.
+        integral = values == np.floor(values)
+        if not integral.all():
+            # A parsed NaN ("nan", "-nan") is NULL under is_null(), exactly as
+            # the scalar pipeline treats it everywhere downstream.
+            nan = np.isnan(values)
+            self.null_mask[positions[nan]] = True
+            fractional = ~(integral | nan)
+            self._add("float", positions[fractional], values[fractional])
+            positions = positions[integral]
+        if positions.size:
+            try:
+                ints = np.array(_take(cells, positions), dtype=np.int64)
+            except (ValueError, OverflowError):
+                self._classify(cells, positions)
+            else:
+                self._add("int", positions, ints)
+        return True
+
+    def _peel_literals(self, cells: Sequence[str]) -> np.ndarray:
+        """Bucket the NULL and bool literals; return every other cell's position.
+
+        Only a cell short enough to be a literal is lower-cased, and an
+        escaped cell (``\\null``) is never one: it stays with the rest.
+        """
+        null_pos: List[int] = []
+        bool_pos: List[int] = []
+        bool_vals: List[bool] = []
+        rest: List[int] = []
+        for pos, cell in enumerate(cells):
+            stripped = cell.strip()
+            literal = (
+                _LITERALS.get(stripped.lower(), _NOT_A_LITERAL)
+                if len(stripped) <= _LITERAL_MAX_LEN
+                else _NOT_A_LITERAL
+            )
+            if literal is _NOT_A_LITERAL:
+                rest.append(pos)
+            elif literal is None:
+                null_pos.append(pos)
+            else:
+                bool_pos.append(pos)
+                bool_vals.append(literal)
+        self.null_mask[null_pos] = True
+        self._add("bool", np.asarray(bool_pos, dtype=np.int64), np.asarray(bool_vals, dtype=np.bool_))
+        return np.asarray(rest, dtype=np.int64)
+
+    def _classify(self, cells: Sequence[str], positions: np.ndarray) -> None:
+        """The general path: type ``cells[positions]`` with numpy string kernels.
+
+        Integer candidates (one optional sign + digits) get one
+        ``astype(int64)`` cast, the rest one ``astype(float64)`` cast. A
+        cast that raises sends its *whole candidate subset* through the
+        scalar ``parse_cell`` fallback — correctness never depends on a
+        cast accepting a cell. NULL and bool literals never get here: they
+        are peeled first, or the float sweep took the column.
+        """
+        stripped = np.char.strip(np.asarray(_take(cells, positions), dtype=np.str_))
+        # Backslash-escaped cells carry the write_csv NULL-literal protection;
+        # the scalar parser owns that (rare) unescaping logic.
+        escaped = np.char.startswith(stripped, "\\")
+        if escaped.any():
+            self._scalar_fallback(cells, positions[escaped])
+            positions, stripped = positions[~escaped], stripped[~escaped]
+
+        # Integer candidates: at most one leading sign, then digits only.
+        body = np.char.lstrip(stripped, "+-")
+        body_len = np.char.str_len(body)
+        sign_len = np.char.str_len(stripped) - body_len
+        int_cand = (body_len > 0) & (sign_len <= 1) & np.char.isdigit(body)
+        # int() also reads underscore-grouped digits ("1_000"), which the
+        # U -> float64 cast would take as floats: the scalar parser decides.
+        grouped = ~int_cand & (np.char.find(stripped, "_") >= 0)
+        if grouped.any():
+            self._scalar_fallback(cells, positions[grouped])
+
+        int_sel = positions[int_cand]
+        if int_sel.size:
+            try:
+                int_vals = stripped[int_cand].astype(np.int64)
+            except (ValueError, OverflowError):
+                self._scalar_fallback(cells, int_sel)
+            else:
+                self._add("int", int_sel, int_vals)
+
+        float_cand = ~(int_cand | grouped)
+        float_sel = positions[float_cand]
+        if float_sel.size:
+            try:
+                values = stripped[float_cand].astype(np.float64)
+            except (ValueError, OverflowError):
+                self._scalar_fallback(cells, float_sel)
+            else:
+                nan = np.isnan(values)
+                self._add("float", float_sel[~nan], values[~nan])
+                self.null_mask[float_sel[nan]] = True
+
     def _scalar_fallback(self, cells: Sequence[str], positions: np.ndarray) -> None:
         """Route cells the vectorized casts rejected through ``parse_cell``."""
         b_pos: List[int] = []
@@ -159,14 +301,11 @@ class ParsedColumnBlock:
                 s_pos.append(pos)
                 self.str_vals.append(value)
         if b_pos:
-            self.bool_pos = np.concatenate([self.bool_pos, np.asarray(b_pos, dtype=np.int64)])
-            self.bool_vals = np.concatenate([self.bool_vals, np.asarray(b_val, dtype=np.bool_)])
+            self._add("bool", np.asarray(b_pos, dtype=np.int64), np.asarray(b_val, dtype=np.bool_))
         if i_pos:
-            self.int_pos = np.concatenate([self.int_pos, np.asarray(i_pos, dtype=np.int64)])
-            self.int_vals = np.concatenate([self.int_vals, np.asarray(i_val, dtype=np.int64)])
+            self._add("int", np.asarray(i_pos, dtype=np.int64), np.asarray(i_val, dtype=np.int64))
         if f_pos:
-            self.float_pos = np.concatenate([self.float_pos, np.asarray(f_pos, dtype=np.int64)])
-            self.float_vals = np.concatenate([self.float_vals, np.asarray(f_val, dtype=np.float64)])
+            self._add("float", np.asarray(f_pos, dtype=np.int64), np.asarray(f_val, dtype=np.float64))
         if s_pos:
             self.str_pos = np.concatenate([self.str_pos, np.asarray(s_pos, dtype=np.int64)])
 
@@ -195,7 +334,9 @@ class ParsedColumnBlock:
                 out[pos] = coerce_value(value, dtype)
             for pos, value in self.extra:
                 out[pos] = coerce_value(value, dtype)
-            return out, valid
+            # A string coerced to NaN ("nan" from an escaped cell) is NULL:
+            # coerce_column keeps the FLOAT invariant NULL <=> NaN.
+            return out, ~np.isnan(out)
         if dtype is DataType.INT:
             out = np.zeros(self.n, dtype=np.int64)
             out[self.bool_pos] = self.bool_vals.astype(np.int64)
@@ -243,67 +384,29 @@ class ParsedColumnBlock:
         raise TableError(f"unknown data type {dtype!r}")  # pragma: no cover
 
 
-def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
-    """Classify a block of raw CSV cells with vectorized string kernels.
+def _take(cells: Sequence[str], positions: np.ndarray) -> Sequence[str]:
+    """``cells[positions]``; positions are increasing, so all of them is ``cells`` itself."""
+    if positions.size == len(cells):
+        return cells
+    return [cells[pos] for pos in positions.tolist()]
 
-    Fast paths: null/bool literal matching via ``np.isin`` on the lowered
-    cells, integer candidates (one optional sign + digits) via one
-    ``astype(int64)`` cast, everything else via one ``astype(float64)``
-    cast. A cast that raises sends its *whole candidate subset* through the
-    scalar ``parse_cell`` fallback — correctness never depends on the fast
-    path accepting a cell.
+
+def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
+    """Classify one column of raw CSV cells: sweep, then classify what is left.
+
+    A numeric column is typed by :meth:`ParsedColumnBlock._sweep` alone, on
+    the parser's own strings. When some cell is not a float, the NULL and
+    bool literals are peeled off and the rest is swept again, so a numeric
+    column with empty / ``NA`` cells keeps the fast path; only cells the
+    sweeps reject reach the string-kernel classifier.
     """
     block = ParsedColumnBlock(len(cells))
-    if block.n == 0:
+    if block.n == 0 or block._sweep(cells, np.arange(block.n)):
         return block
-    arr = np.asarray(cells, dtype=np.str_)
-    stripped = np.char.strip(arr)
-    lowered = np.char.lower(stripped)
-    # Backslash-escaped cells carry the write_csv NULL-literal protection;
-    # the scalar parser owns that (rare) unescaping logic.
-    escaped = np.char.startswith(stripped, "\\")
-    block.null_mask = np.isin(lowered, _NULL_LITERAL_ARR) & ~escaped
-    bool_mask = ~block.null_mask & ~escaped & np.isin(lowered, _BOOL_LITERAL_ARR)
-    block.bool_pos = np.nonzero(bool_mask)[0].astype(np.int64)
-    block.bool_vals = lowered[bool_mask] == "true"
-
-    rest_mask = ~(block.null_mask | bool_mask | escaped)
-    rest_pos = np.nonzero(rest_mask)[0].astype(np.int64)
-    if escaped.any():
-        block._scalar_fallback(cells, np.nonzero(escaped)[0])
-    if rest_pos.size == 0:
-        return block
-    rest = stripped[rest_pos]
-
-    # Integer candidates: at most one leading sign, then digits only.
-    body = np.char.lstrip(rest, "+-")
-    body_len = np.char.str_len(body)
-    sign_len = np.char.str_len(rest) - body_len
-    int_cand = (body_len > 0) & (sign_len <= 1) & np.char.isdigit(body)
-
-    int_sel = rest_pos[int_cand]
-    if int_sel.size:
-        try:
-            int_vals = rest[int_cand].astype(np.int64)
-        except (ValueError, OverflowError):
-            block._scalar_fallback(cells, int_sel)
-        else:
-            block.int_pos = int_sel
-            block.int_vals = int_vals
-
-    float_sel = rest_pos[~int_cand]
-    if float_sel.size:
-        try:
-            values = rest[~int_cand].astype(np.float64)
-        except (ValueError, OverflowError):
-            block._scalar_fallback(cells, float_sel)
-        else:
-            # A parsed NaN (e.g. "-nan") is NULL under is_null(), exactly as
-            # the scalar pipeline treats it everywhere downstream.
-            nan = np.isnan(values)
-            block.float_pos = float_sel[~nan]
-            block.float_vals = values[~nan]
-            block.null_mask[float_sel[nan]] = True
+    rest = block._peel_literals(cells)
+    # Nothing peeled: the same cells would fail the same sweep again.
+    if rest.size and (rest.size == block.n or not block._sweep(cells, rest)):
+        block._classify(cells, rest)
     return block
 
 
@@ -393,16 +496,6 @@ class ChunkedCsvReader(TableChunkStream):
                     rows = []
             yield header, rows
 
-    def _numbered_raw_chunks(self) -> Iterator[Tuple[int, List[str], List[List[str]]]]:
-        """Non-empty raw blocks with their absolute row offset, computed at
-        read time so parse workers never need upstream state."""
-        offset = 0
-        for header, rows in self._raw_chunks():
-            if not rows:
-                continue
-            yield offset, header, rows
-            offset += len(rows)
-
     def _parse_chunk(self, header: List[str], rows: List[List[str]]):
         if not rows:
             return [ParsedColumnBlock(0) for _ in header]
@@ -424,38 +517,21 @@ class ChunkedCsvReader(TableChunkStream):
 
     # -- streaming interface ----------------------------------------------------------
     def scan(self) -> Schema:
-        """First pass: infer the schema and row count in bounded memory.
-
-        Raw blocks are read sequentially; their type classification runs on
-        the worker pool. Flag merging is a commutative boolean OR, but the
-        ordered map keeps it deterministic anyway.
-        """
+        """First pass: infer the schema and row count in bounded memory."""
         if self._schema is None:
             with _telemetry.span("ingest.scan", file=str(self._path)) as span:
-                state: Dict[str, object] = {"header": [], "n_rows": 0}
-
-                def _tasks() -> Iterator[Tuple[List[str], List[List[str]]]]:
-                    for header, rows in self._raw_chunks():
-                        state["header"] = header
-                        state["n_rows"] = int(state["n_rows"]) + len(rows)
-                        yield header, rows
-
-                def _chunk_flags(task: Tuple[List[str], List[List[str]]]):
-                    header, rows = task
-                    return [block.flags for block in self._parse_chunk(header, rows)]
-
+                header: List[str] = []
                 flags: List[ColumnTypeFlags] = []
-                for chunk_flags in _parallel.imap_ordered(_chunk_flags, _tasks(), label="ingest.scan"):
+                n_rows = 0
+                for header, rows in self._raw_chunks():
                     if not flags:
-                        flags = [ColumnTypeFlags() for _ in chunk_flags]
-                    for accumulated, block_flags in zip(flags, chunk_flags):
-                        accumulated.merge(block_flags)
-                header = list(state["header"])  # type: ignore[arg-type]
-                if not flags:
-                    flags = [ColumnTypeFlags() for _ in header]
+                        flags = [ColumnTypeFlags() for _ in header]
+                    for accumulated, block in zip(flags, self._parse_chunk(header, rows)):
+                        accumulated.merge(block.flags)
+                    n_rows += len(rows)
                 self._schema = self._schema_from_flags(header, flags)
-                self._n_rows = int(state["n_rows"])
-                span.set(rows=self._n_rows, columns=len(header))
+                self._n_rows = n_rows
+                span.set(rows=n_rows, columns=len(header))
         return self._schema
 
     @property
@@ -470,8 +546,7 @@ class ChunkedCsvReader(TableChunkStream):
     def chunks(self) -> Iterator[TableChunk]:
         schema = self.scan()
 
-        def _typed_chunk_once(task: Tuple[int, List[str], List[List[str]]]) -> TableChunk:
-            offset, header, rows = task
+        def _typed_chunk(offset: int, header: List[str], rows: List[List[str]]) -> TableChunk:
             _faults.fault_point("ingest.chunk", file=str(self._path), offset=offset)
             with _telemetry.span(
                 "ingest.chunk", file=str(self._path), offset=offset, rows=len(rows)
@@ -482,16 +557,17 @@ class ChunkedCsvReader(TableChunkStream):
                     data[column.name], valid[column.name] = block.finalize(column.dtype)
                 return TableChunk(schema, data, valid, offset=offset)
 
-        def _typed_chunk(task: Tuple[int, List[str], List[List[str]]]) -> TableChunk:
+        offset = 0
+        for header, rows in self._raw_chunks():
+            if not rows:
+                continue
             # Typing a chunk is a pure function of the raw rows, so a
             # transient fault is safely retried without re-reading the file.
             if _faults.ACTIVE:
-                return INGEST_RETRY.call(_typed_chunk_once, task, site="ingest.chunk")
-            return _typed_chunk_once(task)
-
-        for chunk in _parallel.imap_ordered(
-            _typed_chunk, self._numbered_raw_chunks(), label="ingest.chunk"
-        ):
+                chunk = INGEST_RETRY.call(_typed_chunk, offset, header, rows, site="ingest.chunk")
+            else:
+                chunk = _typed_chunk(offset, header, rows)
+            offset += len(rows)
             if _telemetry.ENABLED:
                 _telemetry.counter_add("ingest.chunks")
                 _telemetry.counter_add("ingest.rows", float(chunk.n_rows))
@@ -501,39 +577,27 @@ class ChunkedCsvReader(TableChunkStream):
     def read(self) -> Table:
         """Parse once and assemble a resident :class:`Table` (the
         single-chunk fast path ``read_csv`` routes through)."""
-        state: Dict[str, object] = {"header": []}
 
-        def _tasks() -> Iterator[Tuple[List[str], List[List[str]]]]:
-            for header, rows in self._raw_chunks():
-                state["header"] = header
-                yield header, rows
-
-        def _parsed_once(task: Tuple[List[str], List[List[str]]]):
-            header, rows = task
+        def _parsed(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
             _faults.fault_point("ingest.chunk", file=str(self._path))
-            return len(rows), self._parse_chunk(header, rows)
+            return self._parse_chunk(header, rows)
 
-        def _parsed(task: Tuple[List[str], List[List[str]]]):
-            if _faults.ACTIVE:
-                return INGEST_RETRY.call(_parsed_once, task, site="ingest.chunk")
-            return _parsed_once(task)
-
+        header: List[str] = []
         flags: List[ColumnTypeFlags] = []
         parsed: List[List[ParsedColumnBlock]] = []
         n_rows = 0
-        for rows_in_chunk, blocks in _parallel.imap_ordered(
-            _parsed, _tasks(), label="ingest.read"
-        ):
+        for header, rows in self._raw_chunks():
+            if _faults.ACTIVE:
+                blocks = INGEST_RETRY.call(_parsed, header, rows, site="ingest.chunk")
+            else:
+                blocks = _parsed(header, rows)
             if not flags:
-                flags = [ColumnTypeFlags() for _ in blocks]
+                flags = [ColumnTypeFlags() for _ in header]
             for accumulated, block in zip(flags, blocks):
                 accumulated.merge(block.flags)
-            if rows_in_chunk:
+            if rows:
                 parsed.append(blocks)
-                n_rows += rows_in_chunk
-        header = list(state["header"])  # type: ignore[arg-type]
-        if not flags:
-            flags = [ColumnTypeFlags() for _ in header]
+                n_rows += len(rows)
         schema = self._schema_from_flags(header, flags)
         self._schema = schema
         self._n_rows = n_rows

@@ -14,6 +14,8 @@ from repro.datagen.hospital import (
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.metadata.mappings import ScenarioType
+from repro.relational.types import NULL, is_null, parse_cell
+from repro.streaming.ingest import parse_cell_block
 
 
 @pytest.fixture
@@ -67,3 +69,39 @@ def synthetic_redundant_dataset():
         seed=3,
     )
     return generate_integrated_pair(spec)
+
+
+def _block_values(block):
+    """Every bucket of a parsed block back as python values, by position."""
+    values = [None] * block.n
+    for pos in np.nonzero(block.null_mask)[0]:
+        values[pos] = NULL
+    for pos, val in zip(block.bool_pos.tolist(), block.bool_vals.tolist()):
+        values[pos] = bool(val)
+    for pos, val in zip(block.int_pos.tolist(), block.int_vals.tolist()):
+        values[pos] = int(val)
+    for pos, val in zip(block.float_pos.tolist(), block.float_vals.tolist()):
+        values[pos] = float(val)
+    for pos, val in zip(block.str_pos.tolist(), block.str_vals):
+        values[pos] = val
+    for pos, val in block.extra:
+        values[pos] = val
+    return values
+
+
+def _assert_matches_scalar_parser(cells):
+    """``parse_cell_block(cells)`` is ``[parse_cell(c) for c in cells]``, value and type."""
+    block = parse_cell_block(cells)
+    for cell, got, want in zip(cells, _block_values(block), map(parse_cell, cells)):
+        if is_null(want):
+            assert got is NULL, (cell, got)
+        else:
+            assert got == want and type(got) is type(want), (cell, got, want)
+    return block
+
+
+@pytest.fixture(scope="session")
+def assert_matches_scalar_parser():
+    """The cell-for-cell parity check of the CSV kernel, shared by the
+    ingest, work-bound and property suites."""
+    return _assert_matches_scalar_parser

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TableError
-from repro.relational.io import read_csv, write_csv
+from repro.relational.io import _protect_string, read_csv, write_csv
 from repro.relational.table import Table
-from repro.relational.types import NULL, DataType, is_null, parse_cell
+from repro.relational.types import NULL, DataType, infer_type, is_null
+from repro.streaming.chunks import InMemoryTableStream
 from repro.streaming.ingest import ChunkedCsvReader, parse_cell_block
 
 CHUNK_SIZES = (1, 7, 10_000)
@@ -29,30 +30,30 @@ def _write(tmp_path, name, text):
 
 
 class TestParseCellBlock:
-    def test_matches_scalar_parser_cell_for_cell(self):
-        block = parse_cell_block(MESSY_CELLS)
-        reference = [parse_cell(c) for c in MESSY_CELLS]
-        flags = block.flags
+    def test_matches_scalar_parser_cell_for_cell(self, assert_matches_scalar_parser):
+        flags = assert_matches_scalar_parser(MESSY_CELLS).flags
         assert flags.seen_str and flags.seen_float and flags.seen_int and flags.seen_bool
-        # Reconstruct every bucket back into python values and compare.
-        values = [None] * len(MESSY_CELLS)
-        for pos in np.nonzero(block.null_mask)[0]:
-            values[pos] = NULL
-        for pos, val in zip(block.bool_pos.tolist(), block.bool_vals.tolist()):
-            values[pos] = bool(val)
-        for pos, val in zip(block.int_pos.tolist(), block.int_vals.tolist()):
-            values[pos] = int(val)
-        for pos, val in zip(block.float_pos.tolist(), block.float_vals.tolist()):
-            values[pos] = float(val)
-        for pos, val in zip(block.str_pos.tolist(), block.str_vals):
-            values[pos] = val
-        for pos, val in block.extra:
-            values[pos] = val
-        for got, want in zip(values, reference):
-            if is_null(want):
-                assert got is NULL
-            else:
-                assert got == want and type(got) is type(want)
+
+    def test_underscore_grouped_integers_are_ints(self, assert_matches_scalar_parser):
+        """``int()`` reads ``1_000``; so must every path of the kernel (the
+        parent's string-kernel classifier cast it to float 1000.0)."""
+        mixed = assert_matches_scalar_parser(["1_000", "2.5", "3"])
+        assert mixed.int_pos.tolist() == [0, 2] and mixed.int_vals.tolist() == [1000, 3]
+        assert mixed.float_pos.tolist() == [1]
+        grouped = assert_matches_scalar_parser(["1_000"] * 3)
+        assert grouped.flags.infer() is DataType.INT is infer_type(["1_000"] * 3)
+        # ... also when another cell keeps the column off the sweeps
+        for other in ("abc", "", "true", "12.0", "\\5", "\u00b2"):
+            assert_matches_scalar_parser(["1_000", other, "-2_0", "1_0.5"])
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_underscore_grouped_column_reads_as_int(self, tmp_path, chunk_rows):
+        path = _write(tmp_path, "grouped.csv", "n,x\n1_000,1.5\n2_500,\n-3,2_0.5\n")
+        for table in (read_csv(path), ChunkedCsvReader(path, chunk_rows=chunk_rows).read_table()):
+            assert table.schema["n"].dtype is DataType.INT
+            assert table.column("n") == [1000, 2500, -3]
+            assert table.schema["x"].dtype is DataType.FLOAT
+            assert table.column("x") == [1.5, NULL, 20.5]
 
     def test_empty_block(self):
         block = parse_cell_block([])
@@ -181,3 +182,75 @@ class TestWriteReadRoundTrip:
         path = tmp_path / "n.csv"
         write_csv(table, path)
         assert path.read_text().splitlines()[1] == "1"
+
+
+def write_csv_rowwise(table, path):
+    """The parent's ``write_csv``: one ``Table.row()`` per row, one
+    ``is_null`` per cell — the reference the columnar writer must match
+    byte for byte."""
+    if isinstance(table, Table):
+        rows = table.rows()
+    else:
+        rows = (row for chunk in table.chunks() for row in chunk.to_table(table.name).rows())
+    strings = {c.name for c in table.schema if c.dtype is DataType.STRING}
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(table.schema.names)
+        for row in rows:
+            writer.writerow(
+                ""
+                if is_null(value)
+                else _protect_string(value) if name in strings and isinstance(value, str) else value
+                for name, value in zip(table.schema.names, row)
+            )
+
+
+class TestWriteCsvColumnar:
+    def messy_table(self):
+        n = len(MESSY_CELLS)
+        return Table.from_dict(
+            "messy",
+            {
+                "text": list(MESSY_CELLS),
+                "sparse_text": [NULL if i % 4 == 0 else c for i, c in enumerate(MESSY_CELLS)],
+                "i": [NULL if i % 5 == 0 else i - 7 for i in range(n)],
+                "x": [NULL if i % 3 == 0 else (i - 9) / 7 for i in range(n)],
+                "big": [2**62 + i for i in range(n)],
+                "tiny": [NULL if i % 6 == 0 else 10.0 ** (i - 20) for i in range(n)],
+                "flag": [NULL if i % 7 == 0 else bool(i % 2) for i in range(n)],
+                "all_null": [NULL] * n,
+            },
+            text={"dtype": DataType.STRING},
+            sparse_text={"dtype": DataType.STRING},
+        )
+
+    def assert_same_bytes(self, table, tmp_path):
+        got, want = tmp_path / "columnar.csv", tmp_path / "rowwise.csv"
+        write_csv(table, got)
+        write_csv_rowwise(table, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_messy_table(self, tmp_path):
+        self.assert_same_bytes(self.messy_table(), tmp_path)
+
+    def test_null_bearing_numeric_table(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(500).round(4)
+        table = Table.from_dict(
+            "numeric",
+            {
+                "id": list(range(500)),
+                "x": [NULL if i % 9 == 0 else float(v) for i, v in enumerate(x)],
+                "count": [NULL if i % 11 == 0 else int(v * 100) for i, v in enumerate(x)],
+                "whole": [float(i) for i in range(500)],
+                "inf": [float("inf"), float("-inf")] * 250,
+            },
+        )
+        self.assert_same_bytes(table, tmp_path)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_chunk_stream(self, tmp_path, chunk_rows):
+        self.assert_same_bytes(InMemoryTableStream(self.messy_table(), chunk_rows), tmp_path)
+
+    def test_empty_table(self, tmp_path):
+        self.assert_same_bytes(self.messy_table().head(0), tmp_path)

@@ -1,0 +1,104 @@
+"""CSV ingest types a numeric column without string kernels.
+
+Work bound (cells, not seconds): ``parse_cell_block`` hands a cell to the
+``np.char`` classifier (``ParsedColumnBlock._classify``), to the scalar
+``parse_cell`` loop (``_scalar_fallback``) or to ``np.char.lower`` only when
+a ``float()`` / ``int()`` sweep rejected it. An all-float or all-int column
+sends none; empty and ``NA`` cells in a numeric column are peeled by
+literal and cost the other cells nothing; an integral spelling ``int()``
+rejects (``"3.0"``) sends itself and no neighbour. One text cell does send
+the column down the general path — with the reference's exact buckets.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.streaming.ingest import ParsedColumnBlock, parse_cell_block
+
+N = 2_048
+
+
+@pytest.fixture
+def cells_sent(monkeypatch):
+    """Cells handed to each slow kernel while the fixture is live."""
+    sent: Counter = Counter()
+
+    def counting_method(name):
+        inner = getattr(ParsedColumnBlock, name)
+
+        def method(self, cells, positions):
+            sent[name] += int(positions.size)
+            return inner(self, cells, positions)
+
+        return method
+
+    for name in ("_classify", "_scalar_fallback"):
+        monkeypatch.setattr(ParsedColumnBlock, name, counting_method(name))
+    lower = np.char.lower
+
+    def counting_lower(array):
+        sent["lower"] += int(np.size(array))
+        return lower(array)
+
+    monkeypatch.setattr(np.char, "lower", counting_lower)
+    return sent
+
+
+def float_cells(n: int = N):
+    """Four-decimal cells, none of them a whole number."""
+    rng = np.random.default_rng(5)
+    return [f"{w}.{f:04d}" for w, f in zip(rng.integers(-3, 4, n), rng.integers(1, 10_000, n))]
+
+
+def test_float_column_is_swept(cells_sent):
+    cells = float_cells()
+    block = parse_cell_block(cells)
+    assert not cells_sent
+    assert block.float_pos.size == N and block.float_vals.tolist() == [float(c) for c in cells]
+
+
+def test_int_column_is_swept(cells_sent):
+    cells = [str(v) for v in np.random.default_rng(6).integers(-10**12, 10**12, N)]
+    block = parse_cell_block(cells)
+    assert not cells_sent
+    assert block.int_pos.size == N and block.int_vals.tolist() == [int(c) for c in cells]
+
+
+def test_null_literals_and_integral_spellings_cost_only_themselves(
+    cells_sent, assert_matches_scalar_parser
+):
+    cells = float_cells()
+    empties = range(0, N, 97)         # k NULL cells: "", " NA ", "null"
+    integral = range(5, N, 211)       # j spellings float() reads as whole, int() rejects
+    for n, pos in enumerate(empties):
+        cells[pos] = ("", " NA ", "null")[n % 3]
+    for pos in integral:
+        cells[pos] = "3.0"
+    block = assert_matches_scalar_parser(cells)
+    assert cells_sent["_classify"] == len(integral)
+    assert cells_sent["_scalar_fallback"] == 0
+    short = sum(len(c.strip()) <= 5 for c in cells)
+    assert cells_sent["lower"] <= short + len(integral) < N
+    assert np.nonzero(block.null_mask)[0].tolist() == list(empties)
+    assert block.float_pos.size == N - len(empties) and block.int_pos.size == 0
+
+
+def test_bool_column_is_peeled(cells_sent, assert_matches_scalar_parser):
+    cells = ["true", "FALSE", " True "] * 100
+    block = assert_matches_scalar_parser(cells)
+    assert not cells_sent
+    assert block.bool_vals.tolist() == [True, False, True] * 100
+
+
+def test_one_text_cell_still_gives_the_reference_buckets(cells_sent, assert_matches_scalar_parser):
+    cells = float_cells(64) + ["7", "", "true", "12.0", "1_000"]
+    cells[10] = "abc"
+    block = assert_matches_scalar_parser(cells)
+    # the two literals are peeled; every other cell takes the general path
+    assert cells_sent["_classify"] == len(cells) - 2
+    assert block.str_pos.tolist() == [10] and block.str_vals == ["abc"]
+    assert block.flags.seen_str and block.flags.seen_int and block.flags.seen_bool

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
+from repro.exceptions import SchemaError
 from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
@@ -15,6 +16,14 @@ from repro.metadata.similarity import (
     levenshtein_distance,
     levenshtein_similarity,
     ngram_jaccard_similarity,
+)
+from repro.relational.types import (
+    NULL_LITERALS,
+    DataType,
+    _coerce_column_fallback,
+    coerce_column,
+    infer_type,
+    parse_cell,
 )
 
 # Bounded sizes keep each hypothesis example fast while still exploring the
@@ -175,3 +184,119 @@ class TestSimilarityProperties:
     def test_identity(self, a):
         assert jaro_winkler_similarity(a, a) == pytest.approx(1.0)
         assert ngram_jaccard_similarity(a, a) == 1.0
+
+
+# -- CSV cell kernel -------------------------------------------------------------------------
+#
+# A grammar of cell spellings, so that the cases a sweep must not mistype come
+# up far more often than random text would produce them.
+
+DIGIT_ZEROS = "0\u0660\u0966\uff10"  # ASCII, Arabic-Indic, Devanagari, fullwidth
+
+
+@st.composite
+def digit_runs(draw):
+    zero = ord(draw(st.sampled_from(DIGIT_ZEROS)))
+    run = draw(st.text(alphabet="0123456789", min_size=1, max_size=6))
+    return "".join(chr(zero + int(d)) for d in run)
+
+
+integer_cells = st.builds(
+    lambda sign, pad, groups: sign + pad + "_".join(groups),
+    st.sampled_from(["", "", "+", "-"]),
+    st.sampled_from(["", "", "0", "000"]),
+    st.lists(digit_runs(), min_size=1, max_size=3),
+)
+beyond_int64_cells = st.one_of(
+    st.integers(min_value=2**63 - 2, max_value=2**63 + 2).map(str),
+    st.integers(min_value=-(2**63) - 2, max_value=-(2**63) + 2).map(str),
+    st.integers(min_value=2**63, max_value=10**40).map(str),
+    st.just("1" + "0" * 400),  # float() says inf; int() reads every digit
+)
+float_cells = st.one_of(
+    st.sampled_from([
+        "12.0", "-3.0", "1e3", "1E-4", ".5", "5.", "-0.0", "1e400", "-1e400", "1_0.5", "1_0e1_0",
+        "inf", "-inf", "+Infinity", "nan", "-nan", "+NaN",
+    ]),
+    st.floats(allow_nan=False).map(repr),
+    st.builds("{}.{}".format, st.integers(-999, 999), digit_runs()),
+)
+numeric_cells = st.one_of(integer_cells, integer_cells, float_cells, beyond_int64_cells)
+
+
+def any_case(literals):
+    return st.sampled_from(literals).flatmap(
+        lambda word: st.tuples(*[st.sampled_from([ch.lower(), ch.upper()]) for ch in word]).map("".join)
+    )
+
+
+null_cells = any_case(NULL_LITERALS)
+bool_cells = any_case(["true", "false"])
+# No NUL: csv.reader refuses a line holding one, so no cell ever carries it.
+text_cells = st.text(st.characters(exclude_characters="\x00", exclude_categories=["Cs"]), max_size=8)
+near_misses = st.sampled_from(
+    ["--5", "+-5", "5 5", "0x10", "1__0", "_1", "1_", "\u00b2", "12.0x", "nulls", "falsey", "t", "a_b"]
+)
+plain_cells = st.one_of(numeric_cells, null_cells, bool_cells, text_cells, near_misses)
+escaped_cells = plain_cells.map("\\{}".format)
+paddings = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0", "\u2003", "\u3000 "])
+
+
+def padded(cells):
+    return st.builds("{}{}{}".format, paddings, cells, paddings)
+
+
+def columns(*cells):
+    return st.lists(padded(st.one_of(*cells)), min_size=1, max_size=12)
+
+
+cell_columns = st.one_of(
+    columns(numeric_cells),
+    columns(numeric_cells, numeric_cells, null_cells),
+    columns(plain_cells, escaped_cells),
+)
+
+
+def storage_or_error(coerce, dtype):
+    """``coerce(dtype)`` as comparable lists, or the error class it raised.
+
+    The raw ``OverflowError`` is ``float()`` of an integer beyond the float
+    range; both sides let it through from ``coerce_value``.
+    """
+    try:
+        values, valid = coerce(dtype)
+    except (SchemaError, OverflowError) as exc:
+        return type(exc)
+    assert values.dtype == coerce_column([], dtype)[0].dtype
+    # the placeholder under a NULL is storage detail the masks make unreadable
+    return [v for v, ok in zip(values.tolist(), valid.tolist()) if ok], valid.tolist()
+
+
+class TestCsvCellKernel:
+    """``parse_cell_block`` is ``parse_cell`` per cell, ``infer_type`` and
+    ``coerce_column`` per column — whichever sweeps a column takes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cells=cell_columns)
+    def test_block_equals_scalar_pipeline(self, cells, assert_matches_scalar_parser):
+        block = assert_matches_scalar_parser(cells)
+        parsed = [parse_cell(cell) for cell in cells]
+        # A cell parsed to a string stays one ("\\5" is the text "5"), whereas
+        # infer_type would parse a string value once more.
+        assert block.flags.infer() is infer_type(
+            ["text" if isinstance(value, str) else value for value in parsed]
+        )
+        # coerce_column sends a mixed list through float64, which rounds an
+        # integer beyond 2**53; its element-wise fallback is exact there.
+        rounds = any(type(v) is int and abs(v) > 2**53 for v in parsed)
+        reference = _coerce_column_fallback if rounds else coerce_column
+        for dtype in DataType:
+            got = storage_or_error(block.finalize, dtype)
+            want = storage_or_error(lambda dt: reference(parsed, dt), dtype)
+            if isinstance(want, type) or isinstance(got, type):
+                # which bad cell is reported first is not part of the contract
+                assert isinstance(want, type) and isinstance(got, type), (dtype, got, want)
+            elif dtype is DataType.FLOAT:
+                assert got[1] == want[1] and np.array_equal(got[0], want[0]), (dtype, got, want)
+            else:
+                assert got == want, (dtype, got, want)
