@@ -9,22 +9,26 @@ Three phases:
 
 * **Parity** (every machine): the spilled stream build + ``StreamingGD``
   and the factorized operators run at 1, 2 and 8 workers on a small
-  scenario.  Built factors must be bit-identical to the serial build,
-  operator outputs and GD weights within 1e-8 of serial and bit-identical
-  between any two parallel worker counts, and the ``FlopCounter`` totals
-  exactly equal (parallel paths charge the legacy per-factor formulas).
+  scenario.  Built factors and GD weights must be bit-identical at every
+  worker count (one worker is the plain loop of the same block map),
+  operator outputs within 1e-8 of the one-worker run (which multiplies
+  one block), and the ``FlopCounter`` totals exactly equal (parallel
+  paths charge the legacy per-factor formulas).
 
 * **Scaling** (core-count aware): the 450k×287 streaming scenario from
   ``bench_streaming`` — hashed chunk ingest → spilled factor build → six
   ``StreamingGD`` iterations — timed end-to-end at 1 worker and at 4
-  workers.  The speedup floor scales with the machine: on ≥4 cores the
+  workers in alternating rounds (a lone serial shot of the same code has
+  read 8 s, 12 s and 44 s on one 2-core box: page-fault luck); the
+  speedup is the median of the per-round ratios and every round is
+  recorded.  The speedup floor scales with the machine: on ≥4 cores the
   4-worker run must be ≥2.0× faster, on 2-3 cores ≥1.2×; on a single
   core no speedup is physically possible — four workers time-slice one
   CPU and the blocked reduction buffers are pure cost — so the guard
   only bounds the engine's overhead (the 4-worker run may be at most 2×
-  slower than serial) and the floor is recorded as skipped.  Both runs must produce
-  bit-identical spilled factors (SHA-256 over the memmap blocks) and
-  weights within 1e-8.
+  slower than serial) and the floor is recorded as skipped.  Every run
+  must produce bit-identical spilled factors (SHA-256 over the memmap
+  blocks) and bit-identical weights.
 
 * **Resident many-to-one** (core-count aware): a 10:1 key–foreign-key
   join held in memory, four row blocks above ``REPRO_PARALLEL_MIN_ROWS``
@@ -75,6 +79,7 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_PARALLEL.json"
 PARITY_TOLERANCE = 1e-8
 PARITY_WORKERS = (1, 2, 8)
 SCALING_WORKERS = 4
+SCALING_ROUNDS = 3
 # Core-count-aware speedup floors for the 4-worker scaling run.
 SPEEDUP_FLOOR_4_CORES = 2.0
 SPEEDUP_FLOOR_2_CORES = 1.2
@@ -133,7 +138,6 @@ def run_parity() -> dict:
         float(np.max(np.abs(runs[workers][1] - serial_coef)))
         for workers in PARITY_WORKERS[1:]
     )
-    weights_bitwise_2v8 = bool(np.array_equal(runs[2][1], runs[8][1]))
 
     # Factorized operators across worker counts, forced onto the blocked
     # path regardless of scale.
@@ -161,7 +165,6 @@ def run_parity() -> dict:
         "worker_counts": list(PARITY_WORKERS),
         "factors_bit_identical": bool(factors_identical),
         "max_weight_diff": max_weight_diff,
-        "weights_bitwise_2v8": weights_bitwise_2v8,
         "max_operator_diff": max_operator_diff,
         "flop_counters_equal": bool(flops_equal),
     }
@@ -217,11 +220,24 @@ def _timed_run(workers: int, tmp_dir: Path) -> dict:
 
 
 def run_scaling(tmp_dir: Path, cores: int) -> dict:
-    serial = _timed_run(1, tmp_dir)
-    threaded = _timed_run(SCALING_WORKERS, tmp_dir)
-    speedup = serial["total_seconds"] / threaded["total_seconds"]
-    max_weight_diff = float(np.max(np.abs(threaded.pop("_coef") - serial.pop("_coef"))))
-    factors_identical = threaded.pop("_digests") == serial.pop("_digests")
+    """Serial vs 4-worker end-to-end runs in alternating rounds; the
+    speedup is the median per-round ratio, ``serial`` / ``parallel`` the
+    shots of the round that read it."""
+    rounds = []
+    for round_index in range(SCALING_ROUNDS):
+        order = (SCALING_WORKERS, 1) if round_index % 2 else (1, SCALING_WORKERS)
+        rounds.append({workers: _timed_run(workers, tmp_dir) for workers in order})
+    shots = [shot for pair in rounds for shot in pair.values()]
+    coefs = [shot.pop("_coef") for shot in shots]
+    digests = [shot.pop("_digests") for shot in shots]
+    max_weight_diff = max(float(np.max(np.abs(coef - coefs[0]))) for coef in coefs[1:])
+    factors_identical = all(digest == digests[0] for digest in digests[1:])
+    ratios = [
+        pair[1]["total_seconds"] / pair[SCALING_WORKERS]["total_seconds"] for pair in rounds
+    ]
+    speedup = float(np.median(ratios))  # an odd round count: one of the ratios
+    median_pair = rounds[ratios.index(speedup)]
+    serial, threaded = median_pair[1], median_pair[SCALING_WORKERS]
     if cores >= 4:
         floor, guard = SPEEDUP_FLOOR_4_CORES, f">= {SPEEDUP_FLOOR_4_CORES}x enforced"
     elif cores >= 2:
@@ -236,6 +252,15 @@ def run_scaling(tmp_dir: Path, cores: int) -> dict:
         ),
         "chunk_rows": BUDGET_CHUNK_ROWS,
         "train_iterations": BUDGET_TRAIN_ITERATIONS,
+        "rounds": [
+            {
+                "order": list(pair),
+                "serial_seconds": pair[1]["total_seconds"],
+                "parallel_seconds": pair[SCALING_WORKERS]["total_seconds"],
+                "speedup": ratio,
+            }
+            for pair, ratio in zip(rounds, ratios)
+        ],
         "serial": serial,
         "parallel": threaded,
         "speedup": speedup,
@@ -357,13 +382,11 @@ def check_guards(results: dict) -> list:
     parity = results["parity"]
     if not parity["factors_bit_identical"]:
         failures.append("parallel build factors are not bit-identical to serial")
-    if parity["max_weight_diff"] > PARITY_TOLERANCE:
+    if parity["max_weight_diff"] != 0.0:
         failures.append(
-            f"parallel GD weights off serial by {parity['max_weight_diff']:.2e} "
-            f"(tolerance {PARITY_TOLERANCE:.0e})"
+            f"GD weights differ across worker counts {PARITY_WORKERS} by "
+            f"{parity['max_weight_diff']:.2e} (must be bit-identical)"
         )
-    if not parity["weights_bitwise_2v8"]:
-        failures.append("GD weights differ between 2 and 8 workers")
     if parity["max_operator_diff"] > PARITY_TOLERANCE:
         failures.append(
             f"parallel operators off serial by {parity['max_operator_diff']:.2e}"
@@ -373,9 +396,10 @@ def check_guards(results: dict) -> list:
     scaling = results["scaling"]
     if not scaling["factors_bit_identical"]:
         failures.append("scaling-run factor digests differ between 1 and 4 workers")
-    if scaling["max_weight_diff"] > PARITY_TOLERANCE:
+    if scaling["max_weight_diff"] != 0.0:
         failures.append(
-            f"scaling-run weights off serial by {scaling['max_weight_diff']:.2e}"
+            f"scaling-run weights differ between 1 and 4 workers by "
+            f"{scaling['max_weight_diff']:.2e} (must be bit-identical)"
         )
     if scaling["speedup"] < scaling["required_speedup"]:
         failures.append(
@@ -414,11 +438,13 @@ def report_lines(results: dict) -> list:
             parity["factors_bit_identical"], parity["max_weight_diff"],
             parity["max_operator_diff"], parity["flop_counters_equal"],
         ),
-        "scaling %s (%d cores): serial %.1fs, %d workers %.1fs -> %.2fx (%s)"
+        "scaling %s (%d cores): serial %.1fs, %d workers %.1fs -> %.2fx, median of "
+        "%d alternated rounds %s (%s)"
         % (
             scaling["scenario"], results["cores"], scaling["serial"]["total_seconds"],
-            SCALING_WORKERS, scaling["parallel"]["total_seconds"],
-            scaling["speedup"], scaling["guard"],
+            SCALING_WORKERS, scaling["parallel"]["total_seconds"], scaling["speedup"],
+            len(scaling["rounds"]),
+            "/".join("%.2f" % r["speedup"] for r in scaling["rounds"]), scaling["guard"],
         ),
         "resident %s, %d workers: blocked over serial lmm %.2fx, transpose_lmm %.2fx, "
         "GD fit %.2fx (%s)"

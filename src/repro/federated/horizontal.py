@@ -19,16 +19,8 @@ from repro import telemetry as _telemetry
 from repro.exceptions import FederatedError
 from repro.federated.encryption import gaussian_mechanism
 from repro.federated.party import Party
+from repro.learning.gd import LINKS, sigmoid
 from repro.silos.network import SimulatedNetwork
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 @dataclass
@@ -63,7 +55,7 @@ class FederatedAveraging:
     def fit(self, parties: Sequence[Party]) -> "FederatedAveraging":
         if not parties:
             raise FederatedError("FedAvg needs at least one party")
-        if self.model not in ("linear", "logistic"):
+        if self.model not in LINKS:
             raise FederatedError(f"unknown model {self.model!r}")
         n_features = parties[0].n_features
         feature_names = parties[0].feature_names
@@ -125,29 +117,18 @@ class FederatedAveraging:
 
     def _local_update(self, party: Party, weights: np.ndarray) -> np.ndarray:
         features, labels = party.data, party.labels
+        link = LINKS[self.model]
         for _ in range(self.local_epochs):
-            if self.model == "linear":
-                residual = features @ weights - labels
-            else:
-                residual = _sigmoid(features @ weights) - labels
-            gradient = features.T @ residual / party.n_rows
+            _, errors = link(features @ weights, labels)
+            gradient = features.T @ errors / party.n_rows
             weights = weights - self.learning_rate * gradient
         return weights
 
     def _global_loss(self, parties: Sequence[Party], weights: np.ndarray, total_rows: int) -> float:
+        link = LINKS[self.model]
         loss = 0.0
         for party in parties:
-            if self.model == "linear":
-                residual = party.data @ weights - party.labels
-                loss += float(np.sum(residual**2))
-            else:
-                probabilities = np.clip(_sigmoid(party.data @ weights), 1e-12, 1 - 1e-12)
-                loss += float(
-                    -np.sum(
-                        party.labels * np.log(probabilities)
-                        + (1 - party.labels) * np.log(1 - probabilities)
-                    )
-                )
+            loss += link(party.data @ weights, party.labels)[0]
         return loss / total_rows
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -156,5 +137,5 @@ class FederatedAveraging:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         scores = features @ self.coef_
         if self.model == "logistic":
-            return (_sigmoid(scores) >= 0.5).astype(int)
+            return (sigmoid(scores) >= 0.5).astype(int)
         return scores

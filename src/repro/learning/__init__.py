@@ -6,7 +6,9 @@ factorized matrix (:class:`repro.factorized.AmalurMatrix` /
 data through left/transpose matrix multiplications, so factorized and
 materialized training produce identical parameters — the equivalence the
 paper's §IV relies on ("factorized learning does not affect model
-training accuracy").
+training accuracy"). The gradient-descent learners state it once: they
+share the loop in :mod:`repro.learning.gd`, which touches the data
+through one LMM and one transpose-LMM per row block.
 """
 
 from repro.learning.base import DenseMatrix, as_linop, LinearOperand

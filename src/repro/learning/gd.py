@@ -1,0 +1,156 @@
+"""The one gradient-descent loop behind every GD learner.
+
+A GD iteration touches the data through one LMM and one transpose-LMM
+(paper §IV), so :class:`~repro.learning.LinearRegression` (``solver="gd"``),
+:class:`~repro.learning.LogisticRegression` and
+:class:`~repro.learning.StreamingGD` differ only in the *link* that turns
+scores into errors and in the block grid they walk: :func:`descend` maps
+one block piece over that grid with ``parallel.imap_ordered`` and reduces
+the partials in block order on the calling thread. One worker is the plain
+loop of the same map and a resident operand is the one-block grid
+(:class:`OneBlock`), so the weights depend on the grid only — any worker
+count, one included, gives the same bits.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro import parallel as _parallel
+from repro import telemetry as _telemetry
+from repro.learning.metrics import LOG_LOSS_EPS
+
+#: ``(scores, targets) -> (loss_sum, errors)`` over the rows of one block.
+Link = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, evaluated without overflow at either tail."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def squared_error_link(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Least squares: residuals and the sum of their squares."""
+    errors = scores - targets
+    return float(np.sum(errors * errors)), errors
+
+
+def log_loss_link(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Binary logistic: ``sigmoid(scores) - targets`` and the summed log-loss,
+    clipped like :func:`repro.learning.metrics.log_loss`."""
+    probabilities = sigmoid(scores)
+    clipped = np.clip(probabilities, LOG_LOSS_EPS, 1 - LOG_LOSS_EPS)
+    loss = -np.sum(targets * np.log(clipped) + (1 - targets) * np.log(1 - clipped))
+    return float(loss), probabilities - targets
+
+
+#: The link of each task name the learners accept.
+LINKS = {"linear": squared_error_link, "logistic": log_loss_link}
+
+
+def centre(targets: np.ndarray, fit_intercept: bool) -> Tuple[np.ndarray, float]:
+    """``(targets - mean, mean)`` — the linear learners' intercept is the
+    target mean (features stay uncentred: centring them would break the
+    factorized representation) — or ``(targets, 0.0)`` without an
+    intercept. Empty targets have no mean; :func:`descend` rejects them."""
+    if not (fit_intercept and targets.size):
+        return targets, 0.0
+    offset = float(targets.mean())
+    return targets - offset, offset
+
+
+class OneBlock:
+    """Any :class:`~repro.learning.base.LinearOperand` as the block view
+    whose grid is the single block of all its rows."""
+
+    def __init__(self, operand):
+        self.operand = operand
+        self.shape = operand.shape
+        self.blocks = [(0, self.shape[0])]
+
+    def lmm_block(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return self.operand.lmm(x)
+
+    def transpose_lmm_add(self, x: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+        out += self.operand.transpose_lmm(x)
+
+
+def descend(
+    view,
+    blocks: Sequence[Tuple[int, int]],
+    link: Link,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    intercept: float,
+    *,
+    learning_rate: float,
+    n_iterations: int,
+    l2_penalty: float,
+    learn_intercept: bool,
+    tolerance: float,
+    loss_history: List[float],
+    loss_metric: str,
+    start_iteration: int = 0,
+    workers: int = 1,
+    on_block: Optional[Callable[[], None]] = None,
+    on_epoch: Optional[Callable[[int, np.ndarray, float], None]] = None,
+) -> Tuple[np.ndarray, float]:
+    """Full-batch GD from ``(weights, intercept)``; returns where it ended.
+
+    ``view`` offers ``shape``, ``lmm_block`` and ``transpose_lmm_add`` over
+    the ``[start, stop)`` row ``blocks`` (a
+    :class:`~repro.factorized.operator_plan.BlockedMatrixView`, or
+    :class:`OneBlock`); ``weights`` is a ``(columns, 1)`` float64 column.
+    Every epoch appends its mean loss to ``loss_history``; ``on_block``
+    runs on the calling thread as each block retires, ``on_epoch(completed
+    epochs, weights, intercept)`` after each step.
+    """
+    n_rows, n_columns = view.shape
+    if n_rows == 0:
+        raise ValueError(
+            f"cannot run gradient descent on a matrix of shape {view.shape}: it has no rows"
+        )
+
+    def block_piece(bounds: Tuple[int, int]) -> Tuple[float, float, np.ndarray]:
+        start, stop = bounds
+        scores = view.lmm_block(weights, start, stop)[:, 0] + intercept
+        loss_sum, errors = link(scores, targets[start:stop])
+        partial = np.zeros((n_columns, 1))
+        view.transpose_lmm_add(errors[:, None], start, stop, partial)
+        error_sum = float(errors.sum()) if learn_intercept else 0.0
+        return loss_sum, error_sum, partial
+
+    for iteration in range(start_iteration, n_iterations):
+        loss_sum = error_sum = 0.0
+        gradient = np.zeros((n_columns, 1))
+        for loss_piece, error_piece, partial in _parallel.imap_ordered(
+            block_piece, blocks, workers=workers
+        ):
+            loss_sum += loss_piece
+            error_sum += error_piece
+            gradient += partial
+            if on_block is not None:
+                on_block()
+        loss_history.append(loss_sum / n_rows)
+        if _telemetry.ENABLED:
+            _telemetry.counter_add("gd.iterations")
+            _telemetry.observe(loss_metric, loss_history[-1])
+        gradient /= n_rows
+        if l2_penalty:
+            gradient = gradient + l2_penalty * weights / n_rows
+        step = learning_rate * gradient
+        weights = weights - step
+        if learn_intercept:
+            intercept -= learning_rate * (error_sum / n_rows)
+        if on_epoch is not None:
+            on_epoch(iteration + 1, weights, intercept)
+        if tolerance and np.linalg.norm(step) < tolerance:
+            break
+    return weights, intercept

@@ -8,6 +8,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.learning import gd
 from repro.learning.base import OperandLike, as_linop
 
 
@@ -46,20 +47,14 @@ class LinearRegression:
             raise ValueError(
                 f"target vector has {targets.shape[0]} rows, features have {n_rows}"
             )
-        centered_targets = targets
-        target_offset = 0.0
-        if self.fit_intercept:
-            target_offset = float(targets.mean())
-            centered_targets = targets - target_offset
+        centered_targets, target_offset = gd.centre(targets, self.fit_intercept)
         if self.solver == "normal":
             self.coef_ = self._fit_normal(operand, centered_targets, n_columns)
         elif self.solver == "gd":
             self.coef_ = self._fit_gd(operand, centered_targets, n_columns)
         else:
             raise ValueError(f"unknown solver {self.solver!r}")
-        # Features are left uncentred (centring would break the factorized
-        # representation), so the intercept is simply the target mean.
-        self.intercept_ = target_offset if self.fit_intercept else 0.0
+        self.intercept_ = target_offset
         return self
 
     def _fit_normal(self, operand, targets: np.ndarray, n_columns: int) -> np.ndarray:
@@ -72,38 +67,25 @@ class LinearRegression:
         return np.linalg.solve(gram + 1e-12 * np.eye(n_columns), moment)
 
     def _fit_gd(self, operand, targets: np.ndarray, n_columns: int) -> np.ndarray:
-        # Column-vector operands allocated once: every iteration then hands
-        # the factorized operand a float64 2-D array, which its compiled
-        # plans accept without re-validation copies or reshapes.
         if self.warm_start and self.coef_ is not None and self.coef_.size == n_columns:
             weights = np.asarray(self.coef_, dtype=np.float64).reshape(n_columns, 1).copy()
         else:
             weights = np.zeros((n_columns, 1))
-        targets_column = np.asarray(targets, dtype=np.float64)[:, None]
-        n_rows = operand.shape[0]
+        view = gd.OneBlock(operand)
         self.loss_history_ = []
         with _telemetry.span(
-            "train.linear_gd", rows=n_rows, columns=n_columns,
+            "train.linear_gd", rows=operand.shape[0], columns=n_columns,
             iterations=self.n_iterations,
         ):
-            for _ in range(self.n_iterations):
-                predictions = operand.lmm(weights)
-                residuals = predictions - targets_column
-                # mean_squared_error(targets, predictions) on the 1-D views —
-                # computed from the residuals to avoid another subtraction.
-                loss = float(np.mean(residuals * residuals))
-                self.loss_history_.append(loss)
-                if _telemetry.ENABLED:
-                    _telemetry.counter_add("gd.iterations")
-                    _telemetry.observe("gd.linear.loss", loss)
-                gradient = operand.transpose_lmm(residuals) / n_rows
-                if self.l2_penalty:
-                    gradient = gradient + self.l2_penalty * weights / n_rows
-                new_weights = weights - self.learning_rate * gradient
-                if self.tolerance and np.linalg.norm(new_weights - weights) < self.tolerance:
-                    weights = new_weights
-                    break
-                weights = new_weights
+            # The intercept is the target mean taken out by ``fit``; the
+            # descent itself learns none.
+            weights, _ = gd.descend(
+                view, view.blocks, gd.squared_error_link, targets, weights, 0.0,
+                learning_rate=self.learning_rate, n_iterations=self.n_iterations,
+                l2_penalty=self.l2_penalty, learn_intercept=False,
+                tolerance=self.tolerance, loss_history=self.loss_history_,
+                loss_metric="gd.linear.loss",
+            )
         return weights[:, 0]
 
     def predict(self, features: OperandLike) -> np.ndarray:

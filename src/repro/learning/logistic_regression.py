@@ -8,17 +8,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro import telemetry as _telemetry
+from repro.learning import gd
 from repro.learning.base import OperandLike, as_linop
-from repro.learning.metrics import log_loss
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 @dataclass
@@ -52,38 +43,25 @@ class LogisticRegression:
             raise ValueError(f"labels must be binary 0/1, found {sorted(invalid)}")
 
         if self.warm_start and self.coef_ is not None and self.coef_.size == n_columns:
-            weights = np.asarray(self.coef_, dtype=np.float64).ravel().copy()
+            weights = np.asarray(self.coef_, dtype=np.float64).reshape(n_columns, 1).copy()
             intercept = float(self.intercept_)
         else:
-            weights = np.zeros(n_columns)
+            weights = np.zeros((n_columns, 1))
             intercept = 0.0
+        view = gd.OneBlock(operand)
         self.loss_history_ = []
         with _telemetry.span(
             "train.logistic_gd", rows=n_rows, columns=n_columns,
             iterations=self.n_iterations,
         ):
-            for _ in range(self.n_iterations):
-                logits = operand.lmm(weights[:, None])[:, 0] + intercept
-                probabilities = _sigmoid(logits)
-                loss = log_loss(labels, probabilities)
-                self.loss_history_.append(loss)
-                if _telemetry.ENABLED:
-                    _telemetry.counter_add("gd.iterations")
-                    _telemetry.observe("gd.logistic.loss", loss)
-                errors = probabilities - labels
-                gradient = operand.transpose_lmm(errors[:, None])[:, 0] / n_rows
-                if self.l2_penalty:
-                    gradient = gradient + self.l2_penalty * weights / n_rows
-                step = self.learning_rate * gradient
-                new_weights = weights - step
-                if self.fit_intercept:
-                    intercept -= self.learning_rate * float(errors.mean())
-                if self.tolerance and np.linalg.norm(step) < self.tolerance:
-                    weights = new_weights
-                    break
-                weights = new_weights
-        self.coef_ = weights
-        self.intercept_ = intercept
+            weights, self.intercept_ = gd.descend(
+                view, view.blocks, gd.log_loss_link, labels, weights, intercept,
+                learning_rate=self.learning_rate, n_iterations=self.n_iterations,
+                l2_penalty=self.l2_penalty, learn_intercept=self.fit_intercept,
+                tolerance=self.tolerance, loss_history=self.loss_history_,
+                loss_metric="gd.logistic.loss",
+            )
+        self.coef_ = weights[:, 0]
         return self
 
     def predict_proba(self, features: OperandLike) -> np.ndarray:
@@ -91,7 +69,7 @@ class LogisticRegression:
             raise ValueError("model is not fitted")
         operand = as_linop(features)
         logits = operand.lmm(self.coef_[:, None])[:, 0] + self.intercept_
-        return _sigmoid(logits)
+        return gd.sigmoid(logits)
 
     def predict(self, features: OperandLike, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(features) >= threshold).astype(int)

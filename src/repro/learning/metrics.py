@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LOG_LOSS_EPS = 1e-12  # probabilities are clipped to [eps, 1 - eps] before the log
+
 
 def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true = np.asarray(y_true, dtype=float).ravel()
@@ -33,7 +35,7 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def log_loss(y_true: np.ndarray, probabilities: np.ndarray, eps: float = 1e-12) -> float:
+def log_loss(y_true: np.ndarray, probabilities: np.ndarray, eps: float = LOG_LOSS_EPS) -> float:
     y_true = np.asarray(y_true, dtype=float).ravel()
     probabilities = np.clip(np.asarray(probabilities, dtype=float).ravel(), eps, 1 - eps)
     return float(

@@ -12,16 +12,15 @@ suite) — while the working set stays one row block per factor. Combined
 with factors spilled to a :class:`~repro.streaming.SpillStore`, models
 train on datasets whose materialized form exceeds RAM.
 
-With more than one worker (``num_workers``, or the global
-``repro.parallel`` configuration above its row threshold) each iteration
-maps the row blocks over the shared pool through an ordered
-bounded-window pipeline: workers pull spilled blocks off the memmap and
-compute their loss/gradient partials — overlapping spill I/O with the
-current matmuls — while the calling thread reduces the partials in block
-order and releases pages as blocks retire. The partition is the same
-``block_rows`` grid at every worker count, so parallel weights are
-identical for any worker count >= 2 and within reassociation (<= 1e-8)
-of the serial path; one worker runs the exact legacy loop.
+Each iteration maps the row blocks through ``repro.parallel``'s ordered
+bounded-window pipeline (the shared loop in :mod:`repro.learning.gd`):
+workers pull spilled blocks off the memmap and compute their loss/gradient
+partials — overlapping spill I/O with the current matmuls — while the
+calling thread reduces the partials in block order and releases pages as
+blocks retire. With one worker (``num_workers``, or the global
+``repro.parallel`` configuration below its row threshold) the same map is a
+plain loop on the calling thread. Results depend on the ``block_rows`` grid
+only: any worker count, one included, gives the same bits.
 """
 
 from __future__ import annotations
@@ -35,21 +34,11 @@ from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.exceptions import CheckpointError, FactorizationError
 from repro.factorized.operator_plan import BlockedMatrixView
+from repro.learning import gd
 from repro.reliability.checkpoint import CheckpointManager
 
 _LINEAR_DEFAULTS = {"learning_rate": 0.01, "n_iterations": 200}
 _LOGISTIC_DEFAULTS = {"learning_rate": 0.1, "n_iterations": 300}
-
-_LOG_EPS = 1e-12  # the log_loss clipping epsilon of repro.learning.metrics
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 @dataclass
@@ -67,8 +56,9 @@ class StreamingGD:
 
     ``num_workers`` overrides the global ``repro.parallel`` worker count
     for this model: ``None`` inherits it (gated by the global row
-    threshold so small fits stay serial), ``1`` forces the exact legacy
-    loop, and any larger value fans blocks over the shared pool.
+    threshold so small fits stay on the calling thread), ``1`` runs the
+    block map as a plain loop, and any larger value fans blocks over the
+    shared pool — with the same bits at every count.
 
     With a ``checkpoint`` manager, training state — weights, intercept,
     loss history, completed-iteration counter, block cursor — is saved
@@ -102,10 +92,6 @@ class StreamingGD:
             return explicit
         defaults = _LINEAR_DEFAULTS if self.task == "linear" else _LOGISTIC_DEFAULTS
         return defaults[name]
-
-    def _released(self) -> None:
-        if self.release_pages is not None:
-            self.release_pages()
 
     def _effective_workers(self, n_rows: int) -> int:
         if self.num_workers is not None:
@@ -166,32 +152,22 @@ class StreamingGD:
             },
         )
 
-    # -- label extraction -----------------------------------------------------------
-    def _extract_labels(self, matrix) -> np.ndarray:
-        label_column = matrix.dataset.label_column
-        if label_column is None:
-            raise FactorizationError(
-                "StreamingGD needs explicit labels or a dataset label column"
-            )
-        view = matrix.blocked(columns=[label_column])
-        selector = np.ones((1, 1))
-        labels = np.empty(view.n_rows, dtype=np.float64)
-        workers = self._effective_workers(view.n_rows)
-        if workers > 1:
+    # -- block-wise column products ---------------------------------------------------
+    def _lmm_column(self, view: BlockedMatrixView, x: np.ndarray) -> np.ndarray:
+        """``(view @ x)[:, 0]``, filled block by block on the fit's block map."""
+        out = np.empty(view.n_rows, dtype=np.float64)
 
-            def _fill(bounds: Tuple[int, int]) -> None:
-                start, stop = bounds
-                labels[start:stop] = view.lmm_block(selector, start, stop)[:, 0]
+        def _fill(bounds: Tuple[int, int]) -> None:
+            start, stop = bounds
+            out[start:stop] = view.lmm_block(x, start, stop)[:, 0]
 
-            for _ in _parallel.imap_ordered(
-                _fill, view.row_blocks(self.block_rows), workers=workers
-            ):
-                self._released()
-        else:
-            for start, stop in view.row_blocks(self.block_rows):
-                labels[start:stop] = view.lmm_block(selector, start, stop)[:, 0]
-                self._released()
-        return labels
+        for _ in _parallel.imap_ordered(
+            _fill, view.row_blocks(self.block_rows),
+            workers=self._effective_workers(view.n_rows),
+        ):
+            if self.release_pages is not None:
+                self.release_pages()
+        return out
 
     # -- fitting ---------------------------------------------------------------------
     def fit(self, matrix, labels: Optional[np.ndarray] = None) -> "StreamingGD":
@@ -202,13 +178,19 @@ class StreamingGD:
         target columns; with explicit ``labels`` every column of ``matrix``
         is a feature — the same contract as the full-batch estimators.
         """
-        if self.task not in ("linear", "logistic"):
+        if self.task not in gd.LINKS:
             raise ValueError(f"unknown task {self.task!r}")
         if labels is None:
-            targets = self._extract_labels(matrix)
+            label_column = matrix.dataset.label_column
+            if label_column is None:
+                raise FactorizationError(
+                    "StreamingGD needs explicit labels or a dataset label column"
+                )
+            targets = self._lmm_column(
+                matrix.blocked(columns=[label_column]), np.ones((1, 1))
+            )
             feature_columns = [
-                c for c in matrix.dataset.target_columns
-                if c != matrix.dataset.label_column
+                c for c in matrix.dataset.target_columns if c != label_column
             ]
             view = matrix.blocked(columns=feature_columns)
         else:
@@ -218,88 +200,26 @@ class StreamingGD:
             raise ValueError(
                 f"target vector has {targets.shape[0]} rows, features have {view.n_rows}"
             )
-        blocks = view.row_blocks(self.block_rows)
         with _telemetry.span(
             "train.streaming_gd", task=self.task, rows=view.n_rows,
             block_rows=self.block_rows,
         ):
-            if self.task == "linear":
-                self._fit_linear(view, blocks, targets)
-            else:
-                self._fit_logistic(view, blocks, targets)
+            self._descend(view, targets)
         return self
 
-    def _fit_linear(self, view: BlockedMatrixView, blocks, targets: np.ndarray) -> None:
+    def _descend(self, view: BlockedMatrixView, targets: np.ndarray) -> None:
         n_rows, n_columns = view.shape
-        target_offset = float(targets.mean()) if self.fit_intercept else 0.0
-        centered = targets - target_offset if self.fit_intercept else targets
-        centered_column = np.asarray(centered, dtype=np.float64)[:, None]
-        learning_rate = self._hyper("learning_rate")
-        n_iterations = int(self._hyper("n_iterations"))
-        weights = np.zeros((n_columns, 1))
-        self.loss_history_ = []
-        start_iteration = 0
-        restored = self._restore_state(n_columns)
-        if restored is not None:
-            # target_offset is recomputed above — a pure function of the
-            # targets — so only weights/history/counter need restoring.
-            weights, _, self.loss_history_, start_iteration = restored
-        workers = self._effective_workers(n_rows)
-
-        def _block_piece(
-            block_weights: np.ndarray, bounds: Tuple[int, int]
-        ) -> Tuple[float, np.ndarray]:
-            start, stop = bounds
-            predictions = view.lmm_block(block_weights, start, stop)
-            residuals = predictions - centered_column[start:stop]
-            partial = np.zeros((n_columns, 1))
-            view.transpose_lmm_add(residuals, start, stop, partial)
-            return float(np.sum(residuals * residuals)), partial
-
-        for iteration in range(start_iteration, n_iterations):
-            loss_sum = 0.0
-            gradient = np.zeros((n_columns, 1))
-            if workers > 1:
-                current = weights
-                for loss_piece, partial in _parallel.imap_ordered(
-                    lambda bounds: _block_piece(current, bounds), blocks, workers=workers
-                ):
-                    loss_sum += loss_piece
-                    gradient += partial
-                    self._released()
-            else:
-                for start, stop in blocks:
-                    predictions = view.lmm_block(weights, start, stop)
-                    residuals = predictions - centered_column[start:stop]
-                    loss_sum += float(np.sum(residuals * residuals))
-                    view.transpose_lmm_add(residuals, start, stop, gradient)
-                    self._released()
-            self.loss_history_.append(loss_sum / n_rows)
-            if _telemetry.ENABLED:
-                _telemetry.counter_add("gd.iterations")
-                _telemetry.observe("gd.streaming.loss", self.loss_history_[-1])
-            gradient /= n_rows
-            if self.l2_penalty:
-                gradient = gradient + self.l2_penalty * weights / n_rows
-            new_weights = weights - learning_rate * gradient
-            converged = bool(
-                self.tolerance
-                and np.linalg.norm(new_weights - weights) < self.tolerance
-            )
-            weights = new_weights
-            self._save_state(iteration + 1, weights, target_offset)
-            if converged:
-                break
-        self.coef_ = weights[:, 0]
-        self.intercept_ = target_offset
-
-    def _fit_logistic(self, view: BlockedMatrixView, blocks, targets: np.ndarray) -> None:
-        n_rows, n_columns = view.shape
-        invalid = set(np.unique(targets)) - {0.0, 1.0}
-        if invalid:
-            raise ValueError(f"labels must be binary 0/1, found {sorted(invalid)}")
-        learning_rate = self._hyper("learning_rate")
-        n_iterations = int(self._hyper("n_iterations"))
+        # The model intercept is ``target_offset`` plus what the descent
+        # learns. Linear: the target mean (a pure function of the targets,
+        # so a resume recomputes it) and nothing learned. Logistic: no
+        # offset, the intercept is learned.
+        target_offset = 0.0
+        if self.task == "linear":
+            targets, target_offset = gd.centre(targets, self.fit_intercept)
+        else:
+            invalid = set(np.unique(targets)) - {0.0, 1.0}
+            if invalid:
+                raise ValueError(f"labels must be binary 0/1, found {sorted(invalid)}")
         weights = np.zeros((n_columns, 1))
         intercept = 0.0
         self.loss_history_ = []
@@ -307,72 +227,24 @@ class StreamingGD:
         restored = self._restore_state(n_columns)
         if restored is not None:
             weights, intercept, self.loss_history_, start_iteration = restored
-        workers = self._effective_workers(n_rows)
-
-        def _block_piece(
-            block_weights: np.ndarray, block_intercept: float, bounds: Tuple[int, int]
-        ) -> Tuple[float, float, np.ndarray]:
-            start, stop = bounds
-            logits = view.lmm_block(block_weights, start, stop)[:, 0] + block_intercept
-            probabilities = _sigmoid(logits)
-            clipped = np.clip(probabilities, _LOG_EPS, 1 - _LOG_EPS)
-            y = targets[start:stop]
-            loss_piece = float(
-                -np.sum(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))
-            )
-            errors = probabilities - y
-            partial = np.zeros((n_columns, 1))
-            view.transpose_lmm_add(errors[:, None], start, stop, partial)
-            return loss_piece, float(errors.sum()), partial
-
-        for iteration in range(start_iteration, n_iterations):
-            loss_sum = 0.0
-            error_sum = 0.0
-            gradient = np.zeros((n_columns, 1))
-            if workers > 1:
-                current, current_intercept = weights, intercept
-                for loss_piece, error_piece, partial in _parallel.imap_ordered(
-                    lambda bounds: _block_piece(current, current_intercept, bounds),
-                    blocks,
-                    workers=workers,
-                ):
-                    loss_sum += loss_piece
-                    error_sum += error_piece
-                    gradient += partial
-                    self._released()
-            else:
-                for start, stop in blocks:
-                    logits = view.lmm_block(weights, start, stop)[:, 0] + intercept
-                    probabilities = _sigmoid(logits)
-                    clipped = np.clip(probabilities, _LOG_EPS, 1 - _LOG_EPS)
-                    y = targets[start:stop]
-                    loss_sum += float(
-                        -np.sum(y * np.log(clipped) + (1 - y) * np.log(1 - clipped))
-                    )
-                    errors = probabilities - y
-                    error_sum += float(errors.sum())
-                    view.transpose_lmm_add(errors[:, None], start, stop, gradient)
-                    self._released()
-            self.loss_history_.append(loss_sum / n_rows)
-            if _telemetry.ENABLED:
-                _telemetry.counter_add("gd.iterations")
-                _telemetry.observe("gd.streaming.loss", self.loss_history_[-1])
-            gradient /= n_rows
-            if self.l2_penalty:
-                gradient = gradient + self.l2_penalty * weights / n_rows
-            step = learning_rate * gradient
-            new_weights = weights - step
-            if self.fit_intercept:
-                intercept -= learning_rate * (error_sum / n_rows)
-            converged = bool(
-                self.tolerance and np.linalg.norm(step) < self.tolerance
-            )
-            weights = new_weights
-            self._save_state(iteration + 1, weights, intercept)
-            if converged:
-                break
+            intercept -= target_offset
+        weights, intercept = gd.descend(
+            view, view.row_blocks(self.block_rows), gd.LINKS[self.task], targets,
+            weights, intercept,
+            learning_rate=self._hyper("learning_rate"),
+            n_iterations=int(self._hyper("n_iterations")),
+            l2_penalty=self.l2_penalty,
+            learn_intercept=self.fit_intercept and self.task == "logistic",
+            tolerance=self.tolerance, loss_history=self.loss_history_,
+            loss_metric="gd.streaming.loss", start_iteration=start_iteration,
+            workers=self._effective_workers(n_rows),
+            on_block=self.release_pages,
+            on_epoch=lambda iteration, stepped, learned: self._save_state(
+                iteration, stepped, learned + target_offset
+            ),
+        )
         self.coef_ = weights[:, 0]
-        self.intercept_ = intercept
+        self.intercept_ = intercept + target_offset
 
     # -- inference --------------------------------------------------------------------
     def decision_function(self, matrix, columns: Optional[List[str]] = None) -> np.ndarray:
@@ -384,28 +256,11 @@ class StreamingGD:
                 c for c in matrix.dataset.target_columns
                 if c != matrix.dataset.label_column
             ]
-        view = matrix.blocked(columns=columns)
-        out = np.empty(view.n_rows, dtype=np.float64)
-        weights = self.coef_[:, None]
-        workers = self._effective_workers(view.n_rows)
-        if workers > 1:
-
-            def _fill(bounds: Tuple[int, int]) -> None:
-                start, stop = bounds
-                out[start:stop] = view.lmm_block(weights, start, stop)[:, 0]
-
-            for _ in _parallel.imap_ordered(
-                _fill, view.row_blocks(self.block_rows), workers=workers
-            ):
-                self._released()
-        else:
-            for start, stop in view.row_blocks(self.block_rows):
-                out[start:stop] = view.lmm_block(weights, start, stop)[:, 0]
-                self._released()
-        return out + self.intercept_
+        scores = self._lmm_column(matrix.blocked(columns=columns), self.coef_[:, None])
+        return scores + self.intercept_
 
     def predict(self, matrix, columns: Optional[List[str]] = None) -> np.ndarray:
         scores = self.decision_function(matrix, columns)
         if self.task == "logistic":
-            return (_sigmoid(scores) >= 0.5).astype(int)
+            return (gd.sigmoid(scores) >= 0.5).astype(int)
         return scores

@@ -7,18 +7,19 @@ ingest holds the GIL cell by cell and stays on the caller's thread.)
 
 Determinism contract:
 
-* Work is partitioned by **block size** (and the matrix shape), never by
-  worker count, and every reduction happens on the calling thread in
-  block order. Results are therefore identical for any worker count >= 2.
+* Results depend on the **block grid** only — a pure function of the
+  block size and the matrix shape, never of the worker count — and every
+  reduction happens on the calling thread in block order. Any worker
+  count, one included, gives the same bits over the same grid.
 * ``REPRO_NUM_THREADS=1`` (or :func:`set_num_workers(1) <set_num_workers>`)
-  never touches a pool: every map is a plain loop on the calling thread.
-  The factorized operators then run the blocked engine with *one* block —
-  the same code, not a twin.
+  never touches a pool: every map is a plain loop on the calling thread —
+  the same map, not a twin. ``StreamingGD`` and the spilled build then
+  walk the grid they walk at any other count; the factorized operators,
+  which choose their own grid, run the blocked engine with *one* block.
 * Factor assembly is pure data movement into disjoint row slices: the
-  built factors are bit-identical at every worker count. Floating-point
-  reductions (Gram, GD gradients) reassociate across blocks, so blocked
-  results agree with the one-block path to <= 1e-8 while remaining
-  bit-identical across worker counts.
+  built factors are bit-identical whatever the chunking. Floating-point
+  reductions (Gram, GD gradients) reassociate across blocks, so results
+  over *different* grids agree to <= 1e-8.
 
 Work bound of the blocked operators (``repro.factorized``): a block
 multiplies its distinct source rows of ``D_k`` — at most

@@ -6,8 +6,8 @@ the environment:
 
 ``REPRO_NUM_THREADS``
     Worker count for every block-parallel map. Defaults to the number of
-    cores the process is allowed to run on. ``1`` selects the exact
-    legacy serial path everywhere (not merely a one-worker pool).
+    cores the process is allowed to run on. ``1`` never touches a pool:
+    every map is a plain loop of the same tasks on the calling thread.
 
 ``REPRO_PARALLEL_MIN_ROWS``
     Row-count threshold below which the factorized operators stay on the
@@ -18,8 +18,10 @@ the environment:
     Row-block size used when an operator partitions work itself (the
     streaming paths reuse their own chunk/block sizes). The partition is
     a pure function of this value and the matrix shape — never of the
-    worker count — which is what keeps results identical across worker
-    counts >= 2.
+    worker count — so results depend on the block grid only: over the
+    same grid any worker count, one included, gives the same bits. (An
+    operator that does not fan out — one worker, or fewer rows than
+    ``REPRO_PARALLEL_MIN_ROWS`` — runs one block.)
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ Three primitives cover every parallel call site in the engine:
 ``imap_ordered(fn, iterable)``
     Lazy ordered map with a bounded in-flight window, for pipelines that
     must not materialize every task at once (spillable ``D_k`` assembly,
-    ``StreamingGD`` block passes). At most ``window`` results are
-    buffered, so peak memory stays at ``window x chunk`` instead of the
-    whole stream.
+    the block passes of the GD loop in ``repro.learning.gd``). At most
+    ``window`` results are buffered, so peak memory stays at
+    ``window x chunk`` instead of the whole stream. At one worker it *is*
+    ``map(fn, iterable)`` on the calling thread.
 
 ``prefetch(iterable)``
     A background feeder that keeps ``depth`` items ready ahead of the
-    consumer — the double-buffer that overlaps :class:`SpillStore` block
-    I/O with the current matmul in ``StreamingGD``.
+    consumer — the double-buffer that overlaps a sequential stream's
+    parsing with the memmap copy in the spilled build.
 
 Pools are plain ``ThreadPoolExecutor``s, cached per size. Threads are the
 right vehicle here: the hot kernels are BLAS matmuls and numpy slice
@@ -223,10 +224,10 @@ def prefetch(iterable: Iterable[T], depth: int = 2, label: str = "") -> Iterator
 
     The producer blocks once the buffer is full, so an unconsumed stream
     never runs ahead of the consumer by more than ``depth`` items. Falls
-    back to plain iteration at one configured worker (exact legacy path)
-    or when already inside a worker task. A producer exception crosses to
-    the consumer annotated with ``label`` and the index of the item whose
-    production failed.
+    back to plain iteration — the same items in the same order — at one
+    configured worker or when already inside a worker task. A producer
+    exception crosses to the consumer annotated with ``label`` and the
+    index of the item whose production failed.
     """
     if config.get_num_workers() <= 1 or _in_worker():
         yield from iterable

@@ -79,14 +79,16 @@ def _ingest_stream(
     boolean validity bitmap (needed only for overlap columns, so this
     stays O(rows × shared columns)).
 
-    Randomly accessible streams (resident tables, synthetic generators)
-    assemble block-parallel: each worker materializes one chunk and writes
-    its disjoint ``[offset, offset + n)`` row slice of ``D_k`` — pure data
-    movement, so the built factors are bit-identical at every worker
-    count. Sequential streams (CSV) keep the ordered fill but pull chunks
-    through a background prefetcher so parsing overlaps the memmap copy.
-    Completed chunks release their spill pages as they retire either way,
-    keeping the resident set at a bounded window of chunks.
+    Only the chunk source depends on the stream. Randomly accessible
+    streams (resident tables, synthetic generators) map their chunk indices
+    through the ordered block map: each task materializes one chunk and
+    writes its disjoint ``[offset, offset + n)`` row slice of ``D_k`` —
+    pure data movement, so the built factors are bit-identical at every
+    worker count, and one worker is the plain loop of the same map.
+    Sequential streams (CSV) fill in arrival order, pulling chunks through
+    a background prefetcher so parsing overlaps the memmap copy. Completed
+    chunks release their spill pages as they retire either way, keeping
+    the resident set at a bounded window of chunks.
     """
     schema = stream.schema
     source_columns = _numeric_mapped_columns(schema, correspondences, target_columns)
@@ -126,63 +128,56 @@ def _ingest_stream(
                     torn = data[row_start:row_stop]
                     torn[torn.shape[0] // 2:] = 0.0
 
-        parallel_build = (
-            stream.supports_random_access
-            and _parallel.get_num_workers() > 1
-            and stream.chunk_count > 1
-        )
-        if parallel_build:
+        def _fill_chunk(chunk, row_start: int) -> int:
+            """Copy one chunk into rows ``[row_start, row_start + n)``."""
+            stop = row_start + chunk.n_rows
+            if stop > n_rows:
+                raise MappingError(
+                    f"stream {stream.name!r} produced more rows than its declared {n_rows}"
+                )
+            _write_block(row_start, stop, chunk.to_matrix(source_columns))
+            for column in validity_columns:
+                validity[column][row_start:stop] = chunk.column_valid(column)
+            return chunk.n_rows
+
+        # A sequential stream's chunks may leave ``offset`` at its default,
+        # so their position is the running row count.
+        if stream.supports_random_access:
 
             def _read_chunk(index: int):
                 _faults.fault_point("ingest.chunk", source=stream.name, chunk=index)
                 return stream.chunk_at(index)
 
-            def _fill_chunk(index: int) -> int:
+            def _fill_at_index(index: int) -> int:
                 if _faults.ACTIVE:
                     chunk = INGEST_RETRY.call(_read_chunk, index, site="ingest.chunk")
                 else:
                     chunk = stream.chunk_at(index)
-                stop = chunk.offset + chunk.n_rows
-                if stop > n_rows:
-                    raise MappingError(
-                        f"stream {stream.name!r} produced more rows than its declared {n_rows}"
-                    )
                 chunk_index_by_offset[chunk.offset] = index
-                _write_block(chunk.offset, stop, chunk.to_matrix(source_columns))
-                for column in validity_columns:
-                    validity[column][chunk.offset:stop] = chunk.column_valid(column)
-                return chunk.n_rows
+                return _fill_chunk(chunk, chunk.offset)
 
-            filled = 0
-            for produced in _parallel.imap_ordered(
-                _fill_chunk, range(stream.chunk_count), label="build.fill"
-            ):
-                filled += produced
-                if _telemetry.ENABLED and store is not None:
+            fills = _parallel.imap_ordered(
+                _fill_at_index, range(stream.chunk_count), label="build.fill"
+            )
+        else:
+
+            def _fill_in_order():
+                position = 0
+                for chunk in _parallel.prefetch(stream.chunks(), depth=2, label="build.fill"):
+                    produced = _fill_chunk(chunk, position)
+                    position += produced
+                    yield produced
+
+            fills = _fill_in_order()
+        filled = 0
+        for produced in fills:
+            filled += produced
+            if store is not None:
+                if _telemetry.ENABLED:
                     _telemetry.counter_add(
                         "spill.bytes_written", float(produced * len(source_columns) * 8)
                     )
-                if store is not None:
-                    store.release()
-        else:
-            filled = 0
-            for chunk in _parallel.prefetch(stream.chunks(), depth=2, label="build.fill"):
-                stop = filled + chunk.n_rows
-                if stop > n_rows:
-                    raise MappingError(
-                        f"stream {stream.name!r} produced more rows than its declared {n_rows}"
-                    )
-                _write_block(filled, stop, chunk.to_matrix(source_columns))
-                for column in validity_columns:
-                    validity[column][filled:stop] = chunk.column_valid(column)
-                if _telemetry.ENABLED and store is not None:
-                    _telemetry.counter_add(
-                        "spill.bytes_written",
-                        float((stop - filled) * len(source_columns) * 8),
-                    )
-                filled = stop
-                if store is not None:
-                    store.release()
+                store.release()
         if filled != n_rows:
             raise MappingError(
                 f"stream {stream.name!r} produced {filled} rows, declared {n_rows}"

@@ -81,6 +81,44 @@ def test_chaos_run_matches_fault_free_bit_for_bit(workers):
     assert np.allclose(chaos_coef, reference_coef, atol=1e-8)  # the CI bound
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_rows", [23, 10_000])
+def test_ingest_faults_guard_random_access_chunks_at_every_worker_count(
+    workers, chunk_rows
+):
+    """A random-access stream's ``chunk_at`` sits behind the ``ingest.chunk``
+    fault site and ``INGEST_RETRY`` whatever the schedule — one worker and a
+    one-chunk stream included — and the retried build is the same bits."""
+    parallel.set_num_workers(workers)
+    base, other, matches, row_matches, targets = _scenario_inputs()
+
+    def build(store):
+        dataset = integrate_streams(
+            InMemoryTableStream(base, chunk_rows), InMemoryTableStream(other, chunk_rows),
+            matches, row_matches, targets, ScenarioType.LEFT_JOIN,
+            label_column="label", store=store,
+        )
+        return [np.array(factor.data) for factor in dataset.factors]
+
+    with SpillStore() as store:
+        reference = build(store)
+
+    telemetry.enable(sample_memory=False)
+    with faults.active_plan("ingest.chunk:p=1.0,n=2,seed=5") as injector:
+        with SpillStore() as store:
+            retried = build(store)
+        crossings, triggers = injector.snapshot()["ingest.chunk"]
+    report = telemetry.run_report()
+    telemetry.disable()
+
+    chunk_count = sum(-(-table.n_rows // chunk_rows) for table in (base, other))
+    assert triggers == 2
+    assert crossings == chunk_count + triggers  # every chunk read crossed the site
+    assert report.counters.get("retry.attempts.ingest.chunk", 0) == 2
+    for built, expected in zip(retried, reference):
+        assert np.array_equal(built, expected)
+
+
 def test_corrupt_write_without_checksums_goes_undetected_by_design():
     """Checksums are the detection mechanism: with them off, a torn write
     silently lands in the factor — which is why the chaos matrix always

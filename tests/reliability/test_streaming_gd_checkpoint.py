@@ -53,6 +53,24 @@ class TestResumeParity:
         assert resumed.intercept_ == reference.intercept_
         assert resumed.loss_history_ == reference.loss_history_
 
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    @pytest.mark.parametrize("first, second", [(1, 2), (2, 1), (1, 8)])
+    def test_resume_across_worker_counts_is_bit_identical(
+        self, matrix, task, first, second, tmp_path
+    ):
+        """The block grid fixes the bits, not the schedule: interrupted at
+        one worker count and resumed at another equals the straight run."""
+        reference = _fit(matrix, task, N_ITERATIONS, num_workers=1)
+
+        manager = CheckpointManager(tmp_path, keep=2)
+        _fit(matrix, task, 5, manager, num_workers=first)
+        resumed = _fit(matrix, task, N_ITERATIONS, manager, num_workers=second)
+
+        assert resumed.resumed_from_ == 5
+        assert np.array_equal(resumed.coef_, reference.coef_)
+        assert resumed.intercept_ == reference.intercept_
+        assert resumed.loss_history_ == reference.loss_history_
+
     def test_resume_at_final_epoch_publishes_checkpointed_weights(
         self, matrix, tmp_path
     ):

@@ -160,6 +160,32 @@ class TestStreamingGDLogistic:
             StreamingGD(task="logistic").fit(matrix, np.full(matrix.n_rows, 2.0))
 
 
+class TestOneBlockGrid:
+    """``block_rows >= n_rows``: StreamingGD walks the one-block grid the
+    full-batch learners always walk (same loop, `repro.learning.gd`)."""
+
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    @pytest.mark.parametrize("extra_rows", [0, 1])
+    def test_one_block_matches_full_batch(self, task, extra_rows):
+        matrix = AmalurMatrix(_build(ScenarioType.FULL_OUTER_JOIN, False, None))
+        features = matrix.feature_matrix_view()
+        labels = matrix.labels()
+        block_rows = matrix.n_rows + extra_rows
+        assert list(matrix.blocked().row_blocks(block_rows)) == [(0, matrix.n_rows)]
+        if task == "linear":
+            reference = LinearRegression(solver="gd", n_iterations=40)
+        else:
+            labels = (labels > np.median(labels)).astype(float)
+            reference = LogisticRegression(n_iterations=40)
+        reference.fit(features, labels)
+        model = StreamingGD(task=task, block_rows=block_rows, n_iterations=40).fit(
+            features, labels
+        )
+        assert np.max(np.abs(model.coef_ - reference.coef_)) < TOLERANCE
+        assert abs(model.intercept_ - reference.intercept_) < TOLERANCE
+        assert np.allclose(model.loss_history_, reference.loss_history_, atol=1e-8)
+
+
 class TestStreamingGDValidation:
     def test_unknown_task(self):
         matrix = AmalurMatrix(_build(ScenarioType.UNION, False, None))

@@ -96,6 +96,21 @@ class TestCentralStrategies:
             Executor().execute(make_plan(unlabeled, Decision.MATERIALIZE, ModelSpec()))
 
 
+    @pytest.mark.parametrize("strategy", [Decision.FACTORIZE, Decision.MATERIALIZE])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_join_without_matched_rows_is_a_plan_error(self, strategy, task):
+        """A 0-row target has no gradient: a PlanError, not a model of NaNs."""
+        empty = generate_scenario_dataset(
+            ScenarioSpec(
+                scenario=ScenarioType.INNER_JOIN, base_rows=20, other_rows=20,
+                overlap_rows=0, seed=1,
+            )
+        )
+        assert empty.n_target_rows == 0
+        with pytest.raises(PlanError, match="no rows"):
+            Executor().execute(make_plan(empty, strategy, ModelSpec(task, n_iterations=3)))
+
+
 class TestFederatedStrategy:
     def test_vertical_federated_training(self, scenario_inner):
         result = Executor().execute(

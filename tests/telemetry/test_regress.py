@@ -147,6 +147,24 @@ class TestCompare:
         failed = [f for f in compare(fresh, tmp_path) if f["status"] == "fail"]
         assert [f["metric"] for f in failed] == ["resident.blocked_over_serial.gd_fit"]
 
+    def test_worker_count_weight_parity_is_bitwise(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        last_bit = {
+            "cores": 1,
+            "parity": {
+                "factors_bit_identical": True,
+                "flop_counters_equal": True,
+                # One worker and two once differed in the last bit.
+                "max_weight_diff": 2.2e-16,
+            },
+            "scaling": {"speedup": 1.0},
+            "resident": {"blocked_over_serial": {"gd_fit": 1.0}, "max_abs_diff": 0.0},
+        }
+        write(fresh, "BENCH_PARALLEL.json", last_bit)
+        failed = [f for f in compare(fresh, tmp_path) if f["status"] == "fail"]
+        assert [f["metric"] for f in failed] == ["parity.max_weight_diff"]
+
     def test_missing_bool_guard_fails(self, tmp_path):
         fresh = tmp_path / "fresh"
         fresh.mkdir()
