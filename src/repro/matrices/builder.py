@@ -1,12 +1,18 @@
-"""Build the integrated (factorized) representation of a set of silo tables.
+"""The integrated (factorized) representation of a set of silo tables.
 
-The builder turns relational tables plus DI metadata (column matches from
-schema matching, row matches from entity resolution, a Table I scenario)
-into one :class:`SourceFactor` per source — the quadruple
-``(D_k, M_k, I_k, R_k)`` of the paper — bundled in an
-:class:`IntegratedDataset`. The integrated dataset can reconstruct
-(materialize) the target table, and is the input to the factorized
-linear-algebra layer in :mod:`repro.factorized`.
+Relational tables plus DI metadata (column matches from schema matching,
+row matches from entity resolution, a Table I scenario) become one
+:class:`SourceFactor` per source — the quadruple ``(D_k, M_k, I_k, R_k)``
+of the paper — bundled in an :class:`IntegratedDataset`. The integrated
+dataset can reconstruct (materialize) the target table, and is the input
+to the factorized linear-algebra layer in :mod:`repro.factorized`.
+
+This module owns the representation and the pieces every build route is
+made of: the scenario row maps, the two-source correspondences,
+:func:`overlap_cells` (the one statement of which cells are redundant) and
+:func:`source_factor`. The factor-build loop itself lives in
+:mod:`repro.streaming.builder`; :func:`integrate_tables` and
+:func:`build_integrated_dataset` are that loop without a spill store.
 """
 
 from __future__ import annotations
@@ -384,6 +390,21 @@ def _target_rows_for_scenario(
     builder can derive the same row maps from chunk-stream metadata.
     """
     matched_left, matched_right = _row_match_arrays(row_matches)
+    # Row matches come from outside (a resolver, a caller's index arrays):
+    # numpy would wrap a negative index and broadcast a short side silently.
+    if matched_left.shape != matched_right.shape or matched_left.ndim != 1:
+        raise MappingError(
+            f"row matches pair {matched_left.size} base rows with "
+            f"{matched_right.size} other rows"
+        )
+    for side, rows, n_rows in (
+        ("base", matched_left, n_base_rows), ("other", matched_right, n_other_rows)
+    ):
+        outside = rows[(rows < 0) | (rows >= n_rows)]
+        if outside.size:
+            raise MappingError(
+                f"row match names {side} row {int(outside[0])}, outside [0, {n_rows})"
+            )
     # Per base row, its matched other row (-1 when unmatched); for duplicate
     # left rows the last match wins, like the dict the seed implementation
     # built.
@@ -460,53 +481,53 @@ def _numeric_mapped_columns(
     ]
 
 
-def _contribution_mask(
-    table: Table,
-    row_map: np.ndarray,
-    correspondences: Dict[str, str],
-    target_columns: Sequence[str],
-) -> np.ndarray:
-    """Boolean mask of target cells where this source provides a non-null value."""
-    target_index = {c: i for i, c in enumerate(target_columns)}
-    row_map = np.asarray(row_map, dtype=np.int64)
-    mask = np.zeros((row_map.size, len(target_columns)), dtype=bool)
-    mapped = row_map >= 0
-    gather = np.where(mapped, row_map, 0)
-    for source_column, target_column in correspondences.items():
-        j = target_index.get(target_column)
-        if j is None:
-            continue
-        valid = table.column_valid(source_column)
-        if valid.size:
-            mask[:, j] = mapped & valid[gather]
-    return mask
+def overlap_cells(
+    columns: Sequence[Tuple[int, np.ndarray, np.ndarray]],
+    target_rows: np.ndarray,
+    left_rows: np.ndarray,
+    right_rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Complement coordinates ``(rows, cols)`` of the redundant cells.
+
+    The one place that says which cells are redundant: a cell of a later
+    source repeats a value where both providers are non-NULL. ``columns``
+    holds, per shared target column, ``(position, left_valid,
+    right_valid)`` — the validity bitmap of what came earlier and of the
+    source being added; ``left_rows[i]`` / ``right_rows[i]`` index those
+    bitmaps for target row ``target_rows[i]``. The full build passes the
+    cells earlier sources already claimed (indexed by target row), the
+    serving session the two tables' validity on the rows a delta touched.
+    """
+    target_rows = np.asarray(target_rows, dtype=np.int64)
+    left_rows = np.asarray(left_rows, dtype=np.int64)
+    right_rows = np.asarray(right_rows, dtype=np.int64)
+    rows_out: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    cols_out: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for position, left_valid, right_valid in columns:
+        hit = target_rows[left_valid[left_rows] & right_valid[right_rows]]
+        rows_out.append(hit)
+        cols_out.append(np.full(hit.size, position, dtype=np.int64))
+    return np.concatenate(rows_out), np.concatenate(cols_out)
 
 
-def _build_factor(
-    table: Table,
+def source_factor(
+    data,
+    mapping: MappingMatrix,
     row_map: np.ndarray,
-    correspondences: Dict[str, str],
-    target_columns: Sequence[str],
     redundancy: RedundancyMatrix,
     backend: Optional[Backend] = None,
 ) -> SourceFactor:
-    source_columns = _numeric_mapped_columns(table.schema, correspondences, target_columns)
-    if not source_columns:
-        raise MappingError(f"source {table.name!r} maps no numeric target columns")
-    data = table.to_matrix(source_columns)
-    mapping = MappingMatrix(
-        table.name,
-        target_columns,
-        source_columns,
-        {c: correspondences[c] for c in source_columns},
-    )
-    # The target-row → source-row map *is* the compressed indicator vector
-    # CI_k; no per-row pair expansion needed.
-    indicator = IndicatorMatrix(
-        table.name, len(row_map), table.n_rows, np.asarray(row_map, dtype=np.int64)
-    )
+    """Assemble one factor from its arrays.
+
+    The target-row → source-row map *is* the compressed indicator vector
+    ``CI_k`` (no per-row pair expansion), and ``mapping`` carries the
+    source's name and column order. ``data`` may be a resident array, a
+    spilled memmap or a zero-copy view of a session's growable buffer.
+    """
+    indicator = IndicatorMatrix(mapping.source_name, len(row_map), data.shape[0], row_map)
     return SourceFactor(
-        table.name, data, source_columns, mapping, indicator, redundancy, backend=backend
+        mapping.source_name, data, list(mapping.source_columns), mapping, indicator,
+        redundancy, backend=backend,
     )
 
 
@@ -545,85 +566,17 @@ def integrate_tables(
         Compute backend for the factorized operators (name, instance, or
         ``None`` for dense).
     """
-    resolved_backend = resolve_backend(backend) if backend is not None else None
-    target_columns = list(target_columns)
-    base_correspondences, other_correspondences = two_source_correspondences(
-        base.schema.names, other.schema.names, column_matches, target_columns
-    )
+    from repro.streaming.builder import integrate_streams
 
-    base_rows, other_rows = _target_rows_for_scenario(
-        base.n_rows, other.n_rows, row_matches, scenario
-    )
-    n_target_rows = int(base_rows.size)
-
-    base_mask = _contribution_mask(base, base_rows, base_correspondences, target_columns)
-    other_mask = _contribution_mask(other, other_rows, other_correspondences, target_columns)
-
-    # Base table: nothing redundant (lazy all-ones, no allocation). Other
-    # table: redundant where the base already contributed a (non-null) value
-    # to the same target cell — stored as a sparse complement built straight
-    # from the overlap, never as a dense r_T × c_T float mask.
-    target_shape = (n_target_rows, len(target_columns))
-    base_redundancy = RedundancyMatrix.all_ones(base.name, *target_shape)
-    other_redundancy = RedundancyMatrix.from_complement(
-        other.name, target_shape, base_mask & other_mask
-    )
-
-    base_factor = _build_factor(
-        base, base_rows, base_correspondences, target_columns, base_redundancy,
-        backend=resolved_backend,
-    )
-    other_factor = _build_factor(
-        other, other_rows, other_correspondences, target_columns, other_redundancy,
-        backend=resolved_backend,
-    )
-    return IntegratedDataset(
-        target_columns=target_columns,
-        n_target_rows=n_target_rows,
-        factors=[base_factor, other_factor],
-        scenario=scenario,
-        label_column=label_column,
-        name=name,
-        backend=resolved_backend,
+    return integrate_streams(
+        base, other, column_matches, row_matches, target_columns, scenario,
+        label_column=label_column, name=name, backend=backend,
     )
 
 
 # ---------------------------------------------------------------------------------
 # Delta-aware entry points (online serving)
 # ---------------------------------------------------------------------------------
-
-
-def replace_factor_arrays(
-    factor: SourceFactor,
-    data: np.ndarray,
-    compressed: np.ndarray,
-    n_target_rows: int,
-    redundancy: RedundancyMatrix,
-) -> SourceFactor:
-    """A new :class:`SourceFactor` sharing ``factor``'s identity and column
-    maps but carrying delta-extended arrays.
-
-    This is the serving layer's incremental-maintenance entry point: after
-    a delta batch extended ``D_k`` (new source rows), ``CI_k`` (new/filled
-    target rows) and the redundancy complement, only these arrays change —
-    the mapping matrix, source columns and backend are structural and are
-    reused as-is, skipping the schema-side work of a full
-    :func:`integrate_tables` rebuild. ``data`` may be (and typically is) a
-    zero-copy view of a growable buffer.
-    """
-    indicator = IndicatorMatrix(
-        factor.name, int(n_target_rows), int(data.shape[0]),
-        np.asarray(compressed, dtype=np.int64),
-    )
-    return SourceFactor(
-        factor.name,
-        data,
-        list(factor.source_columns),
-        factor.mapping,
-        indicator,
-        redundancy,
-        backend=factor.backend,
-    )
 
 
 def target_row_values(dataset: IntegratedDataset, rows: np.ndarray) -> np.ndarray:
@@ -675,36 +628,13 @@ def build_integrated_dataset(
     (or -1). The first source is the base; redundancy is resolved in source
     order (earlier sources win), cell-wise on non-null contributions.
     """
+    from repro.streaming.builder import integrate_sources
+
     if not sources:
         raise MappingError("need at least one source table")
-    resolved_backend = resolve_backend(backend) if backend is not None else None
-    target_columns = list(target_columns)
-    factors: List[SourceFactor] = []
-    claimed = np.zeros((n_target_rows, len(target_columns)), dtype=bool)
-    for table in sources:
-        table_correspondences = correspondences.get(table.name, {})
-        row_map = np.asarray(row_maps.get(table.name, []), dtype=np.int64)
-        if row_map.size != n_target_rows:
-            raise MappingError(
-                f"row map for {table.name!r} has length {row_map.size}, expected {n_target_rows}"
-            )
-        mask = _contribution_mask(table, row_map, table_correspondences, target_columns)
-        redundancy = RedundancyMatrix.from_complement(
-            table.name, (n_target_rows, len(target_columns)), claimed & mask
-        )
-        factors.append(
-            _build_factor(
-                table, row_map, table_correspondences, target_columns, redundancy,
-                backend=resolved_backend,
-            )
-        )
-        claimed |= mask
-    return IntegratedDataset(
-        target_columns=target_columns,
-        n_target_rows=n_target_rows,
-        factors=factors,
-        scenario=scenario,
-        label_column=label_column,
-        name=name,
-        backend=resolved_backend,
+    return integrate_sources(
+        sources,
+        [correspondences.get(table.name, {}) for table in sources],
+        [row_maps.get(table.name, []) for table in sources],
+        target_columns, n_target_rows, scenario, label_column, name, backend,
     )

@@ -178,6 +178,8 @@ def imap_ordered(
     index, so a failing chunk is identifiable from the message alone.
     """
     effective = config.get_num_workers() if workers is None else max(1, int(workers))
+    if hasattr(iterable, "__len__"):  # one task never pays a pool round trip
+        effective = min(effective, len(iterable))
     if effective <= 1 or _in_worker():
         if _faults.ACTIVE:
             for index, item in enumerate(iterable):

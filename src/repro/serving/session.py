@@ -65,7 +65,8 @@ from repro.learning.logistic_regression import LogisticRegression
 from repro.matrices.builder import (
     IntegratedDataset,
     integrate_tables,
-    replace_factor_arrays,
+    overlap_cells,
+    source_factor,
     target_row_values,
 )
 from repro.matrices.redundancy_matrix import RedundancyMatrix
@@ -421,13 +422,13 @@ class DatasetSession:
 
     def _assemble_incremental(self, n_target: int) -> IntegratedDataset:
         """A new dataset over the current buffer views (zero-copy factors)."""
-        n_cols = len(self.config.target_columns)
-        base_factor = replace_factor_arrays(
-            self._base_template,
+        shape = (n_target, len(self.config.target_columns))
+        base_factor = source_factor(
             self._base_data.view(),
+            self._base_template.mapping,
             self._base_ci.view(),
-            n_target,
-            RedundancyMatrix.all_ones(self._base_name, n_target, n_cols),
+            RedundancyMatrix.all_ones(self._base_name, *shape),
+            self._base_template.backend,
         )
         comp_rows = self._comp_rows.view()
         complement = sparse.csr_matrix(
@@ -435,16 +436,14 @@ class DatasetSession:
                 np.ones(comp_rows.size, dtype=np.float64),
                 (comp_rows, self._comp_cols.view()),
             ),
-            shape=(n_target, n_cols),
+            shape=shape,
         )
-        other_factor = replace_factor_arrays(
-            self._other_template,
+        other_factor = source_factor(
             self._other_data.view(),
+            self._other_template.mapping,
             self._other_ci.view(),
-            n_target,
-            RedundancyMatrix.from_complement(
-                self._other_name, (n_target, n_cols), complement
-            ),
+            RedundancyMatrix.from_complement(self._other_name, shape, complement),
+            self._other_template.backend,
         )
         return IntegratedDataset(
             target_columns=list(self.config.target_columns),
@@ -524,26 +523,12 @@ class DatasetSession:
     # -- overlap (redundancy) bookkeeping ---------------------------------------------------
     def _precompute_overlap(self) -> None:
         """Target positions both sources map, with their source columns."""
-        base_mapping = self._base_template.mapping
-        other_mapping = self._other_template.mapping
-        base_by_target = {
-            int(t): self._base_template.source_columns[int(s)]
-            for s, t in zip(
-                base_mapping.mapped_source_indices(), base_mapping.mapped_target_indices()
-            )
-        }
-        self._overlap: List[Tuple[int, str, str]] = []
-        for s, t in zip(
-            other_mapping.mapped_source_indices(), other_mapping.mapped_target_indices()
-        ):
-            if int(t) in base_by_target:
-                self._overlap.append(
-                    (
-                        int(t),
-                        base_by_target[int(t)],
-                        self._other_template.source_columns[int(s)],
-                    )
-                )
+        base, other = self._base_template, self._other_template
+        base_cm, other_cm = base.mapping.compressed, other.mapping.compressed
+        self._overlap: List[Tuple[int, str, str]] = [
+            (int(j), base.source_columns[base_cm[j]], other.source_columns[other_cm[j]])
+            for j in np.nonzero((base_cm >= 0) & (other_cm >= 0))[0]
+        ]
 
     def _overlap_cells(
         self, target_rows: np.ndarray, base_rows: np.ndarray, other_rows: np.ndarray
@@ -551,23 +536,11 @@ class DatasetSession:
         """Complement coordinates for target rows fed by BOTH sources."""
         base = self._tables[self._base_name]
         other = self._tables[self._other_name]
-        rows_out: List[np.ndarray] = []
-        cols_out: List[np.ndarray] = []
-        target_rows = np.asarray(target_rows, dtype=np.int64)
-        base_rows = np.asarray(base_rows, dtype=np.int64)
-        other_rows = np.asarray(other_rows, dtype=np.int64)
-        for position, base_column, other_column in self._overlap:
-            both = (
-                base.column_valid(base_column)[base_rows]
-                & other.column_valid(other_column)[other_rows]
-            )
-            hit = target_rows[both]
-            rows_out.append(hit)
-            cols_out.append(np.full(hit.size, position, dtype=np.int64))
-        if not rows_out:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(rows_out), np.concatenate(cols_out)
+        columns = [
+            (position, base.column_valid(base_column), other.column_valid(other_column))
+            for position, base_column, other_column in self._overlap
+        ]
+        return overlap_cells(columns, target_rows, base_rows, other_rows)
 
     @staticmethod
     def _matrix_rows(table: Table, columns: Sequence[str], rows: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ bounded-memory chunked execution:
   validity masks (``read_csv`` routes through its single-chunk fast path).
 * :mod:`repro.streaming.spill` — :class:`SpillStore`, the memory-mapped
   factor store the builder spills completed ``D_k`` blocks to.
-* :mod:`repro.streaming.builder` — :func:`integrate_streams`, the
-  chunk-stream counterpart of ``matrices.builder.integrate_tables``.
+* :mod:`repro.streaming.builder` — the one factor-build loop and
+  :func:`integrate_streams`, its two-source entry point
+  (``matrices.builder.integrate_tables`` is the same call without a store).
 
 Mini-batch training lives in :mod:`repro.learning.streaming_gd`, on top of
 the row-block views of :mod:`repro.factorized.operator_plan`.

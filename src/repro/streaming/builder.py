@@ -1,18 +1,22 @@
-"""Spillable factor build: ``integrate_tables`` over chunk streams.
+"""The factor build: one loop over chunk streams and n sources.
 
-:func:`integrate_streams` constructs the same ``(D_k, M_k, I_k, R_k)``
-factorization as :func:`repro.matrices.builder.integrate_tables` — identical
-``CI_k`` row maps, factor cells and redundancy masks, asserted by the
-parity suite — while touching each source one chunk at a time:
+:func:`integrate_sources` constructs the ``(D_k, M_k, I_k, R_k)``
+factorization of every build route — ``integrate_streams``,
+``integrate_tables`` (the same call without a store: a resident table is
+the in-memory chunk stream it already was) and ``build_integrated_dataset``
+— touching each source one chunk at a time:
 
+* ``M_k`` maps the source's numeric columns into the target schema; a
+  source *provides* a target column iff its mapping does.
 * ``D_k`` is assembled block-wise into a :class:`repro.streaming.spill.
-  SpillStore` memmap (or a resident array when no store is given), with
-  pages released after every chunk so the resident set stays one chunk.
-* ``CI_k`` comes straight from the scenario row maps, exactly as in the
-  in-memory builder — no per-row expansion.
-* the redundancy complement is computed per *shared target column* from
-  accumulated validity bitmaps instead of the dense ``r_T × c_T``
-  contribution-mask AND, so nothing target-shaped is ever materialized.
+  SpillStore` memmap, with pages released after every chunk so the
+  resident set stays one chunk — or, without a store, written in place
+  into a resident array.
+* ``CI_k`` comes straight from the row maps — no per-row expansion.
+* the redundancy complement is this source's non-NULL cells on rows an
+  earlier source already filled, tracked as one ``r_T`` validity bitmap
+  per *shared target column*, so nothing target-shaped is ever
+  materialized.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from repro.reliability.retry import INGEST_RETRY
 from repro.matrices.builder import (
     IntegratedDataset,
     RowMatchesLike,
-    SourceFactor,
     _numeric_mapped_columns,
     _target_rows_for_scenario,
+    overlap_cells,
+    source_factor,
     two_source_correspondences,
 )
-from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.metadata.mappings import ScenarioType
@@ -46,38 +50,21 @@ from repro.streaming.chunks import TableChunkStream, as_chunk_stream
 from repro.streaming.spill import SpillStore
 
 
-def _effective_target_map(
-    correspondences: Dict[str, str], target_columns: Sequence[str]
-) -> Dict[str, str]:
-    """Per target column, the source column that provides it.
-
-    Mirrors the in-memory contribution-mask loop, where a later source
-    column mapping the same target column overwrites an earlier one.
-    """
-    target_set = set(target_columns)
-    effective: Dict[str, str] = {}
-    for source_column, target_column in correspondences.items():
-        if target_column in target_set:
-            effective[target_column] = source_column
-    return effective
-
-
 def _ingest_stream(
     stream: TableChunkStream,
-    correspondences: Dict[str, str],
-    target_columns: Sequence[str],
+    source_columns: List[str],
     validity_columns: Sequence[str],
     store: Optional[SpillStore],
     store_key: str,
-) -> Tuple[List[str], np.ndarray, Dict[str, np.ndarray]]:
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """One pass over a stream: fill ``D_k`` block-wise, collect validity.
 
-    Returns ``(source_columns, data, validity)`` where ``data`` is the
-    spilled memmap (or resident array) holding the numeric mapped columns
-    with NULLs as 0.0 — cell-for-cell ``table.to_matrix(source_columns)``
-    — and ``validity`` maps each requested source column to its full
-    boolean validity bitmap (needed only for overlap columns, so this
-    stays O(rows × shared columns)).
+    Returns ``(data, validity)`` where ``data`` is the spilled memmap (or
+    resident array) holding ``source_columns`` with NULLs as 0.0 —
+    cell-for-cell ``table.to_matrix(source_columns)`` — and ``validity``
+    maps each requested source column to its full boolean validity bitmap
+    (needed only for overlap columns, so this stays O(rows × shared
+    columns)).
 
     Only the chunk source depends on the stream. Randomly accessible
     streams (resident tables, synthetic generators) map their chunk indices
@@ -90,10 +77,6 @@ def _ingest_stream(
     chunks release their spill pages as they retire either way, keeping
     the resident set at a bounded window of chunks.
     """
-    schema = stream.schema
-    source_columns = _numeric_mapped_columns(schema, correspondences, target_columns)
-    if not source_columns:
-        raise MappingError(f"source {stream.name!r} maps no numeric target columns")
     n_rows = stream.n_rows
     with _telemetry.span(
         "build.ingest_stream", source=stream.name, rows=n_rows,
@@ -108,7 +91,7 @@ def _ingest_stream(
         chunk_index_by_offset: Dict[int, int] = {}
 
         def _write_block(row_start: int, row_stop: int, block: np.ndarray) -> None:
-            """Write one chunk's matrix into ``data``, CRC'd before the write.
+            """Write one chunk's matrix into the memmap, CRC'd before the write.
 
             The checksum is computed from the in-memory block *before* it
             touches the memmap, so a torn write — simulated here by the
@@ -135,7 +118,14 @@ def _ingest_stream(
                 raise MappingError(
                     f"stream {stream.name!r} produced more rows than its declared {n_rows}"
                 )
-            _write_block(row_start, stop, chunk.to_matrix(source_columns))
+            if store is None:
+                # A resident write cannot tear and has no CRC to check it
+                # against: the columns go straight into their rows of D_k.
+                chunk.to_matrix(source_columns, out=data[row_start:stop])
+            else:
+                # One contiguous copy of a finished block beats strided
+                # column writes into the memmap.
+                _write_block(row_start, stop, chunk.to_matrix(source_columns))
             for column in validity_columns:
                 validity[column][row_start:stop] = chunk.column_valid(column)
             return chunk.n_rows
@@ -186,7 +176,7 @@ def _ingest_stream(
             _validate_spilled(
                 store, store_key, stream, source_columns, chunk_index_by_offset
             )
-    return source_columns, data, validity
+    return data, validity
 
 
 def _validate_spilled(
@@ -228,52 +218,6 @@ def _validate_spilled(
         _telemetry.counter_add("reliability.spill_rebuilt_blocks", float(repaired))
 
 
-def _overlap_complement(
-    target_shape: Tuple[int, int],
-    target_columns: Sequence[str],
-    base_rows: np.ndarray,
-    other_rows: np.ndarray,
-    base_map: Dict[str, str],
-    other_map: Dict[str, str],
-    base_validity: Dict[str, np.ndarray],
-    other_validity: Dict[str, np.ndarray],
-) -> sparse.coo_matrix:
-    """Redundant cells of the other source, one shared target column at a time.
-
-    A target cell is redundant for the other source exactly when both
-    sources map its column and both contribute a non-NULL value on that
-    row — the nonzero set of the in-memory ``base_mask & other_mask``
-    without ever building either dense mask.
-    """
-    both_rows = (base_rows >= 0) & (other_rows >= 0)
-    base_gather = np.where(base_rows >= 0, base_rows, 0)
-    other_gather = np.where(other_rows >= 0, other_rows, 0)
-    row_chunks: List[np.ndarray] = []
-    col_chunks: List[np.ndarray] = []
-    for j, target_column in enumerate(target_columns):
-        base_col = base_map.get(target_column)
-        other_col = other_map.get(target_column)
-        if base_col is None or other_col is None:
-            continue
-        base_valid = base_validity[base_col]
-        other_valid = other_validity[other_col]
-        if base_valid.size == 0 or other_valid.size == 0:
-            continue
-        hit = both_rows & base_valid[base_gather] & other_valid[other_gather]
-        rows = np.nonzero(hit)[0].astype(np.int64)
-        if rows.size:
-            row_chunks.append(rows)
-            col_chunks.append(np.full(rows.size, j, dtype=np.int64))
-    if row_chunks:
-        rows = np.concatenate(row_chunks)
-        cols = np.concatenate(col_chunks)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-    data = np.ones(rows.size, dtype=np.float64)
-    return sparse.coo_matrix((data, (rows, cols)), shape=target_shape)
-
-
 def integrate_streams(
     base,
     other,
@@ -287,120 +231,132 @@ def integrate_streams(
     store: Optional[SpillStore] = None,
     chunk_rows: Optional[int] = None,
 ) -> IntegratedDataset:
-    """Out-of-core counterpart of ``integrate_tables`` over chunk streams.
+    """Build an :class:`IntegratedDataset` for the two-source Table I scenarios.
 
-    Parameters mirror :func:`repro.matrices.builder.integrate_tables`;
-    ``base`` and ``other`` may be :class:`TableChunkStream` instances or
-    resident :class:`~repro.relational.Table` objects (wrapped with
-    ``chunk_rows`` rows per chunk). When ``store`` is given, each source's
-    ``D_k`` is spilled to a memory-mapped file in the store and the
-    returned factors read from disk; otherwise ``D_k`` is resident (still
-    assembled chunk-wise). The resulting :class:`IntegratedDataset` is
-    identical to the in-memory build — same ``CI_k``, factor cells and
-    redundancy masks.
+    The first nine parameters are those of
+    :func:`repro.matrices.builder.integrate_tables`, which is this function
+    without a store; ``base`` and ``other`` may be
+    :class:`TableChunkStream` instances or resident
+    :class:`~repro.relational.Table` objects (wrapped with ``chunk_rows``
+    rows per chunk). When ``store`` is given, each source's ``D_k`` is
+    spilled to a memory-mapped file in the store and the returned factors
+    read from disk; otherwise ``D_k`` is resident (still assembled
+    chunk-wise). The built factors do not depend on the chunk grid, the
+    store or the worker count.
     """
     base = as_chunk_stream(base, chunk_rows)
     other = as_chunk_stream(other, chunk_rows)
-    if _telemetry.ENABLED:
-        with _telemetry.span(
-            "build.integrate_streams",
-            scenario=scenario.value,
-            base=base.name,
-            other=other.name,
-            spilled=store is not None,
-        ):
-            return _integrate_streams(
-                base, other, column_matches, row_matches, target_columns,
-                scenario, label_column, name, backend, store,
-            )
-    return _integrate_streams(
-        base, other, column_matches, row_matches, target_columns,
-        scenario, label_column, name, backend, store,
-    )
+    with _telemetry.span(
+        "build.integrate_streams",
+        scenario=scenario.value,
+        base=base.name,
+        other=other.name,
+        spilled=store is not None,
+    ):
+        correspondences = two_source_correspondences(
+            base.schema.names, other.schema.names, column_matches, target_columns
+        )
+        row_maps = _target_rows_for_scenario(
+            base.n_rows, other.n_rows, row_matches, scenario
+        )
+        return integrate_sources(
+            [base, other], correspondences, row_maps, target_columns,
+            int(row_maps[0].size), scenario, label_column, name, backend, store,
+        )
 
 
-def _integrate_streams(
-    base: TableChunkStream,
-    other: TableChunkStream,
-    column_matches: Sequence[ColumnMatch],
-    row_matches: RowMatchesLike,
+def integrate_sources(
+    sources: Sequence,
+    correspondences: Sequence[Dict[str, str]],
+    row_maps: Sequence[Sequence[int]],
     target_columns: Sequence[str],
-    scenario: ScenarioType,
+    n_target_rows: int,
+    scenario: Optional[ScenarioType],
     label_column: Optional[str],
     name: str,
     backend: BackendSpec,
-    store: Optional[SpillStore],
+    store: Optional[SpillStore] = None,
 ) -> IntegratedDataset:
+    """The factor-build loop every entry point calls.
+
+    ``sources`` are tables or chunk streams; ``correspondences[k]`` maps
+    source column → target column and ``row_maps[k]`` gives, per target
+    row, the source row (or -1). Redundancy is resolved in source order
+    (earlier sources win), cell-wise on non-NULL contributions.
+    """
     resolved_backend = resolve_backend(backend) if backend is not None else None
     target_columns = list(target_columns)
-    base_correspondences, other_correspondences = two_source_correspondences(
-        base.schema.names, other.schema.names, column_matches, target_columns
-    )
-    base_rows, other_rows = _target_rows_for_scenario(
-        base.n_rows, other.n_rows, row_matches, scenario
-    )
-    n_target_rows = int(base_rows.size)
     target_shape = (n_target_rows, len(target_columns))
-
-    # Validity bitmaps are only needed where the redundancy complement can
-    # be nonzero: target columns mapped by *both* sources.
-    base_map = _effective_target_map(base_correspondences, target_columns)
-    other_map = _effective_target_map(other_correspondences, target_columns)
-    shared_targets = [t for t in target_columns if t in base_map and t in other_map]
-    base_validity_columns = sorted({base_map[t] for t in shared_targets})
-    other_validity_columns = sorted({other_map[t] for t in shared_targets})
-
-    base_key = f"0_{base.name}"
-    other_key = f"1_{other.name}"
-    try:
-        base_source_columns, base_data, base_validity = _ingest_stream(
-            base, base_correspondences, target_columns, base_validity_columns,
-            store, base_key,
+    streams = [as_chunk_stream(source) for source in sources]
+    mappings: List[MappingMatrix] = []
+    for stream, source_correspondences in zip(streams, correspondences):
+        source_columns = _numeric_mapped_columns(
+            stream.schema, source_correspondences, target_columns
         )
-        other_source_columns, other_data, other_validity = _ingest_stream(
-            other, other_correspondences, target_columns, other_validity_columns,
-            store, other_key,
-        )
-
-        base_redundancy = RedundancyMatrix.all_ones(base.name, *target_shape)
-        other_redundancy = RedundancyMatrix.from_complement(
-            other.name,
-            target_shape,
-            _overlap_complement(
-                target_shape, target_columns, base_rows, other_rows,
-                base_map, other_map, base_validity, other_validity,
-            ),
-        )
-
-        factors = []
-        for stream, source_columns, data, correspondences, row_map, redundancy in (
-            (base, base_source_columns, base_data, base_correspondences, base_rows,
-             base_redundancy),
-            (other, other_source_columns, other_data, other_correspondences, other_rows,
-             other_redundancy),
-        ):
-            mapping = MappingMatrix(
+        if not source_columns:
+            raise MappingError(f"source {stream.name!r} maps no numeric target columns")
+        mappings.append(
+            MappingMatrix(
                 stream.name,
                 target_columns,
                 source_columns,
-                {c: correspondences[c] for c in source_columns},
+                {c: source_correspondences[c] for c in source_columns},
             )
-            indicator = IndicatorMatrix(
-                stream.name, n_target_rows, stream.n_rows, row_map
-            )
-            factors.append(
-                SourceFactor(
-                    stream.name, data, source_columns, mapping, indicator, redundancy,
-                    backend=resolved_backend,
+        )
+    # A cell can only be redundant in a target column that at least two
+    # mappings provide; only those columns carry validity bitmaps. Per such
+    # column, ``claimed`` marks the target rows an earlier source filled
+    # (absent until a first source provides the column).
+    compressed = [mapping.compressed for mapping in mappings]
+    providers = np.sum([vector >= 0 for vector in compressed], axis=0)
+    shared_targets = [int(j) for j in np.nonzero(providers >= 2)[0]]
+    claimed: Dict[int, np.ndarray] = {}
+    keys = [f"{k}_{stream.name}" for k, stream in enumerate(streams)]
+    factors = []
+    try:
+        for stream, mapping, vector, row_map, key in zip(
+            streams, mappings, compressed, row_maps, keys
+        ):
+            row_map = np.asarray(row_map, dtype=np.int64)
+            if row_map.size != n_target_rows:
+                raise MappingError(
+                    f"row map for {stream.name!r} has length {row_map.size}, "
+                    f"expected {n_target_rows}"
                 )
+            shared = [
+                (j, mapping.source_columns[vector[j]])
+                for j in shared_targets if vector[j] >= 0
+            ]
+            data, validity = _ingest_stream(
+                stream, mapping.source_columns, [c for _, c in shared], store, key
+            )
+            fed = np.nonzero(row_map >= 0)[0]
+            source_rows = row_map[fed]
+            rows, cols = overlap_cells(
+                [(j, claimed[j], validity[c]) for j, c in shared if j in claimed],
+                fed, fed, source_rows,
+            )
+            redundancy = RedundancyMatrix.from_complement(
+                stream.name,
+                target_shape,
+                sparse.coo_matrix(
+                    (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=target_shape
+                ),
+            )
+            for j, c in shared:
+                if j not in claimed:
+                    claimed[j] = np.zeros(n_target_rows, dtype=bool)
+                claimed[j][fed] |= validity[c][source_rows]
+            factors.append(
+                source_factor(data, mapping, row_map, redundancy, resolved_backend)
             )
     except BaseException:
         # A failed build can never hand its memmaps to anyone: drop them
         # from the store and delete the backing files, so an aborted
-        # integrate_streams leaves no orphaned spill files behind.
+        # build leaves no orphaned spill files behind.
         if store is not None:
-            store.discard(base_key)
-            store.discard(other_key)
+            for key in keys:
+                store.discard(key)
         raise
     if store is not None:
         store.release()

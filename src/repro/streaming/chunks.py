@@ -52,9 +52,19 @@ class TableChunk:
     def column_valid(self, name: str) -> np.ndarray:
         return self.valid[name]
 
-    def to_matrix(self, columns: Sequence[str], null_value: float = 0.0) -> np.ndarray:
-        """Dense float block of the named numeric columns (NULL → ``null_value``)."""
-        out = np.empty((self.n_rows, len(columns)), dtype=np.float64)
+    def to_matrix(
+        self,
+        columns: Sequence[str],
+        null_value: float = 0.0,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Dense float block of the named numeric columns (NULL → ``null_value``).
+
+        ``out`` is an ``(n_rows, len(columns))`` float64 destination to write
+        into (a row slice of a resident ``D_k``) instead of a new block.
+        """
+        if out is None:
+            out = np.empty((self.n_rows, len(columns)), dtype=np.float64)
         for j, name in enumerate(columns):
             values = self.data[name]
             valid = self.valid[name]

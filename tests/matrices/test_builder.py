@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from dense_reference import assert_matches_dense, assert_two_source_matches_dense
 
+from repro import parallel, telemetry
 from repro.exceptions import MappingError
 from repro.matrices.builder import (
     IntegratedDataset,
@@ -14,6 +16,7 @@ from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.metadata.mappings import ScenarioType
+from repro.metadata.schema_matching import ColumnMatch
 from repro.relational.joins import full_outer_join, inner_join, left_join, union_all
 from repro.relational.table import Table
 from repro.datagen.hospital import (
@@ -23,6 +26,8 @@ from repro.datagen.hospital import (
     hospital_tables,
 )
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
+from repro.streaming import SpillStore, integrate_streams
+from repro.streaming.chunks import DEFAULT_CHUNK_ROWS
 
 
 class TestHospitalRunningExample:
@@ -138,6 +143,31 @@ class TestValidation:
         with pytest.raises(MappingError):
             integrate_tables(base, other, [], [], ["x", "note"], ScenarioType.LEFT_JOIN)
 
+    @pytest.mark.parametrize("build", [integrate_tables, integrate_streams])
+    @pytest.mark.parametrize(
+        "row_matches, offender",
+        [
+            ((np.array([-1]), np.array([0])), "base row -1"),
+            ((np.array([0]), np.array([999])), "other row 999"),
+            ((np.array([20]), np.array([0])), "base row 20"),
+            ((np.array([0, 1]), np.array([0])), "2 base rows with 1 other rows"),
+        ],
+    )
+    def test_row_matches_outside_the_tables_rejected(self, build, row_matches, offender):
+        spec = ScenarioSpec(ScenarioType.LEFT_JOIN, base_rows=20, other_rows=14, seed=1)
+        base, other, matches, _, targets = generate_scenario_tables(spec)
+        with pytest.raises(MappingError, match=offender):
+            build(base, other, matches, row_matches, targets, ScenarioType.LEFT_JOIN)
+
+    def test_many_to_one_row_matches_stay_legal(self):
+        spec = ScenarioSpec(ScenarioType.LEFT_JOIN, base_rows=20, other_rows=14, seed=1)
+        base, other, matches, _, targets = generate_scenario_tables(spec)
+        row_matches = (np.array([0, 1, 2]), np.array([5, 5, 5]))
+        dataset = integrate_tables(
+            base, other, matches, row_matches, targets, ScenarioType.LEFT_JOIN
+        )
+        assert dataset.factors[1].indicator.compressed[:3].tolist() == [5, 5, 5]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(MappingError):
             IntegratedDataset(target_columns=["a"], n_target_rows=1, factors=[])
@@ -180,6 +210,26 @@ class TestGenericBuilder:
         assert target[:, 1].tolist() == [10.0, 20.0, 30.0]
         assert dataset.factor("C").redundancy.n_redundant == 3
 
+    def test_three_sources_match_the_dense_reference(self):
+        # x is shared by all three, y by B and C; NULLs and unfed target rows
+        # make every complement irregular.
+        sources = [
+            Table.from_dict("A", {"x": [1.0, None, 3.0, 4.0], "a": [1.0, 1.0, 1.0, 1.0]}),
+            Table.from_dict("B", {"x": [None, 20.0, 30.0], "y": [5.0, None, 7.0]}),
+            Table.from_dict("C", {"x": [9.0, 9.0, None, 9.0, 9.0], "y": [8.0] * 5}),
+        ]
+        correspondences = [{"x": "x", "a": "a"}, {"x": "x", "y": "y"}, {"x": "x", "y": "y"}]
+        row_maps = [[0, 1, 2, 3, -1, -1], [0, 1, -1, 2, 2, -1], [4, 3, 2, 1, 0, 0]]
+        dataset = build_integrated_dataset(
+            sources=sources,
+            correspondences={t.name: c for t, c in zip(sources, correspondences)},
+            row_maps={t.name: m for t, m in zip(sources, row_maps)},
+            target_columns=["x", "y", "a"],
+            n_target_rows=6,
+        )
+        assert_matches_dense(dataset, sources, correspondences, row_maps)
+        assert dataset.factor("C").redundancy.n_redundant > 0
+
     def test_row_map_length_validation(self):
         base = Table.from_dict("A", {"x": [1.0]})
         with pytest.raises(MappingError):
@@ -196,3 +246,60 @@ class TestGenericBuilder:
             build_integrated_dataset(
                 sources=[], correspondences={}, row_maps={}, target_columns=["x"], n_target_rows=0
             )
+
+
+class TestNonNumericColumnIsNotAProvider:
+    """A STRING base column matched into the target is not in ``D_1``, so it
+    cannot shadow the numeric values the other source supplies for it."""
+
+    def _inputs(self):
+        base = Table.from_dict(
+            "B", {"id": [1, 2, 3], "m": ["a", "b", "c"], "x": [1.0, 2.0, 3.0]},
+            id={"is_key": True},
+        )
+        other = Table.from_dict(
+            "O", {"id": [1, 2, 3], "m": [10.0, 20.0, 30.0]}, id={"is_key": True}
+        )
+        matches = [ColumnMatch("B", "id", "O", "id", 1.0), ColumnMatch("B", "m", "O", "m", 1.0)]
+        row_matches = (np.arange(3), np.arange(3))
+        return base, other, matches, row_matches, ["x", "m"]
+
+    def test_two_source_entry_points(self):
+        base, other, matches, row_matches, targets = self._inputs()
+        scenario = ScenarioType.LEFT_JOIN
+        with SpillStore() as store:
+            for dataset in (
+                integrate_tables(base, other, matches, row_matches, targets, scenario),
+                integrate_streams(
+                    base, other, matches, row_matches, targets, scenario, chunk_rows=2
+                ),
+                integrate_streams(
+                    base, other, matches, row_matches, targets, scenario, store=store
+                ),
+            ):
+                assert dataset.materialize()[:, 1].tolist() == [10.0, 20.0, 30.0]
+                assert dataset.factors[1].redundancy.is_trivial
+                assert_two_source_matches_dense(
+                    dataset, base, other, matches, row_matches, scenario
+                )
+
+    def test_n_source_entry_point(self):
+        base, other, _, _, targets = self._inputs()
+        dataset = build_integrated_dataset(
+            sources=[base, other],
+            correspondences={"B": {"x": "x", "m": "m"}, "O": {"m": "m"}},
+            row_maps={"B": [0, 1, 2], "O": [0, 1, 2]},
+            target_columns=targets,
+            n_target_rows=3,
+        )
+        assert dataset.materialize()[:, 1].tolist() == [10.0, 20.0, 30.0]
+
+
+def test_one_chunk_build_never_touches_the_pool():
+    spec = ScenarioSpec(ScenarioType.LEFT_JOIN, base_rows=50, other_rows=30, seed=3)
+    base, other, matches, row_matches, targets = generate_scenario_tables(spec)
+    assert base.n_rows < DEFAULT_CHUNK_ROWS
+    with parallel.num_threads(2), telemetry.collect(sample_memory=False) as session:
+        integrate_tables(base, other, matches, row_matches, targets, spec.scenario)
+        counters = session.report().counters
+    assert counters.get("parallel.tasks", 0) == 0

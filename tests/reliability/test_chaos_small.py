@@ -141,6 +141,33 @@ def test_corrupt_write_without_checksums_goes_undetected_by_design():
     assert not np.array_equal(damaged, reference)
 
 
+def test_torn_write_fault_exists_only_where_a_write_can_tear():
+    """``spill.write`` is crossed by blocks going to a ``SpillStore`` only: a
+    resident array has no recorded CRC that could notice the damage, so a
+    resident build under the plan is the clean build and consumes nothing,
+    while a spilled checksummed build is torn once and repairs itself."""
+    parallel.set_num_workers(1)
+    base, other, matches, row_matches, targets = _scenario_inputs()
+
+    def build(store):
+        return np.array(
+            integrate_streams(
+                base, other, matches, row_matches, targets, ScenarioType.LEFT_JOIN,
+                label_column="label", store=store, chunk_rows=23,
+            ).materialize()
+        )
+
+    reference = build(None)
+    with faults.active_plan("spill.write:kind=corrupt,n=1") as injector:
+        resident = build(None)
+        assert injector.snapshot()["spill.write"] == (0, 0)
+        with SpillStore(checksums=True) as store:
+            repaired = build(store)
+        assert injector.snapshot()["spill.write"][1] == 1
+    assert np.array_equal(resident, reference)
+    assert np.array_equal(repaired, reference)
+
+
 def test_unrepairable_corruption_raises_integrity_error(tmp_path):
     """A repair whose source refill is itself corrupted must raise, not
     silently keep the bad block."""

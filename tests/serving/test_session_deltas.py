@@ -5,7 +5,11 @@ import pytest
 
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
 from repro.exceptions import ServiceError, StaleDatasetError
+from repro.matrices.builder import integrate_tables
+from repro.metadata.entity_resolution import KeyBasedResolver
 from repro.metadata.mappings import ScenarioType
+from repro.metadata.schema_matching import ColumnMatch
+from repro.relational.table import Table
 from repro.serving import DatasetSession
 from repro.system.plan import ModelSpec
 from repro.system.requests import DeltaBatch, IntegrationConfig, PredictRequest, TrainRequest
@@ -56,7 +60,24 @@ def append_batch(session, table_name, ids, rng):
     return DeltaBatch(table=table_name, kind="append", rows=rows)
 
 
+def assert_factors_match_rebuild(session):
+    """The maintained factors are the factors ``integrate_tables`` builds from
+    scratch on the session's current tables — not only the same predictions."""
+    base, other = session.table("S1"), session.table("S2")
+    config = session.config
+    rebuilt = integrate_tables(
+        base, other, session.column_matches,
+        KeyBasedResolver([("id", "id")]).resolve_index(base, other),
+        config.target_columns, config.scenario, label_column=config.label_column,
+    )
+    for ours, theirs in zip(session.dataset.factors, rebuilt.factors):
+        assert np.array_equal(ours.data, theirs.data)
+        assert np.array_equal(ours.indicator.compressed, theirs.indicator.compressed)
+        assert ours.redundancy == theirs.redundancy
+
+
 def assert_parity(session, atol=1e-8):
+    assert_factors_match_rebuild(session)
     reference = rebuilt_reference(session)
     ours = session.dataset.materialize()
     theirs = reference.dataset.materialize()
@@ -112,6 +133,33 @@ class TestAppendParity:
         assert out["filled_target_rows"] == 1  # the S2 row fills the S1 row's gap
         assert session.rebuilds == 0
         assert_parity(session)
+
+
+    def test_string_base_column_is_not_a_provider_before_or_after_an_append(self):
+        base = Table.from_dict(
+            "S1", {"id": [1, 2, 3, 4], "m": ["a", "b", "c", "d"], "x": [1.0, 2.0, 3.0, 4.0]},
+            id={"is_key": True},
+        )
+        other = Table.from_dict(
+            "S2", {"id": [1, 2, 3], "m": [10.0, 20.0, 30.0]}, id={"is_key": True}
+        )
+        config = IntegrationConfig(
+            base="S1", other="S2", target_columns=["x", "m"],
+            scenario=ScenarioType.LEFT_JOIN,
+        )
+        matches = [
+            ColumnMatch("S1", "id", "S2", "id", 1.0), ColumnMatch("S1", "m", "S2", "m", 1.0)
+        ]
+        session = DatasetSession(
+            base, other, config, column_matches=matches, staleness_threshold=1.0
+        )
+        assert session.dataset.materialize()[:, 1].tolist() == [10.0, 20.0, 30.0, 0.0]
+        out = session.apply_delta(
+            DeltaBatch(table="S2", kind="append", rows={"id": [4], "m": [40.0]})
+        )
+        assert out["mode"] == "incremental"
+        assert session.dataset.materialize()[:, 1].tolist() == [10.0, 20.0, 30.0, 40.0]
+        assert_factors_match_rebuild(session)
 
 
 class TestUpdateAndDelete:

@@ -1,8 +1,17 @@
-"""Spillable streaming build parity: integrate_streams vs integrate_tables."""
+"""The factor build does not depend on how it is driven.
+
+``integrate_tables`` is ``integrate_streams`` without a store, so comparing
+the two checks one engine at two chunk grids: the build must not depend on
+chunk rows, on resident vs spilled vs spilled + checksums, or on the worker
+count. What the factors *should* be comes from the independent dense
+formulation in ``tests/dense_reference.py``.
+"""
 
 import numpy as np
 import pytest
+from dense_reference import assert_two_source_matches_dense
 
+from repro import parallel
 from repro.datagen.scenarios import (
     ScenarioSpec,
     generate_scenario_streams,
@@ -15,6 +24,18 @@ from repro.relational.table import Table
 from repro.streaming import InMemoryTableStream, SpillStore, integrate_streams
 
 CHUNK_SIZES = (1, 7, 10_000)
+STORAGE_ROUTES = ("resident", "spilled", "spilled+checksums")
+
+
+def _build_on_route(route, *args, **kwargs):
+    """``integrate_streams`` on one storage route; spilled data read back resident."""
+    if route == "resident":
+        return integrate_streams(*args, **kwargs)
+    with SpillStore(checksums=route.endswith("checksums")) as store:
+        dataset = integrate_streams(*args, store=store, **kwargs)
+        for factor in dataset.factors:
+            factor.data = np.array(factor.data)
+    return dataset
 
 
 def _assert_datasets_identical(mem, streamed):
@@ -57,6 +78,25 @@ class TestScenarioParity:
                 label_column="label", store=store,
             )
             _assert_datasets_identical(mem, streamed)
+
+    @pytest.mark.parametrize("scenario", list(ScenarioType))
+    @pytest.mark.parametrize("route", STORAGE_ROUTES)
+    @pytest.mark.parametrize("workers", (1, 2, 8))
+    def test_every_route_matches_the_dense_reference(self, scenario, route, workers):
+        spec = ScenarioSpec(
+            scenario, base_rows=80, other_rows=60, base_features=4,
+            other_features=5, overlap_rows=25, overlap_columns=2, seed=9,
+        )
+        base, other, matches, row_matches, targets = generate_scenario_tables(spec)
+        with parallel.num_threads(workers):
+            for chunk_rows in CHUNK_SIZES:
+                built = _build_on_route(
+                    route, base, other, matches, row_matches, targets, scenario,
+                    label_column="label", chunk_rows=chunk_rows,
+                )
+                assert_two_source_matches_dense(
+                    built, base, other, matches, row_matches, scenario
+                )
 
     def test_resident_build_without_store(self):
         spec = ScenarioSpec(ScenarioType.INNER_JOIN, base_rows=50, other_rows=40,
@@ -113,6 +153,9 @@ class TestChunkBoundaries:
             mem = integrate_tables(
                 base, other, matches, row_matches, targets, scenario
             )
+            assert_two_source_matches_dense(
+                mem, base, other, matches, row_matches, scenario
+            )
             with SpillStore() as store:
                 streamed = integrate_streams(
                     InMemoryTableStream(base, chunk_rows),
@@ -120,6 +163,14 @@ class TestChunkBoundaries:
                     matches, row_matches, targets, scenario, store=store,
                 )
                 _assert_datasets_identical(mem, streamed)
+            for route in STORAGE_ROUTES:
+                built = _build_on_route(
+                    route, base, other, matches, row_matches, targets, scenario,
+                    chunk_rows=chunk_rows,
+                )
+                assert_two_source_matches_dense(
+                    built, base, other, matches, row_matches, scenario
+                )
 
 
 class TestHashedStreamSources:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_reference import assert_two_source_matches_dense
 from hypothesis import given, settings, strategies as st
 
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
@@ -11,12 +12,14 @@ from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.metadata.mappings import ScenarioType
+from repro.metadata.schema_matching import ColumnMatch
 from repro.metadata.similarity import (
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
     ngram_jaccard_similarity,
 )
+from repro.relational.table import Table
 from repro.relational.types import (
     NULL_LITERALS,
     DataType,
@@ -25,6 +28,7 @@ from repro.relational.types import (
     infer_type,
     parse_cell,
 )
+from repro.streaming import SpillStore, integrate_streams
 
 # Bounded sizes keep each hypothesis example fast while still exploring the
 # structural space (scenario type, overlaps, redundancy axes, seeds).
@@ -118,6 +122,62 @@ class TestScenarioReconstruction:
             coverage = np.outer(row_mask, col_mask) * factor.redundancy.to_dense()
             contributions += coverage
         assert contributions.max() <= 1.0 + 1e-12
+
+
+nullable_floats = st.one_of(st.none(), st.floats(-9, 9, allow_nan=False, width=16))
+
+
+@st.composite
+def keyed_table_pairs(draw):
+    """Two tables over a small key domain (so keys repeat on both sides) with
+    NULL-ridden columns: ``v`` shared, ``w`` / ``z`` private."""
+    keys = st.integers(min_value=0, max_value=4)
+    base_keys = draw(st.lists(keys, min_size=1, max_size=12))
+    other_keys = draw(st.lists(keys, min_size=1, max_size=10))
+
+    def table(name, table_keys, private):
+        n = len(table_keys)
+        values = st.lists(nullable_floats, min_size=n, max_size=n)
+        return Table.from_dict(
+            name,
+            {"id": table_keys, "v": draw(values), private: draw(values)},
+            id={"is_key": True},
+            v={"dtype": DataType.FLOAT},
+            **{private: {"dtype": DataType.FLOAT}},
+        )
+
+    base, other = table("B", base_keys, "w"), table("O", other_keys, "z")
+    # Key-foreign-key matching: every base row meets the first other row
+    # carrying its key, so one other row may feed several target rows.
+    pairs = [(i, other_keys.index(k)) for i, k in enumerate(base_keys) if k in other_keys]
+    left = np.array([i for i, _ in pairs], dtype=np.int64)
+    right = np.array([j for _, j in pairs], dtype=np.int64)
+    return base, other, (left, right)
+
+
+class TestFactorBuild:
+    """Every drive of the one build loop equals the dense reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tables=keyed_table_pairs(),
+        scenario=st.sampled_from(list(ScenarioType)),
+        chunk_rows=st.integers(min_value=1, max_value=8),
+        spilled=st.booleans(),
+    )
+    def test_null_masks_and_key_multiplicities_at_any_chunk_grid(
+        self, tables, scenario, chunk_rows, spilled
+    ):
+        base, other, row_matches = tables
+        matches = [ColumnMatch("B", "id", "O", "id", 1.0), ColumnMatch("B", "v", "O", "v", 1.0)]
+        with SpillStore(checksums=True) as store:
+            dataset = integrate_streams(
+                base, other, matches, row_matches, ["v", "w", "z"], scenario,
+                store=store if spilled else None, chunk_rows=chunk_rows,
+            )
+            assert_two_source_matches_dense(
+                dataset, base, other, matches, row_matches, scenario
+            )
 
 
 class TestCompressedRoundTrips:
