@@ -19,6 +19,7 @@ from repro.metadata.mappings import ScenarioType
 from repro.silos.silo import PrivacyLevel
 from repro.system.amalur import Amalur
 from repro.system.plan import ModelSpec
+from repro.system.requests import IntegrationConfig, TrainRequest
 
 
 def build_system(privacy=PrivacyLevel.OPEN, scale="small"):
@@ -51,10 +52,13 @@ def build_system(privacy=PrivacyLevel.OPEN, scale="small"):
 def run_workflow(privacy=PrivacyLevel.OPEN, scale="small", scenario=ScenarioType.FULL_OUTER_JOIN,
                  task="classification", n_iterations=30, learning_rate=0.01):
     amalur, base_name, other_name, target_columns, label = build_system(privacy, scale)
-    dataset = amalur.integrate(base_name, other_name, target_columns, scenario, label_column=label)
+    dataset = amalur.integrate(IntegrationConfig(
+        base=base_name, other=other_name, target_columns=target_columns,
+        scenario=scenario, label_column=label,
+    ))
     spec = ModelSpec(task=task, n_iterations=n_iterations, learning_rate=learning_rate)
     plan = amalur.plan(dataset, spec)
-    result = amalur.train(dataset, spec, plan=plan)
+    result = amalur.train(TrainRequest(model=spec, dataset=dataset, plan=plan))
     return amalur, plan, result
 
 

@@ -16,6 +16,7 @@ Run with:  python examples/quickstart.py
 
 from repro import Amalur, ModelSpec, ScenarioType
 from repro.datagen import hospital_tables
+from repro.system import IntegrationConfig, TrainRequest
 
 
 def main() -> None:
@@ -35,9 +36,10 @@ def main() -> None:
         )
 
     print("\n== integration (full outer join, mediated schema T(m, a, hr, o)) ==")
-    dataset = amalur.integrate(
-        "S1", "S2", ["m", "a", "hr", "o"], ScenarioType.FULL_OUTER_JOIN, label_column="m"
-    )
+    dataset = amalur.integrate(IntegrationConfig(
+        base="S1", other="S2", target_columns=["m", "a", "hr", "o"],
+        scenario=ScenarioType.FULL_OUTER_JOIN, label_column="m",
+    ))
     print(f"  target shape: {dataset.shape}")
     print(f"  recorded column matches: "
           f"{[(m.left_column, m.right_column) for m in amalur.catalog.di_metadata('S1', 'S2').column_matches]}")
@@ -51,7 +53,7 @@ def main() -> None:
     print(plan.describe())
 
     print("\n== training ==")
-    result = amalur.train(dataset, spec, plan=plan)
+    result = amalur.train(TrainRequest(model=spec, dataset=dataset, plan=plan))
     print(f"  strategy used      : {result.strategy.value}")
     print(f"  metrics            : {result.metrics}")
     print(f"  silo-boundary bytes: {result.bytes_transferred}")

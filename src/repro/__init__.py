@@ -10,6 +10,7 @@ Quick start::
 
     from repro import Amalur, ModelSpec, ScenarioType
     from repro.datagen import hospital_tables
+    from repro.system import IntegrationConfig, TrainRequest
 
     s1, s2 = hospital_tables()
     amalur = Amalur()
@@ -17,9 +18,11 @@ Quick start::
     amalur.add_table("er", s1)
     amalur.add_silo("pulmonary")
     amalur.add_table("pulmonary", s2)
-    dataset = amalur.integrate("S1", "S2", ["m", "a", "hr", "o"],
-                               ScenarioType.FULL_OUTER_JOIN, label_column="m")
-    result = amalur.train(dataset, ModelSpec(task="classification"))
+    dataset = amalur.integrate(IntegrationConfig(
+        base="S1", other="S2", target_columns=["m", "a", "hr", "o"],
+        scenario=ScenarioType.FULL_OUTER_JOIN, label_column="m"))
+    result = amalur.train(TrainRequest(model=ModelSpec(task="classification"),
+                                       dataset=dataset))
 """
 
 from repro.exceptions import AmalurError

@@ -17,14 +17,15 @@ term instead of a full Hadamard product: the rewrite computes the cheap
 ``I_k (D_k (M_kᵀ X))`` and subtracts the contribution of the (few)
 redundant cells.
 
-One blocked engine runs ``lmm`` / ``transpose_lmm`` / ``crossprod``. When
-:mod:`repro.parallel` is configured with more than one worker and the
-target has at least ``REPRO_PARALLEL_MIN_ROWS`` rows, the target rows are
-cut into the block-size grid and fanned over the shared worker pool, the
-partial results reduced on the calling thread in fixed block order;
-otherwise the same code runs one block on the calling thread. Either
-way the work is done in the source dimension — the FLOP counters' per-
-factor formulas describe what runs:
+One blocked engine runs ``lmm`` / ``transpose_lmm`` / ``crossprod`` (and
+``rmm``, which is ``transpose_lmm`` of the transposed operand). A target
+with at least ``REPRO_PARALLEL_MIN_ROWS`` rows is cut into the block-size
+grid, below that it is one block; :func:`repro.parallel.imap_ordered`
+maps the blocks — over the shared worker pool when more than one worker
+is configured and the grid has more than one block, as a plain loop on
+the calling thread otherwise — and the partial results reduce on the
+calling thread in fixed block order. The work is done in the source
+dimension — the FLOP counters' per-factor formulas describe what runs:
 
 * a **many-to-one** factor multiplies once per call (``D_k (M_kᵀ X)`` /
   ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, fanned over *source*-row
@@ -37,9 +38,9 @@ factor formulas describe what runs:
 * the same-source Gram term of a many-to-one factor without redundancy
   is ``D_kᵀ diag(multiplicity) D_k`` over its distinct source rows.
 
-The partition depends only on the block size and the matrix shape —
-never the worker count — so results are identical at any worker count
->= 2 and agree with the one-block path to reassociation (<= 1e-8).
+The grid depends only on the matrix shape and the two grid settings —
+never the worker count — so any worker count, one included, gives the
+same bits; different *grids* agree to reassociation (<= 1e-8).
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ class AmalurMatrix:
     @staticmethod
     def _block_rows(n_rows: int) -> int:
         """Block size to cut ``n_rows`` by: the configured one when the
-        count clears the parallel threshold, else everything in one block."""
-        if _parallel.should_parallelize(n_rows):
+        count clears the row threshold, else everything in one block."""
+        if n_rows >= _parallel.get_min_parallel_rows():
             return _parallel.get_block_rows()
         return max(n_rows, 1)
 
@@ -213,13 +214,6 @@ class AmalurMatrix:
         view = self._blocked_view
         return view, view.row_blocks(self._block_rows(self.n_rows))
 
-    @staticmethod
-    def _map_blocks(fn, blocks, label: str) -> list:
-        """``fn`` over ``blocks`` in order; one block runs on the caller."""
-        if len(blocks) == 1:
-            return [fn(blocks[0])]
-        return _parallel.parallel_map(fn, blocks, label=label)
-
     def _source_matmul(self, factor, operand: np.ndarray) -> np.ndarray:
         """``D_k @ operand`` (r_Sk × m), once per call, in the source
         dimension; fanned over *source*-row blocks when ``r_Sk`` itself
@@ -231,7 +225,7 @@ class AmalurMatrix:
             lo, hi = bounds
             local[lo:hi] = self.backend.matmul(factor.storage_rows(slice(lo, hi)), operand)
 
-        self._map_blocks(_fill, self._row_grid(n_source_rows), "lmm.local")
+        list(_parallel.imap_ordered(_fill, self._row_grid(n_source_rows), label="lmm.local"))
         return local
 
     def _source_transpose_matmul(self, factor, projected: np.ndarray) -> np.ndarray:
@@ -243,9 +237,9 @@ class AmalurMatrix:
                 factor.storage_rows(slice(lo, hi)), projected[lo:hi]
             )
 
-        partials = self._map_blocks(
-            _partial, self._row_grid(factor.plan.n_source_rows), "transpose_lmm.local"
-        )
+        partials = list(_parallel.imap_ordered(
+            _partial, self._row_grid(factor.plan.n_source_rows), label="transpose_lmm.local"
+        ))
         local = partials[0]
         for piece in partials[1:]:
             local += piece
@@ -288,37 +282,17 @@ class AmalurMatrix:
             for factor, product in zip(view.factors, products):
                 factor.lmm_block_add(x, start, stop, out, product)
 
-        self._map_blocks(_fill, blocks, "lmm")
+        list(_parallel.imap_ordered(_fill, blocks, label="lmm"))
         self._charge_lmm_flops(x.shape[1])
         return result
 
     def rmm(self, x: np.ndarray) -> np.ndarray:
-        """Right matrix multiplication ``X @ T``, factorized."""
+        """Right matrix multiplication ``X @ T = (Tᵀ Xᵀ)ᵀ``, factorized."""
         x = self._check_rmm_operand(x)
         if _telemetry.ENABLED:
             with _telemetry.span("amalur.rmm", rows=self.n_rows, operand_rows=x.shape[0]):
-                return self._rmm(x)
-        return self._rmm(x)
-
-    def _rmm(self, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0]
-        result = np.zeros((m, self.n_columns))
-        for plan, storage in zip(self._plans, self._storages):
-            # X I_k — accumulate the target-row columns of X onto source rows.
-            projected = plan.project_rows(x.T)  # (r_Sk × m)
-            self.counter.add("rmm.project", float(plan.n_mapped_rows) * m)
-            # projected @ D_k computed as (D_kᵀ @ projected)ᵀ so sparse
-            # storages go through the CSR kernel.
-            local = self.backend.transpose_matmul(storage, projected).T  # (m × c_Sk)
-            self.counter.add("rmm.local", self.backend.matmul_flops(storage, m))
-            # Scatter the source columns onto target columns (M_kᵀ on the right).
-            plan.scatter_add_columns(result, local)
-            self.counter.add("rmm.scatter", float(plan.n_mapped_cols) * m)
-            if plan.has_correction:
-                correction = plan.correction()
-                result -= (correction.T @ x.T).T
-                self.counter.add("rmm.correction", float(correction.nnz) * m)
-        return result
+                return self._transpose_lmm(x.T).T
+        return self._transpose_lmm(x.T).T
 
     def transpose_lmm(self, x: np.ndarray) -> np.ndarray:
         """``Tᵀ @ X``, factorized — the workhorse of model gradients."""
@@ -350,7 +324,7 @@ class AmalurMatrix:
                     factor.transpose_lmm_block_add(x[start:stop], start, stop, out)
                 return out
 
-            for out in self._map_blocks(_partial, blocks, "transpose_lmm"):
+            for out in _parallel.imap_ordered(_partial, blocks, label="transpose_lmm"):
                 result += out
         for factor in view.factors:
             if factor.plan.rows_injective:
@@ -449,10 +423,12 @@ class AmalurMatrix:
                 self.counter.add(
                     "crossprod.cross", self.backend.gram_pair_flops(left, right)
                 )
-        if _parallel.should_parallelize(self.n_rows):
-            partials = _parallel.parallel_map(lambda task: task[0](), tasks, label="crossprod")
-        else:
-            partials = [task[0]() for task in tasks]
+        # Below the row threshold the terms stay on this thread: a small
+        # (serving-session) Gram must not pay pool round trips.
+        workers = None if self.n_rows >= _parallel.get_min_parallel_rows() else 1
+        partials = _parallel.imap_ordered(
+            lambda task: task[0](), tasks, workers=workers, label="crossprod"
+        )
         gram = np.zeros((self.n_columns, self.n_columns))
         for (_, ix, ix_t), term in zip(tasks, partials):
             gram[ix] += term

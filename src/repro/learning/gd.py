@@ -51,6 +51,13 @@ def log_loss_link(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, np.nd
     return float(loss), probabilities - targets
 
 
+def check_binary(targets: np.ndarray) -> None:
+    """Reject targets :func:`log_loss_link` is not defined on."""
+    invalid = sorted(set(np.unique(targets).tolist()) - {0.0, 1.0})
+    if invalid:
+        raise ValueError(f"labels must be binary 0/1, found {invalid}")
+
+
 #: The link of each task name the learners accept.
 LINKS = {"linear": squared_error_link, "logistic": log_loss_link}
 

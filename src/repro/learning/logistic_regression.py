@@ -38,9 +38,7 @@ class LogisticRegression:
         n_rows, n_columns = operand.shape
         if labels.shape[0] != n_rows:
             raise ValueError(f"label vector has {labels.shape[0]} rows, features have {n_rows}")
-        invalid = set(np.unique(labels)) - {0.0, 1.0}
-        if invalid:
-            raise ValueError(f"labels must be binary 0/1, found {sorted(invalid)}")
+        gd.check_binary(labels)
 
         if self.warm_start and self.coef_ is not None and self.coef_.size == n_columns:
             weights = np.asarray(self.coef_, dtype=np.float64).reshape(n_columns, 1).copy()

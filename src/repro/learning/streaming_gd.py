@@ -93,7 +93,7 @@ class StreamingGD:
         defaults = _LINEAR_DEFAULTS if self.task == "linear" else _LOGISTIC_DEFAULTS
         return defaults[name]
 
-    def _effective_workers(self, n_rows: int) -> int:
+    def _workers_for(self, n_rows: int) -> int:
         if self.num_workers is not None:
             return max(1, int(self.num_workers))
         if _parallel.should_parallelize(n_rows):
@@ -163,7 +163,7 @@ class StreamingGD:
 
         for _ in _parallel.imap_ordered(
             _fill, view.row_blocks(self.block_rows),
-            workers=self._effective_workers(view.n_rows),
+            workers=self._workers_for(view.n_rows),
         ):
             if self.release_pages is not None:
                 self.release_pages()
@@ -217,9 +217,7 @@ class StreamingGD:
         if self.task == "linear":
             targets, target_offset = gd.centre(targets, self.fit_intercept)
         else:
-            invalid = set(np.unique(targets)) - {0.0, 1.0}
-            if invalid:
-                raise ValueError(f"labels must be binary 0/1, found {sorted(invalid)}")
+            gd.check_binary(targets)
         weights = np.zeros((n_columns, 1))
         intercept = 0.0
         self.loss_history_ = []
@@ -237,7 +235,7 @@ class StreamingGD:
             learn_intercept=self.fit_intercept and self.task == "logistic",
             tolerance=self.tolerance, loss_history=self.loss_history_,
             loss_metric="gd.streaming.loss", start_iteration=start_iteration,
-            workers=self._effective_workers(n_rows),
+            workers=self._workers_for(n_rows),
             on_block=self.release_pages,
             on_epoch=lambda iteration, stepped, learned: self._save_state(
                 iteration, stepped, learned + target_offset

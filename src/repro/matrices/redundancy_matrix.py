@@ -33,7 +33,7 @@ assert this), and ``apply()`` preserves the contribution's storage format
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -128,12 +128,12 @@ class RedundancyMatrix:
 
     # -- constructors ---------------------------------------------------------------
     @classmethod
-    def auto(cls, source_name: str, mask, threshold: Optional[float] = None) -> "RedundancyMatrix":
+    def auto(cls, source_name: str, mask) -> "RedundancyMatrix":
         """Pick the cheapest representation for a dense 0/1 mask.
 
         Trivial when nothing is redundant; a CSR complement while the
-        redundancy ratio stays at or below ``threshold`` (default: the
-        shared ``SPARSE_DENSITY_THRESHOLD``); the dense mask otherwise.
+        redundancy ratio stays at or below the shared
+        ``SPARSE_DENSITY_THRESHOLD``; the dense mask otherwise.
         """
         if sparse.issparse(mask):
             mask = np.asarray(mask.todense())
@@ -143,9 +143,7 @@ class RedundancyMatrix:
         n_redundant = _validate_and_count_redundant(mask)
         if n_redundant == 0:
             return TrivialRedundancy(source_name, mask.shape)
-        if threshold is None:
-            threshold = _mask_sparsity_threshold()
-        if n_redundant <= threshold * mask.size:
+        if n_redundant <= _mask_sparsity_threshold() * mask.size:
             complement = _complement_from_mask(mask)
             return SparseComplementRedundancy._prevalidated(source_name, complement)
         # Defensive copy: the caller keeps ownership of its mask array.
@@ -167,7 +165,6 @@ class RedundancyMatrix:
         source_name: str,
         shape: Tuple[int, int],
         complement,
-        threshold: Optional[float] = None,
     ) -> "RedundancyMatrix":
         """Auto-pick a representation from the redundant cells themselves.
 
@@ -175,7 +172,7 @@ class RedundancyMatrix:
         *non-zero* cells are the redundant ones (a boolean overlap mask, a
         COO/CSR of rectangle coordinates, ...). The dense ``r_T × c_T``
         mask is only materialized if the redundancy ratio exceeds
-        ``threshold`` and the dense fallback is selected.
+        ``SPARSE_DENSITY_THRESHOLD`` and the dense fallback is selected.
         """
         shape = (int(shape[0]), int(shape[1]))
         if sparse.issparse(complement):
@@ -190,10 +187,7 @@ class RedundancyMatrix:
         if comp.nnz == 0:
             return TrivialRedundancy(source_name, shape)
         comp.data = np.ones_like(comp.data)
-        if threshold is None:
-            threshold = _mask_sparsity_threshold()
-        size = shape[0] * shape[1]
-        if comp.nnz <= threshold * size:
+        if comp.nnz <= _mask_sparsity_threshold() * shape[0] * shape[1]:
             return SparseComplementRedundancy._prevalidated(source_name, comp)
         mask = np.ones(shape, dtype=np.float64)
         coo = comp.tocoo()
@@ -207,7 +201,6 @@ class RedundancyMatrix:
         shape: Tuple[int, int],
         redundant_rows,
         redundant_columns,
-        threshold: Optional[float] = None,
     ) -> "RedundancyMatrix":
         """Representation for an overlap rectangle ``rows × columns``.
 
@@ -224,10 +217,7 @@ class RedundancyMatrix:
         n_redundant = rows.size * cols.size
         if n_redundant == 0:
             return TrivialRedundancy(source_name, shape)
-        if threshold is None:
-            threshold = _mask_sparsity_threshold()
-        size = shape[0] * shape[1]
-        if n_redundant > threshold * size:
+        if n_redundant > _mask_sparsity_threshold() * shape[0] * shape[1]:
             # Heavy rectangle: fill the dense mask directly — the coordinate
             # arrays a CSR detour would allocate cost several times more.
             mask = np.ones(shape, dtype=np.float64)

@@ -56,7 +56,6 @@ class MetadataCatalog:
         self._tables: Dict[str, Table] = {}
         self._di_records: Dict[Tuple[str, str], DIMetadataRecord] = {}
         self._models: Dict[str, ModelMetadata] = {}
-        self._auto_named: set = set()
 
     # -- basic metadata ------------------------------------------------------------
     def register_source(self, table: Table, silo: str = "") -> SourceDescription:
@@ -130,35 +129,13 @@ class MetadataCatalog:
         return list(self._di_records.values())
 
     # -- model metadata ----------------------------------------------------------------
-    def register_model(self, metadata: ModelMetadata, auto_named: bool = False) -> None:
-        """Register a model; ``auto_named`` marks facade counter names
-        (``model_{n}``), whose string lookup :meth:`model` deprecates."""
+    def register_model(self, metadata: ModelMetadata) -> None:
         self._models[metadata.name] = metadata
-        if auto_named:
-            self._auto_named.add(metadata.name)
-        else:
-            self._auto_named.discard(metadata.name)
 
     def model(self, name) -> ModelMetadata:
         """Look up model metadata by :class:`~repro.system.plan.ModelHandle`
-        or by name.
-
-        Addressing an auto-named model by its bare counter string is
-        deprecated — hold on to the handle ``Amalur.train`` returns
-        instead of reconstructing ``model_{n}``.
-        """
-        handle_name = getattr(name, "name", None)
-        if handle_name is not None:
-            name = handle_name
-        elif name in self._auto_named:
-            import warnings
-
-            warnings.warn(
-                f"looking up the auto-generated model name {name!r} by string is "
-                "deprecated; use the ModelHandle returned by Amalur.train",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        or by name."""
+        name = getattr(name, "name", name)
         try:
             return self._models[name]
         except KeyError as exc:

@@ -8,14 +8,13 @@ ingest holds the GIL cell by cell and stays on the caller's thread.)
 Determinism contract:
 
 * Results depend on the **block grid** only — a pure function of the
-  block size and the matrix shape, never of the worker count — and every
-  reduction happens on the calling thread in block order. Any worker
-  count, one included, gives the same bits over the same grid.
+  matrix shape and the two grid settings (block rows, row threshold),
+  never of the worker count — and every reduction happens on the calling
+  thread in block order. Any worker count, one included, gives the same
+  bits.
 * ``REPRO_NUM_THREADS=1`` (or :func:`set_num_workers(1) <set_num_workers>`)
   never touches a pool: every map is a plain loop on the calling thread —
-  the same map, not a twin. ``StreamingGD`` and the spilled build then
-  walk the grid they walk at any other count; the factorized operators,
-  which choose their own grid, run the blocked engine with *one* block.
+  the same map, not a twin — over the grid it walks at any other count.
 * Factor assembly is pure data movement into disjoint row slices: the
   built factors are bit-identical whatever the chunking. Floating-point
   reductions (Gram, GD gradients) reassociate across blocks, so results
@@ -33,7 +32,6 @@ from repro.parallel.config import (
     DEFAULT_BLOCK_ROWS,
     DEFAULT_MIN_PARALLEL_ROWS,
     available_cores,
-    effective_workers,
     get_block_rows,
     get_min_parallel_rows,
     get_num_workers,
@@ -49,7 +47,6 @@ __all__ = [
     "DEFAULT_BLOCK_ROWS",
     "DEFAULT_MIN_PARALLEL_ROWS",
     "available_cores",
-    "effective_workers",
     "get_block_rows",
     "get_min_parallel_rows",
     "get_num_workers",

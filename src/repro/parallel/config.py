@@ -10,18 +10,16 @@ the environment:
     every map is a plain loop of the same tasks on the calling thread.
 
 ``REPRO_PARALLEL_MIN_ROWS``
-    Row-count threshold below which the factorized operators stay on the
-    serial path even when more workers are configured — small matrices
-    lose more to task dispatch than they gain from extra cores.
+    Row-count threshold below which the factorized operators run as one
+    block — small matrices lose more to task dispatch than they gain
+    from extra cores.
 
 ``REPRO_PARALLEL_BLOCK_ROWS``
     Row-block size used when an operator partitions work itself (the
     streaming paths reuse their own chunk/block sizes). The partition is
     a pure function of this value and the matrix shape — never of the
-    worker count — so results depend on the block grid only: over the
-    same grid any worker count, one included, gives the same bits. (An
-    operator that does not fan out — one worker, or fewer rows than
-    ``REPRO_PARALLEL_MIN_ROWS`` — runs one block.)
+    worker count — so results depend on the block grid only: any worker
+    count, one included, gives the same bits.
 """
 
 from __future__ import annotations
@@ -108,8 +106,3 @@ def should_parallelize(n_rows: int, workers: Optional[int] = None) -> bool:
     effective = get_num_workers() if workers is None else workers
     return effective > 1 and n_rows >= get_min_parallel_rows()
 
-
-def effective_workers(n_tasks: int, workers: Optional[int] = None) -> int:
-    """Workers to actually use for ``n_tasks`` independent tasks."""
-    effective = get_num_workers() if workers is None else max(1, int(workers))
-    return max(1, min(effective, n_tasks))

@@ -2,19 +2,20 @@
 
 Three primitives cover every parallel call site in the engine:
 
-``parallel_map(fn, items)``
-    Eager ordered map over a finite task list — the shape of every
-    row-block operator (LMM / transpose-LMM / Gram partial sums). Results
-    come back in submission order, so reductions on the caller's thread
-    reassociate identically regardless of which worker finished first.
-
 ``imap_ordered(fn, iterable)``
-    Lazy ordered map with a bounded in-flight window, for pipelines that
-    must not materialize every task at once (spillable ``D_k`` assembly,
-    the block passes of the GD loop in ``repro.learning.gd``). At most
-    ``window`` results are buffered, so peak memory stays at
-    ``window x chunk`` instead of the whole stream. At one worker it *is*
-    ``map(fn, iterable)`` on the calling thread.
+    Lazy ordered map with a bounded in-flight window — the one map under
+    every row-block operator (LMM / transpose-LMM / Gram partial sums),
+    the spillable ``D_k`` assembly and the block passes of the GD loop in
+    ``repro.learning.gd``. Results come back in submission order, so
+    reductions on the caller's thread reassociate identically regardless
+    of which worker finished first. At most ``window`` results are
+    buffered, so peak memory stays at ``window x chunk`` instead of the
+    whole stream. At one worker it *is* ``map(fn, iterable)`` on the
+    calling thread.
+
+``parallel_map(fn, items)``
+    The eager form of ``imap_ordered`` over a finite task list: the
+    window is the whole list and the results come back as a list.
 
 ``prefetch(iterable)``
     A background feeder that keeps ``depth`` items ready ahead of the
@@ -133,33 +134,12 @@ def parallel_map(
     workers: Optional[int] = None,
     label: Optional[str] = None,
 ) -> List[R]:
-    """Apply ``fn`` to every item, returning results in item order.
-
-    Falls back to a plain serial loop when one worker is effective or when
-    called from inside another parallel task (reentrancy guard). The
-    output is order-identical to ``[fn(x) for x in items]`` either way.
-    """
+    """Apply ``fn`` to every item, returning results in item order: the
+    eager form of :func:`imap_ordered`, every task in flight at once."""
     items = list(items)
-    effective = config.effective_workers(len(items), workers)
-    if effective <= 1 or _in_worker():
-        if _faults.ACTIVE:
-            # Chaos runs exercise the fault/retry path even on the serial
-            # fallback, so a one-core machine still injects worker faults.
-            return [
-                _run_task(fn, item, label or "", i) for i, item in enumerate(items)
-            ]
-        return [fn(item) for item in items]
-    executor = _get_executor(effective)
-    labels = [label or ""] * len(items)
-    indices = range(len(items))
-    if _telemetry.ENABLED:
-        with _telemetry.span(
-            "parallel.map", label=label or "", tasks=len(items), workers=effective
-        ):
-            _telemetry.counter_add("parallel.maps")
-            _telemetry.counter_add("parallel.tasks", len(items))
-            return list(executor.map(_run_task, [fn] * len(items), items, labels, indices))
-    return list(executor.map(_run_task, [fn] * len(items), items, labels, indices))
+    return list(
+        imap_ordered(fn, items, workers=workers, window=len(items) or 1, label=label or "")
+    )
 
 
 def imap_ordered(

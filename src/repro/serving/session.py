@@ -855,35 +855,25 @@ class DatasetSession:
                 l2_penalty=spec.l2_penalty,
                 warm_start=warm,
             )
-            if warm:
-                model.coef_ = np.array(cached.coef_)
-            model.fit(state.matrix.feature_matrix_view(), state.matrix.labels())
-            metrics = {
-                "mse_loss": model.loss_history_[-1] if model.loss_history_ else float("nan")
-            }
-            return SessionModel(
-                handle=ModelHandle(name=name, task=spec.task, dataset=dataset.name),
-                task=spec.task,
-                coef_=np.array(model.coef_),
-                intercept_=float(model.intercept_),
-                version=state.version,
-                solver="gd",
-                metrics=metrics,
+            loss_name = "mse_loss"
+        else:
+            model = LogisticRegression(
+                learning_rate=spec.learning_rate,
+                n_iterations=spec.n_iterations,
+                l2_penalty=spec.l2_penalty,
+                warm_start=warm,
             )
-
-        model = LogisticRegression(
-            learning_rate=spec.learning_rate,
-            n_iterations=spec.n_iterations,
-            l2_penalty=spec.l2_penalty,
-            warm_start=warm,
-        )
+            loss_name = "log_loss"
         if warm:
             model.coef_ = np.array(cached.coef_)
+            # read by the logistic learner; the linear one recomputes its own
             model.intercept_ = float(cached.intercept_)
-        model.fit(state.matrix.feature_matrix_view(), state.matrix.labels())
-        metrics = {
-            "log_loss": model.loss_history_[-1] if model.loss_history_ else float("nan")
-        }
+        try:
+            model.fit(state.matrix.feature_matrix_view(), state.matrix.labels())
+        except ValueError as error:
+            # Learner complaints (non-binary labels, shape mismatches) leave
+            # the session as ServiceError, like every other refusal here.
+            raise ServiceError(str(error)) from error
         return SessionModel(
             handle=ModelHandle(name=name, task=spec.task, dataset=dataset.name),
             task=spec.task,
@@ -891,7 +881,9 @@ class DatasetSession:
             intercept_=float(model.intercept_),
             version=state.version,
             solver="gd",
-            metrics=metrics,
+            metrics={
+                loss_name: model.loss_history_[-1] if model.loss_history_ else float("nan")
+            },
         )
 
     def _fit_normal_from_stats(

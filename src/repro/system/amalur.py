@@ -3,15 +3,11 @@
 The public API is request-based: :class:`IntegrationConfig` describes what
 to integrate, :class:`TrainRequest` / :class:`PredictRequest` describe what
 to run, and trained models are addressed through :class:`ModelHandle`\\ s.
-The legacy positional signatures (``integrate("S1", "S2", ...)``,
-``train(dataset, spec)``) remain as thin deprecation shims that build the
-request objects, so existing call sites keep working.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -23,7 +19,7 @@ from repro.matrices.builder import IntegratedDataset, integrate_tables
 from repro.metadata.catalog import MetadataCatalog, ModelMetadata
 from repro.metadata.discovery import AugmentationCandidate, DataDiscovery
 from repro.metadata.entity_resolution import resolve_entities
-from repro.metadata.mappings import ScenarioType, build_scenario_mapping
+from repro.metadata.mappings import build_scenario_mapping
 from repro.metadata.schema_matching import HybridMatcher, SchemaMatcher, match_schemas
 from repro.relational.table import Table
 from repro.silos.network import SimulatedNetwork
@@ -104,27 +100,13 @@ class Amalur:
         discovery = DataDiscovery(self.catalog, matcher=self.matcher)
         return discovery.discover(self.catalog.table(base), label_column, top_k=top_k)
 
-    def integrate(
-        self,
-        config: Union[IntegrationConfig, str],
-        other_name: Optional[str] = None,
-        target_columns: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioType] = None,
-        label_column: Optional[str] = None,
-    ) -> IntegratedDataset:
+    def integrate(self, config: IntegrationConfig) -> IntegratedDataset:
         """Match, resolve and build the factorized representation of two sources.
-
-        The canonical form takes one :class:`IntegrationConfig`. The legacy
-        positional form ``integrate(base, other, target_columns, scenario,
-        label_column)`` still works but is deprecated.
 
         Schema matching and entity resolution run automatically and their
         outputs (the DI metadata) are recorded in the catalog together with
         the generated schema mapping.
         """
-        config = self._coerce_integration_config(
-            config, other_name, target_columns, scenario, label_column
-        )
         with _telemetry.span(
             "amalur.integrate", base=config.base, other=config.other,
             scenario=config.scenario.value,
@@ -186,21 +168,13 @@ class Amalur:
     def plan(self, dataset: IntegratedDataset, model: ModelSpec) -> ExecutionPlan:
         return self.optimizer.plan(dataset, model)
 
-    def train(
-        self,
-        request: Union[TrainRequest, IntegratedDataset],
-        model: Optional[ModelSpec] = None,
-        plan: Optional[ExecutionPlan] = None,
-    ) -> TrainingResult:
+    def train(self, request: TrainRequest) -> TrainingResult:
         """Plan (unless given) and execute training, registering the model.
 
-        The canonical form takes one :class:`TrainRequest` (carrying the
-        dataset, the model spec, an optional pre-built plan and an explicit
-        ``model_name``). The legacy positional form ``train(dataset, spec,
-        plan)`` still works but is deprecated; it registers the model under
-        the implicit ``model_{counter}`` name.
+        The :class:`TrainRequest` carries the dataset, the model spec, an
+        optional pre-built plan and an explicit ``model_name``; without a
+        name the model registers as ``model_{counter}``.
         """
-        request = self._coerce_train_request(request, model, plan)
         dataset = request.dataset
         if dataset is None:
             raise ServiceError(
@@ -235,7 +209,7 @@ class Amalur:
             metrics=dict(result.metrics),
             training_datasets=[factor.name for factor in dataset.factors],
         )
-        self.catalog.register_model(metadata, auto_named=auto_named)
+        self.catalog.register_model(metadata)
         self._models[name] = result
         self._last_model_name = name
         return result
@@ -262,18 +236,16 @@ class Amalur:
             raise ServiceError(
                 f"model {name!r} does not support prediction"
             )
+        n_rows = dataset.n_target_rows
+        start, stop = request.row_range if request.row_range is not None else (0, n_rows)
+        if not (0 <= start <= stop <= n_rows):
+            raise ServiceError(
+                f"row range [{start}, {stop}) outside target rows [0, {n_rows})"
+            )
         matrix = AmalurMatrix(dataset)
         with _telemetry.span("amalur.predict", model=name, dataset=dataset.name):
             scores = np.asarray(trained.predict(matrix.feature_matrix_view()))
-            if request.row_range is not None:
-                start, stop = request.row_range
-                if not (0 <= start <= stop <= dataset.n_target_rows):
-                    raise ServiceError(
-                        f"row range [{start}, {stop}) outside target rows "
-                        f"[0, {dataset.n_target_rows})"
-                    )
-                scores = scores[int(start):int(stop)]
-        return scores
+        return scores[int(start):int(stop)]
 
     def model_result(self, handle: Union[ModelHandle, str]) -> TrainingResult:
         """The :class:`TrainingResult` registered under a handle or name."""
@@ -301,53 +273,6 @@ class Amalur:
     @property
     def network(self) -> SimulatedNetwork:
         return self.orchestrator.network
-
-    # -- legacy-signature shims -------------------------------------------------------------
-    def _coerce_integration_config(
-        self, config, other_name, target_columns, scenario, label_column
-    ) -> IntegrationConfig:
-        if isinstance(config, IntegrationConfig):
-            if other_name is not None or target_columns is not None:
-                raise ServiceError(
-                    "pass either an IntegrationConfig or the legacy positional "
-                    "arguments, not both"
-                )
-            return config
-        warnings.warn(
-            "Amalur.integrate(base, other, target_columns, scenario, ...) is "
-            "deprecated; pass an IntegrationConfig instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if other_name is None or target_columns is None or scenario is None:
-            raise ServiceError(
-                "legacy integrate() needs base, other, target_columns and scenario"
-            )
-        return IntegrationConfig(
-            base=str(config),
-            other=other_name,
-            target_columns=list(target_columns),
-            scenario=scenario,
-            label_column=label_column,
-        )
-
-    def _coerce_train_request(self, request, model, plan) -> TrainRequest:
-        if isinstance(request, TrainRequest):
-            if model is not None or plan is not None:
-                raise ServiceError(
-                    "pass either a TrainRequest or the legacy positional "
-                    "arguments, not both"
-                )
-            return request
-        warnings.warn(
-            "Amalur.train(dataset, model, plan) is deprecated; pass a "
-            "TrainRequest instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if model is None:
-            raise ServiceError("legacy train() needs a ModelSpec")
-        return TrainRequest(model=model, dataset=request, plan=plan)
 
     def _resolve_sources(self, config: IntegrationConfig):
         """Catalog lookup + DI metadata derivation and recording."""

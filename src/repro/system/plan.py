@@ -73,9 +73,7 @@ class ModelHandle:
     Returned by :meth:`repro.system.Amalur.train` (on
     :attr:`TrainingResult.handle`) so callers address models by handle
     instead of guessing the facade's internal ``model_{counter}`` naming.
-    ``auto_named`` records that the name came from the counter default —
-    :meth:`repro.metadata.MetadataCatalog.model` deprecates string lookups
-    of such names.
+    ``auto_named`` records that the name came from the counter default.
     """
 
     name: str

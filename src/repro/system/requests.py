@@ -5,8 +5,7 @@ The facade (:class:`repro.system.Amalur`) and the online serving layer
 a long-lived session are configured by the same :class:`IntegrationConfig`,
 and the same :class:`TrainRequest` / :class:`PredictRequest` drive both the
 one-shot executor path and the worker pool of
-:class:`repro.serving.AmalurService`. The legacy positional facade
-signatures remain as thin deprecation shims that build these objects.
+:class:`repro.serving.AmalurService`.
 
 Everything here is plain data: no table handles, no numpy state beyond
 request payloads, importable without pulling in the execution layers.

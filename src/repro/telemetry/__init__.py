@@ -15,8 +15,8 @@ Typical use::
     from repro import telemetry
 
     with telemetry.collect() as session:
-        dataset = amalur.integrate(...)
-        amalur.train(dataset, spec)
+        dataset = amalur.integrate(config)
+        amalur.train(TrainRequest(model=spec, dataset=dataset))
     report = session.report()           # RunReport: spans/counters/memory
     trace = session.chrome_trace()      # load in Perfetto / chrome://tracing
 

@@ -344,14 +344,58 @@ def test_resident_operators_match_at_every_block_size_and_worker_count(
             for workers in (1, 2, 8):
                 parallel.set_num_workers(workers)
                 fresh = AmalurMatrix(matrix.dataset, backend=matrix.backend)
-                results[workers] = (fresh.lmm(x), fresh.transpose_lmm(y), fresh.crossprod())
+                results[workers] = (
+                    fresh.lmm(x), fresh.transpose_lmm(y), fresh.crossprod(), fresh.rmm(y.T)
+                )
                 for result, reference in zip(
-                    results[workers], (target @ x, target.T @ y, target.T @ target)
+                    results[workers], (target @ x, target.T @ y, target.T @ target, y.T @ target)
                 ):
                     assert np.max(np.abs(result - reference)) <= 1e-10
-            # The partition depends on the block size only.
-            for left, right in zip(results[2], results[8]):
-                assert np.array_equal(left, right)
+            # The grid depends on shape and block settings only: one worker
+            # walks it as a plain loop and gets the bits the pool gets.
+            for workers in (2, 8):
+                for result, reference in zip(results[workers], results[1]):
+                    assert np.array_equal(result, reference)
+
+
+def test_the_worker_count_does_not_move_the_grid():
+    """Flipping workers between calls on one matrix keeps the grid object
+    (and with it every block's kept row structure)."""
+    parallel.set_min_parallel_rows(0)
+    parallel.set_block_rows(7)
+    matrix = AmalurMatrix(build_dataset("shuffled", redundant=True))
+    x = np.ones((matrix.n_columns, 1))
+    grids, kept = [], []
+    for workers in (1, 2, 1, 8):
+        parallel.set_num_workers(workers)
+        matrix.lmm(x)
+        view = matrix._blocked_view
+        grids.append(view.row_blocks(7))
+        kept.append([spec for factor in view.factors for spec in factor._kept.values()])
+    assert len(grids[0]) == -(-N_TARGET // 7) > 1
+    assert all(grid is grids[0] for grid in grids)
+    assert all(spec is not None for spec in kept[0])
+    for later in kept[1:]:
+        assert all(spec is first for spec, first in zip(later, kept[0]))
+
+
+@pytest.mark.parametrize("block_rows", [7, N_TARGET + 1])
+def test_rmm_on_a_redundant_many_to_one_join_is_the_dense_product(block_rows):
+    """``rmm`` is ``transpose_lmm`` of the transposed operand: it walks the
+    grid, subtracts the redundant cells and charges the ``tlmm.*`` FLOPs."""
+    parallel.set_min_parallel_rows(0)
+    parallel.set_block_rows(block_rows)
+    matrix = AmalurMatrix(build_dataset("skewed", redundant=True))
+    target = matrix.dataset.materialize()
+    z = np.random.default_rng(3).standard_normal((3, N_TARGET))
+    result = matrix.rmm(z)
+    assert result.shape == (3, matrix.n_columns)
+    assert np.max(np.abs(result - z @ target)) <= 1e-10
+    charged = dict(matrix.counter.by_operation)
+    fresh = AmalurMatrix(matrix.dataset)
+    assert np.array_equal(fresh.transpose_lmm(z.T).T, result)
+    assert dict(fresh.counter.by_operation) == charged
+    assert not [label for label in charged if label.startswith("rmm.")]
 
 
 def test_many_to_one_gram_term_stays_in_the_source_dimension():

@@ -151,12 +151,6 @@ class TestAutoConstructor:
         matrix = RedundancyMatrix("S", mask)
         assert isinstance(matrix, DenseRedundancy)
 
-    def test_explicit_threshold_overrides_default(self):
-        mask = np.ones((20, 10))
-        mask[:, :5] = 0.0
-        matrix = RedundancyMatrix.auto("S", mask, threshold=0.9)
-        assert isinstance(matrix, SparseComplementRedundancy)
-
     def test_from_rectangle_matches_dense_construction(self):
         rows = [1, 3, 4]
         cols = [0, 2]

@@ -32,12 +32,6 @@ class TestConfig:
         parallel.set_num_workers(1)
         assert not parallel.should_parallelize(10_000)
 
-    def test_effective_workers_bounded_by_tasks(self):
-        parallel.set_num_workers(8)
-        assert parallel.effective_workers(3) == 3
-        assert parallel.effective_workers(100) == 8
-        assert parallel.effective_workers(0) == 1
-
 
 class TestParallelMap:
     def test_matches_serial_map_and_preserves_order(self):

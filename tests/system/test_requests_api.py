@@ -1,10 +1,9 @@
-"""The request-based facade API: config objects, handles, shims."""
-
-import warnings
+"""The request-based facade API: config objects and handles."""
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.exceptions import CatalogError, PlanError, ServiceError
 from repro.metadata.mappings import ScenarioType
 from repro.relational.schema import Column, Schema
@@ -37,27 +36,12 @@ def amalur(hospital):
 
 
 class TestIntegrationConfig:
-    def test_config_path_equals_legacy_path(self, amalur):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            dataset = amalur.integrate(HOSPITAL_CONFIG)  # canonical: no warning
-        with pytest.warns(DeprecationWarning):
-            legacy = amalur.integrate(
-                "S1", "S2", ["m", "a", "hr", "o"],
-                ScenarioType.FULL_OUTER_JOIN, label_column="m",
-            )
-        assert np.allclose(dataset.materialize(), legacy.materialize())
-
     def test_config_records_di_metadata(self, amalur):
         amalur.integrate(HOSPITAL_CONFIG)
         record = amalur.catalog.di_metadata("S1", "S2")
         assert record.column_matches
         assert record.row_matches
         assert record.schema_mapping.classify() is ScenarioType.FULL_OUTER_JOIN
-
-    def test_mixing_config_and_positionals_rejected(self, amalur):
-        with pytest.raises(ServiceError):
-            amalur.integrate(HOSPITAL_CONFIG, "S2")
 
     def test_empty_target_columns_rejected(self):
         with pytest.raises(ServiceError):
@@ -99,21 +83,8 @@ class TestTrainRequestAndHandles:
         )
         assert result.handle.name == "model_1"
         assert result.handle.auto_named is True
-        # handle lookups never warn; auto-named *string* lookups do
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            amalur.catalog.model(result.handle)
-        with pytest.warns(DeprecationWarning):
-            amalur.catalog.model("model_1")
-
-    def test_legacy_train_signature_still_works(self, amalur):
-        dataset = amalur.integrate(HOSPITAL_CONFIG)
-        with pytest.warns(DeprecationWarning):
-            result = amalur.train(
-                dataset, ModelSpec(task="classification", n_iterations=5)
-            )
-        assert result.handle.name == "model_1"
-        assert amalur.catalog.model_names == ["model_1"]
+        # the handle and the bare counter string address the same metadata
+        assert amalur.catalog.model(result.handle) is amalur.catalog.model("model_1")
 
     def test_train_without_dataset_rejected(self, amalur):
         with pytest.raises(ServiceError):
@@ -139,8 +110,24 @@ class TestTrainRequestAndHandles:
         with pytest.raises(ServiceError):
             amalur.predict(dataset, PredictRequest(model="ghost"))
 
-    def test_non_binary_labels_raise_plan_error(self, amalur):
-        """Learner ValueErrors surface as PlanError, not bare ValueError."""
+    def test_predict_rejects_row_range_before_doing_the_work(self, amalur):
+        """An invalid range fails fast: no operator plan compiled, no
+        ``amalur.predict`` span opened."""
+        dataset = amalur.integrate(HOSPITAL_CONFIG)
+        amalur.train(TrainRequest(
+            model=ModelSpec(task="classification", n_iterations=5), dataset=dataset,
+        ))
+        for row_range in ((5, 2), (0, dataset.n_target_rows + 1), (-1, 3)):
+            with telemetry.collect() as session:
+                with pytest.raises(ServiceError, match="row range"):
+                    amalur.predict(dataset, PredictRequest(row_range=row_range))
+            report = session.report()
+            assert "amalur.predict" not in {span.name for span in report.spans}
+            assert not [name for name in report.counters if name.startswith("plan_cache.")]
+
+    def test_non_binary_labels_raise_from_the_repro_hierarchy(self, amalur):
+        """Learner ValueErrors surface as PlanError from the facade and as
+        ServiceError from a session (and through the service), never bare."""
         table = Table(
             "S3",
             Schema([
@@ -160,15 +147,21 @@ class TestTrainRequestAndHandles:
             ]),
             {"id": [0, 1, 2], "z": [1.0, 2.0, 3.0]},
         ))
-        dataset = amalur.integrate(IntegrationConfig(
+        config = IntegrationConfig(
             base="S3", other="S4", target_columns=["y", "x", "z"],
             scenario=ScenarioType.INNER_JOIN, label_column="y",
-        ))
-        with pytest.raises(PlanError):
-            amalur.train(TrainRequest(
-                model=ModelSpec(task="classification", n_iterations=3),
-                dataset=dataset,
-            ))
+        )
+        spec = ModelSpec(task="classification", n_iterations=3)
+        message = r"labels must be binary 0/1, found \[2\.0\]"
+        with pytest.raises(PlanError, match=message):
+            amalur.train(TrainRequest(model=spec, dataset=amalur.integrate(config)))
+        session = amalur.open_session(config)
+        with pytest.raises(ServiceError, match=message):
+            session.train(TrainRequest(model=spec))
+        with amalur.serve(n_workers=1, max_queue=2) as service:
+            service.register_session("labels", session)
+            with pytest.raises(ServiceError, match=message):
+                service.train("labels", TrainRequest(model=spec))
 
 
 class TestOrchestratorRegistration:

@@ -5,6 +5,7 @@ import pytest
 from dense_reference import assert_two_source_matches_dense
 from hypothesis import given, settings, strategies as st
 
+from repro import parallel
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.exceptions import SchemaError
@@ -85,6 +86,52 @@ class TestFactorizedOperatorEquivalence:
         assert np.allclose(matrix.rmm(z), z @ target)
         assert np.allclose(matrix.row_sums(), target.sum(axis=1))
         assert np.allclose(matrix.column_sums(), target.sum(axis=0))
+
+
+class TestOperatorGrid:
+    """The block grid is a function of the shape and the two grid settings:
+    every worker count, one included, gives the same bits over it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=scenario_specs,
+        block_rows=st.sampled_from([1, 7, 29, 10_000]),
+        blocked=st.booleans(),
+    )
+    def test_same_bits_at_every_worker_count(self, spec, block_rows, blocked):
+        dataset = generate_scenario_dataset(spec)
+        target = dataset.materialize()
+        rng = np.random.default_rng(spec.seed)
+        x = rng.standard_normal((target.shape[1], 2))
+        y = rng.standard_normal((target.shape[0], 2))
+        expected = (target @ x, target.T @ y, target.T @ target, y.T @ target)
+        saved = (
+            parallel.get_num_workers(), parallel.get_min_parallel_rows(),
+            parallel.get_block_rows(),
+        )
+        try:
+            parallel.set_block_rows(block_rows)
+            # threshold 0 cuts every target into the grid; one above
+            # ``n_rows`` keeps it in one block
+            parallel.set_min_parallel_rows(0 if blocked else target.shape[0] + 1)
+            runs = {}
+            for workers in (1, 2, 8):
+                parallel.set_num_workers(workers)
+                matrix = AmalurMatrix(dataset)
+                runs[workers] = (
+                    matrix.lmm(x), matrix.transpose_lmm(y), matrix.crossprod(),
+                    matrix.rmm(y.T), matrix.counter.total,
+                )
+        finally:
+            parallel.set_num_workers(saved[0])
+            parallel.set_min_parallel_rows(saved[1])
+            parallel.set_block_rows(saved[2])
+        for result, reference in zip(runs[1][:4], expected):
+            assert np.max(np.abs(result - reference), initial=0.0) <= 1e-8
+        for workers in (2, 8):
+            for result, reference in zip(runs[workers][:4], runs[1][:4]):
+                assert np.array_equal(result, reference), f"at {workers} workers"
+            assert runs[workers][4] == runs[1][4]
 
 
 class TestScenarioReconstruction:
