@@ -13,8 +13,12 @@ Two phases:
   cache) while the same batches are also refit from scratch (entity
   resolution + ``integrate_tables`` + fresh Gram + normal solve). Guards:
   weights and materialized values within 1e-8 of the rebuild at every
-  batch, and total incremental time at least **5x** faster than the
-  rebuilds.
+  batch, and total incremental time at least **1.25x** faster than the
+  rebuilds. (The floor was 5x while a fresh session spent ~60 % of its
+  build in a per-row Python key index. That index is gone: refit and
+  delta path now run the same vectorized steps, both O(table), and what
+  the delta path still saves is schema matching, ``integrate_tables`` and
+  the fresh Gram.)
 
 * **Mixed serving workload**: an :class:`AmalurService` worker pool
   serves ~200 windowed predict requests from concurrent client threads
@@ -50,7 +54,7 @@ from repro.system.requests import DeltaBatch, IntegrationConfig, PredictRequest,
 
 RESULTS = Path(__file__).resolve().parent / "results" / "BENCH_SERVING.json"
 
-SPEEDUP_FLOOR = 5.0  # incremental maintenance vs from-scratch refit
+SPEEDUP_FLOOR = 1.25  # incremental maintenance vs from-scratch refit
 PARITY_TOL = 1e-8
 RPS_FLOOR = 25.0  # deliberately conservative; CI tracks the trajectory JSON
 
@@ -108,8 +112,9 @@ def refit_from_scratch(base, other, matches, config):
     """The full refit a delta forces without incremental maintenance.
 
     This is exactly the session's rebuild fallback: entity resolution,
-    ``integrate_tables``, the key occurrence index, a fresh Gram, and the
-    normal-equation solve — everything incremental maintenance amortizes.
+    ``integrate_tables``, a fresh Gram, and the normal-equation solve —
+    everything incremental maintenance amortizes except the one
+    ``resolve_index`` call an append also makes.
     """
     session = DatasetSession(base, other, config, column_matches=matches)
     model = session.train(TrainRequest(model=ModelSpec(task="regression")))

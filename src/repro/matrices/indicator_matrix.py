@@ -50,8 +50,8 @@ class IndicatorMatrix:
         self._fully_mapped = bool(self._mapped_mask.all()) if compressed.size else True
         # Injective = no source row is referenced by two target rows (a 1:1
         # join); enables the fast scatter path in apply_transpose().
-        self._injective = (
-            np.unique(self._mapped_source_indices).size == self._mapped_source_indices.size
+        self._injective = bool(
+            (np.bincount(self._mapped_source_indices, minlength=n_source_rows) <= 1).all()
         )
 
     # -- shapes ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.metadata.catalog import MetadataCatalog
-from repro.metadata.entity_resolution import KeyBasedResolver, RowMatch
+from repro.metadata.entity_resolution import KeyBasedResolver, RowMatch, declared_key_pairs
 from repro.metadata.schema_matching import ColumnMatch, HybridMatcher, SchemaMatcher
 from repro.relational.table import Table
 from repro.relational.types import is_null
@@ -110,11 +110,7 @@ class DataDiscovery:
     def _align_rows(
         self, base: Table, candidate: Table, column_matches: Sequence[ColumnMatch]
     ) -> List[RowMatch]:
-        shared_keys = [
-            (column.name, column.name)
-            for column in base.schema.key_columns
-            if column.name in candidate.schema
-        ]
+        shared_keys = declared_key_pairs(base, candidate)
         if shared_keys:
             return KeyBasedResolver(shared_keys).resolve(base, candidate)
         # Fall back to exact equality on the best-scoring matched column pair.

@@ -36,6 +36,16 @@ class RowMatch:
     score: float
 
 
+def declared_key_pairs(left: Table, right: Table) -> List[Tuple[str, str]]:
+    """The key columns ``left`` declares that ``right`` also has, as
+    same-named (left_column, right_column) pairs; empty when none is shared."""
+    return [
+        (column.name, column.name)
+        for column in left.schema.key_columns
+        if column.name in right.schema
+    ]
+
+
 class EntityResolver:
     """Base class for entity resolvers producing 1:1 row matches."""
 
@@ -57,11 +67,7 @@ class KeyBasedResolver(EntityResolver):
     def _resolve_key_pairs(self, left: Table, right: Table) -> List[Tuple[str, str]]:
         if self.key_pairs:
             return self.key_pairs
-        pairs = [
-            (column.name, column.name)
-            for column in left.schema.key_columns
-            if column.name in right.schema
-        ]
+        pairs = declared_key_pairs(left, right)
         if not pairs:
             raise MatchingError(
                 "KeyBasedResolver needs key_pairs or declared key columns shared by both tables"
@@ -376,11 +382,9 @@ def resolve_entities(
     """
     if resolver is not None:
         return resolver.resolve(left, right)
-    shared_keys = [
-        column.name for column in left.schema.key_columns if column.name in right.schema
-    ]
-    if shared_keys:
-        return KeyBasedResolver([(k, k) for k in shared_keys]).resolve(left, right)
+    key_pairs = declared_key_pairs(left, right)
+    if key_pairs:
+        return KeyBasedResolver(key_pairs).resolve(left, right)
     if not column_matches:
         raise MatchingError(
             "resolve_entities needs declared keys or column matches to compare rows"

@@ -24,11 +24,14 @@ scenario's target-row ordering allows it:
   matrix's :class:`~repro.factorized.operator_plan.GramCache`, so the next
   normal-equation solve is a cache hit.
 
-Join matching mirrors ``KeyBasedResolver.resolve_index`` exactly (the
-greedy 1:1 hash join: the k-th left occurrence of a key pairs with the
-k-th right occurrence; NULL keys never match) via per-key occurrence
-lists, so an incrementally maintained session is bit-compatible with a
-from-scratch rebuild — the parity tests assert ≤1e-8 agreement.
+Appended rows are matched by the resolver the rebuild calls:
+``KeyBasedResolver.resolve_index`` over the grown table, read off at the
+appended row indices. Its greedy 1:1 rule pairs the k-th occurrence of a
+key on one side with the k-th on the other (NULL keys never match), and
+rows appended at the end are the last occurrences of their keys, so they
+can never disturb an existing pair on either side — the maintained row
+matches are the rebuild's by construction, and the parity tests assert
+≤1e-8 agreement of everything derived from them.
 
 Deltas the incremental rules cannot express (deletes, key/validity
 changes, target-order-breaking appends) and sessions past their staleness
@@ -60,8 +63,7 @@ from repro import telemetry as _telemetry
 from repro.exceptions import ServiceError, StaleDatasetError
 from repro.telemetry import flight as _flight
 from repro.factorized.normalized_matrix import AmalurMatrix
-from repro.learning.linear_regression import LinearRegression
-from repro.learning.logistic_regression import LogisticRegression
+from repro.learning.gd import sigmoid
 from repro.matrices.builder import (
     IntegratedDataset,
     integrate_tables,
@@ -70,11 +72,16 @@ from repro.matrices.builder import (
     target_row_values,
 )
 from repro.matrices.redundancy_matrix import RedundancyMatrix
-from repro.metadata.entity_resolution import KeyBasedResolver, resolve_entities
+from repro.metadata.entity_resolution import (
+    KeyBasedResolver,
+    declared_key_pairs,
+    resolve_entities,
+)
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import match_schemas
 from repro.relational.table import Table
 from repro.serving.deltas import append_rows, delete_rows, update_rows
+from repro.system.executor import supervised_learner
 from repro.system.plan import ModelHandle, ModelSpec
 from repro.system.requests import (
     DeltaBatch,
@@ -215,12 +222,7 @@ class DatasetSession:
         self._base_name = base.name
         self._other_name = other.name
         self._tables: Dict[str, Table] = {base.name: base, other.name: other}
-        shared_keys = [
-            column.name for column in base.schema.key_columns if column.name in other.schema
-        ]
-        self._key_pairs: Optional[List[Tuple[str, str]]] = (
-            [(k, k) for k in shared_keys] if shared_keys else None
-        )
+        self._key_pairs: List[Tuple[str, str]] = declared_key_pairs(base, other)
         self._lock = threading.RLock()
         self._models: Dict[str, SessionModel] = {}
         self._version = 0
@@ -347,7 +349,7 @@ class DatasetSession:
             + model.intercept_
         )
         if model.task == "classification":
-            return 1.0 / (1.0 + np.exp(-scores))
+            return sigmoid(scores)
         return scores
 
     # =====================================================================================
@@ -399,7 +401,6 @@ class DatasetSession:
         complement = other_factor.redundancy.to_sparse_complement().tocoo()
         self._comp_rows = _GrowBuffer(np.asarray(complement.row, dtype=np.int64))
         self._comp_cols = _GrowBuffer(np.asarray(complement.col, dtype=np.int64))
-        self._rebuild_key_index()
         self._precompute_overlap()
         matrix = AmalurMatrix(dataset)
         self._gram = np.array(matrix.crossprod())  # writable maintained copy
@@ -454,71 +455,6 @@ class DatasetSession:
             name=self.config.name,
             backend=self._state.dataset.backend,
         )
-
-    # -- key occurrence index ---------------------------------------------------------------
-    def _rebuild_key_index(self) -> None:
-        """Per-key ordered row lists mirroring the greedy 1:1 hash join."""
-        self._left_by_key: Dict[object, List[int]] = {}
-        self._right_by_key: Dict[object, List[int]] = {}
-        if not self._key_pairs:
-            return
-        base = self._tables[self._base_name]
-        other = self._tables[self._other_name]
-        for row, key in enumerate(self._keys_for(base, True, np.arange(base.n_rows))):
-            if key is not None:
-                self._left_by_key.setdefault(key, []).append(row)
-        for row, key in enumerate(self._keys_for(other, False, np.arange(other.n_rows))):
-            if key is not None:
-                self._right_by_key.setdefault(key, []).append(row)
-
-    def _keys_for(self, table: Table, is_base: bool, rows: np.ndarray) -> List[object]:
-        """Hashable key per row (None when any key cell is NULL)."""
-        if not self._key_pairs:
-            return [None] * len(rows)
-        columns = [pair[0] if is_base else pair[1] for pair in self._key_pairs]
-        values = [table.column_values(c) for c in columns]
-        valids = [table.column_valid(c) for c in columns]
-        keys: List[object] = []
-        for row in np.asarray(rows, dtype=np.int64):
-            parts = []
-            for value_array, valid_array in zip(values, valids):
-                if not valid_array[row]:
-                    parts = None
-                    break
-                cell = value_array[row]
-                parts.append(cell.item() if isinstance(cell, np.generic) else cell)
-            if parts is None:
-                keys.append(None)
-            else:
-                keys.append(parts[0] if len(parts) == 1 else tuple(parts))
-        return keys
-
-    def _index_new_rows(self, is_base: bool, rows: np.ndarray, keys: List[object]) -> None:
-        index = self._left_by_key if is_base else self._right_by_key
-        for row, key in zip(np.asarray(rows, dtype=np.int64), keys):
-            if key is not None:
-                index.setdefault(key, []).append(int(row))
-
-    def _plan_matches(self, is_base: bool, keys: List[object]) -> np.ndarray:
-        """Greedy 1:1 partner per new row (-1 unmatched), dicts untouched.
-
-        Mirrors ``KeyBasedResolver.resolve_index``: the occurrence index of
-        a new row on its own side selects the partner at the same index on
-        the other side's per-key ordered list.
-        """
-        own = self._left_by_key if is_base else self._right_by_key
-        partner = self._right_by_key if is_base else self._left_by_key
-        matches = np.full(len(keys), -1, dtype=np.int64)
-        extra: Dict[object, int] = {}
-        for position, key in enumerate(keys):
-            if key is None:
-                continue
-            occurrence = len(own.get(key, ())) + extra.get(key, 0)
-            extra[key] = extra.get(key, 0) + 1
-            candidates = partner.get(key, ())
-            if occurrence < len(candidates):
-                matches[position] = candidates[occurrence]
-        return matches
 
     # -- overlap (redundancy) bookkeeping ---------------------------------------------------
     def _precompute_overlap(self) -> None:
@@ -615,8 +551,17 @@ class DatasetSession:
                 {batch.table: new_table}, "similarity-based resolution"
             )
 
-        keys = self._keys_for(new_table, is_base, new_rows)
-        matches = self._plan_matches(is_base, keys)
+        # The rebuild's resolver over the grown table: appended rows are the
+        # last occurrences of their keys, so every existing pair is unchanged
+        # and the pairs at index >= the old row count are the new matches.
+        grown = {**self._tables, batch.table: new_table}
+        pairs = KeyBasedResolver(self._key_pairs).resolve_index(
+            grown[self._base_name], grown[self._other_name]
+        )
+        own_rows, partner_rows = pairs if is_base else pairs[::-1]
+        appended = own_rows >= table.n_rows
+        matches = np.full(new_rows.size, -1, dtype=np.int64)
+        matches[own_rows[appended] - table.n_rows] = partner_rows[appended]
 
         # -- decide whether the scenario's target order survives an append --
         reason = None
@@ -670,13 +615,8 @@ class DatasetSession:
             )
 
         # -- commit ----------------------------------------------------------
-        old_state = self._state
-        old_n_target = old_state.dataset.n_target_rows
-        v_old = (
-            target_row_values(old_state.dataset, fill_targets)
-            if fill_targets.size
-            else None
-        )
+        old_n_target = self._state.dataset.n_target_rows
+        values_before = target_row_values(self._state.dataset, fill_targets)
 
         self._tables[batch.table] = new_table
         template = self._base_template if is_base else self._other_template
@@ -684,17 +624,12 @@ class DatasetSession:
         data_buffer.append(
             self._matrix_rows(new_table, template.source_columns, new_rows)
         )
-        self._index_new_rows(is_base, new_rows, keys)
 
         if fill_targets.size:
             self._other_ci.set_rows(fill_targets, fill_other)
         if n_appended:
-            if is_base:
-                self._base_ci.append(append_base)
-                self._other_ci.append(append_other)
-            else:
-                self._base_ci.append(append_base)
-                self._other_ci.append(append_other)
+            self._base_ci.append(append_base)
+            self._other_ci.append(append_other)
         new_targets = np.arange(old_n_target, old_n_target + n_appended, dtype=np.int64)
 
         # Complement growth: appended target rows fed by both sources, plus
@@ -713,33 +648,51 @@ class DatasetSession:
                 self._comp_rows.append(rows)
                 self._comp_cols.append(cols)
 
-        dataset = self._assemble_incremental(old_n_target + n_appended)
+        return self._commit_incremental(
+            old_n_target + n_appended, fill_targets, values_before, new_targets, n_changed
+        )
 
-        # Rank-k statistics maintenance.
-        if fill_targets.size:
-            v_new = target_row_values(dataset, fill_targets)
-            self._gram += v_new.T @ v_new - v_old.T @ v_old
-            colsums_delta = v_new.sum(axis=0) - v_old.sum(axis=0)
-        else:
-            colsums_delta = 0.0
-        if n_appended:
-            v_app = target_row_values(dataset, new_targets)
-            self._gram += v_app.T @ v_app
-            colsums_delta = colsums_delta + v_app.sum(axis=0)
+    def _commit_incremental(
+        self,
+        n_target: int,
+        replaced_rows: np.ndarray,
+        values_before: np.ndarray,
+        appended_rows: np.ndarray,
+        n_changed: int,
+    ) -> Dict[str, object]:
+        """Publish the buffers' current contents as the next version.
 
+        ``replaced_rows`` are the existing target rows whose values changed
+        (``values_before`` holds them as last published), ``appended_rows``
+        the new ones at the end of the target order; the Gram and the column
+        sums follow by rank-k updates and seed the new matrix's Gram cache.
+        """
+        colsums = self._state.colsums
+        dataset = self._assemble_incremental(n_target)
+        if replaced_rows.size:
+            after = target_row_values(dataset, replaced_rows)
+            self._gram += after.T @ after - values_before.T @ values_before
+            colsums = colsums + after.sum(axis=0) - values_before.sum(axis=0)
+        if appended_rows.size:
+            appended = target_row_values(dataset, appended_rows)
+            self._gram += appended.T @ appended
+            colsums = colsums + appended.sum(axis=0)
         matrix = AmalurMatrix(dataset)
         matrix.gram_cache.seed(self._gram)
-        self._publish(dataset, matrix, old_state.colsums + colsums_delta)
+        self._publish(dataset, matrix, colsums)
         self._changed_rows += n_changed
         self.incremental_applied += 1
         if _telemetry.ENABLED:
             _telemetry.counter_add("serving.incremental_deltas")
+        return self._incremental_summary(int(appended_rows.size), int(replaced_rows.size))
+
+    def _incremental_summary(self, appended: int, filled: int) -> Dict[str, object]:
         return {
             "mode": "incremental",
             "version": self._version,
-            "appended_target_rows": n_appended,
-            "filled_target_rows": int(fill_targets.size),
-            "n_target_rows": dataset.n_target_rows,
+            "appended_target_rows": appended,
+            "filled_target_rows": filled,
+            "n_target_rows": self._state.dataset.n_target_rows,
         }
 
     # -- updates ---------------------------------------------------------------------------
@@ -768,13 +721,7 @@ class DatasetSession:
             # Only unmapped (non-target) columns changed: the factorized
             # representation is untouched, no new version to publish.
             self._tables[batch.table] = new_table
-            return {
-                "mode": "incremental",
-                "version": self._version,
-                "filled_target_rows": 0,
-                "appended_target_rows": 0,
-                "n_target_rows": self._state.dataset.n_target_rows,
-            }
+            return self._incremental_summary(0, 0)
 
         indices = np.asarray(batch.row_indices, dtype=np.int64)
         ci = (self._base_ci if is_base else self._other_ci).view()
@@ -784,8 +731,7 @@ class DatasetSession:
                 {batch.table: new_table}, "staleness threshold exceeded"
             )
 
-        old_state = self._state
-        v_old = target_row_values(old_state.dataset, affected)
+        values_before = target_row_values(self._state.dataset, affected)
 
         self._tables[batch.table] = new_table
         data_buffer = self._base_data if is_base else self._other_data
@@ -797,25 +743,10 @@ class DatasetSession:
             )
         data_buffer.set_rows(indices, block)
 
-        dataset = self._assemble_incremental(old_state.dataset.n_target_rows)
-        v_new = target_row_values(dataset, affected)
-        self._gram += v_new.T @ v_new - v_old.T @ v_old
-        matrix = AmalurMatrix(dataset)
-        matrix.gram_cache.seed(self._gram)
-        self._publish(
-            dataset, matrix, old_state.colsums + v_new.sum(axis=0) - v_old.sum(axis=0)
+        return self._commit_incremental(
+            self._state.dataset.n_target_rows, affected, values_before,
+            np.empty(0, dtype=np.int64), int(affected.size),
         )
-        self._changed_rows += int(affected.size)
-        self.incremental_applied += 1
-        if _telemetry.ENABLED:
-            _telemetry.counter_add("serving.incremental_deltas")
-        return {
-            "mode": "incremental",
-            "version": self._version,
-            "filled_target_rows": int(affected.size),
-            "appended_target_rows": 0,
-            "n_target_rows": dataset.n_target_rows,
-        }
 
     # -- deletes ---------------------------------------------------------------------------
     def _apply_delete(self, batch: DeltaBatch) -> Dict[str, object]:
@@ -836,44 +767,19 @@ class DatasetSession:
             )
         if dataset.label_column is None:
             raise ServiceError(f"{spec.task} training requires a label column")
-        target_columns = dataset.target_columns
-        label_index = target_columns.index(dataset.label_column)
-        feature_indices = [i for i in range(len(target_columns)) if i != label_index]
+        solver = str(spec.hyperparameters.get("solver", "normal"))
+        if spec.task == "regression" and solver == "normal":
+            return self._fit_normal_from_stats(state, spec, name)
         cached = self._models.get(name)
         warm = request.warm_start and cached is not None and cached.task == spec.task
-
-        if spec.task == "regression":
-            solver = str(spec.hyperparameters.get("solver", "normal"))
-            if solver == "normal":
-                return self._fit_normal_from_stats(
-                    state, spec, name, label_index, feature_indices
-                )
-            model = LinearRegression(
-                solver="gd",
-                learning_rate=spec.learning_rate,
-                n_iterations=spec.n_iterations,
-                l2_penalty=spec.l2_penalty,
-                warm_start=warm,
-            )
-            loss_name = "mse_loss"
-        else:
-            model = LogisticRegression(
-                learning_rate=spec.learning_rate,
-                n_iterations=spec.n_iterations,
-                l2_penalty=spec.l2_penalty,
-                warm_start=warm,
-            )
-            loss_name = "log_loss"
-        if warm:
-            model.coef_ = np.array(cached.coef_)
-            # read by the logistic learner; the linear one recomputes its own
-            model.intercept_ = float(cached.intercept_)
+        model = supervised_learner(spec, cached if warm else None)
         try:
             model.fit(state.matrix.feature_matrix_view(), state.matrix.labels())
         except ValueError as error:
             # Learner complaints (non-binary labels, shape mismatches) leave
             # the session as ServiceError, like every other refusal here.
             raise ServiceError(str(error)) from error
+        loss_name = "mse_loss" if spec.task == "regression" else "log_loss"
         return SessionModel(
             handle=ModelHandle(name=name, task=spec.task, dataset=dataset.name),
             task=spec.task,
@@ -887,12 +793,7 @@ class DatasetSession:
         )
 
     def _fit_normal_from_stats(
-        self,
-        state: _SessionState,
-        spec: ModelSpec,
-        name: str,
-        label_index: int,
-        feature_indices: List[int],
+        self, state: _SessionState, spec: ModelSpec, name: str
     ) -> SessionModel:
         """Closed-form normal-equation solve from the maintained statistics.
 
@@ -907,7 +808,10 @@ class DatasetSession:
         n_rows = dataset.n_target_rows
         if n_rows == 0:
             raise ServiceError("cannot train on an empty target")
-        features = np.asarray(feature_indices, dtype=np.intp)
+        label_index = dataset.target_columns.index(dataset.label_column)
+        features = np.asarray(
+            [i for i in range(len(dataset.target_columns)) if i != label_index], dtype=np.intp
+        )
         y_mean = state.colsums[label_index] / n_rows
         moment = gram[features, label_index] - y_mean * state.colsums[features]
         system = gram[np.ix_(features, features)]

@@ -134,15 +134,7 @@ class Amalur:
         """
         from repro.serving.session import DatasetSession
 
-        base = self.catalog.table(config.base)
-        other = self.catalog.table(config.other)
-        column_matches = match_schemas(base, other, matcher=self.matcher)
-        self.catalog.record_column_matches(config.base, config.other, column_matches)
-        mapping = build_scenario_mapping(
-            base, other, column_matches, config.target_columns, config.scenario,
-            target_name=config.name,
-        )
-        self.catalog.record_schema_mapping(config.base, config.other, mapping)
+        base, other, column_matches = self._match_sources(config)
         return DatasetSession(
             base, other, config, column_matches=column_matches, **session_options
         )
@@ -274,17 +266,22 @@ class Amalur:
     def network(self) -> SimulatedNetwork:
         return self.orchestrator.network
 
-    def _resolve_sources(self, config: IntegrationConfig):
-        """Catalog lookup + DI metadata derivation and recording."""
+    def _match_sources(self, config: IntegrationConfig):
+        """Catalog lookup, schema matching and mapping, recorded in the catalog."""
         base = self.catalog.table(config.base)
         other = self.catalog.table(config.other)
         column_matches = match_schemas(base, other, matcher=self.matcher)
         self.catalog.record_column_matches(config.base, config.other, column_matches)
-        row_matches = resolve_entities(base, other, column_matches=column_matches)
-        self.catalog.record_row_matches(config.base, config.other, row_matches)
         mapping = build_scenario_mapping(
             base, other, column_matches, config.target_columns, config.scenario,
             target_name=config.name,
         )
         self.catalog.record_schema_mapping(config.base, config.other, mapping)
+        return base, other, column_matches
+
+    def _resolve_sources(self, config: IntegrationConfig):
+        """:meth:`_match_sources` plus entity resolution (recorded likewise)."""
+        base, other, column_matches = self._match_sources(config)
+        row_matches = resolve_entities(base, other, column_matches=column_matches)
+        self.catalog.record_row_matches(config.base, config.other, row_matches)
         return base, other, column_matches, row_matches

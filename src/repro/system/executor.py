@@ -25,6 +25,32 @@ from repro.silos.orchestrator import Orchestrator
 from repro.system.plan import ExecutionPlan, ModelSpec, TrainingResult
 
 
+def supervised_learner(spec: ModelSpec, warm_from: Optional[object] = None):
+    """The unfitted gradient-descent learner a supervised :class:`ModelSpec` names.
+
+    ``"classification"`` is :class:`LogisticRegression`, ``"regression"``
+    :class:`LinearRegression` on its default ``solver="gd"``, both with the
+    spec's learning rate, iteration count and L2 penalty. ``warm_from`` is
+    any trained model exposing ``coef_`` / ``intercept_``: the learner has
+    ``warm_start`` on and starts from those weights (from zeros, by its own
+    check, when their size does not fit the features). The executor and the
+    serving session both fit through this factory.
+    """
+    learner = LogisticRegression if spec.task == "classification" else LinearRegression
+    model = learner(
+        learning_rate=spec.learning_rate,
+        n_iterations=spec.n_iterations,
+        l2_penalty=spec.l2_penalty,
+        warm_start=warm_from is not None,
+    )
+    previous_coef = getattr(warm_from, "coef_", None)
+    if previous_coef is not None:
+        model.coef_ = np.array(previous_coef)
+        # read by the logistic learner; the linear one recomputes its own
+        model.intercept_ = float(getattr(warm_from, "intercept_", 0.0))
+    return model
+
+
 class Executor:
     """Runs plans produced by :class:`repro.system.optimizer.Optimizer`."""
 
@@ -104,40 +130,27 @@ class Executor:
         self, operand, labels, model_spec: ModelSpec, warm_start_from=None
     ):
         task = model_spec.task
-        if task == "classification":
+        if task in ("classification", "regression"):
             if labels is None:
-                raise PlanError("classification requires a label column")
-            model = LogisticRegression(
-                learning_rate=model_spec.learning_rate,
-                n_iterations=model_spec.n_iterations,
-                l2_penalty=model_spec.l2_penalty,
-                warm_start=warm_start_from is not None,
-            )
-            self._seed_weights(model, warm_start_from)
-            model = self._fit_wrapped(model, operand, labels)
+                raise PlanError(f"{task} requires a label column")
+            model = supervised_learner(model_spec, warm_start_from)
+            try:
+                model.fit(operand, labels)
+            except ValueError as error:
+                # Learner complaints (bad labels, shape mismatches) leave the
+                # facade as PlanError, inside the repro exception hierarchy.
+                raise PlanError(str(error)) from error
             predictions = model.predict(operand)
-            metrics = {
-                "accuracy": accuracy_score(labels, predictions),
-                "log_loss": model.loss_history_[-1] if model.loss_history_ else float("nan"),
-            }
-            return model, metrics, predictions
-        if task == "regression":
-            if labels is None:
-                raise PlanError("regression requires a label column")
-            model = LinearRegression(
-                solver="gd",
-                learning_rate=model_spec.learning_rate,
-                n_iterations=model_spec.n_iterations,
-                l2_penalty=model_spec.l2_penalty,
-                warm_start=warm_start_from is not None,
-            )
-            self._seed_weights(model, warm_start_from)
-            model = self._fit_wrapped(model, operand, labels)
-            predictions = model.predict(operand)
-            metrics = {
-                "mse": mean_squared_error(labels, predictions),
-                "r2": r2_score(labels, predictions),
-            }
+            if task == "classification":
+                metrics = {
+                    "accuracy": accuracy_score(labels, predictions),
+                    "log_loss": model.loss_history_[-1] if model.loss_history_ else float("nan"),
+                }
+            else:
+                metrics = {
+                    "mse": mean_squared_error(labels, predictions),
+                    "r2": r2_score(labels, predictions),
+                }
             return model, metrics, predictions
         if task == "clustering":
             model = KMeans(
@@ -150,26 +163,6 @@ class Executor:
             ).fit(operand)
             return model, {"reconstruction_error": model.reconstruction_error_}, None
         raise PlanError(f"unknown task {task!r}")
-
-    @staticmethod
-    def _seed_weights(model, warm_start_from) -> None:
-        """Copy weights from a compatible previous model of the same class."""
-        if warm_start_from is None or not isinstance(warm_start_from, type(model)):
-            return
-        previous_coef = getattr(warm_start_from, "coef_", None)
-        if previous_coef is not None:
-            model.coef_ = np.array(previous_coef)
-            model.intercept_ = float(getattr(warm_start_from, "intercept_", 0.0))
-
-    @staticmethod
-    def _fit_wrapped(model, operand, labels):
-        """Fit, translating learner ``ValueError``\\ s (bad labels, shape
-        mismatches) into :class:`PlanError` so the facade raises only from
-        the repro exception hierarchy."""
-        try:
-            return model.fit(operand, labels)
-        except ValueError as error:
-            raise PlanError(str(error)) from error
 
     # -- federated strategy --------------------------------------------------------------
     def _execute_federated(self, plan: ExecutionPlan) -> TrainingResult:

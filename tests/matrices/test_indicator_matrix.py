@@ -50,6 +50,28 @@ class TestStructure:
         with pytest.raises(MappingError):
             IndicatorMatrix("S", 2, 2, [-2, 0])  # invalid negative
 
+    @pytest.mark.parametrize(
+        "n_source_rows, compressed, injective",
+        [
+            (3, [], True),  # empty CI_k
+            (0, [], True),  # no source rows at all
+            (0, [-1, -1], True),
+            (4, [-1, -1, -1], True),  # nothing mapped
+            (2, [0, 0, 1, 1, 1], False),  # many-to-one join
+            (4, [3, -1, 0, -1], True),  # a 1:1 join with gaps on both sides
+            (4, [3, -1, 0, 3], False),
+        ],
+    )
+    def test_is_injective(self, n_source_rows, compressed, injective):
+        indicator = IndicatorMatrix("S", len(compressed), n_source_rows, compressed)
+        assert indicator.is_injective is injective
+        # injectivity is "no source row appears twice among the mapped entries"
+        mapped = [j for j in compressed if j >= 0]
+        assert injective == (len(set(mapped)) == len(mapped))
+        scattered = indicator.apply_transpose(np.ones((len(compressed), 1)))
+        assert scattered.shape == (n_source_rows, 1)
+        assert scattered.sum() == len(mapped)
+
 
 class TestApply:
     def test_apply_equals_dense_multiplication(self, ci2, rng):

@@ -1,17 +1,22 @@
 """Incremental factor maintenance must be bit-compatible with rebuilds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.costmodel.decision import Decision
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
 from repro.exceptions import ServiceError, StaleDatasetError
+from repro.learning.logistic_regression import LogisticRegression
 from repro.matrices.builder import integrate_tables
 from repro.metadata.entity_resolution import KeyBasedResolver
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import ColumnMatch
 from repro.relational.table import Table
 from repro.serving import DatasetSession
-from repro.system.plan import ModelSpec
+from repro.system.executor import Executor
+from repro.system.plan import ExecutionPlan, ModelSpec
 from repro.system.requests import DeltaBatch, IntegrationConfig, PredictRequest, TrainRequest
 
 JOIN_SCENARIOS = [
@@ -318,3 +323,62 @@ class TestSessionModels:
         assert np.array_equal(window, full[5:12])
         with pytest.raises(ServiceError):
             session.predict(PredictRequest(row_range=(0, session.n_target_rows + 1)))
+
+    def test_classification_predict_is_the_learners_sigmoid_at_both_tails(self):
+        """One ``sigmoid``: a feature scaled by 1 000 drives scores past
+        ±700, where ``1 / (1 + exp(-s))`` overflows and ``gd.sigmoid`` does not."""
+        rng = np.random.default_rng(0)
+        n = 200
+        x = np.round(rng.standard_normal(n), 4) * 1000.0
+        base = Table.from_dict(
+            "S1",
+            {"id": list(range(n)), "label": (x > 0).astype(int).tolist(), "x": x.tolist()},
+            id={"is_key": True},
+        )
+        other = Table.from_dict(
+            "S2",
+            {"id": list(range(n)), "z": np.round(rng.standard_normal(n), 4).tolist()},
+            id={"is_key": True},
+        )
+        config = IntegrationConfig(
+            base="S1", other="S2", target_columns=["label", "x", "z"],
+            scenario=ScenarioType.LEFT_JOIN, label_column="label",
+        )
+        session = DatasetSession(
+            base, other, config, column_matches=[ColumnMatch("S1", "id", "S2", "id", 1.0)]
+        )
+        model = session.train(TrainRequest(
+            model=ModelSpec("classification", n_iterations=50, learning_rate=1.0)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            served = session.predict(PredictRequest())
+        learner = LogisticRegression()
+        learner.coef_, learner.intercept_ = model.coef_, model.intercept_
+        features = session.matrix.feature_matrix_view()
+        scores = features.lmm(model.coef_[:, None])[:, 0] + model.intercept_
+        assert scores.min() < -710 and scores.max() > 710  # exp overflows float64 there
+        assert np.array_equal(served, learner.predict_proba(features))
+        assert served.min() == 0.0 and served.max() == 1.0
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_session_gd_is_the_executor_gd(self, task):
+        """Session and executor fit through one learner factory: the same
+        spec over the same factors gives the same weights, cold and warm."""
+        session = make_session(ScenarioType.LEFT_JOIN)
+        spec = ModelSpec(
+            task, n_iterations=25, learning_rate=0.05, l2_penalty=0.01,
+            hyperparameters={"solver": "gd"},
+        )
+        plan = ExecutionPlan(Decision.FACTORIZE, session.dataset, spec)
+        assert plan.backend is session.dataset.backend is None
+        executor = Executor()
+        previous = None
+        for warm in (False, True):
+            ours = session.train(TrainRequest(model=spec, warm_start=warm))
+            theirs = executor.execute(plan, warm_start_from=previous).model
+            assert ours.solver == "gd"
+            assert np.array_equal(ours.coef_, theirs.coef_)
+            assert ours.intercept_ == theirs.intercept_
+            assert theirs.warm_start is warm
+            previous = theirs

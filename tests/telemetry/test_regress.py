@@ -78,7 +78,7 @@ class TestCompare:
         fresh, baseline = tmp_path / "fresh", tmp_path / "baseline"
         fresh.mkdir(), baseline.mkdir()
         regressed = {
-            # Above the 3.0 floor, but far below 0.5 * the 20.0 baseline.
+            # Above the 1.25 floor, but far below 0.5 * the 20.0 baseline.
             "incremental": {"speedup": 4.0, "max_weight_err": 1e-16},
             "serving": {"post_delta_parity": 1e-16},
         }

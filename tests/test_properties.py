@@ -10,8 +10,10 @@ from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.exceptions import SchemaError
 from repro.factorized.normalized_matrix import AmalurMatrix
+from repro.matrices.builder import integrate_tables
 from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
+from repro.metadata.entity_resolution import KeyBasedResolver, declared_key_pairs
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import ColumnMatch
 from repro.metadata.similarity import (
@@ -29,7 +31,9 @@ from repro.relational.types import (
     infer_type,
     parse_cell,
 )
+from repro.serving import DatasetSession
 from repro.streaming import SpillStore, integrate_streams
+from repro.system.requests import DeltaBatch, IntegrationConfig
 
 # Bounded sizes keep each hypothesis example fast while still exploring the
 # structural space (scenario type, overlaps, redundancy axes, seeds).
@@ -225,6 +229,119 @@ class TestFactorBuild:
             assert_two_source_matches_dense(
                 dataset, base, other, matches, row_matches, scenario
             )
+
+
+# -- serving: appended rows matched by the rebuild's resolver ---------------------------------
+#: key shape -> per key column (base dtype, other dtype, non-NULL cells). The
+#: domains are small so keys repeat on both sides; appends draw from the same
+#: cells, so they re-use existing keys, introduce absent ones and carry NULLs.
+KEY_SHAPES = {
+    "int": {"id": (DataType.INT, DataType.INT, st.integers(0, 5))},
+    "int_vs_float": {"id": (DataType.INT, DataType.FLOAT, st.integers(0, 5))},
+    "string": {"id": (DataType.STRING, DataType.STRING, st.sampled_from(["a", "b", "cc", "d"]))},
+    "composite": {
+        "id": (DataType.INT, DataType.INT, st.integers(0, 2)),
+        "site": (DataType.STRING, DataType.STRING, st.sampled_from(["x", "y"])),
+    },
+}
+
+
+def keyed_rows(draw, shape, side, n_rows):
+    """Column payload for ``n_rows`` rows of the base (0) or other (1) table."""
+    rows = {
+        # one cell in four is NULL
+        key: draw(st.lists(
+            st.one_of(spec[2], spec[2], spec[2], st.none()), min_size=n_rows, max_size=n_rows
+        ))
+        for key, spec in KEY_SHAPES[shape].items()
+    }
+    floats = st.lists(nullable_floats, min_size=n_rows, max_size=n_rows)
+    if side == 0:
+        rows["label"] = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    rows["v"] = draw(floats)
+    rows["wz"[side]] = draw(floats)
+    return rows
+
+
+@st.composite
+def keyed_session_scripts(draw):
+    """Two keyed tables plus a random interleaving of base / other appends."""
+    shape = draw(st.sampled_from(sorted(KEY_SHAPES)))
+    tables = []
+    for side, name in enumerate("BO"):
+        rows = keyed_rows(draw, shape, side, draw(st.integers(1, 8)))
+        overrides = {column: {"dtype": DataType.FLOAT} for column in rows if column != "label"}
+        for key, spec in KEY_SHAPES[shape].items():
+            overrides[key] = {"dtype": spec[side], "is_key": True}
+        tables.append(Table.from_dict(name, rows, **overrides))
+    appends = [
+        DeltaBatch("BO"[side], "append", rows=keyed_rows(draw, shape, side, n_rows))
+        for side, n_rows in draw(st.lists(
+            st.tuples(st.integers(0, 1), st.integers(1, 4)), min_size=1, max_size=5
+        ))
+    ]
+    return tables[0], tables[1], appends
+
+
+def assert_session_is_the_rebuild(session):
+    """The maintained factors are ``integrate_tables`` over ``resolve_index``
+    of the session's current tables, and both are the dense oracle's."""
+    base, other, config = session.table("B"), session.table("O"), session.config
+    row_matches = KeyBasedResolver(declared_key_pairs(base, other)).resolve_index(base, other)
+    rebuilt = integrate_tables(
+        base, other, session.column_matches, row_matches,
+        config.target_columns, config.scenario, label_column=config.label_column,
+    )
+    assert session.n_target_rows == rebuilt.n_target_rows
+    for ours, theirs in zip(session.dataset.factors, rebuilt.factors):
+        assert np.array_equal(ours.data, theirs.data)
+        assert np.array_equal(ours.indicator.compressed, theirs.indicator.compressed)
+        assert ours.redundancy == theirs.redundancy
+    assert_two_source_matches_dense(
+        session.dataset, base, other, session.column_matches, row_matches, config.scenario
+    )
+    target = rebuilt.materialize()
+    assert np.allclose(session.matrix.crossprod(), target.T @ target, atol=1e-8)
+    assert np.allclose(session.matrix.column_sums(), target.sum(axis=0), atol=1e-8)
+    return row_matches
+
+
+class TestSessionAppendMatching:
+    """The session matches appended rows with the resolver its rebuild calls,
+    on the keys ``generate_scenario_tables`` never draws: duplicates on both
+    sides, NULLs, composite, INT-vs-FLOAT and STRING keys."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(script=keyed_session_scripts(), scenario=st.sampled_from(list(ScenarioType)))
+    def test_any_append_interleaving_is_the_rebuild(self, script, scenario):
+        base, other, appends = script
+        config = IntegrationConfig(
+            base="B", other="O", target_columns=["label", "v", "w", "z"],
+            scenario=scenario, label_column="label",
+        )
+        matches = [
+            ColumnMatch("B", column, "O", column, 1.0)
+            for column in [key for key, _ in declared_key_pairs(base, other)] + ["v"]
+        ]
+        session = DatasetSession(
+            base, other, config, column_matches=matches, staleness_threshold=float("inf")
+        )
+        assert_session_is_the_rebuild(session)
+        for batch in appends:
+            other_only_rows = session.dataset.factors[0].indicator.compressed < 0
+            n_other = session.table("O").n_rows
+            summary = session.apply_delta(batch)
+            _, matched_other = assert_session_is_the_rebuild(session)
+            if batch.table == "B":
+                absorbed = scenario is not ScenarioType.UNION and not (
+                    scenario is ScenarioType.FULL_OUTER_JOIN and other_only_rows.any()
+                )
+            else:
+                absorbed = not (
+                    scenario is ScenarioType.INNER_JOIN and (matched_other >= n_other).any()
+                )
+            assert summary["mode"] == ("incremental" if absorbed else "rebuild")
+            assert summary["n_target_rows"] == session.n_target_rows
 
 
 class TestCompressedRoundTrips:
