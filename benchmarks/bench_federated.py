@@ -97,7 +97,7 @@ def test_report_federated(report, benchmark):
     # Vertical FL: accuracy vs centralized, communication, encryption overhead.
     party_a, party_b, features, labels = _vfl_setup()
     central = LinearRegression(
-        solver="gd", learning_rate=LEARNING_RATE, n_iterations=N_ITERATIONS, fit_intercept=False
+        solver="gd", learning_rate=LEARNING_RATE, n_iterations=N_ITERATIONS
     ).fit(features, labels)
 
     import time

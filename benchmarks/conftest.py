@@ -1,7 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every table and figure of the paper's evaluation has one ``bench_*.py``
-module (see DESIGN.md §3). Each module contains:
+module (README.md says what each measures; what ``bench_federated.py``
+simulates and what it counts exactly is its "Federated learning" section).
+Each module contains:
 
 * pytest-benchmark micro-benchmarks timing the relevant operations, and
 * one ``test_report_*`` function that regenerates the table/figure rows the

@@ -9,11 +9,13 @@ patients and cannot export raw rows. The script:
    additively-homomorphic encryption layer, reporting the communication
    and encryption overheads (§V-B);
 3. verifies the federated model equals centralized training on the
-   (hypothetically) pooled data;
+   (hypothetically) pooled data, and exits non-zero when it does not;
 4. runs the horizontal (union / FedAvg) variant for completeness.
 
 Run with:  python examples/federated_learning.py
 """
+
+import sys
 
 import numpy as np
 
@@ -74,12 +76,15 @@ def vertical_example() -> None:
             hospital_b.aligned_features(alignment["hospital_b"]),
         ]
     )
-    central = LinearRegression(solver="gd", learning_rate=0.05, n_iterations=200,
-                               fit_intercept=False).fit(
+    central = LinearRegression(solver="gd", learning_rate=0.05, n_iterations=200).fit(
         pooled, hospital_a.aligned_labels(alignment["hospital_a"])
     )
     gap = np.max(np.abs(model.centralized_equivalent_weights() - central.coef_))
     print(f"  max |w_federated − w_centralized| = {gap:.2e}")
+    print(f"  |b_federated − b_centralized|     = "
+          f"{abs(model.intercept_ - central.intercept_):.2e}")
+    if gap > 1e-8:
+        sys.exit("the federated model is not the centralized model")
 
 
 def horizontal_example() -> None:

@@ -8,7 +8,8 @@ protocol structure — key pairs, ciphertext objects that only support
 addition and plaintext scaling, decryption only with the private key — and
 counts every operation so the encryption overhead of §V-B can be measured
 and reported, while the "ciphertext" internally stores a masked plaintext.
-This substitution is documented in DESIGN.md.
+What is simulated and what is exact (message flow, operation counts, byte
+counts) is listed in README.md, section "Federated learning".
 """
 
 from __future__ import annotations
@@ -22,25 +23,45 @@ from repro.exceptions import FederatedError
 
 Number = Union[int, float]
 
+#: Simulated wire size of one ciphertext: what CPython 3.11 reported for the
+#: per-element ciphertext object this module used to build, and the value
+#: every recorded ``bytes_transferred`` was taken with. A 2048-bit Paillier
+#: ciphertext is 512 B; re-pricing is the cost model's call (ROADMAP item 4d).
+CIPHERTEXT_BYTES = 24
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EncryptedNumber:
-    """A ciphertext under :class:`SimulatedPaillier`.
+    """A ciphertext under :class:`SimulatedPaillier`: one value, or one
+    float64 array holding a whole encrypted vector.
 
     Supports only what an additively homomorphic scheme supports: adding
     two ciphertexts from the same key pair, adding a plaintext, and
-    multiplying by a plaintext scalar.
+    multiplying by a plaintext scalar. Indexing an encrypted vector gives
+    the ciphertext of that element (or slice).
     """
 
     key_id: int
-    masked_value: float
+    masked_value: Union[float, np.ndarray]
+
+    @property
+    def size(self) -> int:
+        """How many values are sealed in here."""
+        return int(np.size(self.masked_value))
+
+    @property
+    def nbytes(self) -> int:
+        return self.size * CIPHERTEXT_BYTES
+
+    def __getitem__(self, index) -> "EncryptedNumber":
+        return EncryptedNumber(self.key_id, self.masked_value[index])
 
     def __add__(self, other: Union["EncryptedNumber", Number]) -> "EncryptedNumber":
         if isinstance(other, EncryptedNumber):
             if other.key_id != self.key_id:
                 raise FederatedError("cannot add ciphertexts from different key pairs")
-            return EncryptedNumber(self.key_id, self.masked_value + other.masked_value)
-        return EncryptedNumber(self.key_id, self.masked_value + float(other))
+            other = other.masked_value
+        return EncryptedNumber(self.key_id, self.masked_value + other)
 
     __radd__ = __add__
 
@@ -54,7 +75,7 @@ class EncryptedNumber:
 
 @dataclass
 class SimulatedPaillier:
-    """Additively homomorphic encryption stand-in with operation counters."""
+    """Additively homomorphic encryption stand-in; its counters count values, not calls."""
 
     key_id: int = field(default_factory=lambda: int(np.random.default_rng().integers(1, 2**31)))
     encryptions: int = field(default=0, init=False)
@@ -65,24 +86,26 @@ class SimulatedPaillier:
         self.encryptions += 1
         return EncryptedNumber(self.key_id, float(value))
 
-    def encrypt_vector(self, values: Sequence[Number]) -> List[EncryptedNumber]:
-        return [self.encrypt(v) for v in np.asarray(values, dtype=float).ravel()]
+    def encrypt_vector(self, values: Sequence[Number]) -> EncryptedNumber:
+        sealed = np.array(values, dtype=float).ravel()
+        self.encryptions += sealed.size
+        return EncryptedNumber(self.key_id, sealed)
 
-    def decrypt(self, ciphertext: EncryptedNumber) -> float:
+    def decrypt(self, ciphertext: EncryptedNumber) -> Union[float, np.ndarray]:
         if ciphertext.key_id != self.key_id:
             raise FederatedError("ciphertext was produced under a different key pair")
-        self.decryptions += 1
-        return ciphertext.masked_value
+        self.decryptions += ciphertext.size
+        return np.copy(ciphertext.masked_value)[()]  # never the ciphertext's own buffer
 
-    def decrypt_vector(self, ciphertexts: Sequence[EncryptedNumber]) -> np.ndarray:
-        return np.asarray([self.decrypt(c) for c in ciphertexts])
+    def decrypt_vector(self, ciphertexts: EncryptedNumber) -> np.ndarray:
+        return np.atleast_1d(self.decrypt(ciphertexts))
 
     def add(self, a: EncryptedNumber, b: Union[EncryptedNumber, Number]) -> EncryptedNumber:
-        self.homomorphic_ops += 1
+        self.homomorphic_ops += a.size
         return a + b
 
     def scale(self, a: EncryptedNumber, scalar: Number) -> EncryptedNumber:
-        self.homomorphic_ops += 1
+        self.homomorphic_ops += a.size
         return a * scalar
 
     @property

@@ -19,7 +19,8 @@ from repro import telemetry as _telemetry
 from repro.exceptions import FederatedError
 from repro.federated.encryption import gaussian_mechanism
 from repro.federated.party import Party
-from repro.learning.gd import LINKS, sigmoid
+from repro.learning.base import DenseMatrix
+from repro.learning.gd import LINKS, OneBlock, descend, sigmoid
 from repro.silos.network import SimulatedNetwork
 
 
@@ -116,13 +117,14 @@ class FederatedAveraging:
         return self
 
     def _local_update(self, party: Party, weights: np.ndarray) -> np.ndarray:
-        features, labels = party.data, party.labels
-        link = LINKS[self.model]
-        for _ in range(self.local_epochs):
-            _, errors = link(features @ weights, labels)
-            gradient = features.T @ errors / party.n_rows
-            weights = weights - self.learning_rate * gradient
-        return weights
+        view = OneBlock(DenseMatrix(party.data))
+        weights, _ = descend(
+            view, view.blocks, LINKS[self.model], party.labels, weights[:, None], 0.0,
+            learning_rate=self.learning_rate, n_iterations=self.local_epochs,
+            l2_penalty=0.0, learn_intercept=False, tolerance=0.0, loss_history=[],
+            loss_metric="federated.fedavg.local_loss",
+        )
+        return weights[:, 0]
 
     def _global_loss(self, parties: Sequence[Party], weights: np.ndarray, total_rows: int) -> float:
         link = LINKS[self.model]

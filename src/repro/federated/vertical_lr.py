@@ -6,20 +6,25 @@ The training objective is the one quoted in the paper from Yang et al.:
 
 where the per-party feature spaces are expressed through the DI matrices,
 ``X_k = I_k D_k M_kᵀ`` — i.e. the aligned rows of each silo's local data.
-The implementation follows the standard honest-but-curious protocol:
+Vertical FL is therefore the factorized block pass with a network between
+the factors: training is :func:`repro.learning.gd.descend`, the loop of
+every GD learner, under the standard honest-but-curious protocol:
 
 1. the parties run private entity alignment (PSI) to agree on the shared
-   sample space (this is where the indicator matrices come from);
-2. each round, every party computes its local partial prediction
-   ``u_k = X_k Θ_k``; passive parties send it encrypted to the active
-   (label-holding) party;
-3. the active party forms the (encrypted) residual and sends it to each
-   passive party, which computes its (encrypted, masked) gradient;
-4. the coordinator decrypts masked gradients, parties unmask and update.
+   sample space (this is where the indicator matrices come from); the
+   active (label-holding) party centres its labels — the intercept is
+   their mean and never leaves it;
+2. each round is one epoch, whose LMM is every party's partial prediction
+   ``u_k = X_k Θ_k``; passive parties send it encrypted to the active party;
+3. the epoch's transpose-LMM starts with the active party sending the
+   (encrypted) residual to each passive party, which computes its
+   (encrypted, masked) gradient ``X_kᵀ r``;
+4. the coordinator decrypts masked gradients, parties unmask and
+   ``descend`` takes the step.
 
 With encryption disabled the message flow is identical but in plaintext.
-Either way, the computed updates equal centralized full-batch gradient
-descent on the materialized inner-join target, which the tests assert.
+Either way the model, intercept included, is ``LinearRegression(solver="gd")``
+on the materialized inner-join target, which the tests assert.
 """
 
 from __future__ import annotations
@@ -34,9 +39,55 @@ from repro.exceptions import FederatedError
 from repro.federated.alignment import build_alignment
 from repro.federated.encryption import SimulatedPaillier
 from repro.federated.party import Party
+from repro.learning import gd
 from repro.silos.network import SimulatedNetwork
 
 _COORDINATOR = "coordinator"
+
+
+class _PartyBlocks:
+    """The aligned features ``[X_1 … X_q]`` as the one-block view
+    :func:`repro.learning.gd.descend` walks; what crosses a party boundary
+    goes over ``network``, sealed when a ``paillier`` is given."""
+
+    def __init__(self, names, features, active, network, paillier):
+        self.active, self.network, self.paillier = active, network, paillier
+        self.masks = np.random.default_rng(0)
+        bounds = np.cumsum([0] + [block.shape[1] for block in features])
+        self.parts = list(zip(names, features, bounds[:-1], bounds[1:]))
+        self.shape = (features[0].shape[0], int(bounds[-1]))
+        self.blocks = [(0, self.shape[0])]
+
+    def _seal(self, values: np.ndarray):
+        return self.paillier.encrypt_vector(values) if self.paillier else values
+
+    def lmm_block(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """``Σ_k X_k Θ_k``: passive parties ship their partial predictions
+        to the active party."""
+        scores = np.zeros((self.shape[0], 1))
+        for name, block, low, high in self.parts:
+            partial = block @ x[low:high]
+            if name != self.active:
+                self.network.send(name, self.active, "partial_prediction", self._seal(partial))
+            scores += partial
+        return scores
+
+    def transpose_lmm_add(self, x: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+        """``out += [X_1ᵀ r … X_qᵀ r]``: the active party broadcasts the
+        residual, each party computes its own gradient locally and the
+        coordinator decrypts the masked gradients of passive parties."""
+        for name, block, low, high in self.parts:
+            gradient = block.T @ x
+            if name != self.active:
+                self.network.send(self.active, name, "residual", self._seal(x))
+                if self.paillier:
+                    mask = self.masks.standard_normal(gradient.shape)
+                    masked = self.paillier.encrypt_vector(gradient + mask)
+                    self.network.send(name, _COORDINATOR, "masked_gradient", masked)
+                    decrypted = self.paillier.decrypt_vector(masked)
+                    self.network.send(_COORDINATOR, name, "decrypted_gradient", decrypted)
+                    gradient = decrypted[:, None] - mask
+            out[low:high] += gradient
 
 
 @dataclass
@@ -66,6 +117,7 @@ class VerticalFederatedLinearRegression:
     use_encryption: bool = True
     network: Optional[SimulatedNetwork] = None
     weights_: Dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    intercept_: float = field(default=0.0, init=False)
     report_: Optional[VFLTrainingReport] = field(default=None, init=False)
     _party_order: List[str] = field(default_factory=list, init=False)
 
@@ -97,12 +149,16 @@ class VerticalFederatedLinearRegression:
         if n_rows == 0:
             raise FederatedError("the parties share no entities; nothing to train on")
 
-        features = {p.name: p.aligned_features(alignment[p.name]) for p in parties}
-        labels = active.aligned_labels(alignment[active.name])
-        weights = {p.name: np.zeros(p.n_features) for p in parties}
         self._party_order = [p.name for p in parties]
-
+        features = [p.aligned_features(alignment[p.name]) for p in parties]
+        labels, self.intercept_ = gd.centre(active.aligned_labels(alignment[active.name]), True)
         report = VFLTrainingReport(n_aligned_rows=n_rows)
+        view = _PartyBlocks(
+            self._party_order, features, active.name, network,
+            paillier if self.use_encryption else None,
+        )
+        weights = np.zeros((view.shape[1], 1))
+
         with _telemetry.span(
             "train.federated.vertical_lr", parties=len(parties),
             rounds=self.n_iterations, aligned_rows=n_rows,
@@ -112,49 +168,17 @@ class VerticalFederatedLinearRegression:
                 with _telemetry.span(
                     "train.federated.vertical_lr.round", round=round_index
                 ):
-                    partials = {
-                        name: features[name] @ weights[name] for name in self._party_order
-                    }
-                    # Passive parties ship their partial predictions to the
-                    # active party.
-                    for party in parties:
-                        if party.name == active.name:
-                            continue
-                        payload = partials[party.name]
-                        if self.use_encryption:
-                            payload = paillier.encrypt_vector(payload)
-                        network.send(party.name, active.name, "partial_prediction", payload)
-
-                    residual = sum(partials.values()) - labels
-                    loss = float(np.mean(residual**2))
-                    report.loss_history.append(loss)
-
-                    # The active party broadcasts the (encrypted) residual; each
-                    # party computes its own gradient locally and the coordinator
-                    # decrypts the masked gradients of passive parties.
-                    for party in parties:
-                        gradient = features[party.name].T @ residual / n_rows
-                        if self.l2_penalty:
-                            gradient = gradient + self.l2_penalty * weights[party.name] / n_rows
-                        if party.name != active.name:
-                            residual_payload = (
-                                paillier.encrypt_vector(residual) if self.use_encryption else residual
-                            )
-                            network.send(active.name, party.name, "residual", residual_payload)
-                            if self.use_encryption:
-                                mask = np.random.default_rng(len(report.loss_history)).standard_normal(
-                                    gradient.shape
-                                )
-                                masked = paillier.encrypt_vector(gradient + mask)
-                                network.send(party.name, _COORDINATOR, "masked_gradient", masked)
-                                decrypted = paillier.decrypt_vector(masked)
-                                network.send(_COORDINATOR, party.name, "decrypted_gradient", decrypted)
-                                gradient = decrypted - mask
-                        weights[party.name] = weights[party.name] - self.learning_rate * gradient
+                    # One round is one epoch of the shared loop, resumed at ``round_index``.
+                    weights, _ = gd.descend(
+                        view, view.blocks, gd.squared_error_link, labels, weights, 0.0,
+                        learning_rate=self.learning_rate, n_iterations=round_index + 1,
+                        l2_penalty=self.l2_penalty, learn_intercept=False, tolerance=0.0,
+                        loss_history=report.loss_history,
+                        loss_metric="federated.vertical.loss", start_iteration=round_index,
+                    )
                 if _telemetry.ENABLED:
                     _telemetry.counter_add("federated.rounds")
                     _telemetry.counter_add("federated.vertical.rounds")
-                    _telemetry.observe("federated.vertical.loss", loss)
             fit_span.set(
                 final_loss=report.final_loss,
                 messages=network.n_messages,
@@ -165,8 +189,8 @@ class VerticalFederatedLinearRegression:
         report.bytes_transferred = network.total_bytes
         report.n_messages = network.n_messages
         report.encryption_operations = paillier.total_operations
-        report.weights = {name: w.copy() for name, w in weights.items()}
-        self.weights_ = weights
+        self.weights_ = {name: weights[low:high, 0] for name, _, low, high in view.parts}
+        report.weights = {name: w.copy() for name, w in self.weights_.items()}
         self.report_ = report
         return self
 
@@ -186,7 +210,7 @@ class VerticalFederatedLinearRegression:
                 raise FederatedError(f"party {party.name!r} did not participate in training")
             local = party.aligned_features(alignment[party.name]) @ self.weights_[party.name]
             prediction = local if prediction is None else prediction + local
-        return prediction
+        return prediction + self.intercept_
 
     def centralized_equivalent_weights(self) -> np.ndarray:
         """The concatenated weight vector, ordered like the training parties."""

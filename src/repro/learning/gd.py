@@ -1,15 +1,16 @@
-"""The one gradient-descent loop behind every GD learner.
+"""The one gradient-descent loop behind every GD learner, federated ones included.
 
 A GD iteration touches the data through one LMM and one transpose-LMM
 (paper §IV), so :class:`~repro.learning.LinearRegression` (``solver="gd"``),
-:class:`~repro.learning.LogisticRegression` and
-:class:`~repro.learning.StreamingGD` differ only in the *link* that turns
-scores into errors and in the block grid they walk: :func:`descend` maps
-one block piece over that grid with ``parallel.imap_ordered`` and reduces
-the partials in block order on the calling thread. One worker is the plain
-loop of the same map and a resident operand is the one-block grid
-(:class:`OneBlock`), so the weights depend on the grid only — any worker
-count, one included, gives the same bits.
+:class:`~repro.learning.LogisticRegression`,
+:class:`~repro.learning.StreamingGD`, a vertical-FL round (§V-A: the block
+view puts the network between the parties' factors) and FedAvg's local
+epochs differ only in the *link* that turns scores into errors and in the
+block grid they walk: :func:`descend` maps one block piece over that grid
+with ``parallel.imap_ordered`` and reduces the partials in block order on
+the calling thread. One worker is the plain loop of the same map and a
+resident operand is the one-block grid (:class:`OneBlock`), so the weights
+depend on the grid only — any worker count, one included, gives the same bits.
 """
 
 from __future__ import annotations

@@ -71,8 +71,6 @@ class SimulatedNetwork:
             )
         if hasattr(payload, "nbytes"):
             return int(payload.nbytes)
-        if hasattr(payload, "__sizeof__"):
-            return int(payload.__sizeof__())
         return 0
 
     # -- accounting -----------------------------------------------------------------

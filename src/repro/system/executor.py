@@ -51,6 +51,17 @@ def supervised_learner(spec: ModelSpec, warm_from: Optional[object] = None):
     return model
 
 
+def _party(factor, source_columns: List[str], labels: Optional[np.ndarray]) -> Party:
+    """The party holding ``source_columns`` of one factor, named by their target columns."""
+    column_indices = [factor.source_columns.index(c) for c in source_columns]
+    return Party(
+        name=factor.name,
+        data=factor.data[:, column_indices],
+        feature_names=[factor.mapping.correspondences[c] for c in source_columns],
+        labels=labels,
+    )
+
+
 class Executor:
     """Runs plans produced by :class:`repro.system.optimizer.Optimizer`."""
 
@@ -176,6 +187,11 @@ class Executor:
         model_spec = plan.model
         if dataset.label_column is None:
             raise PlanError("vertical federated learning requires a label column")
+        if model_spec.task != "regression":
+            raise PlanError(
+                f"vertical federated learning trains regression only, not {model_spec.task!r} "
+                "(its rounds run gd.descend, so logistic VFL is one gd.LINKS lookup away)"
+            )
         parties, alignment = self._parties_from_dataset(dataset)
         model = VerticalFederatedLinearRegression(
             learning_rate=model_spec.learning_rate,
@@ -209,23 +225,13 @@ class Executor:
                 raise PlanError(
                     f"HFL requires every source to hold the label column; {factor.name!r} does not"
                 )
-            label_local = factor.source_columns[mapped_targets.index(label)]
             feature_locals = [
                 source_col
                 for source_col, target_col in zip(factor.source_columns, mapped_targets)
                 if target_col in feature_columns
             ]
-            column_indices = [factor.source_columns.index(c) for c in feature_locals]
-            label_index = factor.source_columns.index(label_local)
             parties.append(
-                Party(
-                    name=factor.name,
-                    data=factor.data[:, column_indices],
-                    feature_names=[
-                        factor.mapping.correspondences[c] for c in feature_locals
-                    ],
-                    labels=factor.data[:, label_index],
-                )
+                _party(factor, feature_locals, factor.data[:, mapped_targets.index(label)])
             )
         task_model = "logistic" if plan.model.task == "classification" else "linear"
         model = FederatedAveraging(
@@ -239,7 +245,7 @@ class Executor:
 
     def _parties_from_dataset(
         self, dataset: IntegratedDataset
-    ) -> Tuple[List[Party], Dict[str, List[int]]]:
+    ) -> Tuple[List[Party], Dict[str, np.ndarray]]:
         """Build one VFL party per source factor, aligned on shared target rows.
 
         The shared sample space is the set of target rows covered by every
@@ -250,18 +256,17 @@ class Executor:
         label = dataset.label_column
         shared_rows = None
         for factor in dataset.factors:
-            covered = set(factor.indicator.mapped_target_rows())
-            shared_rows = covered if shared_rows is None else (shared_rows & covered)
-        shared_rows = sorted(shared_rows or [])
-        if not shared_rows:
+            covered = factor.indicator.mapped_target_rows()
+            shared_rows = covered if shared_rows is None else np.intersect1d(
+                shared_rows, covered, assume_unique=True
+            )
+        if shared_rows is None or not shared_rows.size:
             raise PlanError("the sources share no rows; vertical federated learning is impossible")
 
         parties: List[Party] = []
-        alignment: Dict[str, List[int]] = {}
+        alignment: Dict[str, np.ndarray] = {}
         label_assigned = False
         for factor in dataset.factors:
-            compressed = factor.indicator.compressed
-            local_rows = [int(compressed[i]) for i in shared_rows]
             mapped_targets = [factor.mapping.correspondences[c] for c in factor.source_columns]
             labels = None
             if label is not None and label in mapped_targets and not label_assigned:
@@ -278,8 +283,7 @@ class Executor:
             # to the shared rows never densifies the mask; column_mask() gives
             # the redundant fraction per target column.
             shared_redundancy = factor.redundancy.submatrix(
-                np.asarray(shared_rows, dtype=int),
-                np.arange(len(dataset.target_columns)),
+                shared_rows, np.arange(len(dataset.target_columns))
             )
             redundant_fraction = shared_redundancy.column_mask()
             keep = []
@@ -290,17 +294,8 @@ class Executor:
                     keep.append(source_col)
             if not keep and labels is None:
                 continue
-            column_indices = [factor.source_columns.index(c) for c in keep]
-            parties.append(
-                Party(
-                    name=factor.name,
-                    data=factor.data[:, column_indices] if column_indices else
-                    np.zeros((factor.n_rows, 0)),
-                    feature_names=[factor.mapping.correspondences[c] for c in keep],
-                    labels=labels,
-                )
-            )
-            alignment[factor.name] = local_rows
+            parties.append(_party(factor, keep, labels))
+            alignment[factor.name] = factor.indicator.compressed[shared_rows]
         if not any(p.has_labels for p in parties):
             raise PlanError("no party ended up holding the label column")
         return parties, alignment

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import FederatedError
 from repro.federated.encryption import (
+    CIPHERTEXT_BYTES,
     EncryptedNumber,
     SecretSharer,
     SimulatedPaillier,
@@ -48,6 +49,25 @@ class TestSimulatedPaillier:
         paillier.scale(ciphertexts[0], 2.0)
         assert paillier.homomorphic_ops == 2
         assert paillier.total_operations == 8
+
+    def test_an_encrypted_vector_is_one_array(self):
+        paillier = SimulatedPaillier(key_id=1)
+        values = np.arange(10_000, dtype=float)
+        sealed = paillier.encrypt_vector(values)
+        assert isinstance(sealed, EncryptedNumber)
+        assert isinstance(sealed.masked_value, np.ndarray)
+        assert sealed.size == 10_000 and sealed.nbytes == 10_000 * CIPHERTEXT_BYTES
+        assert paillier.encrypt(1.0).nbytes == CIPHERTEXT_BYTES
+        doubled = paillier.add(sealed, paillier.scale(sealed, 1.0))
+        assert np.array_equal(paillier.decrypt_vector(doubled), 2 * values)
+        assert (paillier.encryptions, paillier.homomorphic_ops, paillier.decryptions) == (
+            10_001, 20_000, 10_000,
+        )
+        values[0] = -1.0  # the ciphertext does not alias the plaintext buffer
+        assert paillier.decrypt(sealed[0]) == 0.0
+        for opened in (paillier.decrypt(sealed), paillier.decrypt_vector(sealed)):
+            opened[0] = -1.0  # nor does a decrypted array alias the ciphertext
+        assert paillier.decrypt(sealed[0]) == 0.0
 
 
 class TestSecretSharing:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.exceptions import FederatedError
 from repro.federated.horizontal import FederatedAveraging
 from repro.federated.party import Party
+from repro.learning.gd import LINKS
 from repro.silos.network import SimulatedNetwork
 
 
@@ -68,6 +70,42 @@ class TestFedAvg:
             model="logistic", n_rounds=10, learning_rate=0.5, dp_epsilon=0.5
         ).fit(parties)
         assert not np.allclose(clean.coef_, noisy.coef_)
+
+
+class TestLocalEpochsRunTheSharedLoop:
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    def test_bit_identical_to_a_hand_written_fedavg(self, hfl_parties, model):
+        """The local epochs step through ``gd.descend``; this is the loop
+        they replaced, kept here as the reference."""
+        parties, _, _ = hfl_parties
+        fitted = FederatedAveraging(
+            model=model, n_rounds=20, local_epochs=3, learning_rate=0.3
+        ).fit(parties)
+        link = LINKS[model]
+        weights, losses = np.zeros(3), []
+        for _ in range(20):
+            local = []
+            for party in parties:
+                updated = weights
+                for _ in range(3):
+                    errors = link(party.data @ updated, party.labels)[1]
+                    updated = updated - 0.3 * (party.data.T @ errors / party.n_rows)
+                local.append(updated)
+            weights = np.average(np.stack(local), axis=0, weights=[p.n_rows for p in parties])
+            total = sum(link(p.data @ weights, p.labels)[0] for p in parties)
+            losses.append(total / sum(p.n_rows for p in parties))
+        assert np.array_equal(fitted.coef_, weights)
+        assert np.array_equal(fitted.report_.loss_history, losses)
+
+    def test_local_epochs_are_counted_by_the_shared_loop(self, hfl_parties):
+        parties, _, _ = hfl_parties
+        with telemetry.collect(sample_memory=False) as session:
+            FederatedAveraging(n_rounds=4, local_epochs=3).fit(parties)
+        steps = 4 * len(parties) * 3
+        assert session.metrics.counter_values()["gd.iterations"] == float(steps)
+        histograms = session.metrics.histogram_summaries()
+        assert histograms["federated.fedavg.local_loss"]["count"] == steps
+        assert histograms["federated.fedavg.loss"]["count"] == 4
 
 
 class TestValidation:

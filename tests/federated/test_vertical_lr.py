@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FederatedError
+from repro.federated.encryption import CIPHERTEXT_BYTES
 from repro.federated.party import Party
 from repro.federated.vertical_lr import VerticalFederatedLinearRegression
 from repro.learning.linear_regression import LinearRegression
@@ -13,14 +14,17 @@ from repro.silos.network import SimulatedNetwork
 @pytest.fixture
 def vfl_parties(rng):
     """Two parties sharing 80 entities; party A holds labels + 2 features,
-    party B holds 3 features. The label depends on both feature spaces."""
+    party B holds 3 features. The label depends on both feature spaces and
+    sits at a non-zero mean, so a model without an intercept cannot fit it."""
     n = 80
     ids = [f"patient_{i}" for i in range(n)]
     features_a = rng.standard_normal((n, 2))
     features_b = rng.standard_normal((n, 3))
     weights_a = np.array([1.0, -2.0])
     weights_b = np.array([0.5, 1.5, -1.0])
-    labels = features_a @ weights_a + features_b @ weights_b + 0.01 * rng.standard_normal(n)
+    labels = (
+        features_a @ weights_a + features_b @ weights_b + 0.01 * rng.standard_normal(n) + 3.0
+    )
 
     # Party B stores its rows shuffled to exercise the alignment step.
     permutation = rng.permutation(n)
@@ -41,10 +45,15 @@ class TestTraining:
         vfl = VerticalFederatedLinearRegression(
             learning_rate=0.05, n_iterations=150, use_encryption=False
         ).fit([party_a, party_b])
-        central = LinearRegression(
-            solver="gd", learning_rate=0.05, n_iterations=150, fit_intercept=False
-        ).fit(features, labels)
+        central = LinearRegression(solver="gd", learning_rate=0.05, n_iterations=150).fit(
+            features, labels
+        )
         assert np.allclose(vfl.centralized_equivalent_weights(), central.coef_, atol=1e-8)
+        assert vfl.intercept_ == pytest.approx(central.intercept_)
+        assert np.allclose(
+            vfl.predict([party_a, party_b]), central.predict(features), atol=1e-8
+        )
+        assert np.allclose(vfl.report_.loss_history, central.loss_history_, atol=1e-10)
 
     def test_encryption_does_not_change_results(self, vfl_parties):
         party_a, party_b, _, _ = vfl_parties
@@ -111,6 +120,57 @@ class TestAccounting:
             n_iterations=10, use_encryption=True, network=encrypted_network
         ).fit([party_a, party_b])
         assert encrypted_network.n_messages > plain_network.n_messages
+
+    @pytest.mark.parametrize(
+        "use_encryption, expected", [(False, (20, 12_800, 0)), (True, (40, 39_360, 1_660))]
+    )
+    def test_exact_counts_of_the_fixture(self, vfl_parties, use_encryption, expected):
+        """80 aligned rows, one passive party of 3 features, 10 rounds. The
+        counts are the protocol: they do not depend on the interpreter."""
+        party_a, party_b, _, _ = vfl_parties
+        report = VerticalFederatedLinearRegression(
+            n_iterations=10, use_encryption=use_encryption
+        ).fit([party_a, party_b]).report_
+        assert (
+            report.n_messages, report.bytes_transferred, report.encryption_operations
+        ) == expected
+
+    def test_message_flow_of_one_encrypted_round(self, vfl_parties):
+        party_a, party_b, _, _ = vfl_parties
+        network = SimulatedNetwork()
+        VerticalFederatedLinearRegression(
+            n_iterations=1, use_encryption=True, network=network
+        ).fit([party_a, party_b])
+        assert [
+            (t.sender, t.receiver, t.payload, t.n_bytes) for t in network.transfers
+        ] == [
+            ("B", "A", "partial_prediction", 80 * CIPHERTEXT_BYTES),
+            ("A", "B", "residual", 80 * CIPHERTEXT_BYTES),
+            ("B", "coordinator", "masked_gradient", 3 * CIPHERTEXT_BYTES),
+            ("coordinator", "B", "decrypted_gradient", 3 * 8),
+        ]
+
+    def test_bytes_closed_form_with_two_passive_parties(self, rng):
+        """rounds × Σ_passive (2·n·W + d_k·W + 8·d_k): two sealed n-vectors
+        and one sealed and one plaintext gradient per passive party."""
+        n, rounds, widths = 50, 6, (2, 3, 4)
+        ids = list(range(n))
+        parties = [
+            Party(
+                f"P{k}", rng.standard_normal((n, width)), [f"f{k}_{j}" for j in range(width)],
+                labels=rng.standard_normal(n) if k == 0 else None, entity_ids=ids,
+            )
+            for k, width in enumerate(widths)
+        ]
+        report = VerticalFederatedLinearRegression(
+            n_iterations=rounds, use_encryption=True
+        ).fit(parties).report_
+        per_round = sum(
+            2 * n * CIPHERTEXT_BYTES + d * CIPHERTEXT_BYTES + 8 * d for d in widths[1:]
+        )
+        assert report.bytes_transferred == rounds * per_round
+        assert report.n_messages == rounds * 4 * len(widths[1:])
+        assert report.encryption_operations == rounds * sum(2 * n + 2 * d for d in widths[1:])
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CatalogError, PrivacyError
+from repro.federated.encryption import CIPHERTEXT_BYTES, SimulatedPaillier
 from repro.silos.network import SimulatedNetwork, TransferRecord
 from repro.silos.silo import DataSilo, PrivacyLevel
 
@@ -57,6 +58,14 @@ class TestSimulatedNetwork:
         assert network.send("a", "b", "bytes", b"12345").n_bytes == 5
         assert network.send("a", "b", "list", [1.0, 2.0]).n_bytes == 16
         assert network.send("a", "b", "dict", {"k": 1.0}).n_bytes == 9
+        assert network.send("a", "b", "object", object()).n_bytes == 0
+
+    def test_a_ciphertext_costs_its_constant_width_per_value(self):
+        network, paillier = SimulatedNetwork(), SimulatedPaillier(key_id=1)
+        sealed = paillier.encrypt_vector(np.zeros(5))
+        assert network.send("a", "b", "sealed", sealed).n_bytes == 5 * CIPHERTEXT_BYTES
+        assert network.send("a", "b", "plain", np.zeros(5)).n_bytes == 40
+        assert network.send("a", "b", "one", paillier.encrypt(1.0)).n_bytes == CIPHERTEXT_BYTES
 
     def test_per_endpoint_accounting(self):
         network = SimulatedNetwork()

@@ -7,6 +7,7 @@ from repro.costmodel.decision import Decision
 from repro.datagen.hospital import hospital_integrated_dataset
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.exceptions import PlanError
+from repro.learning.linear_regression import LinearRegression
 from repro.metadata.mappings import ScenarioType
 from repro.silos.orchestrator import Orchestrator
 from repro.silos.silo import DataSilo
@@ -16,6 +17,15 @@ from repro.system.plan import ExecutionPlan, ModelSpec
 
 def make_plan(dataset, strategy, model=None):
     return ExecutionPlan(strategy=strategy, dataset=dataset, model=model or ModelSpec())
+
+
+def federated_weights(result, dataset):
+    """A FEDERATE result's weights in ``dataset.feature_columns`` order."""
+    parties, _ = Executor()._parties_from_dataset(dataset)
+    names = [name for party in parties for name in party.feature_names]
+    assert sorted(names) == sorted(dataset.feature_columns)
+    weights = dict(zip(names, result.model.centralized_equivalent_weights()))
+    return np.array([weights[name] for name in dataset.feature_columns])
 
 
 @pytest.fixture
@@ -137,6 +147,60 @@ class TestFederatedStrategy:
         scenario_inner.label_column = None
         with pytest.raises(PlanError):
             Executor().execute(make_plan(scenario_inner, Decision.FEDERATE, ModelSpec()))
+
+    @pytest.mark.parametrize("task", ["classification", "clustering", "nmf"])
+    def test_vertical_trains_regression_only(self, scenario_inner, task):
+        with pytest.raises(PlanError, match=task):
+            Executor().execute(
+                make_plan(scenario_inner, Decision.FEDERATE, ModelSpec(task=task, n_iterations=3))
+            )
+
+    @pytest.mark.parametrize("overlap_columns", [0, 2])
+    def test_federate_returns_the_factorized_model(self, overlap_columns):
+        """On an inner join every target row is an aligned row, so the two
+        strategies train one model — also when both sources store a column
+        and FEDERATE drops the redundant copy."""
+        dataset = generate_scenario_dataset(
+            ScenarioSpec(
+                scenario=ScenarioType.INNER_JOIN, base_rows=60, other_rows=50, base_features=3,
+                other_features=3, overlap_rows=40, overlap_columns=overlap_columns, seed=5,
+            )
+        )
+        spec = ModelSpec(task="regression", learning_rate=0.05, n_iterations=30)
+        federated = Executor().execute(make_plan(dataset, Decision.FEDERATE, spec))
+        factorized = Executor().execute(make_plan(dataset, Decision.FACTORIZE, spec))
+        assert federated_weights(federated, dataset) == pytest.approx(
+            factorized.model.coef_, abs=1e-10
+        )
+        assert federated.model.intercept_ == pytest.approx(factorized.model.intercept_, abs=1e-10)
+        assert np.max(np.abs(federated.predictions - factorized.predictions)) <= 1e-10
+        assert federated.metrics["final_loss"] == pytest.approx(
+            factorized.model.loss_history_[-1], abs=1e-10
+        )
+
+    def test_federate_on_a_left_join_trains_on_the_rows_every_source_covers(self):
+        dataset = generate_scenario_dataset(
+            ScenarioSpec(
+                scenario=ScenarioType.LEFT_JOIN, base_rows=60, other_rows=50, base_features=3,
+                other_features=3, overlap_rows=40, seed=5,
+            )
+        )
+        spec = ModelSpec(task="regression", learning_rate=0.05, n_iterations=30)
+        federated = Executor().execute(make_plan(dataset, Decision.FEDERATE, spec))
+        covered = np.flatnonzero(
+            np.all([factor.indicator.compressed >= 0 for factor in dataset.factors], axis=0)
+        )
+        assert federated.metrics["aligned_rows"] == covered.size == 40 < dataset.n_target_rows
+        target = dataset.materialize()[covered]
+        columns = [dataset.target_columns.index(c) for c in dataset.feature_columns]
+        central = LinearRegression(solver="gd", learning_rate=0.05, n_iterations=30).fit(
+            target[:, columns], target[:, dataset.target_columns.index(dataset.label_column)]
+        )
+        assert federated_weights(federated, dataset) == pytest.approx(central.coef_, abs=1e-10)
+        assert federated.model.intercept_ == pytest.approx(central.intercept_, abs=1e-10)
+        assert np.max(
+            np.abs(federated.predictions - central.predict(target[:, columns]))
+        ) <= 1e-10
 
     def test_vfl_on_hospital_inner_join(self):
         dataset = hospital_integrated_dataset(ScenarioType.INNER_JOIN)

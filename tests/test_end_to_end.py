@@ -1,6 +1,7 @@
 """Cross-module integration tests: the full pipelines the paper motivates."""
 
 import numpy as np
+import pytest
 
 from repro.costmodel.decision import Decision
 from repro.costmodel.parameters import CostParameters
@@ -141,10 +142,11 @@ class TestVFLMatchesCentralized:
                 party_b.aligned_features(alignment["B"]),
             ]
         )
-        central = LinearRegression(
-            solver="gd", learning_rate=0.05, n_iterations=60, fit_intercept=False
-        ).fit(ordered_features, party_a.aligned_labels(alignment["A"]))
+        central = LinearRegression(solver="gd", learning_rate=0.05, n_iterations=60).fit(
+            ordered_features, party_a.aligned_labels(alignment["A"])
+        )
         assert np.allclose(vfl.centralized_equivalent_weights(), central.coef_, atol=1e-8)
+        assert vfl.intercept_ == pytest.approx(central.intercept_)
 
 
 class TestOptimizerDecisionsAcrossScales:
