@@ -17,6 +17,7 @@ from repro.metadata.similarity import (
 )
 from repro.metadata.schema_matching import (
     ColumnMatch,
+    ColumnProfile,
     SchemaMatcher,
     NameBasedMatcher,
     InstanceBasedMatcher,
@@ -55,6 +56,7 @@ __all__ = [
     "value_overlap",
     "jaccard_set_similarity",
     "ColumnMatch",
+    "ColumnProfile",
     "SchemaMatcher",
     "NameBasedMatcher",
     "InstanceBasedMatcher",

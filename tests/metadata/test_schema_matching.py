@@ -1,8 +1,17 @@
 """Tests for repro.metadata.schema_matching."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import telemetry
 from repro.exceptions import MatchingError
+from repro.metadata.entity_resolution import KeyBasedResolver
 from repro.metadata.schema_matching import (
     ColumnMatch,
     HybridMatcher,
@@ -16,6 +25,28 @@ from repro.relational.table import Table
 @pytest.fixture
 def hospital_pair(hospital):
     return hospital
+
+
+@pytest.fixture
+def wide_pair():
+    """42 x 41 numeric columns, the shape of the ``csv_facade_train`` tables."""
+    left = Table.from_dict("L", {f"x{i}": [i, i + 1, i + 2] for i in range(42)})
+    right = Table.from_dict("R", {f"y{i}": [i, i + 2, i + 4] for i in range(41)})
+    return left, right
+
+
+@pytest.fixture
+def distinct_values_calls(monkeypatch):
+    """The columns ``Table.distinct_values`` was asked for, in call order."""
+    calls = []
+    scan = Table.distinct_values
+
+    def counted(table, column):
+        calls.append((table.name, column))
+        return scan(table, column)
+
+    monkeypatch.setattr(Table, "distinct_values", counted)
+    return calls
 
 
 class TestNameBasedMatcher:
@@ -42,6 +73,10 @@ class TestNameBasedMatcher:
         with pytest.raises(MatchingError):
             NameBasedMatcher(threshold=1.5)
 
+    def test_never_scans_values(self, wide_pair, distinct_values_calls):
+        NameBasedMatcher().match(*wide_pair)
+        assert distinct_values_calls == []
+
 
 class TestInstanceBasedMatcher:
     def test_value_overlap_matches_despite_names(self):
@@ -65,6 +100,40 @@ class TestInstanceBasedMatcher:
         right = Table.from_dict("R", {"a": [1, 2]})
         assert InstanceBasedMatcher().score(left, "a", right, "a") == 0.0
 
+    @pytest.mark.parametrize("sample_size", [0, -1])
+    def test_sample_size_must_be_positive(self, sample_size):
+        with pytest.raises(MatchingError):
+            InstanceBasedMatcher(sample_size=sample_size)
+
+    def test_string_sample_ignores_row_order(self):
+        values = [f"v{i}" for i in range(3000)]
+        shuffled = random.Random(0).sample(values, len(values))
+        left = Table.from_dict("L", {"code": values})
+        right = Table.from_dict("R", {"code": shuffled})
+        assert InstanceBasedMatcher().score(left, "code", right, "code") == 1.0
+
+    def test_string_sample_ignores_the_hash_seed(self):
+        program = (
+            "from repro.metadata.schema_matching import InstanceBasedMatcher\n"
+            "from repro.relational.table import Table\n"
+            "left = Table.from_dict('L', {'c': [f'v{i}' for i in range(3000)]})\n"
+            "right = Table.from_dict('R', {'c': [f'v{i}' for i in range(1500, 4500)]})\n"
+            "print(repr(InstanceBasedMatcher().score(left, 'c', right, 'c')))\n"
+        )
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        search_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        scores = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=search_path)
+            done = subprocess.run(
+                [sys.executable, "-c", program],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            scores.append(float(done.stdout))
+        assert scores[0] == scores[1]
+        # half of either column is shared, and the coordinated samples say so
+        assert 0.4 < scores[0] < 0.6
+
 
 class TestHybridMatcher:
     def test_combines_signals(self, hospital_pair):
@@ -78,6 +147,17 @@ class TestHybridMatcher:
         with pytest.raises(MatchingError):
             HybridMatcher(name_weight=0.0, instance_weight=0.0)
 
+    def test_weights_must_not_be_negative(self):
+        with pytest.raises(MatchingError):
+            HybridMatcher(name_weight=-1, instance_weight=2)
+
+    def test_scans_each_column_once(self, wide_pair, distinct_values_calls):
+        left, right = wide_pair
+        HybridMatcher().match(left, right)
+        columns = [("L", c) for c in left.schema.names] + [("R", c) for c in right.schema.names]
+        assert len(columns) == 83
+        assert distinct_values_calls == columns
+
     def test_score_matrix_covers_all_pairs(self, hospital_pair):
         s1, s2 = hospital_pair
         scores = HybridMatcher().score_matrix(s1, s2)
@@ -88,3 +168,18 @@ class TestHybridMatcher:
         reverse = match.reversed()
         assert reverse.left_table == "R" and reverse.right_column == "a"
         assert reverse.score == match.score
+
+
+class TestSpans:
+    def test_matching_and_resolution_emit_one_span_each(self):
+        left = Table.from_dict("L", {"id": [1, 2, 3], "age": [20, 30, 40]}, id={"is_key": True})
+        right = Table.from_dict("R", {"id": [2, 3, 4]}, id={"is_key": True})
+        with telemetry.collect(sample_memory=False) as session:
+            matches = HybridMatcher().match(left, right)
+            KeyBasedResolver().resolve_index(left, right)
+        assert matches
+        assert [(record.name, record.attrs) for record in session.tracer.records] == [
+            ("match.schema",
+             {"left_columns": 2, "right_columns": 1, "pairs": 2, "matches": len(matches)}),
+            ("resolve.key", {"left_rows": 3, "right_rows": 3, "matches": 2}),
+        ]

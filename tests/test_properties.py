@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants of DESIGN.md §5."""
 
+import zlib
+
 import numpy as np
 import pytest
 from dense_reference import assert_two_source_matches_dense
@@ -15,12 +17,19 @@ from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.metadata.entity_resolution import KeyBasedResolver, declared_key_pairs
 from repro.metadata.mappings import ScenarioType
-from repro.metadata.schema_matching import ColumnMatch
+from repro.metadata.schema_matching import (
+    ColumnMatch,
+    HybridMatcher,
+    InstanceBasedMatcher,
+    NameBasedMatcher,
+)
 from repro.metadata.similarity import (
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
     ngram_jaccard_similarity,
+    token_sort_similarity,
+    value_overlap,
 )
 from repro.relational.table import Table
 from repro.relational.types import (
@@ -408,6 +417,153 @@ class TestSimilarityProperties:
     def test_identity(self, a):
         assert jaro_winkler_similarity(a, a) == pytest.approx(1.0)
         assert ngram_jaccard_similarity(a, a) == 1.0
+
+
+# -- schema matching: one profile per column, the same scores ---------------------------------
+#
+# The per-pair scorers as they stood before columns were profiled once, kept
+# verbatim as the reference. The only edit is where a sample comes from: the
+# profile, because a STRING column over ``sample_size`` distinct values is now
+# sampled by checksum (``test_profile_sample`` pins every other sample to
+# ``list(distinct_values)[:sample_size]``).
+
+
+def reference_name_score(left_column, right_column):
+    a, b = left_column.lower(), right_column.lower()
+    if a == b:
+        return 1.0
+    return max(
+        levenshtein_similarity(a, b),
+        jaro_winkler_similarity(a, b),
+        ngram_jaccard_similarity(a, b),
+        token_sort_similarity(a, b),
+    )
+
+
+def reference_range_overlap(left_values, right_values):
+    left_lo, left_hi = min(left_values), max(left_values)
+    right_lo, right_hi = min(right_values), max(right_values)
+    intersection = min(left_hi, right_hi) - max(left_lo, right_lo)
+    if intersection <= 0:
+        return 0.0
+    union = max(left_hi, right_hi) - min(left_lo, right_lo)
+    if union <= 0:
+        return 1.0
+    return intersection / union
+
+
+def reference_instance_score(matcher, left, left_column, right, right_column):
+    left_dtype = left.schema[left_column].dtype
+    right_dtype = right.schema[right_column].dtype
+    if left_dtype.is_numeric != right_dtype.is_numeric:
+        return 0.0
+    left_values = list(matcher.profile(left, left_column).values)
+    right_values = list(matcher.profile(right, right_column).values)
+    if not left_values or not right_values:
+        return 0.0
+    overlap = value_overlap(left_values, right_values)
+    if left_dtype.is_numeric and right_dtype.is_numeric:
+        overlap = max(overlap, reference_range_overlap(left_values, right_values))
+    return overlap
+
+
+def reference_score(matcher, left, left_column, right, right_column):
+    if isinstance(matcher, NameBasedMatcher):
+        return reference_name_score(left_column, right_column)
+    if isinstance(matcher, InstanceBasedMatcher):
+        return reference_instance_score(matcher, left, left_column, right, right_column)
+    name_score = reference_name_score(left_column, right_column)
+    instance_score = reference_instance_score(matcher, left, left_column, right, right_column)
+    return matcher.name_weight * name_score + matcher.instance_weight * instance_score
+
+
+def reference_match(matcher, left, right, scores):
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    used_left, used_right, matches = set(), set(), []
+    for (left_column, right_column), score in ranked:
+        if score < matcher.threshold:
+            break
+        if left_column in used_left or right_column in used_right:
+            continue
+        used_left.add(left_column)
+        used_right.add(right_column)
+        matches.append(ColumnMatch(left.name, left_column, right.name, right_column, score))
+    return matches
+
+
+#: small domains, so values repeat inside a column and are shared between
+#: tables, and distinct counts land on both sides of the drawn ``sample_size``
+MATCH_CELLS = {
+    DataType.INT: st.integers(0, 7),
+    DataType.FLOAT: st.floats(-2, 2, allow_nan=False, width=16),
+    DataType.STRING: st.sampled_from(["a", "b", "cc", "d", "ee", "1", "2"]),
+}
+MATCH_NAMES = ["id", "ID", "age", "Age_Years", "years age", "heart_rate", "heartrate", "x1"]
+
+
+@st.composite
+def matchable_tables(draw, name):
+    """1-4 columns of mixed dtypes over 0-12 rows, NULLs and all-NULL columns included."""
+    n_rows = draw(st.integers(0, 12))
+    names = draw(st.lists(st.sampled_from(MATCH_NAMES), min_size=1, max_size=4, unique=True))
+    data, overrides = {}, {}
+    for column in names:
+        dtype = draw(st.sampled_from(list(MATCH_CELLS)))
+        all_null = draw(st.integers(0, 5)) == 0
+        cells = st.none() if all_null else st.one_of(st.none(), MATCH_CELLS[dtype])
+        data[column] = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        overrides[column] = {"dtype": dtype}
+    return Table.from_dict(name, data, **overrides)
+
+
+class TestSchemaMatchingProfiles:
+    """Scoring from per-column profiles is the per-pair scoring, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=matchable_tables("L"),
+        right=matchable_tables("R"),
+        sample_size=st.integers(1, 6),
+        threshold=st.sampled_from([0.0, 0.3, 0.6]),
+    )
+    def test_score_matrix_and_matches_equal_the_per_pair_scorers(
+        self, left, right, sample_size, threshold
+    ):
+        for matcher in (
+            NameBasedMatcher(threshold),
+            InstanceBasedMatcher(threshold, sample_size=sample_size),
+            HybridMatcher(threshold, name_weight=0.3, instance_weight=0.5),
+        ):
+            reference = {
+                (lc, rc): reference_score(matcher, left, lc, right, rc)
+                for lc in left.schema.names
+                for rc in right.schema.names
+            }
+            scores = matcher.score_matrix(left, right)
+            assert scores == reference
+            assert list(scores) == list(reference)
+            assert all(
+                matcher.score(left, lc, right, rc) == score for (lc, rc), score in scores.items()
+            )
+            assert matcher.match(left, right) == reference_match(matcher, left, right, reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=matchable_tables("T"), sample_size=st.integers(1, 6))
+    def test_profile_sample(self, table, sample_size):
+        matcher = InstanceBasedMatcher(sample_size=sample_size)
+        for column in table.schema.names:
+            profile = matcher.profile(table, column)
+            distinct = table.distinct_values(column)
+            dtype = table.schema[column].dtype
+            if dtype is DataType.STRING and len(distinct) > sample_size:
+                by_checksum = sorted(distinct, key=lambda v: (zlib.crc32(v.encode("utf-8")), v))
+                assert profile.values == frozenset(by_checksum[:sample_size])
+            else:
+                sample = list(distinct)[:sample_size]
+                assert profile.values == frozenset(sample)
+                if dtype.is_numeric and sample:
+                    assert (profile.lo, profile.hi) == (min(sample), max(sample))
+            assert profile.name == column.lower() and profile.is_numeric == dtype.is_numeric
 
 
 # -- CSV cell kernel -------------------------------------------------------------------------
