@@ -44,8 +44,9 @@ from repro.matrices import (
     IntegratedDataset,
     SourceFactor,
     integrate_tables,
+    star_schema,
 )
-from repro.factorized import AmalurMatrix, MorpheusMatrix
+from repro.factorized import AmalurMatrix
 from repro.costmodel import AmalurCostModel, MorpheusRule, CostParameters, Decision
 from repro.system import Amalur, ModelSpec, ExecutionPlan, TrainingResult
 
@@ -68,8 +69,8 @@ __all__ = [
     "IntegratedDataset",
     "SourceFactor",
     "integrate_tables",
+    "star_schema",
     "AmalurMatrix",
-    "MorpheusMatrix",
     "AmalurCostModel",
     "MorpheusRule",
     "CostParameters",

@@ -197,10 +197,16 @@ class Backend(abc.ABC):
         """``alpha * D`` in the same storage format."""
         return storage * alpha
 
-    def elementwise_multiply(self, storage: Storage, mask: np.ndarray) -> Storage:
-        """Hadamard product ``D ∘ mask`` in the same storage format."""
+    def elementwise_multiply(self, storage: Storage, mask) -> Storage:
+        """Hadamard product ``D ∘ mask`` in the same storage format.
+
+        ``mask`` is an array (broadcast against ``D``) or, for a CSR ``D``,
+        a sparse matrix of its shape — ``D`` itself for ``D ∘ D``.
+        """
         if sparse.issparse(storage):
-            return storage.multiply(np.asarray(mask, dtype=np.float64)).tocsr()
+            if not sparse.issparse(mask):
+                mask = np.asarray(mask, dtype=np.float64)
+            return storage.multiply(mask).tocsr()
         return storage * np.asarray(mask, dtype=np.float64)
 
     def apply_redundancy(self, storage: Storage, redundancy) -> Storage:

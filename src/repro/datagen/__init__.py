@@ -17,7 +17,6 @@ from repro.datagen.hamlet import (
     HAMLET_DATASETS,
     HamletDatasetSpec,
     generate_hamlet_dataset,
-    generate_hamlet_morpheus,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "HAMLET_DATASETS",
     "HamletDatasetSpec",
     "generate_hamlet_dataset",
-    "generate_hamlet_morpheus",
 ]

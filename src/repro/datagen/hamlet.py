@@ -19,12 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.factorized.morpheus import MorpheusMatrix
-from repro.matrices.builder import IntegratedDataset, SourceFactor
-from repro.matrices.indicator_matrix import IndicatorMatrix
-from repro.matrices.mapping_matrix import MappingMatrix
-from repro.matrices.redundancy_matrix import RedundancyMatrix
-from repro.metadata.mappings import ScenarioType
+from repro.matrices.builder import IntegratedDataset, star_schema
 
 
 @dataclass(frozen=True)
@@ -76,27 +71,6 @@ def _scaled(spec: HamletDatasetSpec, row_scale: float, column_scale: float) -> H
     )
 
 
-def generate_hamlet_morpheus(
-    name: str,
-    row_scale: float = 0.01,
-    column_scale: float = 0.5,
-    seed: int = 0,
-) -> MorpheusMatrix:
-    """Generate a Morpheus normalized matrix with a dataset's (scaled) shape."""
-    spec = _scaled(HAMLET_DATASETS[name], row_scale, column_scale)
-    rng = np.random.default_rng(seed)
-    entity = (
-        rng.standard_normal((spec.entity_rows, spec.entity_features))
-        if spec.entity_features
-        else None
-    )
-    attribute_tables = [rng.standard_normal((rows, cols)) for rows, cols in spec.dimensions]
-    indicators = [
-        rng.integers(0, rows, size=spec.entity_rows) for rows, _ in spec.dimensions
-    ]
-    return MorpheusMatrix(entity, attribute_tables, indicators)
-
-
 def generate_hamlet_dataset(
     name: str,
     row_scale: float = 0.01,
@@ -106,60 +80,32 @@ def generate_hamlet_dataset(
 ) -> IntegratedDataset:
     """Generate an Amalur :class:`IntegratedDataset` with a dataset's shape.
 
-    The entity table is the base source (holding the label when
-    ``with_label``), each dimension table is an additional source joined
-    through a key–foreign-key indicator, columns are disjoint across
-    sources (no source redundancy — the classic Morpheus setting).
+    A :func:`~repro.matrices.builder.star_schema`: the entity table is the
+    base source (holding the label when ``with_label``), each dimension
+    table is an additional source joined through its foreign keys, columns
+    are disjoint across sources (no source redundancy — the classic
+    Morpheus setting).
     """
     spec = _scaled(HAMLET_DATASETS[name], row_scale, column_scale)
     rng = np.random.default_rng(seed)
     n_rows = spec.entity_rows
 
-    factors: List[SourceFactor] = []
-    target_columns: List[str] = []
-    label_column = None
-
-    entity_features = max(spec.entity_features, 1)
-    entity_columns = [f"e{i}" for i in range(entity_features)]
+    entity_columns = [f"e{i}" for i in range(max(spec.entity_features, 1))]
     if with_label:
         entity_columns = ["label"] + entity_columns
-        label_column = "label"
     entity_data = rng.standard_normal((n_rows, len(entity_columns)))
     if with_label:
         entity_data[:, 0] = rng.integers(0, 2, size=n_rows)
-    target_columns.extend(entity_columns)
 
-    dimension_payload = []
+    dimensions = []
     for index, (rows, cols) in enumerate(spec.dimensions):
         columns = [f"d{index}_{i}" for i in range(cols)]
         data = rng.standard_normal((rows, cols))
-        indicator = rng.integers(0, rows, size=n_rows)
-        dimension_payload.append((columns, data, indicator))
-        target_columns.extend(columns)
+        dimensions.append((f"dim{index}", columns, data, rng.integers(0, rows, size=n_rows)))
 
-    entity_mapping = MappingMatrix("entity", target_columns, entity_columns,
-                                   {c: c for c in entity_columns})
-    entity_indicator = IndicatorMatrix("entity", n_rows, n_rows, np.arange(n_rows))
-    entity_redundancy = RedundancyMatrix.all_ones("entity", n_rows, len(target_columns))
-    factors.append(
-        SourceFactor("entity", entity_data, entity_columns, entity_mapping,
-                     entity_indicator, entity_redundancy)
-    )
-
-    for index, (columns, data, indicator) in enumerate(dimension_payload):
-        name_k = f"dim{index}"
-        mapping = MappingMatrix(name_k, target_columns, columns, {c: c for c in columns})
-        indicator_matrix = IndicatorMatrix(name_k, n_rows, data.shape[0], indicator)
-        redundancy = RedundancyMatrix.all_ones(name_k, n_rows, len(target_columns))
-        factors.append(
-            SourceFactor(name_k, data, columns, mapping, indicator_matrix, redundancy)
-        )
-
-    return IntegratedDataset(
-        target_columns=target_columns,
-        n_target_rows=n_rows,
-        factors=factors,
-        scenario=ScenarioType.INNER_JOIN,
-        label_column=label_column,
+    return star_schema(
+        ("entity", entity_columns, entity_data),
+        dimensions,
+        label_column="label" if with_label else None,
         name=name,
     )

@@ -28,7 +28,7 @@ from scipy import sparse
 
 from repro.backends import BackendSpec, resolve_backend
 from repro.exceptions import MappingError
-from repro.matrices.builder import IntegratedDataset, SourceFactor
+from repro.matrices.builder import IntegratedDataset, SourceFactor, star_schema
 from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
@@ -216,42 +216,12 @@ def generate_one_hot_pair(spec: OneHotSpec, backend: BackendSpec = None) -> Inte
         shape=(spec.n_entities, spec.n_categories),
     )
 
-    base_columns = [f"x{i}" for i in range(spec.base_columns)]
-    other_columns = [f"cat_{j}" for j in range(spec.n_categories)]
-    target_columns = base_columns + other_columns
-
-    base_mapping = MappingMatrix("S1", target_columns, base_columns, {c: c for c in base_columns})
-    other_mapping = MappingMatrix(
-        "S2", target_columns, other_columns, {c: c for c in other_columns}
-    )
-    base_indicator = IndicatorMatrix(
-        "S1", spec.n_rows, spec.n_rows, np.arange(spec.n_rows, dtype=np.int64)
-    )
-    other_indicator = IndicatorMatrix(
-        "S2", spec.n_rows, spec.n_entities,
-        rng.integers(0, spec.n_entities, size=spec.n_rows, dtype=np.int64),
-    )
-    base_redundancy = RedundancyMatrix.all_ones("S1", spec.n_rows, len(target_columns))
-    other_redundancy = RedundancyMatrix.all_ones("S2", spec.n_rows, len(target_columns))
-
-    resolved_backend = resolve_backend(backend) if backend is not None else None
-    factors = [
-        SourceFactor(
-            "S1", base_data, base_columns, base_mapping, base_indicator, base_redundancy,
-            backend=resolved_backend,
-        ),
-        SourceFactor(
-            "S2", one_hot, other_columns, other_mapping, other_indicator, other_redundancy,
-            backend=resolved_backend,
-        ),
-    ]
-    return IntegratedDataset(
-        target_columns=target_columns,
-        n_target_rows=spec.n_rows,
-        factors=factors,
-        scenario=ScenarioType.INNER_JOIN,
+    foreign_keys = rng.integers(0, spec.n_entities, size=spec.n_rows, dtype=np.int64)
+    return star_schema(
+        ("S1", [f"x{i}" for i in range(spec.base_columns)], base_data),
+        [("S2", [f"cat_{j}" for j in range(spec.n_categories)], one_hot, foreign_keys)],
         name="T_one_hot",
-        backend=resolved_backend,
+        backend=backend,
     )
 
 

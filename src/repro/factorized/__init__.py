@@ -7,23 +7,21 @@ table, using the rewrite of Eq. (2):
 
     ``T X → Σ_k ((I_k D_k M_kᵀ) ∘ R_k) X``
 
-:class:`MorpheusMatrix` is the baseline of Chen et al. (PVLDB'17) — the
-state of the art the paper compares against — which handles the
-star-schema/inner-join case with disjoint source columns and no
-redundancy.
+The star-schema inner join of Chen et al.'s Morpheus (PVLDB'17) — the
+state of the art the paper compares against — is the special case with
+disjoint source columns and no redundancy: a dataset built by
+:func:`repro.matrices.builder.star_schema`, run by the same operators.
 """
 
 from repro.factorized.ops_counter import FlopCounter
 from repro.factorized.operator_plan import OperatorPlan
 from repro.factorized.normalized_matrix import AmalurMatrix
-from repro.factorized.morpheus import MorpheusMatrix
 from repro.factorized.queries import VirtualQueryEngine, QueryResult
 
 __all__ = [
     "FlopCounter",
     "OperatorPlan",
     "AmalurMatrix",
-    "MorpheusMatrix",
     "VirtualQueryEngine",
     "QueryResult",
 ]

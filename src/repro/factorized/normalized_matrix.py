@@ -45,6 +45,7 @@ same bits; different *grids* agree to reassociation (<= 1e-8).
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,7 +96,7 @@ class AmalurMatrix:
         # many-to-one projectors, and lazily cached corrections/effective
         # contributions (see repro.factorized.operator_plan). Rebuilt by any
         # operation returning a new AmalurMatrix (with_backend,
-        # select_columns, scale).
+        # select_columns, scale, square).
         self._plans: List[OperatorPlan] = [
             OperatorPlan(factor, storage, self.backend)
             for factor, storage in zip(dataset.factors, self._storages)
@@ -438,36 +439,32 @@ class AmalurMatrix:
         return gram
 
     # -- element-wise and aggregation operators ----------------------------------------------
-    def scale(self, alpha: float) -> "AmalurMatrix":
-        """Return a factorized view of ``alpha * T`` (scalar multiplication).
+    def _map_factors(self, fn, label: str) -> "AmalurMatrix":
+        """A factorized view of ``T`` with ``fn`` applied cell-wise.
 
-        Scalar multiplication distributes over the factorization, so only
-        the (small) source data matrices are touched.
+        ``fn`` maps one stored ``D_k`` (dense or CSR) to a matrix of the same
+        shape and format with ``fn(0) == 0``. Such a map distributes over the
+        factorization, because every target cell comes from exactly one
+        source once ``R_k`` has zeroed the duplicates. Each factor keeps its
+        backend and format, and the charge is the stored cells.
         """
         factors = []
-        for factor in self.dataset.factors:
-            factors.append(
-                SourceFactor(
-                    factor.name,
-                    factor.data * alpha,
-                    list(factor.source_columns),
-                    factor.mapping,
-                    factor.indicator,
-                    factor.redundancy,
-                    backend=factor.backend,
-                )
-            )
-            self.counter.add("scale", float(factor.data.size))
-        dataset = IntegratedDataset(
-            target_columns=list(self.dataset.target_columns),
-            n_target_rows=self.dataset.n_target_rows,
-            factors=factors,
-            scenario=self.dataset.scenario,
-            label_column=self.dataset.label_column,
-            name=self.dataset.name,
-            backend=self.dataset.backend,
-        )
+        for factor, storage in zip(self.dataset.factors, self._storages):
+            factors.append(dataclasses.replace(factor, data=fn(storage)))
+            stored = storage.nnz if sparse.issparse(storage) else storage.size
+            self.counter.add(label, float(stored))
+        dataset = dataclasses.replace(self.dataset, factors=factors)
         return AmalurMatrix(dataset, self.counter, backend=self.backend)
+
+    def scale(self, alpha: float) -> "AmalurMatrix":
+        """A factorized view of ``alpha * T`` (scalar multiplication)."""
+        return self._map_factors(lambda storage: self.backend.scale(storage, alpha), "scale")
+
+    def square(self) -> "AmalurMatrix":
+        """A factorized view of ``T ∘ T`` (element-wise square)."""
+        return self._map_factors(
+            lambda storage: self.backend.elementwise_multiply(storage, storage), "square"
+        )
 
     def row_sums(self) -> np.ndarray:
         """``T @ 1`` — per-target-row sums, factorized."""

@@ -1,9 +1,9 @@
 """Machine-learning algorithms that run over materialized or factorized data.
 
 Every estimator accepts either a dense ``numpy`` feature matrix or a
-factorized matrix (:class:`repro.factorized.AmalurMatrix` /
-:class:`repro.factorized.MorpheusMatrix`). The algorithms only touch the
-data through left/transpose matrix multiplications, so factorized and
+factorized :class:`repro.factorized.AmalurMatrix`. The algorithms only
+touch the data through left/transpose matrix multiplications (plus an
+element-wise ``square()`` for KMeans and GNMF), so factorized and
 materialized training produce identical parameters — the equivalence the
 paper's §IV relies on ("factorized learning does not affect model
 training accuracy"). The gradient-descent learners state it once: they

@@ -2,9 +2,9 @@
 
 Estimators in :mod:`repro.learning` interact with their input only through
 the operations defined here (LMM, transpose-LMM, cross-product, shapes),
-so the same training code runs unchanged over a dense numpy array, an
-:class:`repro.factorized.AmalurMatrix`, or a
-:class:`repro.factorized.MorpheusMatrix`.
+so the same training code runs unchanged over a dense numpy array or an
+:class:`repro.factorized.AmalurMatrix` (over any integrated dataset, the
+star-schema joins of :func:`repro.matrices.builder.star_schema` included).
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ class DenseMatrix:
 
     def crossprod(self) -> np.ndarray:
         return self._data.T @ self._data
+
+    def square(self) -> "DenseMatrix":
+        return DenseMatrix(self._data * self._data)
 
     def row_sums(self) -> np.ndarray:
         return self._data.sum(axis=1)

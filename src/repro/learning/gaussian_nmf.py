@@ -41,6 +41,7 @@ class GaussianNMF:
         weights = rng.random((n_rows, self.n_components)) + 0.1
         components = rng.random((self.n_components, n_columns)) + 0.1
 
+        norm_t = float(operand.square().total_sum())  # ||T||², factorized
         self.error_history_ = []
         for _ in range(self.n_iterations):
             # H update: numerator Wᵀ T (transpose-LMM), denominator WᵀW H.
@@ -53,36 +54,26 @@ class GaussianNMF:
             denominator_w = weights @ (components @ components.T) + _EPS
             weights = weights * numerator_w / denominator_w
 
-            self.error_history_.append(self._error(operand, weights, components))
+            self.error_history_.append(self._error(operand, norm_t, weights, components))
 
         self.weights_ = weights
         self.components_ = components
         self.reconstruction_error_ = self.error_history_[-1] if self.error_history_ else 0.0
         return self
 
-    def _error(self, operand, weights: np.ndarray, components: np.ndarray) -> float:
+    def _error(
+        self, operand, norm_t: float, weights: np.ndarray, components: np.ndarray
+    ) -> float:
         """Frobenius reconstruction error, computed without materializing T.
 
         ``||T − WH||² = ||T||² − 2·tr(Hᵀ Wᵀ T) + ||WH||²`` and ``Wᵀ T`` is a
-        transpose-LMM.
+        transpose-LMM; ``norm_t`` is ``||T||²``.
         """
         cross = operand.transpose_lmm(weights).T  # Wᵀ T, shape (k × d)
-        norm_t = self._squared_norm(operand)
         term_cross = float(np.sum(cross * components))
         reconstruction = weights @ components
         norm_wh = float(np.sum(reconstruction * reconstruction))
         return max(norm_t - 2.0 * term_cross + norm_wh, 0.0)
-
-    def _squared_norm(self, operand) -> float:
-        if not hasattr(self, "_cached_norm"):
-            if hasattr(operand, "dataset"):
-                from repro.learning.kmeans import _square_amalur
-
-                self._cached_norm = float(_square_amalur(operand).total_sum())
-            else:
-                data = operand.materialize()
-                self._cached_norm = float(np.sum(data * data))
-        return self._cached_norm
 
     def transform(self, features: OperandLike) -> np.ndarray:
         """Project new rows onto the learned components (one NNLS-ish pass)."""

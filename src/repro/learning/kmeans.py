@@ -35,14 +35,6 @@ class KMeans:
     inertia_: float = field(default=0.0, init=False)
     n_iter_: int = field(default=0, init=False)
 
-    def _row_square_sums(self, operand) -> np.ndarray:
-        """Per-row sums of squared values, computed without materializing."""
-        if hasattr(operand, "dataset"):  # AmalurMatrix: square the source factors
-            squared = _square_amalur(operand)
-            return squared.row_sums()
-        data = operand.materialize()
-        return np.sum(data * data, axis=1)
-
     def fit(self, features: OperandLike) -> "KMeans":
         operand = as_linop(features)
         n_rows, n_columns = operand.shape
@@ -50,7 +42,7 @@ class KMeans:
             raise ValueError("more clusters than rows")
         rng = np.random.default_rng(self.random_state)
 
-        row_norms = self._row_square_sums(operand)
+        row_norms = operand.square().row_sums()
         centers = self._init_centers(operand, rng)
 
         labels = np.zeros(n_rows, dtype=int)
@@ -102,39 +94,6 @@ class KMeans:
         if self.cluster_centers_ is None:
             raise ValueError("model is not fitted")
         operand = as_linop(features)
-        row_norms = self._row_square_sums(operand)
+        row_norms = operand.square().row_sums()
         return self._distances(operand, self.cluster_centers_, row_norms).argmin(axis=1)
 
-
-def _square_amalur(operand):
-    """Element-wise square of an AmalurMatrix, staying factorized.
-
-    Squaring distributes over the factorization because each target cell is
-    contributed by exactly one source (redundant duplicates are zeroed by
-    the redundancy mask before squaring would double-count them), so we
-    square the deduplicated source values.
-    """
-    from repro.factorized.normalized_matrix import AmalurMatrix
-    from repro.matrices.builder import IntegratedDataset, SourceFactor
-
-    factors = []
-    for factor in operand.dataset.factors:
-        factors.append(
-            SourceFactor(
-                factor.name,
-                factor.data * factor.data,
-                list(factor.source_columns),
-                factor.mapping,
-                factor.indicator,
-                factor.redundancy,
-            )
-        )
-    dataset = IntegratedDataset(
-        target_columns=list(operand.dataset.target_columns),
-        n_target_rows=operand.dataset.n_target_rows,
-        factors=factors,
-        scenario=operand.dataset.scenario,
-        label_column=operand.dataset.label_column,
-        name=operand.dataset.name,
-    )
-    return AmalurMatrix(dataset, operand.counter)

@@ -29,6 +29,7 @@ from repro.matrices.builder import (
     IntegratedDataset,
     build_integrated_dataset,
     integrate_tables,
+    star_schema,
 )
 from repro.matrices.tensor import stack_metadata_tensor, MetadataTensor
 
@@ -43,6 +44,7 @@ __all__ = [
     "IntegratedDataset",
     "build_integrated_dataset",
     "integrate_tables",
+    "star_schema",
     "stack_metadata_tensor",
     "MetadataTensor",
 ]

@@ -531,6 +531,65 @@ def source_factor(
     )
 
 
+def star_schema(
+    entity: Tuple[str, Sequence[str], object],
+    dimensions: Sequence[Tuple[str, Sequence[str], object, np.ndarray]],
+    *,
+    label_column: Optional[str] = None,
+    name: str = "T",
+    backend: BackendSpec = None,
+) -> IntegratedDataset:
+    """The star-schema inner join ``T = [S, K_1 R_1, ..., K_q R_q]`` as a dataset.
+
+    The Morpheus setting (Chen et al., PVLDB'17, the paper's ref. [27]) is
+    the Area-I special case of ``(D_k, M_k, I_k, R_k)``: the entity table
+    ``S`` (``entity = (name, columns, data)``) is the base factor with an
+    identity indicator, and each dimension ``(name, columns, data,
+    foreign_keys)`` is a many-to-one factor whose ``CI_k`` is its foreign-key
+    column. Columns are disjoint and every mask is trivial, so the same
+    operators run it — Morpheus's Eq. 1 is ``lmm`` on this dataset.
+    """
+    entity_name, entity_columns, entity_data = entity
+    n_rows = entity_data.shape[0]
+    sources = [(entity_name, entity_columns, entity_data, np.arange(n_rows, dtype=np.int64))]
+    for dimension in dimensions:
+        if len(dimension) != 4:
+            raise MappingError(
+                "a star-schema dimension is (name, columns, data, foreign_keys), "
+                f"got {len(dimension)} items"
+            )
+        dim_name, columns, data, foreign_keys = dimension
+        foreign_keys = np.asarray(foreign_keys)
+        if foreign_keys.shape != (n_rows,):
+            raise MappingError(
+                f"dimension {dim_name!r} needs one foreign key per entity row "
+                f"({n_rows}), got shape {foreign_keys.shape}"
+            )
+        if foreign_keys.size and (foreign_keys.min() < 0 or foreign_keys.max() >= data.shape[0]):
+            raise MappingError(
+                f"dimension {dim_name!r}: an inner join needs 0 <= foreign key < "
+                f"{data.shape[0]}"
+            )
+        sources.append((dim_name, columns, data, foreign_keys))
+    target_columns = [column for _, columns, _, _ in sources for column in columns]
+    if len(set(target_columns)) != len(target_columns):
+        raise MappingError("star-schema sources must have disjoint column names")
+    resolved = resolve_backend(backend) if backend is not None else None
+    factors = [
+        source_factor(
+            data,
+            MappingMatrix(source, target_columns, columns, {c: c for c in columns}),
+            row_map,
+            RedundancyMatrix.all_ones(source, n_rows, len(target_columns)),
+            resolved,
+        )
+        for source, columns, data, row_map in sources
+    ]
+    return IntegratedDataset(
+        target_columns, n_rows, factors, ScenarioType.INNER_JOIN, label_column, name, resolved
+    )
+
+
 def integrate_tables(
     base: Table,
     other: Table,

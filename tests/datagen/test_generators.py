@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datagen.hamlet import HAMLET_DATASETS, generate_hamlet_dataset, generate_hamlet_morpheus
+from repro.datagen.hamlet import HAMLET_DATASETS, generate_hamlet_dataset
 from repro.datagen.hospital import hospital_integrated_dataset, hospital_tables
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset, generate_scenario_tables
 from repro.datagen.synthetic import (
@@ -162,10 +162,18 @@ class TestHamletGenerator:
         for factor in dataset.factors:
             assert factor.redundancy.is_trivial
 
-    def test_morpheus_and_amalur_shapes_consistent(self):
-        morpheus = generate_hamlet_morpheus("expedia", row_scale=0.001, seed=2)
-        amalur = generate_hamlet_dataset("expedia", row_scale=0.001, seed=2, with_label=False)
-        assert morpheus.n_rows == amalur.n_target_rows
+    def test_dataset_is_a_star_schema(self):
+        dataset = generate_hamlet_dataset("expedia", row_scale=0.001, seed=2, with_label=False)
+        spec = HAMLET_DATASETS["expedia"]
+        assert dataset.n_target_rows == round(spec.entity_rows * 0.001)
+        assert dataset.scenario is ScenarioType.INNER_JOIN
+        entity, *dimensions = dataset.factors
+        assert np.array_equal(entity.indicator.compressed, np.arange(dataset.n_target_rows))
+        assert [f.n_rows for f in dimensions] == [round(r * 0.001) for r, _ in spec.dimensions]
+        for factor in dimensions:
+            assert factor.indicator.n_mapped == dataset.n_target_rows  # an inner join
+            keys = factor.indicator.compressed
+            assert keys.min() >= 0 and keys.max() < factor.n_rows
 
     def test_without_label(self):
         dataset = generate_hamlet_dataset("yelp", row_scale=0.005, with_label=False)
