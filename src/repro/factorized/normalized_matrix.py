@@ -35,8 +35,11 @@ dimension — the FLOP counters' per-factor formulas describe what runs:
 * an **injective** factor's source rows partition with the target rows,
   so each block multiplies its own — a slice *view* of ``D_k`` when the
   row map is contiguous there, never more rows than the block has;
-* the same-source Gram term of a many-to-one factor without redundancy
-  is ``D_kᵀ diag(multiplicity) D_k`` over its distinct source rows.
+* every Gram term is ``rows_kᵀ (I_kᵀ I_l) rows_l`` over the factors'
+  stored rows (their row forms): ``rows_kᵀ diag(multiplicity) rows_k``
+  for ``k = l``, and for a cross term the composed indicator segment-sums
+  one factor onto the other's rows before the multiply, so no term
+  touches a target-sized copy.
 
 The grid depends only on the matrix shape and the two grid settings —
 never the worker count — so any worker count, one included, gives the
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -61,7 +64,6 @@ from repro.factorized.operator_plan import (
     BlockedMatrixView,
     GramCache,
     OperatorPlan,
-    as_slice,
     row_grid,
 )
 from repro.factorized.ops_counter import FlopCounter
@@ -93,8 +95,8 @@ class AmalurMatrix:
         # Backend-prepared physical form of each D_k (dense ndarray or CSR).
         self._storages = [factor.storage(self.backend) for factor in dataset.factors]
         # Compiled operator plans: per-factor gather/scatter index arrays,
-        # many-to-one projectors, and lazily cached corrections/effective
-        # contributions (see repro.factorized.operator_plan). Rebuilt by any
+        # many-to-one projectors, and lazily cached corrections and Gram
+        # row forms (see repro.factorized.operator_plan). Rebuilt by any
         # operation returning a new AmalurMatrix (with_backend,
         # select_columns, scale, square).
         self._plans: List[OperatorPlan] = [
@@ -104,6 +106,9 @@ class AmalurMatrix:
         # Gram cache for crossprod(); factors are immutable, so TᵀT never
         # changes for this view unless explicitly invalidated.
         self.gram_cache = GramCache()
+        # Composed indicators of the Gram's cross terms, per factor pair
+        # (see _cross_operands); they depend on the row maps only.
+        self._composed: Dict[Tuple[int, int], Tuple[int, int, sparse.csr_matrix]] = {}
         # Row-block view over all columns — the engine of lmm /
         # transpose_lmm — built lazily on the calling thread by the first
         # operator call (so the plans' correction caches are populated
@@ -340,10 +345,9 @@ class AmalurMatrix:
     def crossprod(self) -> np.ndarray:
         """``Tᵀ T`` — the Gram matrix needed by normal-equation solvers.
 
-        Same-source terms are computed in the source dimension
-        (``M_k D_kᵀ I_kᵀ I_k D_k M_kᵀ`` collapses to a per-source Gram over
-        the rows that reach the target); cross-source terms only involve
-        target rows covered by both sources and are computed on those rows.
+        Computed over the factors, never the join: every term is
+        ``rows_kᵀ (I_kᵀ I_l) rows_l`` on the factors' stored rows (see
+        :meth:`_compute_gram`).
 
         The result is cached on this matrix (the factors are immutable),
         so the normal-equation solver and repeated fits reuse one Gram;
@@ -362,67 +366,61 @@ class AmalurMatrix:
         self.gram_cache.invalidate()
 
     def invalidate(self) -> None:
-        """Drop every lazily cached structure: the Gram, each plan's
-        correction/effective-contribution caches *and* the row-block view
+        """Drop every lazily cached structure that copies factor data: the
+        Gram, each plan's correction and row form *and* the row-block view
         (its blocks hold slices of the corrections). Call after mutating
-        a factor's data in place (the serving layer's delta updates);
-        plans' index arrays stay valid while shapes and row/column maps do."""
+        a factor's data in place; plans' index arrays and the Gram's
+        composed indicators stay valid while shapes and row/column maps do."""
         self.gram_cache.invalidate()
         for plan in self._plans:
             plan.invalidate()
         self._blocked_view = None
 
     def _compute_gram(self) -> np.ndarray:
-        """``Tᵀ T`` as row-block partial sums of every same-source and
-        cross-source term, reduced in a fixed task order — one block per
-        term, on the calling thread, unless the target clears the
-        parallel threshold.
+        """``Tᵀ T`` as row-block partial sums of one term per factor pair,
+        reduced in a fixed ``(k, l, block)`` order — one block per term, on
+        the calling thread, unless the target clears the parallel
+        threshold.
 
-        Same-source terms run on each plan's
-        :meth:`~OperatorPlan.local_gram_operands` (the source dimension
-        for a many-to-one factor without redundancy). The effective
-        contributions and shared-row intersections of the cross terms are
-        prepared serially (they populate the plan caches); only the
-        partial products fan out. FLOP charges are whole-term formulas.
+        Every term is ``rows_kᵀ C_kl rows_l`` over the plans'
+        :meth:`~OperatorPlan.row_form`, with ``C_kl = I_kᵀ I_l``. For
+        ``k = l`` that is ``diag(multiplicity)``, so the same-source term
+        is ``rowsᵀ weighted``. A cross term runs in the order with fewer
+        multiply-adds (:meth:`_cross_operands`), blocked over the rows of
+        its outer factor, and each term is charged the count of what ran.
         """
-        take = self.backend.take_rows
-        # The cross terms pair target rows, so they need every factor's
-        # effective contribution; a lone factor never expands its block.
-        effective = (
-            [plan.effective_contribution() for plan in self._plans]
-            if len(self._plans) > 1 else []
-        )
+        backend = self.backend
+        take = backend.take_rows
+        forms = [plan.row_form() for plan in self._plans]
+        cols = [plan.target_cols for plan in self._plans]
         # (compute, target index, transpose target index or None), in the
         # deterministic order the reduction below replays.
         tasks: List[Tuple] = []
-        for k, plan in enumerate(self._plans):
-            cols_k = plan.target_cols
-            block, weighted = plan.local_gram_operands()
-            for lo, hi in self._row_grid(block.shape[0]):
-                rows = slice(lo, hi)
-                if weighted is None:
-                    compute = partial(self.backend.crossprod, take(block, rows))
+        for k, form in enumerate(forms):
+            for rows in self._row_slices(form.rows.shape[0]):
+                if form.weighted is None:
+                    compute = partial(backend.crossprod, take(form.rows, rows))
                 else:
                     compute = partial(
-                        self.backend.gram_pair, take(block, rows), take(weighted, rows)
+                        backend.gram_pair, take(form.rows, rows), take(form.weighted, rows)
                     )
-                tasks.append((compute, np.ix_(cols_k, cols_k), None))
-            self.counter.add("crossprod.local", self.backend.crossprod_flops(block))
-            for rows_l, block_l, cols_l in effective[k + 1:]:
-                rows_k, block_k, _ = effective[k]
-                shared, idx_k, idx_l = np.intersect1d(
-                    rows_k, rows_l, assume_unique=False, return_indices=True
-                )
-                if shared.size == 0:
+                tasks.append((compute, np.ix_(cols[k], cols[k]), None))
+            self.counter.add("crossprod.local", backend.crossprod_flops(form.rows))
+            for j in range(k + 1, len(forms)):
+                outer, inner, composed = self._cross_operands(k, j, forms)
+                if composed.nnz == 0:
                     continue
-                left = take(block_k, as_slice(idx_k))
-                right = take(block_l, as_slice(idx_l))
-                for lo, hi in self._row_grid(shared.size):
-                    rows = slice(lo, hi)
-                    compute = partial(self.backend.gram_pair, take(left, rows), take(right, rows))
-                    tasks.append((compute, np.ix_(cols_k, cols_l), np.ix_(cols_l, cols_k)))
+                left, right = forms[outer].rows, forms[inner].rows
+                for rows in self._row_slices(left.shape[0]):
+                    compute = partial(
+                        self._cross_block, take(left, rows), take(composed, rows), right
+                    )
+                    tasks.append((
+                        compute, np.ix_(cols[outer], cols[inner]), np.ix_(cols[inner], cols[outer])
+                    ))
+                width = right.shape[1]
                 self.counter.add(
-                    "crossprod.cross", self.backend.gram_pair_flops(left, right)
+                    "crossprod.cross", composed.nnz * width + backend.matmul_flops(left, width)
                 )
         # Below the row threshold the terms stay on this thread: a small
         # (serving-session) Gram must not pay pool round trips.
@@ -437,6 +435,36 @@ class AmalurMatrix:
                 gram[ix_t] += term.T
         gram.setflags(write=False)
         return gram
+
+    def _row_slices(self, n_rows: int) -> List[slice]:
+        return [slice(lo, hi) for lo, hi in self._row_grid(n_rows)]
+
+    def _cross_operands(self, k: int, j: int, forms) -> Tuple[int, int, sparse.csr_matrix]:
+        """``(outer, inner, C)`` of the cross term between factors ``k < j``:
+        the term is ``rows_outerᵀ (C rows_inner)`` with ``C = I_outerᵀ
+        I_inner`` as CSR (one entry per distinct row pair, nnz at most the
+        shared target rows). The order is the one with fewer multiply-adds
+        by shape. ``C`` depends on the row maps only, so it is cached per
+        pair for the life of the matrix, :meth:`invalidate` included."""
+        entry = self._composed.get((k, j))
+        if entry is None:
+            codes_k, codes_j = forms[k].codes, forms[j].codes
+            shared = (codes_k >= 0) & (codes_j >= 0)
+            (n_k, c_k), (n_j, c_j) = forms[k].rows.shape, forms[j].rows.shape
+            composed = sparse.csr_matrix(
+                (np.ones(np.count_nonzero(shared)), (codes_k[shared], codes_j[shared])),
+                shape=(n_k, n_j),
+            )
+            if composed.nnz * c_j + n_k * c_k * c_j <= composed.nnz * c_k + n_j * c_k * c_j:
+                entry = (k, j, composed)
+            else:
+                entry = (j, k, composed.T.tocsr())
+            self._composed[(k, j)] = entry
+        return entry
+
+    def _cross_block(self, outer, composed, inner) -> np.ndarray:
+        """``outerᵀ (composed inner)`` — one row block of a cross term."""
+        return self.backend.gram_pair(outer, composed @ inner)
 
     # -- element-wise and aggregation operators ----------------------------------------------
     def _map_factors(self, fn, label: str) -> "AmalurMatrix":

@@ -24,12 +24,19 @@ What is precomputed
   several target rows): ``I_kᵀ`` as a CSR matrix, so the row accumulation
   runs as one compiled sparse-times-dense matmul. 1:1 joins skip it and
   use plain fancy indexing.
-* the factor's **effective contribution** for ``crossprod`` — the
-  deduplicated block of covered rows × mapped columns in backend storage
-  form (CSR stays CSR) — and, for a many-to-one factor without
-  redundancy, the **source-dimension Gram operands** (distinct source
-  rows and their multiplicity-weighted copy); cached after the first
-  Gram computation.
+* the factor's **row form** for ``crossprod`` (:class:`RowForm`), cached
+  after the first Gram: ``rows``, the stored rows every Gram term
+  multiplies, restricted to the mapped columns; ``codes``, which maps each
+  target row to its row of ``rows`` (or ``-1``); and ``weighted``, ``rows``
+  times each row's multiplicity, kept only when a multiplicity is not 1.
+  Without redundancy ``rows`` is ``D_k`` itself (column-sliced unless every
+  column is mapped in order) and ``codes`` is ``CI_k``, so a many-to-one
+  factor stays in the source dimension. With redundancy ``R_k`` makes
+  cells differ per target row, so ``rows`` holds the covered rows with
+  ``R_k`` applied — source-sized for a 1:1 factor — and ``codes`` their
+  positions. A cross term multiplies two row forms through their
+  **composed indicator** ``C_kl = I_kᵀ I_l`` (see ``AmalurMatrix.crossprod``),
+  which depends on the row maps only and so outlives :meth:`invalidate`.
 * the sparse **correction matrix** holding the values of the factor's
   redundant cells, cached after first use by any operator.
 
@@ -58,7 +65,7 @@ arrays cannot leak across views.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -160,6 +167,16 @@ class GramCache:
         return f"GramCache({state}, hits={self.hits}, misses={self.misses})"
 
 
+class RowForm(NamedTuple):
+    """One factor's operands of ``TᵀT`` (see the module docstring): the
+    same-source term is ``rowsᵀ weighted`` (``rowsᵀ rows`` when
+    ``weighted`` is ``None``) and ``codes`` places ``rows`` on the target."""
+
+    rows: Storage
+    codes: np.ndarray
+    weighted: Optional[Storage]
+
+
 class OperatorPlan:
     """Precomputed gather/scatter structure of one source factor.
 
@@ -184,8 +201,7 @@ class OperatorPlan:
         "n_mapped_cols",
         "has_correction",
         "_correction",
-        "_effective",
-        "_gram_operands",
+        "_row_form",
     )
 
     def __init__(self, factor: SourceFactor, storage: Storage, backend: Backend):
@@ -219,8 +235,7 @@ class OperatorPlan:
             )
         self.has_correction = not factor.redundancy.is_trivial
         self._correction: Optional[sparse.csr_matrix] = None
-        self._effective = None
-        self._gram_operands = None
+        self._row_form: Optional[RowForm] = None
 
     # -- mapping-side kernels (columns) ----------------------------------------------------
     def scatter_add_columns(self, out: np.ndarray, local: np.ndarray) -> None:
@@ -238,13 +253,12 @@ class OperatorPlan:
         return self.projector @ x
 
     def invalidate(self) -> None:
-        """Drop the lazily cached correction/effective-contribution
-        structure after the underlying factor's data changed in place
-        (serving-layer delta updates); the index arrays themselves are
-        still valid as long as the factor's shape and maps are unchanged."""
+        """Drop the lazily cached correction and row form (both copy
+        ``D_k``) after the underlying factor's data changed in place; the
+        index arrays themselves are still valid as long as the factor's
+        shape and maps are unchanged."""
         self._correction = None
-        self._effective = None
-        self._gram_operands = None
+        self._row_form = None
         if _telemetry.ENABLED:
             _telemetry.counter_add("plan_cache.invalidate")
 
@@ -282,60 +296,38 @@ class OperatorPlan:
             )
         return self._correction
 
-    def effective_contribution(self) -> Tuple[np.ndarray, Storage, np.ndarray]:
-        """Covered target rows, the deduplicated block there (in backend
-        storage form — CSR stays CSR), and the mapped target columns.
-
-        This is the per-factor structure ``crossprod`` reduces over; it is
-        cached because Gram computations revisit it across solver calls.
-        """
-        if self._effective is not None:
+    def row_form(self) -> RowForm:
+        """The rows this factor's Gram terms multiply — see the module
+        docstring. Cached until :meth:`invalidate`."""
+        if self._row_form is not None:
             if _telemetry.ENABLED:
-                _telemetry.counter_add("plan_cache.effective.hit")
-            return self._effective
+                _telemetry.counter_add("plan_cache.row_form.hit")
+            return self._row_form
         if _telemetry.ENABLED:
-            _telemetry.counter_add("plan_cache.effective.miss")
-        if self._effective is None:
-            block = self.backend.take_columns(
-                self.backend.take_rows(self.storage, self.source_rows),
-                self.source_cols,
+            _telemetry.counter_add("plan_cache.row_form.miss")
+        backend, weighted = self.backend, None
+        if self.has_correction:
+            rows = backend.take_columns(
+                backend.take_rows(self.storage, self.source_rows), self.source_cols
             )
-            if self.has_correction:
-                # Mask-aware slicing: restrict R_k to the covered rows ×
-                # mapped columns without densifying, then zero the redundant
-                # cells in whatever format the backend stores the block.
-                restricted = self.factor.redundancy.submatrix(
-                    self.target_rows, self.target_cols
-                )
-                block = self.backend.apply_redundancy(block, restricted)
-            self._effective = (self.target_rows, block, self.target_cols)
-        return self._effective
-
-    def local_gram_operands(self) -> Tuple[Storage, Optional[Storage]]:
-        """``(block, weighted)`` operands of the factor's same-source Gram
-        term over its mapped columns: ``blockᵀ block`` when ``weighted`` is
-        ``None``, else ``blockᵀ weighted``.
-
-        A many-to-one factor without redundant cells contributes
-        ``D_kᵀ diag(multiplicity) D_k`` — every target row fed by a source
-        row repeats it verbatim — so the term is computed on the distinct
-        source rows that reach the target (``block``) against their
-        multiplicity-weighted copy, never on the join. Masked factors
-        (cells differ per target row) and injective ones (nothing to
-        collapse) use the effective contribution. Cached like it.
-        """
-        if self.has_correction or self.rows_injective:
-            return self.effective_contribution()[1], None
-        if self._gram_operands is None:
+            # Mask-aware slicing: restrict R_k to the covered rows × mapped
+            # columns without densifying, then zero the redundant cells in
+            # whatever format the backend stores the rows.
+            restricted = self.factor.redundancy.submatrix(self.target_rows, self.target_cols)
+            rows = backend.apply_redundancy(rows, restricted)
+            codes = np.full(self.factor.indicator.n_target_rows, -1, dtype=np.intp)
+            codes[self.target_rows] = np.arange(self.n_mapped_rows)
+        else:
+            rows = self.storage
+            if not np.array_equal(self.source_cols, np.arange(self.n_source_columns)):
+                rows = backend.take_columns(rows, self.source_cols)
+            codes = self.factor.indicator.compressed
             multiplicity = np.bincount(self.source_rows, minlength=self.n_source_rows)
-            touched = np.flatnonzero(multiplicity)
-            block = self.backend.take_columns(
-                self.backend.take_rows(self.storage, as_slice(touched)),
-                self.source_cols,
-            )
-            weights = multiplicity[touched].astype(np.float64)[:, None]
-            self._gram_operands = (block, self.backend.elementwise_multiply(block, weights))
-        return self._gram_operands
+            if (multiplicity != 1).any():
+                weights = multiplicity.astype(np.float64)[:, None]
+                weighted = backend.elementwise_multiply(rows, weights)
+        self._row_form = RowForm(rows, codes, weighted)
+        return self._row_form
 
     def __repr__(self) -> str:
         return (

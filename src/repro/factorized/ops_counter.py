@@ -67,11 +67,6 @@ def sparse_crossprod_flops(nnz: int, n_cols: int) -> float:
     return float(nnz) * float(n_cols)
 
 
-def materialized_lmm_flops(n_rows: int, n_cols: int, x_cols: int) -> float:
-    """FLOPs of ``T @ X`` on the materialized target."""
-    return dense_matmul_flops(n_rows, n_cols, x_cols)
-
-
 def redundancy_apply_flops(n_redundant: int) -> float:
     """Cost of applying a redundancy mask ``R_k`` to a contribution.
 
@@ -81,82 +76,3 @@ def redundancy_apply_flops(n_redundant: int) -> float:
     trivial (all-ones) mask costs nothing.
     """
     return float(n_redundant)
-
-
-def _normalize_per_source(shapes, values, name: str):
-    """Pad a per-source value list with ``None`` to match ``shapes``.
-
-    A list longer than ``shapes`` is a caller bug — reject it rather than
-    silently dropping entries.
-    """
-    if values is None:
-        return [None] * len(shapes)
-    value_list = list(values)
-    if len(value_list) > len(shapes):
-        raise ValueError(
-            f"{name} has {len(value_list)} entries for {len(shapes)} sources"
-        )
-    return value_list + [None] * (len(shapes) - len(value_list))
-
-
-def _normalize_source_nnz(shapes, source_nnz):
-    """Pad a per-source nnz list with ``None`` (dense) to match ``shapes``."""
-    return _normalize_per_source(shapes, source_nnz, "source_nnz")
-
-
-def factorized_lmm_flops(
-    source_shapes,
-    n_target_rows: int,
-    x_cols: int,
-    redundant_cells: int = 0,
-    source_nnz=None,
-    mapped_rows=None,
-) -> float:
-    """FLOPs of the factorized rewrite ``Σ_k I_k (D_k (M_kᵀ X))``.
-
-    ``source_shapes`` is an iterable of ``(r_Sk, c_Sk)``; the mapping
-    application is a row gather (free), the indicator lift costs one add
-    per output cell, and each redundant cell adds one multiply-add of
-    correction per column of X.
-
-    When ``source_nnz`` is given (one stored-cell count per source, or
-    ``None`` entries for dense sources), the per-source multiply uses the
-    sparse ``nnz · m`` count instead of the dense ``r·c·m`` count — the
-    nnz-aware formula for plans executed on a sparse backend.
-
-    When ``mapped_rows`` is given (one mapped-target-row count per source,
-    or ``None`` entries meaning every target row), the indicator lift is
-    charged per *mapped* row instead of per target row — matching what the
-    compiled operator plans execute: a partial-coverage source (outer
-    join, union) scatters only the rows it actually covers.
-    """
-    shapes = list(source_shapes)
-    per_source_mapped = _normalize_per_source(shapes, mapped_rows, "mapped_rows")
-    flops = 0.0
-    for (n_rows, n_cols), nnz, lifted in zip(
-        shapes, _normalize_source_nnz(shapes, source_nnz), per_source_mapped
-    ):
-        if nnz is None:
-            flops += dense_matmul_flops(n_rows, n_cols, x_cols)  # D_k @ (M_kᵀ X)
-        else:
-            flops += sparse_matmul_flops(nnz, x_cols)
-        lift_rows = n_target_rows if lifted is None else lifted
-        flops += float(lift_rows) * x_cols  # indicator lift / accumulate
-    flops += float(redundant_cells) * x_cols  # redundancy correction
-    return flops
-
-
-def factorized_crossprod_flops(source_shapes, source_nnz=None) -> float:
-    """FLOPs of the factorized Gram computation ``Σ_k D̃_kᵀ D̃_k`` (same-source
-    terms only — the dominant cost; cross terms involve only overlap rows).
-
-    ``source_nnz`` works as in :func:`factorized_lmm_flops`.
-    """
-    shapes = list(source_shapes)
-    flops = 0.0
-    for (n_rows, n_cols), nnz in zip(shapes, _normalize_source_nnz(shapes, source_nnz)):
-        if nnz is None:
-            flops += dense_matmul_flops(n_cols, n_rows, n_cols)
-        else:
-            flops += sparse_crossprod_flops(nnz, n_cols)
-    return flops

@@ -399,8 +399,9 @@ def test_rmm_on_a_redundant_many_to_one_join_is_the_dense_product(block_rows):
 
 
 def test_many_to_one_gram_term_stays_in_the_source_dimension():
-    """Without redundancy the same-source Gram runs on the distinct source
-    rows (weighted by multiplicity); a lone factor never expands to r_T."""
+    """Without redundancy the same-source Gram runs on the factor's own
+    source rows against their multiplicity-weighted copy; the row form
+    never holds r_T rows."""
     dataset = build_dataset("skewed", redundant=False)
     lone = IntegratedDataset(
         target_columns=OTHER_COLUMNS, n_target_rows=N_TARGET,
@@ -415,12 +416,12 @@ def test_many_to_one_gram_term_stays_in_the_source_dimension():
     for backend in ("dense", "sparse"):
         matrix = AmalurMatrix(lone, backend=backend)
         plan = matrix._plans[0]
-        block, weighted = plan.local_gram_operands()
-        assert block.shape[0] == np.unique(plan.source_rows).size < plan.n_mapped_rows
-        assert weighted is not None
         target = lone.materialize()
         assert np.max(np.abs(matrix.crossprod() - target.T @ target)) <= 1e-10
-        assert plan._effective is None  # the join was never materialized
+        form = plan.row_form()
+        assert form.rows.shape[0] == plan.n_source_rows < plan.n_mapped_rows
+        assert form.weighted is not None and form.weighted.shape == form.rows.shape
+        assert form.rows is plan.storage  # every column mapped in order: no copy
 
 
 # -- training -----------------------------------------------------------------------------------

@@ -13,8 +13,14 @@ import pytest
 from scipy import sparse
 
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
-from repro.datagen.synthetic import OneHotSpec, generate_one_hot_pair
+from repro.datagen.synthetic import (
+    OneHotSpec,
+    SyntheticSiloSpec,
+    generate_integrated_pair,
+    generate_one_hot_pair,
+)
 from repro.factorized.normalized_matrix import AmalurMatrix
+from repro.matrices.builder import star_schema
 from repro.metadata.mappings import ScenarioType
 
 ATOL = 1e-10
@@ -45,6 +51,43 @@ def _assert_parity(matrix: AmalurMatrix, target: np.ndarray, rng) -> None:
     np.testing.assert_allclose(matrix.crossprod(), target.T @ target, atol=ATOL, rtol=0)
 
 
+def _masked_many_to_one_dataset():
+    # The second source feeds several target rows each *and* has
+    # redundant cells, so its Gram rows are its covered rows, masked.
+    return generate_integrated_pair(SyntheticSiloSpec(
+        base_rows=120, base_columns=3, other_rows=24, other_columns=8,
+        redundancy_in_target=True, redundancy_in_sources=True, seed=3,
+    ))
+
+
+def _three_dimension_star_dataset():
+    rng = np.random.default_rng(4)
+    n_rows = 90
+    dimensions = [
+        (f"R{i}", [f"r{i}_{j}" for j in range(width)], rng.standard_normal((n_dim, width)),
+         rng.integers(0, n_dim, size=n_rows))
+        for i, (n_dim, width) in enumerate([(7, 3), (12, 2), (5, 4)])
+    ]
+    entity = ("S", ["y", "s0", "s1"], rng.standard_normal((n_rows, 3)))
+    return star_schema(entity, dimensions, label_column="y")
+
+
+def _disjoint_rows_dataset():
+    # A full outer join of two sources with no entity in common: the cross
+    # term's composed indicator is empty.
+    return generate_scenario_dataset(ScenarioSpec(
+        scenario=ScenarioType.FULL_OUTER_JOIN, base_rows=40, other_rows=30,
+        overlap_rows=0, overlap_columns=2, seed=2,
+    ))
+
+
+GRAM_CASES = {
+    "masked_many_to_one": _masked_many_to_one_dataset,
+    "star_three_dimensions": _three_dimension_star_dataset,
+    "no_shared_rows": _disjoint_rows_dataset,
+}
+
+
 class TestCompiledPlanParity:
     """Compiled plans match materialize() across scenarios × backends."""
 
@@ -54,6 +97,21 @@ class TestCompiledPlanParity:
         dataset = _scenario_dataset(scenario)
         matrix = AmalurMatrix(dataset, backend=backend)
         _assert_parity(matrix, dataset.materialize(), rng)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_gram_shape_parity(self, case, backend, rng):
+        dataset = GRAM_CASES[case]()
+        matrix = AmalurMatrix(dataset, backend=backend)
+        plans = matrix._plans
+        if case == "masked_many_to_one":
+            assert any(not p.rows_injective and p.has_correction for p in plans)
+        elif case == "star_three_dimensions":
+            assert len(plans) == 4 and sum(not p.rows_injective for p in plans) == 3
+        _assert_parity(matrix, dataset.materialize(), rng)
+        if case == "no_shared_rows":
+            assert [entry[2].nnz for entry in matrix._composed.values()] == [0]
+            assert "crossprod.cross" not in matrix.counter.by_operation
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_many_to_one_join_parity(self, backend, rng):
@@ -118,11 +176,19 @@ class TestPlanStructure:
             assert plan.n_mapped_rows == factor.indicator.n_mapped
             assert plan.n_mapped_cols == factor.mapping.n_mapped
 
-    def test_effective_contribution_cached(self):
+    def test_row_form_cached_and_dropped_by_invalidate(self):
         dataset = _scenario_dataset(ScenarioType.FULL_OUTER_JOIN)
         matrix = AmalurMatrix(dataset)
         plan = matrix._plans[1]
-        assert plan.effective_contribution() is plan.effective_contribution()
+        form = plan.row_form()
+        assert plan.row_form() is form
+        gram = np.array(matrix.crossprod())
+        composed = dict(matrix._composed)
+        matrix.invalidate()
+        assert plan.row_form() is not form
+        np.testing.assert_array_equal(matrix.crossprod(), gram)
+        # The composed indicators depend on the row maps only: kept.
+        assert all(matrix._composed[pair][2] is entry[2] for pair, entry in composed.items())
 
     def test_correction_cached_on_plan(self, synthetic_redundant_dataset, rng):
         matrix = AmalurMatrix(synthetic_redundant_dataset)

@@ -1,13 +1,8 @@
 """Tests for repro.factorized.ops_counter."""
 
-import pytest
-
 from repro.factorized.ops_counter import (
     FlopCounter,
     dense_matmul_flops,
-    factorized_crossprod_flops,
-    factorized_lmm_flops,
-    materialized_lmm_flops,
     sparse_crossprod_flops,
     sparse_matmul_flops,
 )
@@ -16,26 +11,6 @@ from repro.factorized.ops_counter import (
 class TestFlopFormulas:
     def test_dense_matmul(self):
         assert dense_matmul_flops(10, 20, 30) == 6000.0
-
-    def test_materialized_lmm(self):
-        assert materialized_lmm_flops(100, 5, 2) == 1000.0
-
-    def test_factorized_lmm_without_redundancy(self):
-        flops = factorized_lmm_flops([(10, 2), (4, 3)], n_target_rows=10, x_cols=2)
-        # 10*2*2 + 10*2 (lift) + 4*3*2 + 10*2 (lift) = 40 + 20 + 24 + 20
-        assert flops == 104.0
-
-    def test_factorized_lmm_redundancy_correction(self):
-        base = factorized_lmm_flops([(10, 2)], 10, 2)
-        with_redundancy = factorized_lmm_flops([(10, 2)], 10, 2, redundant_cells=5)
-        assert with_redundancy - base == 10.0
-
-    def test_factorization_wins_with_high_tuple_ratio(self):
-        """Sanity: the formulas reproduce the classic factorization win."""
-        n_target, dim_rows, dim_cols = 100_000, 100, 50
-        materialized = materialized_lmm_flops(n_target, dim_cols + 1, 1)
-        factorized = factorized_lmm_flops([(n_target, 1), (dim_rows, dim_cols)], n_target, 1)
-        assert factorized < materialized
 
 
 class TestSparseFlopFormulas:
@@ -49,81 +24,6 @@ class TestSparseFlopFormulas:
     def test_sparse_crossprod(self):
         assert sparse_crossprod_flops(500, 100) == 50_000.0
         assert sparse_crossprod_flops(500, 100) < dense_matmul_flops(100, 100, 100)
-
-    def test_nnz_aware_lmm_matches_dense_when_full(self):
-        shapes = [(10, 2), (4, 3)]
-        dense = factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2)
-        nnz_full = factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, source_nnz=[20, 12]
-        )
-        assert dense == nnz_full
-
-    def test_nnz_aware_lmm_counts_stored_cells(self):
-        shapes = [(10, 2), (100, 50)]
-        dense = factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2)
-        # Second source is one-hot: only 100 of the 5000 cells are stored.
-        sparse = factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, source_nnz=[None, 100]
-        )
-        assert sparse < dense
-        assert dense - sparse == (100 * 50 - 100) * 2
-
-    def test_nnz_aware_lmm_short_nnz_list_pads_dense(self):
-        shapes = [(10, 2), (4, 3)]
-        assert factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, source_nnz=[20]
-        ) == factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2)
-
-    def test_nnz_list_longer_than_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            factorized_lmm_flops([(10, 2)], n_target_rows=10, x_cols=2, source_nnz=[20, 5])
-        with pytest.raises(ValueError):
-            factorized_crossprod_flops([(10, 2)], source_nnz=[20, 5])
-
-    def test_factorized_crossprod_dense_and_sparse(self):
-        shapes = [(100, 4), (50, 20)]
-        dense = factorized_crossprod_flops(shapes)
-        assert dense == 4 * 100 * 4 + 20 * 50 * 20
-        sparse = factorized_crossprod_flops(shapes, source_nnz=[None, 50])
-        assert sparse == 4 * 100 * 4 + 50 * 20
-
-
-class TestMappedRowAwareFormulas:
-    """Gather/scatter costs charged by mapped rows, not r_T (plan parity)."""
-
-    def test_mapped_rows_reduce_lift_charge(self):
-        shapes = [(10, 2), (4, 3)]
-        full = factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2)
-        partial = factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, mapped_rows=[10, 4]
-        )
-        # Second source covers only 4 of the 10 target rows: 6·2 fewer adds.
-        assert full - partial == 12.0
-
-    def test_full_coverage_matches_default(self):
-        shapes = [(10, 2), (4, 3)]
-        assert factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, mapped_rows=[10, 10]
-        ) == factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2)
-
-    def test_none_entries_fall_back_to_target_rows(self):
-        shapes = [(10, 2), (4, 3)]
-        assert factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=2, mapped_rows=[None, 4]
-        ) == factorized_lmm_flops(shapes, n_target_rows=10, x_cols=2, mapped_rows=[10, 4])
-
-    def test_mapped_rows_longer_than_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            factorized_lmm_flops(
-                [(10, 2)], n_target_rows=10, x_cols=2, mapped_rows=[10, 4]
-            )
-
-    def test_composes_with_source_nnz(self):
-        shapes = [(10, 2), (100, 50)]
-        flops = factorized_lmm_flops(
-            shapes, n_target_rows=10, x_cols=1, source_nnz=[None, 100], mapped_rows=[10, 5]
-        )
-        assert flops == 10 * 2 * 1 + 10 + 100 * 1 + 5
 
 
 class TestFlopCounter:
