@@ -7,20 +7,20 @@ where materialization is faster (Area II), and the hard cases in between
 (Area III). The harness makes the figure concrete: it sweeps the tuple
 ratio (how often dimension rows are re-used in the target) and the feature
 ratio (how much wider the dimension table is than the entity table),
-measures the factorized-over-materialized speedup of an LMM training
-workload at every grid point, and prints the resulting decision map
+measures the factorized-over-materialized speedup of the LMM workload the
+cost model prices (``measure_ground_truth``) at every grid point, and prints the resulting decision map
 together with where each predictor places the boundary.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Tuple
 
 import numpy as np
 import pytest
 
 from repro.costmodel.amalur_cost import AmalurCostModel
+from repro.costmodel.decision import measure_ground_truth
 from repro.costmodel.morpheus_rule import MorpheusRule
 from repro.costmodel.parameters import CostParameters
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
@@ -31,6 +31,7 @@ FEATURE_RATIOS = [2, 5, 10, 25, 50]
 OTHER_ROWS = 2_000
 OPERAND_COLUMNS = 4
 REUSE = 10
+SEQUENCE = [("lmm", OPERAND_COLUMNS, REUSE)]
 
 
 def _dataset_for(tuple_ratio: int, feature_ratio: int):
@@ -51,34 +52,22 @@ def _dataset_for(tuple_ratio: int, feature_ratio: int):
 
 def _measure_speedup(dataset) -> float:
     """Measured materialized-time / factorized-time for the LMM workload."""
-    matrix = AmalurMatrix(dataset)
-    operand = np.random.default_rng(0).standard_normal((matrix.n_columns, OPERAND_COLUMNS))
-
-    start = time.perf_counter()
-    for _ in range(REUSE):
-        matrix.lmm(operand)
-    factorized = time.perf_counter() - start
-
-    start = time.perf_counter()
-    target = dataset.materialize()
-    for _ in range(REUSE):
-        target @ operand
-    materialized = time.perf_counter() - start
+    factorized, materialized = measure_ground_truth(AmalurMatrix(dataset), SEQUENCE, repeats=1)
     return materialized / factorized if factorized > 0 else float("inf")
 
 
 def test_report_figure5(report, benchmark):
-    amalur_model = AmalurCostModel(reuse=REUSE)
+    amalur_model = AmalurCostModel()
     morpheus_rule = MorpheusRule()
     grid: Dict[Tuple[int, int], Tuple[float, bool, bool]] = {}
     for tuple_ratio in TUPLE_RATIOS:
         for feature_ratio in FEATURE_RATIOS:
             dataset = _dataset_for(tuple_ratio, feature_ratio)
             speedup = _measure_speedup(dataset)
-            parameters = CostParameters.from_dataset(dataset, operand_columns=OPERAND_COLUMNS)
+            parameters = CostParameters.from_dataset(dataset)
             grid[(tuple_ratio, feature_ratio)] = (
                 speedup,
-                amalur_model.predict_factorize(parameters),
+                amalur_model.predict_factorize(parameters, SEQUENCE),
                 morpheus_rule.predict_factorize(parameters),
             )
 

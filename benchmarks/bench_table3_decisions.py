@@ -26,7 +26,6 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from repro.costmodel.amalur_cost import AmalurCostModel
 from repro.costmodel.decision import Decision, DecisionAdvisor, measure_ground_truth
 from repro.costmodel.parameters import CostParameters
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
@@ -41,6 +40,7 @@ BASE_COLUMNS = 1
 OTHER_COLUMNS = 100
 OPERAND_COLUMNS = 8  # a small multi-output / mini-batch LMM workload
 TRAINING_REUSE = 10  # gradient-descent passes the materialization is amortized over
+SEQUENCE = [("lmm", OPERAND_COLUMNS, TRAINING_REUSE)]
 STOPWATCH_REPEATS = 2
 
 
@@ -78,24 +78,20 @@ def _spec(base_rows: int, redundancy_in_sources: bool, redundancy_in_target: boo
 
 def _evaluate_cell(redundancy_in_sources: bool, redundancy_in_target: bool) -> CellResult:
     result = CellResult()
-    amalur_advisor = DecisionAdvisor(
-        method="amalur", cost_model=AmalurCostModel(reuse=TRAINING_REUSE)
-    )
+    amalur_advisor = DecisionAdvisor(method="amalur")
     morpheus_advisor = DecisionAdvisor(method="morpheus")
     for seed, base_rows in enumerate(BASE_ROW_SWEEP):
         dataset = generate_integrated_pair(
             _spec(base_rows, redundancy_in_sources, redundancy_in_target, seed)
         )
         matrix = AmalurMatrix(dataset)
-        truth = measure_ground_truth(
-            matrix,
-            operand_columns=OPERAND_COLUMNS,
-            repeats=STOPWATCH_REPEATS,
-            reuse=TRAINING_REUSE,
+        factorized_s, materialized_s = measure_ground_truth(
+            matrix, SEQUENCE, repeats=STOPWATCH_REPEATS
         )
-        parameters = CostParameters.from_dataset(dataset, operand_columns=OPERAND_COLUMNS)
-        amalur_decision = amalur_advisor.decide(parameters).decision
-        morpheus_decision = morpheus_advisor.decide(parameters).decision
+        truth = Decision.FACTORIZE if factorized_s < materialized_s else Decision.MATERIALIZE
+        parameters = CostParameters.from_dataset(dataset)
+        amalur_decision = amalur_advisor.decide(parameters, SEQUENCE).decision
+        morpheus_decision = morpheus_advisor.decide(parameters, SEQUENCE).decision
         result.total += 1
         result.amalur_correct += int(amalur_decision is truth)
         result.morpheus_correct += int(morpheus_decision is truth)
@@ -146,9 +142,8 @@ def test_report_table3(report, benchmark):
     # Representative timing: one cost-model decision (it is metadata-only, so
     # it must be orders of magnitude cheaper than running the workload).
     dataset = generate_integrated_pair(_spec(10_000, True, True, 0))
-    parameters = CostParameters.from_dataset(dataset, operand_columns=OPERAND_COLUMNS)
-    advisor = DecisionAdvisor(method="amalur", cost_model=AmalurCostModel(reuse=TRAINING_REUSE))
-    benchmark(advisor.decide, parameters)
+    parameters = CostParameters.from_dataset(dataset)
+    benchmark(DecisionAdvisor(method="amalur").decide, parameters, SEQUENCE)
 
 
 @pytest.mark.parametrize("base_rows", [1_000, 10_000, 50_000])

@@ -3,39 +3,21 @@
 The script sweeps a family of two-silo integration shapes, asks both
 decision procedures (the Morpheus tuple/feature-ratio heuristic and the
 Amalur DI-metadata cost model) what they would do, measures which strategy
-actually runs an LMM training workload faster, and prints the resulting
-decision map — a miniature of the Table III experiment you can read in a
+actually runs the LMM workload the model priced faster, and prints the
+resulting decision map — a miniature of the Table III experiment you can read in a
 few seconds.
 
 Run with:  python examples/cost_advisor.py
 """
 
-import time
-
-import numpy as np
-
 from repro.costmodel import AmalurCostModel, CostParameters, MorpheusRule
+from repro.costmodel.decision import measure_ground_truth
 from repro.datagen import SyntheticSiloSpec, generate_integrated_pair
 from repro.factorized import AmalurMatrix
 
-REUSE = 10
-OPERAND_COLUMNS = 4
-
-
-def measure(dataset) -> float:
-    """Return measured factorization speedup (>1 means factorize wins)."""
-    matrix = AmalurMatrix(dataset)
-    operand = np.random.default_rng(0).standard_normal((matrix.n_columns, OPERAND_COLUMNS))
-    start = time.perf_counter()
-    for _ in range(REUSE):
-        matrix.lmm(operand)
-    factorized = time.perf_counter() - start
-    start = time.perf_counter()
-    target = dataset.materialize()
-    for _ in range(REUSE):
-        target @ operand
-    materialized = time.perf_counter() - start
-    return materialized / factorized
+#: The workload both the cost model and the stopwatch see: 10 LMMs with a
+#: 4-column operand.
+SEQUENCE = [("lmm", 4, 10)]
 
 
 def main() -> None:
@@ -57,7 +39,7 @@ def main() -> None:
                                                          redundancy_in_target=True,
                                                          redundancy_in_sources=True)),
     ]
-    amalur_model = AmalurCostModel(reuse=REUSE)
+    amalur_model = AmalurCostModel()
     morpheus_rule = MorpheusRule()
 
     header = f"{'configuration':>42} | {'measured':>9} | {'Amalur':>7} | {'Morpheus':>8}"
@@ -65,10 +47,13 @@ def main() -> None:
     print("-" * len(header))
     for label, kwargs in configurations:
         dataset = generate_integrated_pair(SyntheticSiloSpec(seed=1, **kwargs))
-        parameters = CostParameters.from_dataset(dataset, operand_columns=OPERAND_COLUMNS)
-        speedup = measure(dataset)
+        parameters = CostParameters.from_dataset(dataset)
+        factorized, materialized = measure_ground_truth(AmalurMatrix(dataset), SEQUENCE, repeats=1)
+        speedup = materialized / factorized
         measured = "factorize" if speedup > 1 else "materialize"
-        amalur = "factorize" if amalur_model.predict_factorize(parameters) else "materialize"
+        amalur = (
+            "factorize" if amalur_model.predict_factorize(parameters, SEQUENCE) else "materialize"
+        )
         morpheus = "factorize" if morpheus_rule.predict_factorize(parameters) else "materialize"
         print(f"{label:>42} | {measured:>9} | {amalur:>7} | {morpheus:>8}   "
               f"(speedup {speedup:4.2f}×, tuple ratio {parameters.source_tuple_ratio:5.1f})")

@@ -51,8 +51,10 @@ def main() -> None:
     labels = target @ weights + 0.1 * rng.standard_normal(target.shape[0])
 
     print("\n== cost model advice ==")
-    parameters = CostParameters.from_dataset(dataset, operand_columns=1)
-    print("  Amalur cost model :", AmalurCostModel(reuse=50).explain(parameters))
+    parameters = CostParameters.from_dataset(dataset)
+    # The 50 GD iterations below: one LMM and one transpose-LMM each.
+    sequence = [("lmm", 1, 50), ("transpose_lmm", 1, 50)]
+    print("  Amalur cost model :", AmalurCostModel().explain(parameters, sequence))
     print("  Morpheus heuristic:", MorpheusRule().explain(parameters),
           "→", "factorize" if MorpheusRule().predict_factorize(parameters) else "materialize")
 

@@ -9,9 +9,9 @@ over that storage. The structured factorized representation
 and kernels change, mirroring how the paper separates the logical
 representation (§III-A..C) from the physical one (§III-D).
 
-Backends also own FLOP accounting (:meth:`Backend.matmul_flops` and
-friends) so that the analytical cost model charges sparse plans ``nnz``
-multiply-adds instead of the dense ``n·k·m`` count.
+With telemetry on, each kernel call records its time and multiply-adds
+(``backend.<kernel>.flops``), counted over the cells the kernel touches:
+``nnz`` for CSR storage, every cell for dense storage.
 
 Operand matrices (model weights, gradients) are always dense — only the
 factor data is candidate for sparse storage — so every operation returns a
@@ -30,10 +30,6 @@ from scipy import sparse
 from repro import telemetry as _telemetry
 from repro.exceptions import BackendError
 
-# NOTE: repro.factorized.ops_counter owns the FLOP formulas, but importing
-# it at module scope would close an import cycle (factorized → matrices →
-# backends → factorized); the accounting hooks import it lazily instead.
-
 #: A backend-prepared data matrix: dense ndarray or any SciPy sparse matrix.
 Storage = Union[np.ndarray, sparse.spmatrix]
 
@@ -48,6 +44,12 @@ def storage_nnz(storage: Storage) -> int:
     if sparse.issparse(storage):
         return int(storage.nnz)
     return int(np.count_nonzero(storage))
+
+
+def stored_cells(storage: Storage) -> int:
+    """Cells a kernel over ``storage`` touches: the stored entries of a
+    sparse matrix, every cell of a dense one."""
+    return int(storage.nnz) if sparse.issparse(storage) else int(storage.size)
 
 
 def storage_density(storage: Storage) -> float:
@@ -82,6 +84,17 @@ def _as_dense_result(result) -> np.ndarray:
     if sparse.issparse(result):
         return np.asarray(result.todense(), dtype=np.float64)
     return np.asarray(result, dtype=np.float64)
+
+
+def _kernel(name: str, compute, flops) -> np.ndarray:
+    """``compute()`` as a dense result; with telemetry on, record its time
+    and ``flops()`` multiply-adds under ``name``."""
+    if not _telemetry.ENABLED:
+        return _as_dense_result(compute())
+    start = time.perf_counter()
+    result = _as_dense_result(compute())
+    _telemetry.record_op(name, time.perf_counter() - start, flops())
+    return result
 
 
 class Backend(abc.ABC):
@@ -133,16 +146,8 @@ class Backend(abc.ABC):
             raise BackendError(
                 f"matmul shape mismatch: {storage.shape} @ {operand.shape}"
             )
-        if _telemetry.ENABLED:
-            start = time.perf_counter()
-            result = _as_dense_result(storage @ operand)
-            _telemetry.record_op(
-                "backend.matmul",
-                time.perf_counter() - start,
-                self.matmul_flops(storage, operand.shape[1]),
-            )
-            return result
-        return _as_dense_result(storage @ operand)
+        return _kernel("backend.matmul", lambda: storage @ operand,
+                       lambda: self.matmul_flops(storage, operand.shape[1]))
 
     def transpose_matmul(self, storage: Storage, operand: np.ndarray) -> np.ndarray:
         """``Dᵀ @ X`` for a dense operand ``X``; always returns dense."""
@@ -151,29 +156,13 @@ class Backend(abc.ABC):
             raise BackendError(
                 f"transpose-matmul shape mismatch: {storage.shape}ᵀ @ {operand.shape}"
             )
-        if _telemetry.ENABLED:
-            start = time.perf_counter()
-            result = _as_dense_result(storage.T @ operand)
-            _telemetry.record_op(
-                "backend.transpose_matmul",
-                time.perf_counter() - start,
-                self.matmul_flops(storage, operand.shape[1]),
-            )
-            return result
-        return _as_dense_result(storage.T @ operand)
+        return _kernel("backend.transpose_matmul", lambda: storage.T @ operand,
+                       lambda: self.matmul_flops(storage, operand.shape[1]))
 
     def crossprod(self, storage: Storage) -> np.ndarray:
         """The Gram matrix ``Dᵀ D`` (dense result)."""
-        if _telemetry.ENABLED:
-            start = time.perf_counter()
-            result = _as_dense_result(storage.T @ storage)
-            _telemetry.record_op(
-                "backend.crossprod",
-                time.perf_counter() - start,
-                self.crossprod_flops(storage),
-            )
-            return result
-        return _as_dense_result(storage.T @ storage)
+        return _kernel("backend.crossprod", lambda: storage.T @ storage,
+                       lambda: self.crossprod_flops(storage))
 
     def gram_pair(self, left: Storage, right: Storage) -> np.ndarray:
         """The cross term ``Lᵀ R`` between two storages (dense result)."""
@@ -181,16 +170,8 @@ class Backend(abc.ABC):
             raise BackendError(
                 f"gram-pair shape mismatch: {left.shape}ᵀ @ {right.shape}"
             )
-        if _telemetry.ENABLED:
-            start = time.perf_counter()
-            result = _as_dense_result(left.T @ right)
-            _telemetry.record_op(
-                "backend.gram_pair",
-                time.perf_counter() - start,
-                self.gram_pair_flops(left, right),
-            )
-            return result
-        return _as_dense_result(left.T @ right)
+        return _kernel("backend.gram_pair", lambda: left.T @ right,
+                       lambda: self.gram_pair_flops(left, right))
 
     # -- element-wise ----------------------------------------------------------------
     def scale(self, storage: Storage, alpha: float) -> Storage:
@@ -288,33 +269,21 @@ class Backend(abc.ABC):
         return out
 
     # -- FLOP accounting hooks ---------------------------------------------------------
-    def matmul_flops(self, storage: Storage, operand_columns: int) -> float:
-        """Multiply-add estimate of ``D @ X`` with ``X`` having ``m`` columns."""
-        from repro.factorized.ops_counter import dense_matmul_flops, sparse_matmul_flops
-
-        if sparse.issparse(storage):
-            return sparse_matmul_flops(storage.nnz, operand_columns)
-        rows, cols = storage.shape
-        return dense_matmul_flops(rows, cols, operand_columns)
+    def matmul_flops(self, storage: Storage, m: int) -> float:
+        """Multiply-adds of ``D @ X`` with ``X`` having ``m`` columns."""
+        return float(stored_cells(storage)) * m
 
     def crossprod_flops(self, storage: Storage) -> float:
-        """Multiply-add estimate of ``Dᵀ D``."""
-        from repro.factorized.ops_counter import dense_matmul_flops, sparse_crossprod_flops
-
-        if sparse.issparse(storage):
-            return sparse_crossprod_flops(storage.nnz, storage.shape[1])
-        rows, cols = storage.shape
-        return dense_matmul_flops(cols, rows, cols)
+        """Multiply-adds of ``Dᵀ D``: each stored cell meets at most every
+        column of its row (the exact count for dense storage)."""
+        return float(stored_cells(storage)) * storage.shape[1]
 
     def gram_pair_flops(self, left: Storage, right: Storage) -> float:
-        """Multiply-add estimate of ``Lᵀ R``."""
-        from repro.factorized.ops_counter import dense_matmul_flops, sparse_matmul_flops
-
-        if sparse.issparse(left):
-            return sparse_matmul_flops(left.nnz, right.shape[1])
-        if sparse.issparse(right):
-            return sparse_matmul_flops(right.nnz, left.shape[1])
-        return dense_matmul_flops(left.shape[1], left.shape[0], right.shape[1])
+        """Multiply-adds of ``Lᵀ R``: the stored cells of the sparse side
+        (of ``L`` when neither is) times the other side's width."""
+        if sparse.issparse(right) and not sparse.issparse(left):
+            return float(right.nnz) * left.shape[1]
+        return float(stored_cells(left)) * right.shape[1]
 
     # -- misc ------------------------------------------------------------------------
     def describe(self, storage: Storage) -> str:

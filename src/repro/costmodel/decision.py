@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,15 +50,18 @@ class DecisionAdvisor:
         if self.morpheus_rule is None:
             self.morpheus_rule = MorpheusRule()
 
-    def decide(self, parameters: CostParameters) -> DecisionOutcome:
+    def decide(
+        self, parameters: CostParameters, sequence: Sequence[Tuple[str, int, int]]
+    ) -> DecisionOutcome:
+        """Decide for the operator ``sequence`` (see :mod:`repro.costmodel.amalur_cost`);
+        the Morpheus heuristic does not read it."""
         if self.method == "amalur":
-            breakdown = self.cost_model.breakdown(parameters)
-            factorize = self.cost_model.predict_factorize(parameters)
+            breakdown = self.cost_model.breakdown(parameters, sequence)
             return DecisionOutcome(
-                decision=Decision.FACTORIZE if factorize else Decision.MATERIALIZE,
+                decision=Decision.FACTORIZE if breakdown.factorize else Decision.MATERIALIZE,
                 parameters=parameters,
                 breakdown=breakdown,
-                explanation=self.cost_model.explain(parameters),
+                explanation=breakdown.explain(),
             )
         if self.method == "morpheus":
             factorize = self.morpheus_rule.predict_factorize(parameters)
@@ -72,37 +75,57 @@ class DecisionAdvisor:
 
 def measure_ground_truth(
     amalur_matrix,
-    operand_columns: int = 1,
+    sequence: Sequence[Tuple[str, int, int]],
     repeats: int = 3,
-    reuse: int = 1,
     rng: Optional[np.random.Generator] = None,
-) -> Decision:
-    """Empirically determine which strategy runs an LMM workload faster.
+) -> Tuple[float, float]:
+    """Best-of ``repeats`` wall times ``(factorized, materialized)`` of the
+    operator ``sequence`` the cost model prices.
 
-    The workload is ``reuse`` left matrix multiplications over the same
-    target (a gradient-descent epoch count). The factorized strategy runs
-    every LMM through the Eq. (2) rewrite; the materialized strategy pays
-    for materializing the target once and then runs dense LMMs. The faster
-    strategy is the ground truth for the Table III reproduction (the paper
-    computes "the percentage of times that the cost estimation procedures
-    correctly predicted factorization").
+    The factorized run makes the calls on ``amalur_matrix``: ``labels`` on
+    the whole target, ``lmm`` and ``transpose_lmm`` on its feature view, as
+    the executor does. The materialized run materializes the target, splits
+    off the label column and makes the same calls densely, on the same
+    operands. The faster strategy is the ground truth for the Table III
+    reproduction (the paper computes "the percentage of times that the cost
+    estimation procedures correctly predicted factorization").
     """
+    dataset = amalur_matrix.dataset
+    label = None if dataset.label_column is None else dataset.target_columns.index(
+        dataset.label_column
+    )
+    # Operand rows per operator; the label read takes no operand.
+    rows = {
+        "labels": 0,
+        "lmm": amalur_matrix.n_columns - (label is not None),
+        "transpose_lmm": amalur_matrix.n_rows,
+    }
+    unsupported = {op for op, _, _ in sequence} - set(rows)
+    if unsupported:
+        raise ValueError(f"no dense twin for operators {sorted(unsupported)}")
     rng = rng or np.random.default_rng(0)
-    operand = rng.standard_normal((amalur_matrix.n_columns, operand_columns))
-    reuse = max(reuse, 1)
+    calls = [(op, rng.standard_normal((rows[op], m)), count) for op, m, count in sequence]
 
     def factorized_run():
-        for _ in range(reuse):
-            amalur_matrix.lmm(operand)
+        features = amalur_matrix.feature_matrix_view()
+        for op, x, count in calls:
+            for _ in range(count):
+                if op == "labels":
+                    amalur_matrix.labels()
+                else:
+                    getattr(features, op)(x)
 
     def materialized_run():
-        target = amalur_matrix.dataset.materialize()
-        for _ in range(reuse):
-            target @ operand
+        target = dataset.materialize()
+        features = target if label is None else np.delete(target, label, axis=1)
+        for op, x, count in calls:
+            for _ in range(count):
+                if op == "labels":
+                    target[:, label].copy()
+                else:
+                    (features if op == "lmm" else features.T) @ x
 
-    factorized_time = _best_time(factorized_run, repeats)
-    materialized_time = _best_time(materialized_run, repeats)
-    return Decision.FACTORIZE if factorized_time < materialized_time else Decision.MATERIALIZE
+    return _best_time(factorized_run, repeats), _best_time(materialized_run, repeats)
 
 
 def _best_time(fn, repeats: int) -> float:

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import CostModelError
+from repro.factorized.ops_counter import FactorStats
 
 #: Density at or below which a CSR kernel is expected to beat the dense BLAS
 #: kernel for a factor's per-source multiply. Shared by the analytical cost
@@ -37,6 +38,15 @@ class CostParameters:
     to ``1 - null_ratio``, the best estimate DI metadata alone provides.
     ``sparse_density_threshold`` is the dense/sparse dispatch point used by
     :meth:`backend_choice`.
+
+    ``factors`` holds what the price list (:mod:`repro.factorized.ops_counter`)
+    reads of each factor of the whole target, in factor order, and
+    ``feature_factors`` the same for the feature view the learners train
+    on: the target without its label column (the same list when there is
+    no label). :meth:`from_dataset` reads both from the metadata. Given
+    neither, both derive from the shapes and densities, with every source
+    covering all ``n_target_rows`` and every redundant cell charged to the
+    last source (only their sum is priced).
     """
 
     source_shapes: List[Tuple[int, int]]
@@ -47,15 +57,10 @@ class CostParameters:
     redundant_cells: int = 0
     null_ratios: List[float] = field(default_factory=list)
     has_full_tgds_only: bool = False
-    operand_columns: int = 1
     source_densities: List[float] = field(default_factory=list)
     sparse_density_threshold: float = SPARSE_DENSITY_THRESHOLD
-    #: Per-source count of target rows the source actually covers (the
-    #: indicator's mapped rows). Defaults to ``n_target_rows`` per source —
-    #: the full-coverage assumption — when not provided; populated from the
-    #: dataset so gather/scatter costs are priced by what the compiled
-    #: operator plans execute rather than by ``r_T``.
-    source_mapped_rows: List[int] = field(default_factory=list)
+    factors: List[FactorStats] = field(default_factory=list)
+    feature_factors: List[FactorStats] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.source_shapes:
@@ -66,12 +71,13 @@ class CostParameters:
         if self.n_target_rows < 0 or self.n_target_columns <= 0:
             raise CostModelError("invalid target shape")
         if not self.null_ratios:
-            self.null_ratios = [0.0] * len(self.source_shapes)
+            self.null_ratios = [0.0] * self.n_sources
         if not self.source_densities:
-            self.source_densities = [
-                1.0 - (self.null_ratios[i] if i < len(self.null_ratios) else 0.0)
-                for i in range(len(self.source_shapes))
-            ]
+            self.source_densities = [1.0 - ratio for ratio in self.null_ratios]
+        if len(self.source_densities) != self.n_sources:
+            raise CostModelError(
+                f"{len(self.source_densities)} densities for {self.n_sources} sources"
+            )
         for density in self.source_densities:
             if not 0.0 <= density <= 1.0:
                 raise CostModelError(f"invalid source density {density}")
@@ -79,17 +85,28 @@ class CostParameters:
             raise CostModelError(
                 f"invalid sparse density threshold {self.sparse_density_threshold}"
             )
-        if not self.source_mapped_rows:
-            self.source_mapped_rows = [self.n_target_rows] * len(self.source_shapes)
-        if len(self.source_mapped_rows) > len(self.source_shapes):
+        if not self.factors:
+            csr = [d <= self.sparse_density_threshold for d in self.source_densities]
+            self.factors = [
+                FactorStats(
+                    stored=self.nnz_of(i) if csr[i] else rows * cols,
+                    rows=self.n_target_rows,
+                    cols=cols,
+                    correction=self.redundant_cells if i == self.n_sources - 1 else 0,
+                    csr=csr[i],
+                )
+                for i, (rows, cols) in enumerate(self.source_shapes)
+            ]
+        if not self.feature_factors:
+            self.feature_factors = list(self.factors)
+        if len(self.factors) != self.n_sources:
             raise CostModelError(
-                f"source_mapped_rows has {len(self.source_mapped_rows)} entries for "
-                f"{len(self.source_shapes)} sources"
+                f"{len(self.factors)} factor stats for {self.n_sources} sources"
             )
-        for mapped in self.source_mapped_rows:
-            if mapped < 0 or mapped > self.n_target_rows:
+        for factor in self.factors + self.feature_factors:
+            if not 0 <= factor.rows <= self.n_target_rows:
                 raise CostModelError(
-                    f"invalid mapped-row count {mapped} for {self.n_target_rows} target rows"
+                    f"invalid mapped-row count {factor.rows} for {self.n_target_rows} target rows"
                 )
 
     # -- derived ratios (the Morpheus heuristic's inputs) --------------------------------
@@ -147,43 +164,20 @@ class CostParameters:
         return total_columns / entity_columns
 
     # -- backend dispatch (shared with repro.backends.AutoBackend) -------------------------
-    def density_of(self, index: int) -> float:
-        """Observed (or null-ratio-estimated) density of source ``index``."""
-        if not 0 <= index < len(self.source_shapes):
-            raise CostModelError(f"no source with index {index}")
-        if index < len(self.source_densities):
-            return self.source_densities[index]
-        return 1.0 - (self.null_ratios[index] if index < len(self.null_ratios) else 0.0)
-
     def nnz_of(self, index: int) -> int:
         """Estimated stored-cell count of source ``index``."""
         rows, cols = self.source_shapes[index]
-        return int(round(rows * cols * self.density_of(index)))
-
-    def mapped_rows_of(self, index: int) -> int:
-        """Target rows source ``index`` covers (``n_target_rows`` if unknown)."""
-        if not 0 <= index < len(self.source_shapes):
-            raise CostModelError(f"no source with index {index}")
-        if index < len(self.source_mapped_rows):
-            return self.source_mapped_rows[index]
-        return self.n_target_rows
-
-    def backend_choice(self, index: int) -> str:
-        """Which kernel the density-threshold rule picks for source ``index``."""
-        return (
-            "sparse"
-            if self.density_of(index) <= self.sparse_density_threshold
-            else "dense"
-        )
+        return int(round(rows * cols * self.source_densities[index]))
 
     @property
     def backend_choices(self) -> List[str]:
-        """Per-source dense/sparse decisions, in factor order."""
-        return [self.backend_choice(i) for i in range(len(self.source_shapes))]
+        """Per-source kernel ("dense" or "sparse") the density-threshold rule
+        picks, in factor order."""
+        return ["sparse" if factor.csr else "dense" for factor in self.factors]
 
     @property
     def any_sparse_source(self) -> bool:
-        return any(choice == "sparse" for choice in self.backend_choices)
+        return "sparse" in self.backend_choices
 
     @property
     def target_redundancy(self) -> float:
@@ -202,34 +196,58 @@ class CostParameters:
 
     @classmethod
     def from_dataset(
-        cls, dataset, operand_columns: int = 1, has_full_tgds_only: Optional[bool] = None
+        cls, dataset, has_full_tgds_only: Optional[bool] = None
     ) -> "CostParameters":
-        """Derive parameters from an :class:`repro.matrices.IntegratedDataset`."""
+        """Derive parameters from an :class:`repro.matrices.IntegratedDataset`.
+
+        The price-list stats come from metadata the dataset holds: the
+        indicators' mapped rows, the mappings' mapped columns, the
+        redundancy masks' counts and the factors' cached nnz. No operator
+        plan is compiled.
+        """
         source_shapes = [(f.n_rows, f.n_columns) for f in dataset.factors]
         source_densities = [f.density for f in dataset.factors]
         redundant = sum(f.redundancy.n_redundant for f in dataset.factors)
-        overlap_rows = 0
-        overlap_columns = 0
+        overlap_rows = overlap_columns = 0
         if dataset.n_sources >= 2:
-            base = dataset.factors[0]
-            other = dataset.factors[1]
-            # The cached index arrays are duplicate-free (CI_k / CM_k map a
-            # target row / column at most once), so the overlaps are sorted
-            # intersections — no boxing of every mapped row into a set.
-            overlap_rows = int(np.intersect1d(
-                base.indicator.mapped_target_rows(),
-                other.indicator.mapped_target_rows(),
-                assume_unique=True,
-            ).size)
-            overlap_columns = int(np.intersect1d(
-                base.mapping.mapped_target_indices(),
-                other.mapping.mapped_target_indices(),
-                assume_unique=True,
-            ).size)
+            # CI_k / CM_k hold, per target row / column, the source index or
+            # -1, so an overlap is one vectorized count.
+            base, other = dataset.factors[0], dataset.factors[1]
+            overlap_rows = int(np.count_nonzero(
+                (np.asarray(base.indicator.compressed) >= 0)
+                & (np.asarray(other.indicator.compressed) >= 0)
+            ))
+            overlap_columns = int(np.count_nonzero(
+                (np.asarray(base.mapping.compressed) >= 0)
+                & (np.asarray(other.mapping.compressed) >= 0)
+            ))
         if has_full_tgds_only is None:
             from repro.metadata.mappings import ScenarioType
 
             has_full_tgds_only = dataset.scenario is ScenarioType.INNER_JOIN
+        label = dataset.label_column
+        drop = -1 if label is None else dataset.target_columns.index(label)
+        factors, feature_factors = [], []
+        for f, density in zip(dataset.factors, source_densities):
+            csr = density <= SPARSE_DENSITY_THRESHOLD
+            targets = f.mapping.mapped_target_indices()
+            stats = FactorStats(f.nnz if csr else f.n_rows * f.n_columns, f.indicator.n_mapped,
+                                int(targets.size), f.redundancy.n_redundant, csr)
+            factors.append(stats)
+            # The feature view projects the label column away, as
+            # AmalurMatrix.select_columns does, and drops a factor left
+            # without columns.
+            hit = np.flatnonzero(targets == drop)
+            if hit.size and stats.cols == 1:
+                continue
+            if hit.size:
+                source = int(f.mapping.mapped_source_indices()[hit[0]])
+                stats = stats._replace(
+                    stored=stats.stored - (f.column_nnz(source) if csr else f.n_rows),
+                    cols=stats.cols - 1,
+                    correction=stats.correction - f.redundancy.select_columns([drop]).n_redundant,
+                )
+            feature_factors.append(stats)
         return cls(
             source_shapes=source_shapes,
             n_target_rows=dataset.n_target_rows,
@@ -238,7 +256,7 @@ class CostParameters:
             overlap_columns=overlap_columns,
             redundant_cells=redundant,
             has_full_tgds_only=has_full_tgds_only,
-            operand_columns=operand_columns,
             source_densities=source_densities,
-            source_mapped_rows=[f.indicator.n_mapped for f in dataset.factors],
+            factors=factors,
+            feature_factors=feature_factors,
         )

@@ -66,7 +66,7 @@ from repro.factorized.operator_plan import (
     OperatorPlan,
     row_grid,
 )
-from repro.factorized.ops_counter import FlopCounter
+from repro.factorized.ops_counter import FlopCounter, charges
 from repro.matrices.builder import IntegratedDataset, SourceFactor
 
 
@@ -251,22 +251,12 @@ class AmalurMatrix:
             local += piece
         return local
 
-    def _charge_lmm_flops(self, m: int) -> None:
-        """The per-factor ``lmm.*`` charges — the source-dimension formulas."""
-        for plan, storage in zip(self._plans, self._storages):
-            self.counter.add("lmm.local", self.backend.matmul_flops(storage, m))
-            self.counter.add("lmm.lift", float(plan.n_mapped_rows) * m)
-            if plan.has_correction:
-                self.counter.add("lmm.correction", float(plan.correction().nnz) * m)
-
-    def _charge_transpose_lmm_flops(self, m: int) -> None:
-        """The per-factor ``tlmm.*`` charges — the source-dimension formulas."""
-        for plan, storage in zip(self._plans, self._storages):
-            self.counter.add("tlmm.project", float(plan.n_mapped_rows) * m)
-            self.counter.add("tlmm.local", self.backend.matmul_flops(storage, m))
-            self.counter.add("tlmm.scatter", float(plan.n_mapped_cols) * m)
-            if plan.has_correction:
-                self.counter.add("tlmm.correction", float(plan.correction().nnz) * m)
+    def _charge(self, operator: str, m: int) -> None:
+        """Add one call of ``operator`` to the counter, factor by factor,
+        at the price list's charges (see :mod:`repro.factorized.ops_counter`)."""
+        for plan in self._plans:
+            for label, flops in charges(operator, plan.stats(), m).items():
+                self.counter.add(label, flops)
 
     def _lmm(self, x: np.ndarray) -> np.ndarray:
         """``Σ_k I_k (D_k (M_kᵀ X))`` with every row of ``D_k`` multiplied
@@ -289,7 +279,7 @@ class AmalurMatrix:
                 factor.lmm_block_add(x, start, stop, out, product)
 
         list(_parallel.imap_ordered(_fill, blocks, label="lmm"))
-        self._charge_lmm_flops(x.shape[1])
+        self._charge("lmm", x.shape[1])
         return result
 
     def rmm(self, x: np.ndarray) -> np.ndarray:
@@ -339,7 +329,7 @@ class AmalurMatrix:
             factor.scatter_add(result, self._source_transpose_matmul(factor, projected))
             if factor.correction is not None:
                 result -= factor.correction.T @ x
-        self._charge_transpose_lmm_flops(m)
+        self._charge("transpose_lmm", m)
         return result
 
     def crossprod(self) -> np.ndarray:
@@ -467,20 +457,20 @@ class AmalurMatrix:
         return self.backend.gram_pair(outer, composed @ inner)
 
     # -- element-wise and aggregation operators ----------------------------------------------
-    def _map_factors(self, fn, label: str) -> "AmalurMatrix":
+    def _map_factors(self, fn, operator: str) -> "AmalurMatrix":
         """A factorized view of ``T`` with ``fn`` applied cell-wise.
 
         ``fn`` maps one stored ``D_k`` (dense or CSR) to a matrix of the same
         shape and format with ``fn(0) == 0``. Such a map distributes over the
         factorization, because every target cell comes from exactly one
         source once ``R_k`` has zeroed the duplicates. Each factor keeps its
-        backend and format, and the charge is the stored cells.
+        backend and format, and ``operator`` is charged its price.
         """
-        factors = []
-        for factor, storage in zip(self.dataset.factors, self._storages):
-            factors.append(dataclasses.replace(factor, data=fn(storage)))
-            stored = storage.nnz if sparse.issparse(storage) else storage.size
-            self.counter.add(label, float(stored))
+        factors = [
+            dataclasses.replace(factor, data=fn(storage))
+            for factor, storage in zip(self.dataset.factors, self._storages)
+        ]
+        self._charge(operator, 1)
         dataset = dataclasses.replace(self.dataset, factors=factors)
         return AmalurMatrix(dataset, self.counter, backend=self.backend)
 

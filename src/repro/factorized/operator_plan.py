@@ -72,7 +72,8 @@ from scipy import sparse
 
 from repro import telemetry as _telemetry
 from repro.backends import Backend
-from repro.backends.base import Storage
+from repro.backends.base import Storage, stored_cells
+from repro.factorized.ops_counter import FactorStats
 from repro.matrices.builder import SourceFactor
 from repro.reliability import faults as _faults
 from repro.reliability.retry import SPILL_RETRY
@@ -237,12 +238,6 @@ class OperatorPlan:
         self._correction: Optional[sparse.csr_matrix] = None
         self._row_form: Optional[RowForm] = None
 
-    # -- mapping-side kernels (columns) ----------------------------------------------------
-    def scatter_add_columns(self, out: np.ndarray, local: np.ndarray) -> None:
-        """``out += local @ M_kᵀ`` — scatter source columns of ``local`` onto
-        the mapped target columns of ``out`` (RMM)."""
-        out[:, self.target_cols] += local[:, self.source_cols]
-
     # -- indicator-side kernels (rows) -----------------------------------------------------
     def project_rows(self, x: np.ndarray) -> np.ndarray:
         """``I_kᵀ X`` — accumulate target rows onto source rows (r_Sk × m)."""
@@ -288,13 +283,27 @@ class OperatorPlan:
             mapped = (source_rows >= 0) & (source_cols >= 0)
             target_rows, target_cols = target_rows[mapped], target_cols[mapped]
             # One vectorized gather over D_k (sparse storage stays sparse).
+            # A redundant cell holding 0 stays an explicit entry, so the
+            # correction stores exactly the cells R_k marks (the count the
+            # cost model reads from the metadata).
             values = factor.cells(source_rows[mapped], source_cols[mapped])
-            nonzero = values != 0.0
             self._correction = sparse.csr_matrix(
-                (values[nonzero], (target_rows[nonzero], target_cols[nonzero])),
+                (values, (target_rows, target_cols)),
                 shape=(factor.indicator.n_target_rows, factor.mapping.n_target_columns),
             )
         return self._correction
+
+    def stats(self) -> FactorStats:
+        """What the price list reads of this factor: the stored cells the
+        kernels touch, the mapped rows and columns, and the stored entries
+        of the correction."""
+        return FactorStats(
+            stored=stored_cells(self.storage),
+            rows=self.n_mapped_rows,
+            cols=self.n_mapped_cols,
+            correction=int(self.correction().nnz) if self.has_correction else 0,
+            csr=sparse.issparse(self.storage),
+        )
 
     def row_form(self) -> RowForm:
         """The rows this factor's Gram terms multiply — see the module

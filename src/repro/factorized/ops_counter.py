@@ -1,14 +1,17 @@
 """Floating-point operation accounting for factorized vs. materialized plans.
 
-The counters let benchmarks and the cost model compare plans analytically
-(in FLOPs) in addition to wall-clock time, which keeps the Table III /
-Figure 5 reproductions stable across machines.
+This is the price list: one pure function per factorized operator maps a
+factor's :class:`FactorStats` and the operand width ``m`` to ``{label:
+flops}``. :class:`~repro.factorized.AmalurMatrix` adds those to its
+:class:`FlopCounter` after every call and
+:class:`~repro.costmodel.AmalurCostModel` sums them over an operator
+sequence, so a predicted ``flops.<label>`` is the counter a run leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from repro import telemetry as _telemetry
 
@@ -46,27 +49,6 @@ def dense_matmul_flops(n: int, k: int, m: int) -> float:
     return float(n) * float(k) * float(m)
 
 
-def sparse_matmul_flops(nnz: int, m: int) -> float:
-    """Multiply-add count of ``A @ X`` when ``A`` is sparse with ``nnz``
-    stored cells and ``X`` is dense with ``m`` columns.
-
-    A CSR matmul touches each stored cell once per operand column, so the
-    count is ``nnz · m`` regardless of A's nominal shape — the formula the
-    dense counter overcounts by ``1/density``.
-    """
-    return float(nnz) * float(m)
-
-
-def sparse_crossprod_flops(nnz: int, n_cols: int) -> float:
-    """Multiply-add upper bound of ``Aᵀ A`` for a sparse ``A``.
-
-    Each stored cell of ``A`` meets at most ``n_cols`` partners in its row,
-    giving ``nnz · n_cols``; the true count (``Σ_rows nnz_row²``) is lower
-    for uneven rows, so this is the safe planning estimate.
-    """
-    return float(nnz) * float(n_cols)
-
-
 def redundancy_apply_flops(n_redundant: int) -> float:
     """Cost of applying a redundancy mask ``R_k`` to a contribution.
 
@@ -76,3 +58,68 @@ def redundancy_apply_flops(n_redundant: int) -> float:
     trivial (all-ones) mask costs nothing.
     """
     return float(n_redundant)
+
+
+class FactorStats(NamedTuple):
+    """One source factor as the price list reads it.
+
+    ``stored`` is the stored cells of ``D_k``: ``rows · cols`` stored
+    dense, the nnz stored as CSR (``csr``). ``rows`` and ``cols``
+    count the target rows and columns the factor maps onto (``I_k`` and
+    ``M_k``); ``correction`` counts the redundant cells ``R_k`` zeroes,
+    which are the stored entries of the factor's correction matrix.
+    """
+
+    stored: int
+    rows: int
+    cols: int
+    correction: int = 0
+    csr: bool = False
+
+
+def lmm_charges(factor: FactorStats, m: int) -> Dict[str, float]:
+    """``T @ X``: ``D_k (M_kᵀ X)`` once over the stored cells, the
+    indicator lift onto the mapped rows, and the correction."""
+    priced = {"lmm.local": float(factor.stored) * m, "lmm.lift": float(factor.rows) * m}
+    if factor.correction:
+        priced["lmm.correction"] = float(factor.correction) * m
+    return priced
+
+
+def transpose_lmm_charges(factor: FactorStats, m: int) -> Dict[str, float]:
+    """``Tᵀ @ X``: the row projection ``I_kᵀ X``, ``D_kᵀ`` over the stored
+    cells, the scatter onto the mapped columns, and the correction."""
+    priced = {
+        "tlmm.project": float(factor.rows) * m,
+        "tlmm.local": float(factor.stored) * m,
+        "tlmm.scatter": float(factor.cols) * m,
+    }
+    if factor.correction:
+        priced["tlmm.correction"] = float(factor.correction) * m
+    return priced
+
+
+def square_charges(factor: FactorStats, m: int = 1) -> Dict[str, float]:
+    """``T ∘ T``: one multiply per stored cell; ``m`` is unused."""
+    return {"square": float(factor.stored)}
+
+
+def scale_charges(factor: FactorStats, m: int = 1) -> Dict[str, float]:
+    """``alpha · T``: one multiply per stored cell; ``m`` is unused."""
+    return {"scale": float(factor.stored)}
+
+
+def charges(operator: str, factor: FactorStats, m: int) -> Dict[str, float]:
+    """One call of ``operator`` (an :class:`~repro.factorized.AmalurMatrix`
+    method name) over one factor. ``labels`` reads the label column as one
+    ``lmm`` with a one-column selector."""
+    price = {
+        "lmm": lmm_charges,
+        "labels": lmm_charges,
+        "transpose_lmm": transpose_lmm_charges,
+        "square": square_charges,
+        "scale": scale_charges,
+    }.get(operator)
+    if price is None:
+        raise ValueError(f"the price list has no operator {operator!r}")
+    return price(factor, m)

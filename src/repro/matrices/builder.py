@@ -105,6 +105,13 @@ class SourceFactor:
                 self._nnz = int(np.count_nonzero(self._dense_data))
         return self._nnz
 
+    def column_nnz(self, index: int) -> int:
+        """Non-zero cells of column ``index`` of ``D_k``; reads that column only."""
+        raw = self._raw_data()
+        if sparse.issparse(raw):
+            return int(raw[:, [index]].nnz)
+        return int(np.count_nonzero(raw[:, index]))
+
     @property
     def density(self) -> float:
         """Fraction of non-zero cells of ``D_k`` (1.0 for an empty matrix)."""

@@ -6,14 +6,14 @@ optimizer produces an :class:`repro.system.plan.ExecutionPlan`:
 
 1. if any participating silo forbids exporting even derived aggregates,
    the learning process is split across silos — federated learning;
-2. otherwise the DI-metadata cost model of §IV-B (amortized over the
-   model's training iterations) decides between factorized pushdown and
-   central materialization.
+2. otherwise the DI-metadata cost model of §IV-B, pricing the operator
+   sequence the model's learner runs (:func:`operator_sequence`), decides
+   between factorized pushdown and central materialization.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.backends import AutoBackend, Backend, DenseBackend, SparseBackend
 from repro.costmodel.amalur_cost import AmalurCostModel
@@ -24,6 +24,32 @@ from repro.matrices.builder import IntegratedDataset
 from repro.metadata.mappings import ScenarioType
 from repro.silos.orchestrator import Orchestrator
 from repro.system.plan import ExecutionPlan, ModelSpec, PlanStep
+
+
+def operator_sequence(model: ModelSpec, has_labels: bool) -> List[Tuple[str, int, int]]:
+    """The ``(operator, m, count)`` calls the executor makes on a factorized
+    target to train ``model``: the label read, when there is a label, then
+    per GD iteration one ``lmm`` and one ``transpose_lmm`` and a predict
+    ``lmm``; GNMF's ``||T||²`` (a square summed by a ``transpose_lmm``) and
+    per iteration H update, W update and error; KMeans' row norms (a square
+    summed by an ``lmm``), one row read per seed, and per iteration
+    distances and centre sums, then the final distances. KMeans' early stop
+    and empty-cluster re-seeds are not priced."""
+    n = max(model.n_iterations, 0)
+    sequence = [("labels", 1, 1)] if has_labels else []
+    if model.task == "nmf":
+        k = model.n_components
+        return sequence + [
+            ("square", 1, 1), ("transpose_lmm", 1, 1),
+            ("transpose_lmm", k, 2 * n), ("lmm", k, n),
+        ]
+    if model.task == "clustering":
+        k = model.n_clusters
+        return sequence + [
+            ("square", 1, 1), ("lmm", 1, 1), ("transpose_lmm", 1, k),
+            ("lmm", k, n + 1), ("transpose_lmm", k, n),
+        ]
+    return sequence + [("lmm", 1, n), ("transpose_lmm", 1, n), ("lmm", 1, 1)]
 
 
 class Optimizer:
@@ -43,27 +69,19 @@ class Optimizer:
         if federated_reason:
             return self._federated_plan(dataset, model, federated_reason)
 
-        cost_model = AmalurCostModel(
-            write_weight=self.cost_model.write_weight,
-            read_weight=self.cost_model.read_weight,
-            lift_weight=self.cost_model.lift_weight,
-            per_source_overhead=self.cost_model.per_source_overhead,
-            transfer_weight=self.cost_model.transfer_weight,
-            reuse=max(model.n_iterations, 1),
-        )
-        advisor = DecisionAdvisor(method="amalur", cost_model=cost_model)
+        advisor = DecisionAdvisor(method="amalur", cost_model=self.cost_model)
         parameters = CostParameters.from_dataset(dataset)
-        outcome = advisor.decide(parameters)
+        sequence = operator_sequence(model, dataset.label_column is not None)
+        outcome = advisor.decide(parameters, sequence)
 
         steps = []
         backend: Optional[Backend] = None
         if outcome.decision is Decision.FACTORIZE:
             backend = self._select_backend(parameters)
-            for index, factor in enumerate(dataset.factors):
+            for factor, kernel in zip(dataset.factors, parameters.backend_choices):
                 steps.append(
                     PlanStep(
-                        "push model operators down to the silo "
-                        f"({parameters.backend_choice(index)} kernel)",
+                        f"push model operators down to the silo ({kernel} kernel)",
                         target=factor.name,
                     )
                 )

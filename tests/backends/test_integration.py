@@ -13,6 +13,9 @@ from repro.system.executor import Executor
 from repro.system.optimizer import Optimizer
 from repro.system.plan import ModelSpec
 
+#: The cost sequence of one single-column LMM.
+ONE_LMM = [("lmm", 1, 1)]
+
 
 @pytest.fixture
 def one_hot_dataset():
@@ -162,10 +165,10 @@ class TestCostParametersDispatch:
         )
         model = AmalurCostModel()
         assert (
-            model.breakdown(sparse_params).factorized_total
-            < model.breakdown(dense).factorized_total
+            model.breakdown(sparse_params, ONE_LMM).factorized_total
+            < model.breakdown(dense, ONE_LMM).factorized_total
         )
-        assert model.breakdown(sparse_params).backend_choices == ["dense", "sparse"]
+        assert model.breakdown(sparse_params, ONE_LMM).backend_choices == ["dense", "sparse"]
 
     def test_above_threshold_density_charges_full_dense_cost(self):
         from repro.costmodel.amalur_cost import AmalurCostModel
@@ -186,8 +189,8 @@ class TestCostParametersDispatch:
         # A dense BLAS kernel cannot skip zeros, so 50% density costs the
         # same as 100% — only below the threshold does the sparse formula kick in.
         assert (
-            model.breakdown(half).factorized_total
-            == model.breakdown(full).factorized_total
+            model.breakdown(half, ONE_LMM).factorized_total
+            == model.breakdown(full, ONE_LMM).factorized_total
         )
 
 

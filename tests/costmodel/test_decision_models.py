@@ -10,14 +10,18 @@ from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.factorized.normalized_matrix import AmalurMatrix
 
 
-def star_parameters(base_rows, dim_rows, dim_cols, reuse_columns=1):
+def star_parameters(base_rows, dim_rows, dim_cols):
     """Key–foreign-key join parameters (redundancy in the target)."""
     return CostParameters(
         source_shapes=[(base_rows, 1), (dim_rows, dim_cols)],
         n_target_rows=base_rows,
         n_target_columns=1 + dim_cols,
-        operand_columns=reuse_columns,
     )
+
+
+def lmms(count, m=1):
+    """``count`` LMMs with an ``m``-column operand, as a cost sequence."""
+    return [("lmm", m, count)]
 
 
 class TestMorpheusRule:
@@ -58,8 +62,8 @@ class TestMorpheusRule:
 class TestAmalurCostModel:
     def test_factorize_wins_with_target_redundancy_and_reuse(self):
         parameters = star_parameters(base_rows=50_000, dim_rows=1_000, dim_cols=100)
-        model = AmalurCostModel(reuse=100)
-        assert model.predict_factorize(parameters)
+        model = AmalurCostModel()
+        assert model.predict_factorize(parameters, lmms(100))
 
     def test_materialize_wins_when_target_not_larger(self):
         parameters = CostParameters(
@@ -67,8 +71,8 @@ class TestAmalurCostModel:
             n_target_rows=1_000,
             n_target_columns=100,
         )
-        model = AmalurCostModel(reuse=100)
-        assert not model.predict_factorize(parameters)
+        model = AmalurCostModel()
+        assert not model.predict_factorize(parameters, lmms(100))
 
     def test_example_iv1_pruning_rule(self):
         """Full tgds + target no larger than sources ⇒ materialize outright."""
@@ -78,15 +82,19 @@ class TestAmalurCostModel:
             n_target_columns=101,
             has_full_tgds_only=True,
         )
-        breakdown = AmalurCostModel(reuse=1000).breakdown(parameters)
+        breakdown = AmalurCostModel().breakdown(parameters, lmms(1000))
         assert breakdown.pruned_by_tgd_rule
-        assert not AmalurCostModel(reuse=1000).predict_factorize(parameters)
+        assert not AmalurCostModel().predict_factorize(parameters, lmms(1000))
 
-    def test_reuse_amortizes_integration_cost(self):
+    def test_more_calls_lower_the_builds_share(self):
         parameters = star_parameters(base_rows=20_000, dim_rows=500, dim_cols=100)
-        single_pass = AmalurCostModel(reuse=1).breakdown(parameters)
-        many_passes = AmalurCostModel(reuse=200).breakdown(parameters)
-        assert many_passes.materialize_integration < single_pass.materialize_integration
+        single_pass = AmalurCostModel().breakdown(parameters, lmms(1))
+        many_passes = AmalurCostModel().breakdown(parameters, lmms(200))
+        assert many_passes.materialize_integration == single_pass.materialize_integration
+        assert (
+            many_passes.materialize_integration / many_passes.materialized_total
+            < single_pass.materialize_integration / single_pass.materialized_total
+        )
 
     def test_redundant_cells_penalize_factorization(self):
         base = star_parameters(10_000, 500, 50)
@@ -98,16 +106,17 @@ class TestAmalurCostModel:
         )
         model = AmalurCostModel()
         assert (
-            model.breakdown(redundant).factorized_total
-            > model.breakdown(base).factorized_total
+            model.breakdown(redundant, lmms(1)).factorized_total
+            > model.breakdown(base, lmms(1)).factorized_total
         )
 
     def test_breakdown_speedup_and_explain(self):
         parameters = star_parameters(50_000, 1_000, 100)
-        model = AmalurCostModel(reuse=50)
-        breakdown = model.breakdown(parameters)
+        model = AmalurCostModel()
+        breakdown = model.breakdown(parameters, lmms(50))
         assert breakdown.predicted_speedup > 0
-        assert "factorize" in model.explain(parameters) or "materialize" in model.explain(parameters)
+        explanation = model.explain(parameters, lmms(50))
+        assert "factorize" in explanation or "materialize" in explanation
 
     def test_null_ratio_reduces_factorized_cost(self):
         dense = star_parameters(10_000, 500, 100)
@@ -119,37 +128,40 @@ class TestAmalurCostModel:
         )
         model = AmalurCostModel()
         assert (
-            model.breakdown(sparse).factorized_total < model.breakdown(dense).factorized_total
+            model.breakdown(sparse, lmms(1)).factorized_total
+            < model.breakdown(dense, lmms(1)).factorized_total
         )
 
 
 class TestDecisionAdvisor:
     def test_amalur_method_returns_breakdown(self):
         advisor = DecisionAdvisor(method="amalur")
-        outcome = advisor.decide(star_parameters(50_000, 1_000, 100))
+        outcome = advisor.decide(star_parameters(50_000, 1_000, 100), lmms(1))
         assert outcome.decision in (Decision.FACTORIZE, Decision.MATERIALIZE)
         assert outcome.breakdown is not None
 
     def test_morpheus_method(self):
         advisor = DecisionAdvisor(method="morpheus")
-        outcome = advisor.decide(star_parameters(100_000, 1_000, 100))
+        outcome = advisor.decide(star_parameters(100_000, 1_000, 100), lmms(1))
         assert outcome.decision is Decision.FACTORIZE
         assert outcome.breakdown is None
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            DecisionAdvisor(method="???").decide(star_parameters(10, 5, 2))
+            DecisionAdvisor(method="???").decide(star_parameters(10, 5, 2), lmms(1))
 
 
 class TestGroundTruthMeasurement:
-    def test_measure_ground_truth_returns_a_decision(self):
+    def test_measure_ground_truth_times_both_strategies(self):
         dataset = generate_integrated_pair(
             SyntheticSiloSpec(
                 base_rows=2_000, base_columns=1, other_rows=50, other_columns=60, seed=0
             )
         )
-        decision = measure_ground_truth(AmalurMatrix(dataset), repeats=1)
-        assert decision in (Decision.FACTORIZE, Decision.MATERIALIZE)
+        factorized_s, materialized_s = measure_ground_truth(
+            AmalurMatrix(dataset), lmms(1), repeats=1
+        )
+        assert factorized_s > 0 and materialized_s > 0
 
     def test_extreme_redundancy_favours_factorization(self):
         """With a huge tuple ratio the factorized LMM must win the stopwatch."""
@@ -163,5 +175,7 @@ class TestGroundTruthMeasurement:
                 seed=1,
             )
         )
-        decision = measure_ground_truth(AmalurMatrix(dataset), repeats=3)
-        assert decision is Decision.FACTORIZE
+        factorized_s, materialized_s = measure_ground_truth(
+            AmalurMatrix(dataset), lmms(1), repeats=3
+        )
+        assert factorized_s < materialized_s

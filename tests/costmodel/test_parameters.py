@@ -1,9 +1,13 @@
 """Tests for repro.costmodel.parameters."""
 
+import dataclasses
+
 import pytest
 
 from repro.costmodel.parameters import CostParameters
 from repro.exceptions import CostModelError
+from repro.factorized import AmalurMatrix
+from repro.factorized.ops_counter import FactorStats
 from repro.metadata.mappings import ScenarioType
 
 
@@ -72,20 +76,17 @@ class TestFromDataset:
 
     def test_mapped_rows_from_indicators(self, hospital_dataset):
         parameters = CostParameters.from_dataset(hospital_dataset)
-        assert parameters.source_mapped_rows == [
-            f.indicator.n_mapped for f in hospital_dataset.factors
-        ]
+        mapped = [factor.rows for factor in parameters.factors]
+        assert mapped == [f.indicator.n_mapped for f in hospital_dataset.factors]
         # Full outer join: each source covers only part of the target rows.
-        assert all(m < parameters.n_target_rows for m in parameters.source_mapped_rows)
+        assert all(m < parameters.n_target_rows for m in mapped)
 
     def test_mapped_rows_default_to_full_coverage(self):
         parameters = CostParameters(
             source_shapes=[(10, 2), (4, 3)], n_target_rows=10, n_target_columns=5
         )
-        assert parameters.mapped_rows_of(0) == 10
-        assert parameters.mapped_rows_of(1) == 10
-        with pytest.raises(CostModelError):
-            parameters.mapped_rows_of(2)
+        assert [factor.rows for factor in parameters.factors] == [10, 10]
+        assert len(parameters.factors) == parameters.n_sources
 
     def test_invalid_mapped_rows_rejected(self):
         with pytest.raises(CostModelError):
@@ -93,7 +94,7 @@ class TestFromDataset:
                 source_shapes=[(10, 2)],
                 n_target_rows=10,
                 n_target_columns=5,
-                source_mapped_rows=[11],
+                factors=[FactorStats(stored=20, rows=11, cols=2)],
             )
 
     def test_mapped_rows_longer_than_sources_rejected(self):
@@ -102,8 +103,20 @@ class TestFromDataset:
                 source_shapes=[(10, 2)],
                 n_target_rows=10,
                 n_target_columns=5,
-                source_mapped_rows=[10, 4],
+                factors=[FactorStats(20, 10, 2), FactorStats(12, 4, 3)],
             )
+
+    @pytest.mark.parametrize("label", ["m", "hr"])
+    def test_factor_stats_are_the_compiled_plans_stats(self, hospital_dataset, label):
+        """What the cost model reads from the metadata is what the operator
+        plans of the target and of its feature view report."""
+        labelled = dataclasses.replace(hospital_dataset, label_column=label)
+        parameters = CostParameters.from_dataset(labelled)
+        matrix = AmalurMatrix(labelled)
+        features = matrix.feature_matrix_view()
+        assert parameters.factors == [plan.stats() for plan in matrix._plans]
+        assert parameters.feature_factors == [plan.stats() for plan in features._plans]
+        assert sum(f.correction for f in parameters.feature_factors) > 0
 
     def test_inner_join_marks_full_tgds(self):
         from repro.datagen.hospital import hospital_integrated_dataset

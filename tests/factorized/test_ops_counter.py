@@ -1,11 +1,25 @@
 """Tests for repro.factorized.ops_counter."""
 
+import numpy as np
+import pytest
+from scipy import sparse
+
+from repro.backends import SparseBackend
 from repro.factorized.ops_counter import (
+    FactorStats,
     FlopCounter,
+    charges,
     dense_matmul_flops,
-    sparse_crossprod_flops,
-    sparse_matmul_flops,
+    lmm_charges,
+    square_charges,
+    transpose_lmm_charges,
 )
+
+
+def _csr_with_nnz(nnz: int, shape=(100, 100)) -> sparse.csr_matrix:
+    flat = np.zeros(shape[0] * shape[1])
+    flat[:nnz] = 1.0
+    return sparse.csr_matrix(flat.reshape(shape))
 
 
 class TestFlopFormulas:
@@ -15,15 +29,42 @@ class TestFlopFormulas:
 
 class TestSparseFlopFormulas:
     def test_sparse_matmul(self):
-        assert sparse_matmul_flops(100, 3) == 300.0
+        assert SparseBackend().matmul_flops(_csr_with_nnz(100), 3) == 300.0
 
     def test_sparse_matmul_undercuts_dense_below_full_density(self):
         # A 100x100 matrix with 500 stored cells (5% dense).
-        assert sparse_matmul_flops(500, 4) < dense_matmul_flops(100, 100, 4)
+        sparse_local = lmm_charges(FactorStats(500, 100, 100, csr=True), 4)["lmm.local"]
+        assert sparse_local < dense_matmul_flops(100, 100, 4)
 
     def test_sparse_crossprod(self):
-        assert sparse_crossprod_flops(500, 100) == 50_000.0
-        assert sparse_crossprod_flops(500, 100) < dense_matmul_flops(100, 100, 100)
+        flops = SparseBackend().crossprod_flops(_csr_with_nnz(500))
+        assert flops == 50_000.0
+        assert flops < dense_matmul_flops(100, 100, 100)
+
+
+class TestPriceList:
+    def test_lmm_charges(self):
+        factor = FactorStats(stored=60, rows=10, cols=6, correction=4)
+        assert lmm_charges(factor, 3) == {
+            "lmm.local": 180.0, "lmm.lift": 30.0, "lmm.correction": 12.0
+        }
+
+    def test_transpose_lmm_charges(self):
+        factor = FactorStats(stored=60, rows=10, cols=6)
+        assert transpose_lmm_charges(factor, 2) == {
+            "tlmm.project": 20.0, "tlmm.local": 120.0, "tlmm.scatter": 12.0
+        }
+
+    def test_square_charges_the_stored_cells(self):
+        assert square_charges(FactorStats(stored=7, rows=3, cols=4, csr=True)) == {"square": 7.0}
+
+    def test_labels_is_a_one_column_lmm(self):
+        factor = FactorStats(stored=60, rows=10, cols=6, correction=4)
+        assert charges("labels", factor, 1) == lmm_charges(factor, 1)
+
+    def test_unknown_operator_has_no_price(self):
+        with pytest.raises(ValueError):
+            charges("crossprod", FactorStats(1, 1, 1), 1)
 
 
 class TestFlopCounter:

@@ -82,10 +82,10 @@ class TestFactorizedTrainingSpeedupPath:
 
     def test_cost_model_prefers_factorization_here(self):
         dataset = generate_hamlet_dataset("walmart", row_scale=0.02, seed=4)
-        parameters = CostParameters.from_dataset(dataset, operand_columns=1)
+        parameters = CostParameters.from_dataset(dataset)
         from repro.costmodel.amalur_cost import AmalurCostModel
 
-        assert AmalurCostModel(reuse=300).predict_factorize(parameters)
+        assert AmalurCostModel().predict_factorize(parameters, [("lmm", 1, 300)])
 
 
 class TestVFLMatchesCentralized:
