@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -209,8 +209,6 @@ class HashedScenarioStream(TableChunkStream):
     and the parallel builder can hash chunks on every core at once.
     """
 
-    supports_random_access = True
-
     def __init__(self, name: str, schema: Schema, ids: np.ndarray, seed: int,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS):
         self.name = name
@@ -256,10 +254,6 @@ class HashedScenarioStream(TableChunkStream):
             data[column.name] = self._column_block(column, ids, start)
             valid[column.name] = np.ones(ids.size, dtype=bool)
         return TableChunk(self._schema, data, valid, offset=start)
-
-    def chunks(self) -> Iterator[TableChunk]:
-        for index in range(self.chunk_count):
-            yield self.chunk_at(index)
 
 
 def generate_scenario_streams(

@@ -2,8 +2,9 @@
 
 A single scheduler shared by every layer that walks row blocks: the
 factorized operators (LMM / transpose-LMM / Gram partial sums),
-spillable ``D_k`` assembly, and the streaming GD loop. (Chunked CSV
-ingest holds the GIL cell by cell and stays on the caller's thread.)
+spillable ``D_k`` assembly, and the streaming GD loop. (Parsing a CSV
+holds the GIL cell by cell and stays on the caller's thread; typing its
+parsed chunks is part of ``D_k`` assembly.)
 
 Determinism contract:
 
@@ -41,7 +42,7 @@ from repro.parallel.config import (
     set_num_workers,
     should_parallelize,
 )
-from repro.parallel.pool import imap_ordered, parallel_map, prefetch, shutdown
+from repro.parallel.pool import imap_ordered, parallel_map, shutdown
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
@@ -53,7 +54,6 @@ __all__ = [
     "imap_ordered",
     "num_threads",
     "parallel_map",
-    "prefetch",
     "set_block_rows",
     "set_min_parallel_rows",
     "set_num_workers",

@@ -1,6 +1,6 @@
 """Shared worker pools and ordered block-parallel maps.
 
-Three primitives cover every parallel call site in the engine:
+Two primitives cover every parallel call site in the engine:
 
 ``imap_ordered(fn, iterable)``
     Lazy ordered map with a bounded in-flight window — the one map under
@@ -17,11 +17,6 @@ Three primitives cover every parallel call site in the engine:
     The eager form of ``imap_ordered`` over a finite task list: the
     window is the whole list and the results come back as a list.
 
-``prefetch(iterable)``
-    A background feeder that keeps ``depth`` items ready ahead of the
-    consumer — the double-buffer that overlaps a sequential stream's
-    parsing with the memmap copy in the spilled build.
-
 Pools are plain ``ThreadPoolExecutor``s, cached per size. Threads are the
 right vehicle here: the hot kernels are BLAS matmuls and numpy slice
 copies, all of which release the GIL. Tasks submitted from *inside* a
@@ -32,7 +27,6 @@ safe by construction instead of deadlock-prone.
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -192,48 +186,3 @@ def imap_ordered(
     finally:
         for future in pending:
             future.cancel()
-
-
-class _PrefetchDone:
-    pass
-
-
-_DONE = _PrefetchDone()
-
-
-def prefetch(iterable: Iterable[T], depth: int = 2, label: str = "") -> Iterator[T]:
-    """Pull from ``iterable`` on a background thread, ``depth`` items ahead.
-
-    The producer blocks once the buffer is full, so an unconsumed stream
-    never runs ahead of the consumer by more than ``depth`` items. Falls
-    back to plain iteration — the same items in the same order — at one
-    configured worker or when already inside a worker task. A producer
-    exception crosses to the consumer annotated with ``label`` and the
-    index of the item whose production failed.
-    """
-    if config.get_num_workers() <= 1 or _in_worker():
-        yield from iterable
-        return
-    buffer: "queue.Queue" = queue.Queue(maxsize=max(1, depth))
-
-    def _feed() -> None:
-        produced = 0
-        try:
-            for item in iterable:
-                buffer.put(item)
-                produced += 1
-        except BaseException as exc:  # propagate to the consumer
-            _annotate(exc, label or "prefetch", produced)
-            buffer.put(exc)
-        else:
-            buffer.put(_DONE)
-
-    feeder = threading.Thread(target=_feed, name="repro-prefetch", daemon=True)
-    feeder.start()
-    while True:
-        item = buffer.get()
-        if isinstance(item, _PrefetchDone):
-            return
-        if isinstance(item, BaseException):
-            raise item
-        yield item

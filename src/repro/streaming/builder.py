@@ -30,9 +30,8 @@ from scipy import sparse
 from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.backends import BackendSpec, resolve_backend
-from repro.exceptions import IntegrityError, MappingError
+from repro.exceptions import MappingError
 from repro.reliability import faults as _faults
-from repro.reliability.retry import INGEST_RETRY
 from repro.matrices.builder import (
     IntegratedDataset,
     RowMatchesLike,
@@ -46,7 +45,7 @@ from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import ColumnMatch
-from repro.streaming.chunks import TableChunkStream, as_chunk_stream
+from repro.streaming.chunks import TableChunkStream, as_chunk_stream, read_chunk
 from repro.streaming.spill import SpillStore
 
 
@@ -66,16 +65,13 @@ def _ingest_stream(
     (needed only for overlap columns, so this stays O(rows × shared
     columns)).
 
-    Only the chunk source depends on the stream. Randomly accessible
-    streams (resident tables, synthetic generators) map their chunk indices
-    through the ordered block map: each task materializes one chunk and
+    Chunk indices go through the ordered block map: each task reads one
+    chunk with ``chunk_at`` (behind the ``ingest.chunk`` fault site) and
     writes its disjoint ``[offset, offset + n)`` row slice of ``D_k`` —
     pure data movement, so the built factors are bit-identical at every
     worker count, and one worker is the plain loop of the same map.
-    Sequential streams (CSV) fill in arrival order, pulling chunks through
-    a background prefetcher so parsing overlaps the memmap copy. Completed
-    chunks release their spill pages as they retire either way, keeping
-    the resident set at a bounded window of chunks.
+    Completed chunks release their spill pages as they retire, keeping the
+    resident set at a bounded window of chunks.
     """
     n_rows = stream.n_rows
     with _telemetry.span(
@@ -111,13 +107,16 @@ def _ingest_stream(
                     torn = data[row_start:row_stop]
                     torn[torn.shape[0] // 2:] = 0.0
 
-        def _fill_chunk(chunk, row_start: int) -> int:
-            """Copy one chunk into rows ``[row_start, row_start + n)``."""
+        def _fill(index: int) -> int:
+            """Copy chunk ``index`` into its rows ``[offset, offset + n)``."""
+            chunk = read_chunk(stream, index)
+            row_start = chunk.offset
             stop = row_start + chunk.n_rows
             if stop > n_rows:
                 raise MappingError(
                     f"stream {stream.name!r} produced more rows than its declared {n_rows}"
                 )
+            chunk_index_by_offset[row_start] = index
             if store is None:
                 # A resident write cannot tear and has no CRC to check it
                 # against: the columns go straight into their rows of D_k.
@@ -130,37 +129,10 @@ def _ingest_stream(
                 validity[column][row_start:stop] = chunk.column_valid(column)
             return chunk.n_rows
 
-        # A sequential stream's chunks may leave ``offset`` at its default,
-        # so their position is the running row count.
-        if stream.supports_random_access:
-
-            def _read_chunk(index: int):
-                _faults.fault_point("ingest.chunk", source=stream.name, chunk=index)
-                return stream.chunk_at(index)
-
-            def _fill_at_index(index: int) -> int:
-                if _faults.ACTIVE:
-                    chunk = INGEST_RETRY.call(_read_chunk, index, site="ingest.chunk")
-                else:
-                    chunk = stream.chunk_at(index)
-                chunk_index_by_offset[chunk.offset] = index
-                return _fill_chunk(chunk, chunk.offset)
-
-            fills = _parallel.imap_ordered(
-                _fill_at_index, range(stream.chunk_count), label="build.fill"
-            )
-        else:
-
-            def _fill_in_order():
-                position = 0
-                for chunk in _parallel.prefetch(stream.chunks(), depth=2, label="build.fill"):
-                    produced = _fill_chunk(chunk, position)
-                    position += produced
-                    yield produced
-
-            fills = _fill_in_order()
         filled = 0
-        for produced in fills:
+        for produced in _parallel.imap_ordered(
+            _fill, range(stream.chunk_count), label="build.fill"
+        ):
             filled += produced
             if store is not None:
                 if _telemetry.ENABLED:
@@ -189,28 +161,14 @@ def _validate_spilled(
     """Seal a just-built spilled matrix: re-read it and repair torn blocks.
 
     A block whose on-disk bytes no longer match the CRC recorded from the
-    in-memory chunk is refilled from source — random-access streams fetch
-    the owning chunk directly, sequential streams re-iterate to it — then
-    re-validated; a block that still mismatches raises
+    in-memory chunk is refilled from its owning chunk, read again with
+    ``chunk_at``, then re-validated; a block that still mismatches raises
     :class:`~repro.exceptions.IntegrityError`.
     """
 
     def _repair(row_start: int, row_stop: int, destination: np.ndarray) -> None:
-        if stream.supports_random_access and row_start in chunk_index_by_offset:
-            chunk = stream.chunk_at(chunk_index_by_offset[row_start])
-            destination[...] = chunk.to_matrix(source_columns)
-            return
-        position = 0
-        for chunk in stream.chunks():
-            stop = position + chunk.n_rows
-            if position == row_start:
-                destination[...] = chunk.to_matrix(source_columns)
-                return
-            position = stop
-        raise IntegrityError(
-            f"cannot rebuild rows [{row_start}, {row_stop}) of spilled matrix "
-            f"{store_key!r}: source stream {stream.name!r} no longer covers them"
-        )
+        chunk = stream.chunk_at(chunk_index_by_offset[row_start])
+        destination[...] = chunk.to_matrix(source_columns)
 
     with _telemetry.span("reliability.spill_validate", matrix=store_key):
         repaired = store.verify(store_key, repair=_repair)

@@ -6,7 +6,10 @@ arrays + boolean validity masks). A :class:`TableChunkStream` produces a
 table as an ordered sequence of such chunks; consumers (the spillable
 builder, parity tests, materialization) are written against the stream
 interface only, so an on-disk CSV, a resident table and a synthetic
-generator all feed the same code paths.
+generator all feed the same code paths. Every stream is randomly
+accessible: :meth:`TableChunkStream.chunk_at` produces chunk ``i`` on its
+own, and :func:`read_chunk` is that call behind the ``ingest.chunk`` fault
+site.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 from repro.exceptions import TableError
 from repro.relational.schema import Schema
 from repro.relational.table import Table
+from repro.reliability import faults as _faults
+from repro.reliability.retry import INGEST_RETRY
 
 #: Default rows per chunk: small enough that a wide chunk stays a few tens
 #: of MB, large enough that per-chunk numpy dispatch overhead is noise.
@@ -81,20 +86,23 @@ class TableChunk:
 class TableChunkStream:
     """An ordered sequence of :class:`TableChunk` making up one table.
 
-    Subclasses provide ``name``, ``schema``, ``n_rows`` and ``chunks()``.
-    ``n_rows`` is known up front for every built-in source (resident
-    tables, the two-pass CSV reader, synthetic generators), which is what
-    lets the builder pre-size its on-disk factor stores.
+    Subclasses provide ``name``, ``schema``, ``n_rows``, ``chunk_rows`` and
+    :meth:`chunk_at`. ``n_rows`` is known up front for every built-in
+    source (resident tables, the CSV reader after its one parse, synthetic
+    generators), which is what lets the builder pre-size its on-disk factor
+    stores, and every non-final chunk holds exactly ``chunk_rows`` rows, so
+    ``chunk_count`` is ``ceil(n_rows / chunk_rows)``. The builder reads
+    streams through :meth:`chunk_at` only: a stream without it fails there
+    with this class's ``NotImplementedError``.
     """
 
     name: str
 
-    #: Streams whose chunks can be produced independently and in any order
-    #: (resident tables, stateless synthetic generators) set this and
-    #: implement :meth:`chunk_at`, which lets the parallel builder assemble
-    #: ``D_k`` with a worker per chunk. Inherently sequential sources (a
-    #: CSV file) leave it False and are consumed through a prefetcher.
-    supports_random_access: bool = False
+    #: Every stream is randomly accessible — its chunks can be produced
+    #: independently and in any order, so the parallel builder assembles
+    #: ``D_k`` with a worker per chunk. Kept as a readable attribute for
+    #: wrappers that forward it.
+    supports_random_access: bool = True
 
     @property
     def schema(self) -> Schema:
@@ -106,21 +114,22 @@ class TableChunkStream:
 
     @property
     def chunk_rows(self) -> int:
-        """Nominal rows per chunk (random-access streams only)."""
+        """Rows per chunk; only the last chunk may hold fewer."""
         raise NotImplementedError
 
     @property
     def chunk_count(self) -> int:
-        """Number of chunks :meth:`chunk_at` accepts (random-access only)."""
+        """Number of chunks :meth:`chunk_at` accepts."""
         return -(-self.n_rows // self.chunk_rows) if self.n_rows else 0
 
     def chunk_at(self, index: int) -> TableChunk:
         """Chunk ``index`` (0-based), identical to the ``index``-th item of
-        :meth:`chunks`. Only random-access streams implement this."""
+        :meth:`chunks`."""
         raise NotImplementedError(f"{type(self).__name__} is not randomly accessible")
 
     def chunks(self) -> Iterator[TableChunk]:
-        raise NotImplementedError
+        for index in range(self.chunk_count):
+            yield self.chunk_at(index)
 
     def read_table(self) -> Table:
         """Materialize the whole stream into a resident :class:`Table`."""
@@ -146,8 +155,6 @@ class TableChunkStream:
 
 class InMemoryTableStream(TableChunkStream):
     """A resident :class:`Table` exposed as a chunk stream (zero-copy views)."""
-
-    supports_random_access = True
 
     def __init__(self, table: Table, chunk_rows: int = DEFAULT_CHUNK_ROWS):
         if chunk_rows <= 0:
@@ -179,12 +186,24 @@ class InMemoryTableStream(TableChunkStream):
         valid = {name: table.column_valid(name)[start:stop] for name in names}
         return TableChunk(table.schema, data, valid, offset=start)
 
-    def chunks(self) -> Iterator[TableChunk]:
-        for index in range(self.chunk_count):
-            yield self.chunk_at(index)
-
     def read_table(self) -> Table:
         return self._table
+
+
+def _faulted_chunk_at(stream: TableChunkStream, index: int) -> TableChunk:
+    _faults.fault_point("ingest.chunk", source=stream.name, chunk=index)
+    return stream.chunk_at(index)
+
+
+def read_chunk(stream: TableChunkStream, index: int) -> TableChunk:
+    """``stream.chunk_at(index)`` behind the ``ingest.chunk`` fault site.
+
+    A chunk is a pure function of its index, so a transient fault is
+    retried under ``INGEST_RETRY`` and the retried chunk is the same bits.
+    """
+    if _faults.ACTIVE:
+        return INGEST_RETRY.call(_faulted_chunk_at, stream, index, site="ingest.chunk")
+    return stream.chunk_at(index)
 
 
 def as_chunk_stream(

@@ -34,26 +34,49 @@ the semantics are exactly those of ``[parse_cell(c) for c in cells]``
 followed by :func:`repro.relational.types.coerce_column` — the parity and
 property suites assert this cell-for-cell.
 
-Two consumption modes share one code path:
+One parse loop (raw chunk -> parsed blocks -> merged type flags) serves
+both consumption modes:
 
-* ``read()`` — single pass, retains the parsed blocks and assembles a
-  resident :class:`Table`; this is what ``repro.relational.io.read_csv``
-  routes through (the single-chunk fast path for small files).
-* ``chunks()`` — bounded memory: a first scan pass accumulates only the
-  per-column type flags and the row count, then a second pass yields typed
-  :class:`TableChunk` blocks that are never retained.
+* ``read()`` keeps the parsed blocks in memory and assembles a resident
+  :class:`Table`; this is what ``repro.relational.io.read_csv`` routes
+  through. It writes no file.
+* ``scan()`` is the streaming mode's only parse. It keeps the per-column
+  type flags and the row count, and appends each chunk's parsed blocks to
+  a private replay file: one unlinked temp file per reader, released by a
+  ``weakref.finalize``. Once the last chunk has fixed the schema,
+  ``chunk_at(i)`` reads record ``i`` back by offset (``os.pread``) and
+  types it with the same ``ParsedColumnBlock.finalize`` ``read()`` uses,
+  so a streamed chunk is cell-for-cell the resident table's rows. The
+  reader is then randomly accessible like every other stream, and
+  ``chunks()`` is ``chunk_at`` in index order behind the ``ingest.chunk``
+  fault site.
 
-Ingest runs on the caller's thread at any ``repro.parallel`` worker count:
-``csv.reader`` and the per-cell ``float()``/``int()`` of the sweeps all
-hold the GIL, so fanning raw blocks out to worker threads only added
-hand-offs (two workers measured slower than one).
+The replay file's bound in bytes: a numeric or bool cell costs at most
+8 B of value + 8 B of position + 1 B of NULL mask. A bucket that holds
+a whole chunk of a column stores no positions, and a column chunk
+without NULLs stores no mask, so a NULL-free numeric column costs 8 B
+per cell. A string cell costs its 8 B position plus its pickled UTF-8
+(length + a few bytes), and each column of each chunk adds a layout
+entry of a few dozen bytes. On ``csv_stream_spill`` (seed 0, 2 048-row
+chunks) the file holds 9.5 / 8.9 B per cell, 1.30 / 1.21x the CSV bytes.
+
+Parsing runs on the caller's thread at any ``repro.parallel`` worker
+count: ``csv.reader`` and the per-cell ``float()``/``int()`` of the sweeps
+all hold the GIL, so fanning raw blocks out to worker threads only added
+hand-offs (two workers measured slower than one). Typing from the replay
+(``chunk_at``) is numpy work and runs on the builder's workers.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import tempfile
+import threading
+import weakref
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,7 +95,7 @@ from repro.relational.types import (
     null_placeholder,
     parse_cell,
 )
-from repro.streaming.chunks import DEFAULT_CHUNK_ROWS, TableChunk, TableChunkStream
+from repro.streaming.chunks import DEFAULT_CHUNK_ROWS, TableChunk, TableChunkStream, read_chunk
 
 PathLike = Union[str, Path]
 
@@ -410,14 +433,103 @@ def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
     return block
 
 
+#: The typed buckets of a :class:`ParsedColumnBlock`, in record order.
+_BUCKETS = (("bool", np.bool_), ("int", np.int64), ("float", np.float64), ("str", None))
+#: A bucket size meaning "every row, in order": its positions are not stored.
+_EVERY_ROW = -1
+
+
+def _add_positions(positions: np.ndarray, n: int, buffers: List[np.ndarray]) -> int:
+    """Queue a bucket's positions unless they are ``0 .. n-1``; return the layout size."""
+    if positions.size == n and np.array_equal(positions, np.arange(n)):
+        return _EVERY_ROW
+    buffers.append(np.ascontiguousarray(positions, dtype=np.int64))
+    return int(positions.size)
+
+
+class _ReplayFile:
+    """The parsed chunks of one scan, in an unlinked temp file, read back by index.
+
+    Record ``i`` holds chunk ``i``'s :class:`ParsedColumnBlock` list: an
+    8-byte header length, a pickled layout, then the numeric buckets' raw
+    numpy buffers. A bucket that holds every cell of its column stores no
+    positions, and a column without NULLs stores no NULL mask.
+    :meth:`blocks` reads a record with ``os.pread``, so any number of
+    threads and iterators read at once without sharing a file position.
+    """
+
+    def __init__(self) -> None:
+        self._file = tempfile.TemporaryFile()
+        self.close = weakref.finalize(self, self._file.close)
+        self._spans: List[Tuple[int, int]] = []  # (start, length) of each record
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def append(self, blocks: List[ParsedColumnBlock]) -> None:
+        layout = []
+        buffers: List[np.ndarray] = []
+        for block in blocks:
+            has_nulls = bool(block.null_mask.any())
+            if has_nulls:
+                buffers.append(block.null_mask)
+            sizes = []
+            for bucket, dtype in _BUCKETS:
+                positions = getattr(block, bucket + "_pos")
+                sizes.append(_add_positions(positions, block.n, buffers))
+                if bucket != "str":
+                    buffers.append(np.ascontiguousarray(getattr(block, bucket + "_vals"), dtype))
+            layout.append((block.n, has_nulls, sizes, block.str_vals, block.extra))
+        head = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
+        record = b"".join([len(head).to_bytes(8, "little"), head, *buffers])
+        self._spans.append((self._file.tell(), len(record)))
+        self._file.write(record)
+
+    def seal(self) -> None:
+        self._file.flush()
+
+    def blocks(self, index: int) -> List[ParsedColumnBlock]:
+        start, length = self._spans[index]
+        record = os.pread(self._file.fileno(), length, start)
+        at = 8 + int.from_bytes(record[:8], "little")
+        # pickle only ever loads bytes this reader wrote to its own unlinked file.
+        layout = pickle.loads(record[8:at])
+
+        def take(dtype, count: int) -> np.ndarray:
+            nonlocal at
+            array = np.frombuffer(record, dtype=dtype, count=count, offset=at)
+            at += array.nbytes
+            return array
+
+        blocks = []
+        for n, has_nulls, sizes, str_vals, extra in layout:
+            block = ParsedColumnBlock(n)
+            if has_nulls:
+                block.null_mask = take(np.bool_, n)
+            for (bucket, dtype), size in zip(_BUCKETS, sizes):
+                if size == _EVERY_ROW:
+                    size = n
+                    setattr(block, bucket + "_pos", np.arange(n, dtype=np.int64))
+                else:
+                    setattr(block, bucket + "_pos", take(np.int64, size))
+                if bucket != "str":
+                    setattr(block, bucket + "_vals", take(dtype, size))
+            block.str_vals, block.extra = str_vals, extra
+            blocks.append(block)
+        return blocks
+
+
 class ChunkedCsvReader(TableChunkStream):
     """Columnar CSV reader producing typed :class:`TableChunk` row blocks.
 
-    Type inference matches ``read_csv``: the streaming mode runs one scan
-    pass accumulating per-column :class:`ColumnTypeFlags` (O(columns)
-    state) before yielding typed chunks, while :meth:`read` parses once and
-    assembles a resident table. Empty-file and row-width
-    :class:`TableError` behavior is bit-for-bit that of the seed reader.
+    Type inference matches ``read_csv``. :meth:`scan` is the only parse:
+    it accumulates per-column :class:`ColumnTypeFlags` and keeps every
+    chunk's parsed blocks in a private replay file, and :meth:`chunk_at`
+    types chunk ``i`` from its blocks once the schema is known — so the
+    reader is randomly accessible like every other stream. :meth:`read`
+    runs the same parse loop, keeps the blocks in memory and writes no
+    file. Empty-file and row-width :class:`TableError` behavior is
+    bit-for-bit that of the seed reader.
     """
 
     def __init__(
@@ -439,6 +551,8 @@ class ChunkedCsvReader(TableChunkStream):
         self._chunk_rows = int(chunk_rows)
         self._schema: Optional[Schema] = None
         self._n_rows: Optional[int] = None
+        self._replay: Optional[_ReplayFile] = None
+        self._scan_lock = threading.Lock()
 
     # -- raw row blocks -------------------------------------------------------------
     def _raw_chunks(self) -> Iterator[Tuple[List[str], List[List[str]]]]:
@@ -515,23 +629,47 @@ class ChunkedCsvReader(TableChunkStream):
             ]
         )
 
+    def _parse_file(
+        self,
+        parse: Callable[[List[str], List[List[str]]], List[ParsedColumnBlock]],
+        keep: Callable[[List[ParsedColumnBlock]], None],
+    ) -> Tuple[Schema, int]:
+        """The one parse loop: raw chunk -> parsed blocks -> merged type flags.
+
+        Every non-empty chunk's blocks go to ``keep`` — the replay file for
+        :meth:`scan`, a list for :meth:`read`. Returns the inferred schema
+        and the row count.
+        """
+        header: List[str] = []
+        flags: List[ColumnTypeFlags] = []
+        n_rows = 0
+        for header, rows in self._raw_chunks():
+            blocks = parse(header, rows)
+            if not flags:
+                flags = [ColumnTypeFlags() for _ in header]
+            for accumulated, block in zip(flags, blocks):
+                accumulated.merge(block.flags)
+            if rows:
+                keep(blocks)
+                n_rows += len(rows)
+        return self._schema_from_flags(header, flags), n_rows
+
     # -- streaming interface ----------------------------------------------------------
     def scan(self) -> Schema:
-        """First pass: infer the schema and row count in bounded memory."""
-        if self._schema is None:
-            with _telemetry.span("ingest.scan", file=str(self._path)) as span:
-                header: List[str] = []
-                flags: List[ColumnTypeFlags] = []
-                n_rows = 0
-                for header, rows in self._raw_chunks():
-                    if not flags:
-                        flags = [ColumnTypeFlags() for _ in header]
-                    for accumulated, block in zip(flags, self._parse_chunk(header, rows)):
-                        accumulated.merge(block.flags)
-                    n_rows += len(rows)
-                self._schema = self._schema_from_flags(header, flags)
-                self._n_rows = n_rows
-                span.set(rows=n_rows, columns=len(header))
+        """Parse the file once: infer the schema and row count, and keep
+        every chunk's parsed blocks in the replay file for :meth:`chunk_at`."""
+        with self._scan_lock:
+            if self._replay is None:
+                with _telemetry.span("ingest.scan", file=str(self._path)) as span:
+                    replay = _ReplayFile()
+                    try:
+                        schema, n_rows = self._parse_file(self._parse_chunk, replay.append)
+                        replay.seal()
+                    except BaseException:
+                        replay.close()
+                        raise
+                    self._schema, self._n_rows, self._replay = schema, n_rows, replay
+                    span.set(rows=n_rows, columns=len(schema))
         return self._schema
 
     @property
@@ -543,64 +681,50 @@ class ChunkedCsvReader(TableChunkStream):
         self.scan()
         return self._n_rows  # type: ignore[return-value]
 
-    def chunks(self) -> Iterator[TableChunk]:
+    @property
+    def chunk_rows(self) -> int:
+        return self._chunk_rows
+
+    def chunk_at(self, index: int) -> TableChunk:
+        """Chunk ``index``, typed from the blocks :meth:`scan` parsed: the
+        ``finalize`` of the same blocks under the whole file's schema."""
         schema = self.scan()
+        replay = self._replay
+        if not 0 <= index < len(replay):
+            raise IndexError(f"chunk index {index} out of range for {self.chunk_count} chunks")
+        offset = index * self._chunk_rows
+        with _telemetry.span("ingest.chunk", file=str(self._path), offset=offset) as span:
+            data: Dict[str, np.ndarray] = {}
+            valid: Dict[str, np.ndarray] = {}
+            for column, block in zip(schema, replay.blocks(index)):
+                data[column.name], valid[column.name] = block.finalize(column.dtype)
+            chunk = TableChunk(schema, data, valid, offset=offset)
+            span.set(rows=chunk.n_rows)
+        if _telemetry.ENABLED:
+            _telemetry.counter_add("ingest.chunks")
+            _telemetry.counter_add("ingest.rows", float(chunk.n_rows))
+        return chunk
 
-        def _typed_chunk(offset: int, header: List[str], rows: List[List[str]]) -> TableChunk:
-            _faults.fault_point("ingest.chunk", file=str(self._path), offset=offset)
-            with _telemetry.span(
-                "ingest.chunk", file=str(self._path), offset=offset, rows=len(rows)
-            ):
-                data: Dict[str, np.ndarray] = {}
-                valid: Dict[str, np.ndarray] = {}
-                for column, block in zip(schema, self._parse_chunk(header, rows)):
-                    data[column.name], valid[column.name] = block.finalize(column.dtype)
-                return TableChunk(schema, data, valid, offset=offset)
-
-        offset = 0
-        for header, rows in self._raw_chunks():
-            if not rows:
-                continue
-            # Typing a chunk is a pure function of the raw rows, so a
-            # transient fault is safely retried without re-reading the file.
-            if _faults.ACTIVE:
-                chunk = INGEST_RETRY.call(_typed_chunk, offset, header, rows, site="ingest.chunk")
-            else:
-                chunk = _typed_chunk(offset, header, rows)
-            offset += len(rows)
-            if _telemetry.ENABLED:
-                _telemetry.counter_add("ingest.chunks")
-                _telemetry.counter_add("ingest.rows", float(chunk.n_rows))
-            yield chunk
+    def chunks(self) -> Iterator[TableChunk]:
+        for index in range(self.chunk_count):
+            yield read_chunk(self, index)
 
     # -- one-pass materialization ------------------------------------------------------
     def read(self) -> Table:
         """Parse once and assemble a resident :class:`Table` (the
-        single-chunk fast path ``read_csv`` routes through)."""
+        single-chunk fast path ``read_csv`` routes through); no replay file."""
 
-        def _parsed(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
+        def _faulted_parse(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
             _faults.fault_point("ingest.chunk", file=str(self._path))
             return self._parse_chunk(header, rows)
 
-        header: List[str] = []
-        flags: List[ColumnTypeFlags] = []
-        parsed: List[List[ParsedColumnBlock]] = []
-        n_rows = 0
-        for header, rows in self._raw_chunks():
+        def _parse(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
             if _faults.ACTIVE:
-                blocks = INGEST_RETRY.call(_parsed, header, rows, site="ingest.chunk")
-            else:
-                blocks = _parsed(header, rows)
-            if not flags:
-                flags = [ColumnTypeFlags() for _ in header]
-            for accumulated, block in zip(flags, blocks):
-                accumulated.merge(block.flags)
-            if rows:
-                parsed.append(blocks)
-                n_rows += len(rows)
-        schema = self._schema_from_flags(header, flags)
-        self._schema = schema
-        self._n_rows = n_rows
+                return INGEST_RETRY.call(_faulted_parse, header, rows, site="ingest.chunk")
+            return self._parse_chunk(header, rows)
+
+        parsed: List[List[ParsedColumnBlock]] = []
+        schema, _ = self._parse_file(_parse, parsed.append)
         data: Dict[str, np.ndarray] = {}
         valid: Dict[str, np.ndarray] = {}
         for i, column in enumerate(schema):

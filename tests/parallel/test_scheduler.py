@@ -1,4 +1,4 @@
-"""The block-parallel scheduler: pools, ordered maps, prefetch, config."""
+"""The block-parallel scheduler: pools, ordered maps, config."""
 
 from __future__ import annotations
 
@@ -120,47 +120,6 @@ class TestImapOrdered:
 
         with pytest.raises(RuntimeError, match="chunk 5"):
             list(parallel.imap_ordered(boom, range(12)))
-
-
-class TestPrefetch:
-    def test_preserves_order_and_items(self):
-        parallel.set_num_workers(4)
-        assert list(parallel.prefetch(iter(range(200)), depth=2)) == list(range(200))
-
-    def test_runs_producer_on_background_thread(self):
-        parallel.set_num_workers(4)
-        producer_threads = []
-
-        def source():
-            for i in range(5):
-                producer_threads.append(threading.get_ident())
-                yield i
-
-        assert list(parallel.prefetch(source(), depth=2)) == list(range(5))
-        assert threading.get_ident() not in set(producer_threads)
-
-    def test_serial_at_one_worker(self):
-        parallel.set_num_workers(1)
-        producer_threads = []
-
-        def source():
-            producer_threads.append(threading.get_ident())
-            yield 1
-
-        assert list(parallel.prefetch(source())) == [1]
-        assert producer_threads == [threading.get_ident()]
-
-    def test_exceptions_propagate(self):
-        parallel.set_num_workers(4)
-
-        def source():
-            yield 1
-            raise OSError("stream died")
-
-        iterator = parallel.prefetch(source(), depth=2)
-        assert next(iterator) == 1
-        with pytest.raises(OSError, match="stream died"):
-            list(iterator)
 
 
 class TestPoolReuse:

@@ -18,8 +18,9 @@ from repro.exceptions import IntegrityError
 from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.learning import StreamingGD
 from repro.metadata.mappings import ScenarioType
+from repro.relational.io import write_csv
 from repro.reliability import faults
-from repro.streaming import InMemoryTableStream, SpillStore, integrate_streams
+from repro.streaming import ChunkedCsvReader, InMemoryTableStream, SpillStore, integrate_streams
 
 CHAOS_PLAN = (
     "spill.read:p=0.4,n=5,seed=3;"
@@ -37,10 +38,32 @@ def _scenario_inputs():
     return generate_scenario_tables(spec)
 
 
-def _build_and_train(store, checksums_note=None):
+def _table_streams(base, other):
+    return InMemoryTableStream(base, 23), InMemoryTableStream(other, 23)
+
+
+def _csv_streams(directory):
+    """The scenario's tables as CSV files, each read by a fresh reader."""
+
+    def streams(base, other):
+        readers = []
+        for table in (base, other):
+            path = directory / f"{table.name}.csv"
+            write_csv(table, path)
+            labels = [column.name for column in table.schema.label_columns]
+            readers.append(ChunkedCsvReader(
+                path, name=table.name, key_columns=[c.name for c in table.schema.key_columns],
+                label_column=labels[0] if labels else None, chunk_rows=23,
+            ))
+        return readers
+
+    return streams
+
+
+def _build_and_train(store, streams=_table_streams):
     base, other, matches, row_matches, targets = _scenario_inputs()
     dataset = integrate_streams(
-        InMemoryTableStream(base, 23), InMemoryTableStream(other, 23),
+        *streams(base, other),
         matches, row_matches, targets, ScenarioType.LEFT_JOIN,
         label_column="label", store=store,
     )
@@ -50,17 +73,19 @@ def _build_and_train(store, checksums_note=None):
     return materialized, np.array(model.coef_), float(model.intercept_)
 
 
+@pytest.mark.parametrize("source", ["table", "csv"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chaos_run_matches_fault_free_bit_for_bit(workers):
+def test_chaos_run_matches_fault_free_bit_for_bit(workers, source, tmp_path):
     parallel.set_num_workers(workers)
     parallel.set_min_parallel_rows(0)
+    streams = _table_streams if source == "table" else _csv_streams(tmp_path)
     with SpillStore() as store:
-        reference_matrix, reference_coef, reference_intercept = _build_and_train(store)
+        reference_matrix, reference_coef, reference_intercept = _build_and_train(store, streams)
 
     telemetry.enable(sample_memory=False)
     with faults.active_plan(CHAOS_PLAN) as injector:
         with SpillStore(checksums=True) as store:
-            chaos_matrix, chaos_coef, chaos_intercept = _build_and_train(store)
+            chaos_matrix, chaos_coef, chaos_intercept = _build_and_train(store, streams)
         snapshot = injector.snapshot()
     report = telemetry.run_report()
     telemetry.disable()
@@ -117,6 +142,27 @@ def test_ingest_faults_guard_random_access_chunks_at_every_worker_count(
     assert report.counters.get("retry.attempts.ingest.chunk", 0) == 2
     for built, expected in zip(retried, reference):
         assert np.array_equal(built, expected)
+
+
+def test_csv_reader_retries_ingest_faults(tmp_path):
+    """The reader's own ``chunks()`` — behind ``read_table`` and
+    ``write_csv`` — reads every chunk behind the ``ingest.chunk`` fault
+    site and ``INGEST_RETRY``; the retried table is the fault-free one."""
+    rows = "".join(f"{i},{i / 7:.6f},{'' if i % 11 else 'n/a'}\n" for i in range(300))
+    path = tmp_path / "faulty.csv"
+    path.write_text("id,x,note\n" + rows)
+    reference = ChunkedCsvReader(path, chunk_rows=64).read_table()
+
+    telemetry.enable(sample_memory=False)
+    with faults.active_plan("ingest.chunk:p=1.0,n=2,seed=5") as injector:
+        retried = ChunkedCsvReader(path, chunk_rows=64).read_table()
+        crossings, triggers = injector.snapshot()["ingest.chunk"]
+    report = telemetry.run_report()
+    telemetry.disable()
+
+    assert retried.schema == reference.schema and retried.equals(reference)
+    assert triggers == 2 and crossings == 5 + triggers  # ceil(300 / 64) chunks
+    assert report.counters.get("retry.attempts.ingest.chunk", 0) == 2
 
 
 def test_corrupt_write_without_checksums_goes_undetected_by_design():

@@ -38,20 +38,6 @@ class TestAnnotation:
         with pytest.raises(ValueError, match=r"site=parallel\.task, block=1"):
             parallel.parallel_map(_explode_at(1), range(4), workers=2)
 
-    def test_prefetch_annotates_producer_failures(self):
-        parallel.set_num_workers(2)
-
-        def produce():
-            yield 1
-            yield 2
-            raise ValueError("upstream died")
-
-        with pytest.raises(ValueError) as excinfo:
-            list(parallel.prefetch(produce(), depth=2, label="build.fill"))
-        assert "upstream died [parallel site=build.fill, block=2]" in str(
-            excinfo.value
-        )
-
     def test_exception_type_is_preserved(self):
         class Custom(RuntimeError):
             pass

@@ -1,11 +1,16 @@
 """Chunked CSV ingest parity: ChunkedCsvReader vs the materialized read_csv."""
 
 import csv
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import TableError
+from repro.streaming import ingest
 from repro.relational.io import _protect_string, read_csv, write_csv
 from repro.relational.table import Table
 from repro.relational.types import NULL, DataType, infer_type, is_null
@@ -20,6 +25,9 @@ MESSY_CELLS = [
     "9999999999999999999999999", "1e3", "1E-4", ".5", "5.", "abc", "a b",
     " spaced ", "0x10", "None", "TRUE", "12.0", "12.5", "\\null", "\\x",
     "café", "5 5",
+    # A trailing NUL survives the replay file (numpy "U" arrays would drop
+    # it); csv.reader rejects NUL before Python 3.11.
+    *(["nul\x00"] if sys.version_info >= (3, 11) else []),
 ]
 
 
@@ -97,11 +105,16 @@ class TestChunkedReaderParity:
     def test_chunk_offsets_and_sizes(self, messy_csv, chunk_rows):
         reader = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
         offset = 0
-        for chunk in reader.chunks():
+        chunks = list(reader.chunks())
+        assert len(chunks) == reader.chunk_count == -(-reader.n_rows // chunk_rows)
+        for index, chunk in enumerate(chunks):
             assert chunk.offset == offset
-            assert chunk.n_rows <= chunk_rows
+            assert chunk.n_rows == min(chunk_rows, reader.n_rows - offset)
+            assert_same_chunk(reader.chunk_at(index), chunk)
             offset += chunk.n_rows
         assert offset == reader.n_rows
+        with pytest.raises(IndexError):
+            reader.chunk_at(reader.chunk_count)
 
     def test_types_and_roles(self, tmp_path):
         path = _write(tmp_path, "t.csv", "id,x,name,b\n1,1.5,ann,true\n2,,na,false\n")
@@ -122,6 +135,105 @@ class TestChunkedReaderParity:
         reader = ChunkedCsvReader(path)
         assert reader.n_rows == 0
         assert list(reader.chunks()) == []
+
+
+def assert_same_chunk(got, want):
+    assert got.offset == want.offset and got.n_rows == want.n_rows
+    assert got.schema == want.schema
+    for name in want.schema.names:
+        assert np.array_equal(got.column_valid(name), want.column_valid(name))
+        assert got.column_values(name).tolist() == want.column_values(name).tolist()
+
+
+class TestReplay:
+    """``scan`` is the only parse; chunks are typed from its replay file."""
+
+    @pytest.fixture
+    def numbers_csv(self, tmp_path):
+        rows = "".join(f"{i},{i * 0.5},{'' if i % 3 else 'x'}\n" for i in range(40))
+        return _write(tmp_path, "numbers.csv", "k,v,s\n" + rows)
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every handle the reader opens: CSV files and replay files."""
+        handles = []
+
+        def recording(opener):
+            def wrapper(*args, **kwargs):
+                handles.append(opener(*args, **kwargs))
+                return handles[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(Path, "open", recording(Path.open))
+        monkeypatch.setattr(
+            ingest.tempfile, "TemporaryFile", recording(ingest.tempfile.TemporaryFile)
+        )
+        return handles
+
+    def test_file_is_opened_once(self, numbers_csv, opened):
+        reader = ChunkedCsvReader(numbers_csv, chunk_rows=7)
+        reader.scan()
+        first, second = list(reader.chunks()), list(reader.chunks())
+        table = reader.read_table()
+        # one handle on the CSV file, one on the replay file
+        assert [handle.name for handle in opened].count(str(numbers_csv)) == 1
+        assert len(opened) == 2
+        assert table.n_rows == 40 and len(first) == len(second) == 6
+
+    def test_interleaved_iterators_yield_equal_chunks(self, numbers_csv):
+        expected = list(ChunkedCsvReader(numbers_csv, chunk_rows=7).chunks())
+        reader = ChunkedCsvReader(numbers_csv, chunk_rows=7)
+        ahead, behind = reader.chunks(), reader.chunks()
+        got_ahead, got_behind = [next(ahead)], []
+        for chunk in behind:  # the two iterators alternate, one chunk apart
+            got_behind.append(chunk)
+            got_ahead.extend(itertools.islice(ahead, 1))
+        for got in (got_ahead, got_behind):
+            assert len(got) == len(expected)
+            for chunk, want in zip(got, expected):
+                assert_same_chunk(chunk, want)
+
+    def test_concurrent_first_reads_parse_once(self, numbers_csv, opened):
+        """Workers that all reach an unscanned reader at once share one scan."""
+        expected = list(ChunkedCsvReader(numbers_csv, chunk_rows=7).chunks())
+        opened.clear()
+        reader = ChunkedCsvReader(numbers_csv, chunk_rows=7)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(reader.chunk_at, i % len(expected)) for i in range(48)]
+                got = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert [handle.name for handle in opened].count(str(numbers_csv)) == 1
+        assert len(opened) == 2
+        for i, chunk in enumerate(got):
+            assert_same_chunk(chunk, expected[i % len(expected)])
+
+    def test_rewriting_the_file_after_scan_changes_nothing(self, numbers_csv):
+        reader = ChunkedCsvReader(numbers_csv, chunk_rows=7)
+        expected = read_csv(numbers_csv)
+        reader.scan()
+        numbers_csv.write_text("k,v,s\nchanged,1,2\n")
+        assert reader.read_table().equals(expected)
+        assert reader.n_rows == expected.n_rows
+
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1,2\n1,2,3\n", b"a,b\n1,\xff\n"], ids=["width", "utf8"]
+    )
+    def test_failed_scan_leaves_no_open_file(self, tmp_path, opened, text):
+        path = tmp_path / "bad.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        opened.clear()
+        reader = ChunkedCsvReader(path, chunk_rows=1)
+        with pytest.raises(TableError):
+            reader.scan()
+        assert len(opened) == 2 and all(handle.closed for handle in opened)
 
 
 class TestSeedErrorParity:
