@@ -64,7 +64,10 @@ from repro.factorized.operator_plan import (
     BlockedMatrixView,
     GramCache,
     OperatorPlan,
+    composed_indicator,
+    cross_term,
     row_grid,
+    same_source_term,
 )
 from repro.factorized.ops_counter import FlopCounter, charges
 from repro.matrices.builder import IntegratedDataset, SourceFactor
@@ -388,12 +391,8 @@ class AmalurMatrix:
         tasks: List[Tuple] = []
         for k, form in enumerate(forms):
             for rows in self._row_slices(form.rows.shape[0]):
-                if form.weighted is None:
-                    compute = partial(backend.crossprod, take(form.rows, rows))
-                else:
-                    compute = partial(
-                        backend.gram_pair, take(form.rows, rows), take(form.weighted, rows)
-                    )
+                weighted = None if form.weighted is None else take(form.weighted, rows)
+                compute = partial(same_source_term, backend, take(form.rows, rows), weighted)
                 tasks.append((compute, np.ix_(cols[k], cols[k]), None))
             self.counter.add("crossprod.local", backend.crossprod_flops(form.rows))
             for j in range(k + 1, len(forms)):
@@ -403,7 +402,7 @@ class AmalurMatrix:
                 left, right = forms[outer].rows, forms[inner].rows
                 for rows in self._row_slices(left.shape[0]):
                     compute = partial(
-                        self._cross_block, take(left, rows), take(composed, rows), right
+                        cross_term, backend, take(left, rows), take(composed, rows), right
                     )
                     tasks.append((
                         compute, np.ix_(cols[outer], cols[inner]), np.ix_(cols[inner], cols[outer])
@@ -438,23 +437,10 @@ class AmalurMatrix:
         pair for the life of the matrix, :meth:`invalidate` included."""
         entry = self._composed.get((k, j))
         if entry is None:
-            codes_k, codes_j = forms[k].codes, forms[j].codes
-            shared = (codes_k >= 0) & (codes_j >= 0)
-            (n_k, c_k), (n_j, c_j) = forms[k].rows.shape, forms[j].rows.shape
-            composed = sparse.csr_matrix(
-                (np.ones(np.count_nonzero(shared)), (codes_k[shared], codes_j[shared])),
-                shape=(n_k, n_j),
-            )
-            if composed.nnz * c_j + n_k * c_k * c_j <= composed.nnz * c_k + n_j * c_k * c_j:
-                entry = (k, j, composed)
-            else:
-                entry = (j, k, composed.T.tocsr())
+            swapped, composed = composed_indicator(forms[k], forms[j])
+            entry = (j, k, composed) if swapped else (k, j, composed)
             self._composed[(k, j)] = entry
         return entry
-
-    def _cross_block(self, outer, composed, inner) -> np.ndarray:
-        """``outerᵀ (composed inner)`` — one row block of a cross term."""
-        return self.backend.gram_pair(outer, composed @ inner)
 
     # -- element-wise and aggregation operators ----------------------------------------------
     def _map_factors(self, fn, operator: str) -> "AmalurMatrix":

@@ -50,7 +50,11 @@ dimension: a block multiplies its distinct source rows of ``D_k`` — never
 more than ``min(block rows, r_Sk)`` — and a contiguous range of them is a
 *view* of the storage, not a gather. The per-block row structure (:class:`BlockRows`)
 is kept for the blocks of the view's current grid only; see
-:class:`BlockedFactorView` for what it holds and costs.
+:class:`BlockedFactorView` for what it holds and costs. A block's row
+form (:meth:`BlockedFactorView.row_form`) is the same :class:`RowForm`
+the whole-factor Gram uses, restricted to the block's rows, so
+:meth:`BlockedMatrixView.statistics` sums the Gram block by block with
+the same term kernels (:func:`same_source_term`, :func:`cross_term`).
 
 When plans are invalidated
 --------------------------
@@ -65,11 +69,13 @@ arrays cannot leak across views.
 from __future__ import annotations
 
 import threading
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
+from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.backends import Backend
 from repro.backends.base import Storage, stored_cells
@@ -176,6 +182,82 @@ class RowForm(NamedTuple):
     rows: Storage
     codes: np.ndarray
     weighted: Optional[Storage]
+
+
+def row_form_of(
+    backend: Backend,
+    stored: Storage,
+    targets,
+    inverse: Optional[np.ndarray],
+    n_targets: int,
+    columns: np.ndarray,
+    redundancy=None,
+) -> RowForm:
+    """The :class:`RowForm` of ``stored`` rows placed on ``n_targets``
+    target rows: covered target ``targets[i]`` reads row ``inverse[i]`` of
+    ``stored`` (row ``i`` when ``inverse`` is ``None``), restricted to the
+    stored ``columns``.
+
+    ``redundancy`` is ``R_k`` over the covered target rows × those
+    columns, or ``None`` without redundancy. With it, cells differ per
+    target row, so the rows are gathered one per covered target row and
+    the mask is applied to them; without it the rows stay as stored and
+    ``weighted`` carries each row's multiplicity when one is not 1. Both
+    the whole-factor form (:meth:`OperatorPlan.row_form`) and a row
+    block's (:meth:`BlockedFactorView.row_form`) are built here.
+    """
+    if inverse is not None and redundancy is not None:
+        stored, inverse = backend.take_rows(stored, inverse), None
+    rows = stored
+    if not np.array_equal(columns, np.arange(stored.shape[1])):
+        rows = backend.take_columns(stored, columns)
+    codes = np.full(n_targets, -1, dtype=np.intp)
+    codes[targets] = np.arange(rows.shape[0]) if inverse is None else inverse
+    weighted = None
+    if redundancy is not None:
+        # Mask-aware slicing: R_k restricted to the covered rows × kept
+        # columns zeroes the redundant cells without densifying, in
+        # whatever format the backend stores the rows.
+        rows = backend.apply_redundancy(rows, redundancy)
+    elif inverse is not None:
+        multiplicity = np.bincount(inverse, minlength=rows.shape[0])
+        if (multiplicity != 1).any():
+            weighted = backend.elementwise_multiply(
+                rows, multiplicity.astype(np.float64)[:, None]
+            )
+    return RowForm(rows, codes, weighted)
+
+
+def same_source_term(backend: Backend, rows: Storage, weighted: Optional[Storage]) -> np.ndarray:
+    """``rowsᵀ diag(multiplicity) rows`` — one factor's own term of ``TᵀT``
+    (``I_kᵀ I_k`` is the diagonal of row multiplicities)."""
+    if weighted is None:
+        return backend.crossprod(rows)
+    return backend.gram_pair(rows, weighted)
+
+
+def composed_indicator(form_k: RowForm, form_l: RowForm) -> Tuple[bool, sparse.csr_matrix]:
+    """``C = I_kᵀ I_l`` of two row forms over the same target rows, as CSR
+    (one entry per target row both cover), in the order with fewer
+    multiply-adds by shape: ``(False, C)`` when the cross term is
+    ``rows_kᵀ (C rows_l)``, ``(True, Cᵀ)`` when it is ``rows_lᵀ (Cᵀ rows_k)``."""
+    codes_k, codes_l = form_k.codes, form_l.codes
+    shared = (codes_k >= 0) & (codes_l >= 0)
+    (n_k, c_k), (n_l, c_l) = form_k.rows.shape, form_l.rows.shape
+    composed = sparse.csr_matrix(
+        (np.ones(np.count_nonzero(shared)), (codes_k[shared], codes_l[shared])),
+        shape=(n_k, n_l),
+    )
+    if composed.nnz * c_l + n_k * c_k * c_l <= composed.nnz * c_k + n_l * c_k * c_l:
+        return False, composed
+    return True, composed.T.tocsr()
+
+
+def cross_term(backend: Backend, outer: Storage, composed, inner: Storage) -> np.ndarray:
+    """``outerᵀ (composed inner)`` — a cross term of ``TᵀT`` (or one row
+    block of it): the composed indicator segment-sums ``inner`` onto the
+    rows of ``outer`` before the multiply."""
+    return backend.gram_pair(outer, composed @ inner)
 
 
 class OperatorPlan:
@@ -314,28 +396,13 @@ class OperatorPlan:
             return self._row_form
         if _telemetry.ENABLED:
             _telemetry.counter_add("plan_cache.row_form.miss")
-        backend, weighted = self.backend, None
+        redundancy = None
         if self.has_correction:
-            rows = backend.take_columns(
-                backend.take_rows(self.storage, self.source_rows), self.source_cols
-            )
-            # Mask-aware slicing: restrict R_k to the covered rows × mapped
-            # columns without densifying, then zero the redundant cells in
-            # whatever format the backend stores the rows.
-            restricted = self.factor.redundancy.submatrix(self.target_rows, self.target_cols)
-            rows = backend.apply_redundancy(rows, restricted)
-            codes = np.full(self.factor.indicator.n_target_rows, -1, dtype=np.intp)
-            codes[self.target_rows] = np.arange(self.n_mapped_rows)
-        else:
-            rows = self.storage
-            if not np.array_equal(self.source_cols, np.arange(self.n_source_columns)):
-                rows = backend.take_columns(rows, self.source_cols)
-            codes = self.factor.indicator.compressed
-            multiplicity = np.bincount(self.source_rows, minlength=self.n_source_rows)
-            if (multiplicity != 1).any():
-                weights = multiplicity.astype(np.float64)[:, None]
-                weighted = backend.elementwise_multiply(rows, weights)
-        self._row_form = RowForm(rows, codes, weighted)
+            redundancy = self.factor.redundancy.submatrix(self.target_rows, self.target_cols)
+        self._row_form = row_form_of(
+            self.backend, self.storage, self.target_rows, self.source_rows,
+            self.factor.indicator.n_target_rows, self.source_cols, redundancy,
+        )
         return self._row_form
 
     def __repr__(self) -> str:
@@ -437,7 +504,7 @@ class BlockedFactorView:
 
     __slots__ = (
         "plan", "backend", "storage",
-        "sel_source_cols", "sel_target_pos",
+        "sel_source_cols", "sel_target_cols", "sel_target_pos",
         "correction", "_kept", "_spilled",
     )
 
@@ -448,14 +515,16 @@ class BlockedFactorView:
         n_target_columns = plan.factor.mapping.n_target_columns
         if keep_targets is None:
             self.sel_source_cols = plan.source_cols
-            self.sel_target_pos = plan.target_cols
+            self.sel_target_cols = self.sel_target_pos = plan.target_cols
         else:
             keep_targets = np.asarray(keep_targets, dtype=np.intp)
             new_position = np.full(n_target_columns, -1, dtype=np.int64)
             new_position[keep_targets] = np.arange(keep_targets.size)
             kept = new_position[plan.target_cols] >= 0
             self.sel_source_cols = plan.source_cols[kept]
-            self.sel_target_pos = new_position[plan.target_cols[kept]].astype(np.intp)
+            #: The selected columns' target indices, and their positions in the view.
+            self.sel_target_cols = plan.target_cols[kept]
+            self.sel_target_pos = new_position[self.sel_target_cols].astype(np.intp)
         #: The factor's redundancy correction over the view's columns.
         self.correction: Optional[sparse.csr_matrix] = None
         if plan.has_correction:
@@ -545,6 +614,27 @@ class BlockedFactorView:
             _telemetry.counter_add("spill.bytes_read", float(block.nbytes))
         return block
 
+    def row_form(self, start: int, stop: int) -> Optional[RowForm]:
+        """The block's :class:`RowForm` over the view's columns — the rows
+        of ``D_k`` target rows ``[start, stop)`` read, masked by ``R_k`` as
+        :meth:`OperatorPlan.row_form` masks them, with ``codes`` relative
+        to ``start`` — or ``None`` when the block covers none of the
+        factor's rows. Reads the rows through :meth:`storage_rows`."""
+        spec = self.block(start, stop)
+        if not spec.n_rows:
+            return None
+        plan = self.plan
+        targets = spec.targets
+        if isinstance(targets, slice):
+            targets = np.arange(targets.start, targets.stop)
+        redundancy = None
+        if plan.has_correction:
+            redundancy = plan.factor.redundancy.submatrix(targets + start, self.sel_target_cols)
+        return row_form_of(
+            self.backend, self.storage_rows(spec.rows), targets, spec.inverse,
+            stop - start, self.sel_source_cols, redundancy,
+        )
+
     # -- block kernels ---------------------------------------------------------------------
     def lmm_block_add(
         self,
@@ -588,7 +678,11 @@ class BlockedMatrixView:
     The view computes exactly what ``AmalurMatrix.lmm`` /
     ``transpose_lmm`` compute, one target-row block at a time, so
     gradient-descent training can run in bounded memory over factors whose
-    backing storage lives on disk. Constructed via
+    backing storage lives on disk — logistic GD walks the blocks once per
+    iteration. :meth:`statistics` gathers the Gram and column sums of the
+    view (and of an explicit label vector) in one pass over the blocks,
+    with the Gram kernels of ``AmalurMatrix.crossprod``: least squares
+    trains from those alone, reading the spill once. Constructed via
     :meth:`repro.factorized.AmalurMatrix.blocked`.
     """
 
@@ -658,3 +752,83 @@ class BlockedMatrixView:
             x_block = x_block[:, None]
         for factor in self.factors:
             factor.transpose_lmm_block_add(x_block, start, stop, out)
+
+    def statistics(
+        self,
+        block_rows: int,
+        labels: Optional[np.ndarray] = None,
+        *,
+        workers: int = 1,
+        on_block: Optional[Callable[[], None]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(AᵀA, Aᵀ1)`` of ``A = [T y]`` in one pass over the rows: the
+        Gram and the column sums of the view, with the explicit ``labels``
+        vector ``y`` as one more, last column when given (a label column
+        of the dataset is selected into the view instead).
+
+        Each block of the ``block_rows`` grid reads its rows of every
+        ``D_k`` once (:meth:`BlockedFactorView.row_form`) and adds the
+        Gram terms over them — ``rows_kᵀ (I_kᵀ I_l) rows_l``, the kernels
+        of ``AmalurMatrix.crossprod`` — and ``rows_kᵀ (I_kᵀ [1 y])``. The
+        blocks map through ``imap_ordered`` over ``workers`` and their
+        partials reduce in block order, so the bits depend on the grid
+        only; ``on_block`` runs on the calling thread as each block
+        retires. The result takes ``(c+1)² × 8`` bytes, a partial per
+        block in flight; while a block runs, a masked row form (a copy)
+        and a cross term's ``composed @ inner`` are block-sized.
+        """
+        blocks = self.row_blocks(block_rows)
+        width = self.n_columns + (labels is not None)
+        gram, sums = np.zeros((width, width)), np.zeros(width)
+        for block_gram, block_sums in _parallel.imap_ordered(
+            partial(self._block_statistics, labels=labels), blocks, workers=workers,
+            label="statistics",
+        ):
+            gram += block_gram
+            sums += block_sums
+            if on_block is not None:
+                on_block()
+        return gram, sums
+
+    def _block_statistics(
+        self, bounds: Tuple[int, int], labels: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One block's partial of :meth:`statistics`."""
+        start, stop = bounds
+        width = self.n_columns + (labels is not None)
+        gram, sums = np.zeros((width, width)), np.zeros(width)
+        present = [
+            (factor.sel_target_pos, form) for factor in self.factors
+            if (form := factor.row_form(start, stop)) is not None
+        ]
+        backend = self.factors[0].backend if self.factors else None
+        # The vectors every factor's rows meet: 1 (column sums) and y.
+        vectors = [np.ones(stop - start)]
+        if labels is not None:
+            y = np.asarray(labels[start:stop], dtype=np.float64)
+            vectors.append(y)
+            gram[-1, -1] += y @ y
+            sums[-1] += y.sum()
+        for k, (cols, form) in enumerate(present):
+            gram[np.ix_(cols, cols)] += same_source_term(backend, form.rows, form.weighted)
+            covered = form.codes >= 0
+            projected = np.column_stack([
+                np.bincount(form.codes[covered], weights=v[covered], minlength=form.rows.shape[0])
+                for v in vectors
+            ])
+            local = backend.transpose_matmul(form.rows, projected)
+            sums[cols] += local[:, 0]
+            if labels is not None:
+                gram[cols, -1] += local[:, 1]
+                gram[-1, cols] += local[:, 1]
+            for other in present[k + 1:]:
+                swapped, composed = composed_indicator(form, other[1])
+                if composed.nnz == 0:
+                    continue
+                (outer_cols, outer), (inner_cols, inner) = (
+                    (other, (cols, form)) if swapped else ((cols, form), other)
+                )
+                term = cross_term(backend, outer.rows, composed, inner.rows)
+                gram[np.ix_(outer_cols, inner_cols)] += term
+                gram[np.ix_(inner_cols, outer_cols)] += term.T
+        return gram, sums

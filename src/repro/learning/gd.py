@@ -11,6 +11,13 @@ with ``parallel.imap_ordered`` and reduces the partials in block order on
 the calling thread. One worker is the plain loop of the same map and a
 resident operand is the one-block grid (:class:`OneBlock`), so the weights
 depend on the grid only — any worker count, one included, gives the same bits.
+
+Least squares needs the rows only through the Gram: a linear
+:class:`~repro.learning.StreamingGD` gathers ``[X y]ᵀ[X y]`` in one pass,
+centres it (:func:`centred_statistics`, which the serving session's
+normal-equation solve shares) and descends over its ``d + 1``-row square
+root (:class:`GramRoot`) — the same loop, each iteration a ``d × d`` step.
+Logistic GD walks the row blocks every iteration.
 """
 
 from __future__ import annotations
@@ -74,6 +81,57 @@ def centre(targets: np.ndarray, fit_intercept: bool) -> Tuple[np.ndarray, float]
     return targets - offset, offset
 
 
+def centred_statistics(
+    gram: np.ndarray, sums: np.ndarray, n_rows: int, label: int, fit_intercept: bool = True
+) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """``(XᵀX, Xᵀ(y − ȳ), (y − ȳ)ᵀ(y − ȳ), ȳ)`` from the augmented Gram
+    ``[X y]ᵀ[X y]`` and column sums ``[X y]ᵀ1`` of ``n_rows`` rows, ``y``
+    being column ``label`` and ``X`` every other column, in order.
+
+    The least-squares learners' sufficient statistics, centred the way
+    :func:`centre` centres the targets (``ȳ = 0`` without an intercept or
+    rows): ``Xᵀ(y − ȳ) = Xᵀy − ȳ·Xᵀ1`` and ``(y − ȳ)ᵀ(y − ȳ) = yᵀy −
+    ȳ·1ᵀy``, so no pass over the rows is needed."""
+    features = np.asarray([i for i in range(gram.shape[0]) if i != label], dtype=np.intp)
+    offset = float(sums[label] / n_rows) if fit_intercept and n_rows else 0.0
+    moment = gram[features, label] - offset * sums[features]
+    residual = float(gram[label, label] - offset * sums[label])
+    return gram[np.ix_(features, features)], moment, residual, offset
+
+
+class GramRoot:
+    """A least-squares problem over ``n_rows`` rows, carried by ``d + 1``.
+
+    ``R`` is a square root of the augmented Gram ``A = [X y]ᵀ[X y]``
+    (``RᵀR = A``, from ``eigh`` with eigenvalues clipped at 0, so a
+    rank-deficient ``A`` has one). Its first ``d`` columns play ``X`` and
+    its last plays ``y``: ``‖R[:, :d] w − R[:, d]‖² = ‖Xw − y‖²`` and the
+    gradients agree too, so :func:`descend` over this one-block view with
+    :func:`squared_error_link` and ``targets`` steps exactly as over the
+    ``n_rows`` rows, each iteration a ``(d+1) × d`` product. ``shape`` is
+    ``(n_rows, d)``, so losses and gradients are still means over the rows.
+    """
+
+    def __init__(self, xtx: np.ndarray, xty: np.ndarray, yty: float, n_rows: int):
+        d = xtx.shape[0]
+        augmented = np.empty((d + 1, d + 1))
+        augmented[:d, :d] = xtx
+        augmented[:d, d] = augmented[d, :d] = xty
+        augmented[d, d] = yty
+        values, vectors = np.linalg.eigh(augmented)
+        root = np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.T
+        self.rows = np.ascontiguousarray(root[:, :d])
+        self.targets = np.ascontiguousarray(root[:, d])
+        self.shape = (int(n_rows), d)
+        self.blocks = [(0, d + 1)]
+
+    def lmm_block(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return self.rows[start:stop] @ x
+
+    def transpose_lmm_add(self, x: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+        out += self.rows[start:stop].T @ x
+
+
 class OneBlock:
     """Any :class:`~repro.learning.base.LinearOperand` as the block view
     whose grid is the single block of all its rows."""
@@ -114,8 +172,9 @@ def descend(
 
     ``view`` offers ``shape``, ``lmm_block`` and ``transpose_lmm_add`` over
     the ``[start, stop)`` row ``blocks`` (a
-    :class:`~repro.factorized.operator_plan.BlockedMatrixView`, or
-    :class:`OneBlock`); ``weights`` is a ``(columns, 1)`` float64 column.
+    :class:`~repro.factorized.operator_plan.BlockedMatrixView`,
+    :class:`OneBlock` or :class:`GramRoot`); ``weights`` is a
+    ``(columns, 1)`` float64 column.
     Every epoch appends its mean loss to ``loss_history``; ``on_block``
     runs on the calling thread as each block retires, ``on_epoch(completed
     epochs, weights, intercept)`` after each step.

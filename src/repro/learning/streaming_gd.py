@@ -1,26 +1,38 @@
-"""Mini-batch (row-block) gradient descent over factorized matrices.
+"""Out-of-core (row-block) gradient descent over factorized matrices.
 
 :class:`StreamingGD` trains linear or logistic regression over an
-:class:`~repro.factorized.AmalurMatrix` by accumulating each full-batch
-gradient over fixed target-row blocks instead of whole-matrix operands.
-The iteration *mathematics* is identical to the full-batch solvers
+:class:`~repro.factorized.AmalurMatrix` through its row-block view, so
+the working set stays one row block per factor. Combined with factors
+spilled to a :class:`~repro.streaming.SpillStore`, models train on
+datasets whose materialized form exceeds RAM. The iteration mathematics
+is that of the full-batch solvers
 (:class:`~repro.learning.LinearRegression` with ``solver="gd"`` and
-:class:`~repro.learning.LogisticRegression`): every block contributes its
-exact share of the same LMM / transpose-LMM, so the learned weights match
-full-batch training to floating-point reassociation (≤ 1e-8 in the parity
-suite) — while the working set stays one row block per factor. Combined
-with factors spilled to a :class:`~repro.streaming.SpillStore`, models
-train on datasets whose materialized form exceeds RAM.
+:class:`~repro.learning.LogisticRegression`), the one loop of
+:func:`repro.learning.gd.descend`:
 
-Each iteration maps the row blocks through ``repro.parallel``'s ordered
-bounded-window pipeline (the shared loop in :mod:`repro.learning.gd`):
-workers pull spilled blocks off the memmap and compute their loss/gradient
-partials — overlapping spill I/O with the current matmuls — while the
-calling thread reduces the partials in block order and releases pages as
-blocks retire. With one worker (``num_workers``, or the global
-``repro.parallel`` configuration below its row threshold) the same map is a
-plain loop on the calling thread. Results depend on the ``block_rows`` grid
-only: any worker count, one included, gives the same bits.
+* **linear** — one statistics pass plus ``d × d`` steps. One pass over
+  the blocks (:meth:`~repro.factorized.operator_plan.BlockedMatrixView.statistics`)
+  gathers the augmented Gram ``[X y]ᵀ[X y]`` and the column sums, the
+  label read in the same pass; :func:`~repro.learning.gd.centred_statistics`
+  centres them on ``ȳ``, and GD steps over their square root
+  (:class:`~repro.learning.gd.GramRoot`, ``d + 1`` rows). The least-squares
+  gradient is a function of the Gram alone (Schleich, Olteanu & Ciucanu,
+  SIGMOD'16), so the spill is read once however many iterations run, and
+  the weights equal the row-space recurrence to rounding (≤ 1e-10
+  relative in the parity suite, rank-deficient targets included).
+* **logistic** — one pass over the blocks per iteration: every block
+  contributes its exact share of the same LMM / transpose-LMM, so the
+  weights match full-batch training to reassociation (≤ 1e-8).
+
+Either pass maps the row blocks through ``repro.parallel``'s ordered
+bounded-window pipeline: workers pull spilled blocks off the memmap and
+compute their partials — overlapping spill I/O with the current matmuls —
+while the calling thread reduces the partials in block order and
+releases pages as blocks retire. With one worker (``num_workers``, or the
+global ``repro.parallel`` configuration below its row threshold) the same
+map is a plain loop on the calling thread. Results depend on the
+``block_rows`` grid only: any worker count, one included, gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -46,9 +58,11 @@ class StreamingGD:
     """Row-block full-batch gradient descent for out-of-core training.
 
     ``task`` is ``"linear"`` (least squares, mirroring
-    ``LinearRegression(solver="gd")``) or ``"logistic"`` (mirroring
-    ``LogisticRegression``). ``learning_rate`` / ``n_iterations`` default
-    to the corresponding full-batch model's defaults when left ``None``.
+    ``LinearRegression(solver="gd")``; one statistics pass over the
+    blocks, then ``d × d`` steps) or ``"logistic"`` (mirroring
+    ``LogisticRegression``; one pass over the blocks per iteration).
+    ``learning_rate`` / ``n_iterations`` default to the corresponding
+    full-batch model's defaults when left ``None``.
 
     ``release_pages`` is invoked after every processed block (when given):
     with spilled factors, pass ``SpillStore.release`` so memory-mapped
@@ -63,10 +77,12 @@ class StreamingGD:
     With a ``checkpoint`` manager, training state — weights, intercept,
     loss history, completed-iteration counter, block cursor — is saved
     atomically every ``checkpoint_every`` completed epochs, and ``fit``
-    resumes from the newest valid checkpoint. Each epoch is a pure
-    function of the restored state (full-batch gradient over a fixed
-    block grid), so an interrupted run resumed from its last checkpoint
-    produces **bit-identical** weights to an uninterrupted run.
+    resumes from the newest valid checkpoint. A linear checkpoint also
+    carries the fit's ``(gram, sums)`` statistics (``(d+1)² × 8`` bytes),
+    so a linear resume reads no data. Each epoch is a pure function of
+    the restored state (full-batch gradient over a fixed block grid), so
+    an interrupted run resumed from its last checkpoint produces
+    **bit-identical** weights to an uninterrupted run.
     Checkpointing defaults off and costs nothing when off.
     """
 
@@ -102,8 +118,10 @@ class StreamingGD:
 
     # -- checkpointing ----------------------------------------------------------------
     def _restore_state(self, n_columns: int):
-        """``(weights, intercept, loss_history, start_iteration)`` from the
-        newest valid checkpoint, or ``None`` for a fresh start."""
+        """``(weights, intercept, loss_history, start_iteration,
+        statistics)`` from the newest valid checkpoint, or ``None`` for a
+        fresh start. ``statistics`` is the ``(gram, sums)`` pair a linear
+        checkpoint carries (``None`` when it carries none)."""
         if self.checkpoint is None:
             return None
         restored = self.checkpoint.latest()
@@ -120,6 +138,15 @@ class StreamingGD:
                 f"checkpoint at {restored.path} holds weights of shape "
                 f"{weights.shape}, expected {(n_columns, 1)}"
             )
+        statistics = None
+        if "gram" in restored.arrays:
+            statistics = (restored.arrays["gram"], restored.arrays["sums"])
+            width = n_columns + 1
+            if statistics[0].shape != (width, width) or statistics[1].shape != (width,):
+                raise CheckpointError(
+                    f"checkpoint at {restored.path} holds statistics of shape "
+                    f"{statistics[0].shape}, expected {(width, width)}"
+                )
         self.resumed_from_ = restored.step
         if _telemetry.ENABLED:
             _telemetry.counter_add("checkpoint.resumes")
@@ -128,22 +155,30 @@ class StreamingGD:
             float(restored.metadata.get("intercept", 0.0)),
             restored.arrays["loss_history"].tolist(),
             restored.step,
+            statistics,
         )
 
-    def _save_state(self, iteration: int, weights: np.ndarray, intercept: float) -> None:
+    def _save_state(
+        self, iteration: int, weights: np.ndarray, intercept: float, statistics=None
+    ) -> None:
         """Persist epoch-boundary state: ``iteration`` epochs are complete,
-        so the block cursor is always 0 — the next epoch starts clean."""
+        so the block cursor is always 0 — the next epoch starts clean. A
+        linear fit also saves its ``(gram, sums)`` statistics, so a resume
+        reads no data."""
         if self.checkpoint is None:
             return
         every = max(1, int(self.checkpoint_every))
         if iteration % every != 0:
             return
+        arrays = {
+            "weights": weights,
+            "loss_history": np.asarray(self.loss_history_, dtype=np.float64),
+        }
+        if statistics is not None:
+            arrays["gram"], arrays["sums"] = statistics
         self.checkpoint.save(
             iteration,
-            {
-                "weights": weights,
-                "loss_history": np.asarray(self.loss_history_, dtype=np.float64),
-            },
+            arrays,
             {
                 "task": self.task,
                 "intercept": float(intercept),
@@ -174,9 +209,15 @@ class StreamingGD:
         """Train on a factorized matrix, block by block.
 
         With ``labels=None`` the dataset's label column provides the
-        targets (extracted block-wise) and the features are the remaining
-        target columns; with explicit ``labels`` every column of ``matrix``
-        is a feature — the same contract as the full-batch estimators.
+        targets and the features are the remaining target columns; with
+        explicit ``labels`` every column of ``matrix`` is a feature — the
+        same contract as the full-batch estimators.
+
+        Linear: one pass over the blocks gathers the augmented Gram and
+        column sums (:meth:`BlockedMatrixView.statistics`, the label
+        read in the same pass), and every iteration is a ``d × d`` step
+        (:class:`~repro.learning.gd.GramRoot`). Logistic: every iteration
+        is one pass over the blocks.
         """
         if self.task not in gd.LINKS:
             raise ValueError(f"unknown task {self.task!r}")
@@ -186,48 +227,77 @@ class StreamingGD:
                 raise FactorizationError(
                     "StreamingGD needs explicit labels or a dataset label column"
                 )
-            targets = self._lmm_column(
-                matrix.blocked(columns=[label_column]), np.ones((1, 1))
-            )
             feature_columns = [
                 c for c in matrix.dataset.target_columns if c != label_column
             ]
-            view = matrix.blocked(columns=feature_columns)
         else:
-            targets = np.asarray(labels, dtype=float).ravel()
-            view = matrix.blocked()
-        if targets.shape[0] != view.n_rows:
-            raise ValueError(
-                f"target vector has {targets.shape[0]} rows, features have {view.n_rows}"
-            )
+            labels = np.asarray(labels, dtype=float).ravel()
+            if labels.shape[0] != matrix.n_rows:
+                raise ValueError(
+                    f"target vector has {labels.shape[0]} rows, features have {matrix.n_rows}"
+                )
         with _telemetry.span(
-            "train.streaming_gd", task=self.task, rows=view.n_rows,
+            "train.streaming_gd", task=self.task, rows=matrix.n_rows,
             block_rows=self.block_rows,
         ):
-            self._descend(view, targets)
+            if self.task == "linear":
+                restored = self._restore_state(
+                    len(feature_columns) if labels is None else matrix.n_columns
+                )
+                statistics = None if restored is None else restored[4]
+                if statistics is None:
+                    if labels is None:
+                        view = matrix.blocked(columns=feature_columns + [label_column])
+                    else:
+                        view = matrix.blocked()
+                    statistics = view.statistics(
+                        self.block_rows, labels, workers=self._workers_for(matrix.n_rows),
+                        on_block=self.release_pages,
+                    )
+                gram, sums = statistics
+                xtx, xty, yty, offset = gd.centred_statistics(
+                    gram, sums, matrix.n_rows, gram.shape[0] - 1, self.fit_intercept
+                )
+                root = gd.GramRoot(xtx, xty, yty, matrix.n_rows)
+                self._descend(
+                    root, root.blocks, root.targets, offset, restored, workers=1,
+                    statistics=statistics,
+                )
+            else:
+                if labels is None:
+                    labels = self._lmm_column(
+                        matrix.blocked(columns=[label_column]), np.ones((1, 1))
+                    )
+                    view = matrix.blocked(columns=feature_columns)
+                else:
+                    view = matrix.blocked()
+                gd.check_binary(labels)
+                self._descend(
+                    view, view.row_blocks(self.block_rows), labels, 0.0,
+                    self._restore_state(view.n_columns),
+                    workers=self._workers_for(view.n_rows), on_block=self.release_pages,
+                )
         return self
 
-    def _descend(self, view: BlockedMatrixView, targets: np.ndarray) -> None:
-        n_rows, n_columns = view.shape
-        # The model intercept is ``target_offset`` plus what the descent
-        # learns. Linear: the target mean (a pure function of the targets,
-        # so a resume recomputes it) and nothing learned. Logistic: no
-        # offset, the intercept is learned.
-        target_offset = 0.0
-        if self.task == "linear":
-            targets, target_offset = gd.centre(targets, self.fit_intercept)
-        else:
-            gd.check_binary(targets)
-        weights = np.zeros((n_columns, 1))
+    def _descend(
+        self, view, blocks, targets: np.ndarray, target_offset: float, restored, *,
+        workers: int, on_block: Optional[Callable[[], None]] = None, statistics=None,
+    ) -> None:
+        """``gd.descend`` from zero or the ``restored`` checkpoint state.
+        The model intercept is ``target_offset`` plus what the descent
+        learns — linear: the target mean (a pure function of the
+        statistics, so a resume recomputes it) and nothing learned;
+        logistic: no offset, the intercept is learned. Checkpoints carry
+        ``statistics`` when given."""
+        weights = np.zeros((view.shape[1], 1))
         intercept = 0.0
         self.loss_history_ = []
         start_iteration = 0
-        restored = self._restore_state(n_columns)
         if restored is not None:
-            weights, intercept, self.loss_history_, start_iteration = restored
+            weights, intercept, self.loss_history_, start_iteration, _ = restored
             intercept -= target_offset
         weights, intercept = gd.descend(
-            view, view.row_blocks(self.block_rows), gd.LINKS[self.task], targets,
+            view, blocks, gd.LINKS[self.task], targets,
             weights, intercept,
             learning_rate=self._hyper("learning_rate"),
             n_iterations=int(self._hyper("n_iterations")),
@@ -235,10 +305,9 @@ class StreamingGD:
             learn_intercept=self.fit_intercept and self.task == "logistic",
             tolerance=self.tolerance, loss_history=self.loss_history_,
             loss_metric="gd.streaming.loss", start_iteration=start_iteration,
-            workers=self._workers_for(n_rows),
-            on_block=self.release_pages,
+            workers=workers, on_block=on_block,
             on_epoch=lambda iteration, stepped, learned: self._save_state(
-                iteration, stepped, learned + target_offset
+                iteration, stepped, learned + target_offset, statistics
             ),
         )
         self.coef_ = weights[:, 0]

@@ -63,7 +63,7 @@ from repro import telemetry as _telemetry
 from repro.exceptions import ServiceError, StaleDatasetError
 from repro.telemetry import flight as _flight
 from repro.factorized.normalized_matrix import AmalurMatrix
-from repro.learning.gd import sigmoid
+from repro.learning.gd import centred_statistics, sigmoid
 from repro.matrices.builder import (
     IntegratedDataset,
     integrate_tables,
@@ -798,10 +798,9 @@ class DatasetSession:
         """Closed-form normal-equation solve from the maintained statistics.
 
         Algebraically identical to ``LinearRegression(solver="normal",
-        fit_intercept=True)`` on the feature view: with ``ȳ`` the label
-        mean, the centered moment is ``Xᵀ(y − ȳ) = Gram[f, l] −
-        ȳ·colsums[f]`` — every term read off the maintained full-target
-        Gram and column sums, no pass over the data.
+        fit_intercept=True)`` on the feature view: the centred moments
+        (:func:`repro.learning.gd.centred_statistics`) are read off the
+        maintained full-target Gram and column sums, no pass over the data.
         """
         dataset = state.dataset
         gram = state.matrix.crossprod()  # seeded: a cache hit after deltas
@@ -809,13 +808,10 @@ class DatasetSession:
         if n_rows == 0:
             raise ServiceError("cannot train on an empty target")
         label_index = dataset.target_columns.index(dataset.label_column)
-        features = np.asarray(
-            [i for i in range(len(dataset.target_columns)) if i != label_index], dtype=np.intp
+        system, moment, _, y_mean = centred_statistics(
+            gram, state.colsums, n_rows, label_index
         )
-        y_mean = state.colsums[label_index] / n_rows
-        moment = gram[features, label_index] - y_mean * state.colsums[features]
-        system = gram[np.ix_(features, features)]
-        identity = np.eye(features.size)
+        identity = np.eye(system.shape[0])
         if spec.l2_penalty:
             system = system + spec.l2_penalty * identity
         weights = np.linalg.solve(system + 1e-12 * identity, moment)

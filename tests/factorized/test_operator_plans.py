@@ -114,6 +114,41 @@ class TestCompiledPlanParity:
             assert "crossprod.cross" not in matrix.counter.by_operation
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES) + ["left_join"])
+    def test_blocked_statistics_parity(self, case, backend, rng):
+        """One blocked pass gives the Gram and column sums of ``[T y]``
+        over any column subset, at every block size, with the same bits
+        at every worker count."""
+        if case == "left_join":
+            dataset = _scenario_dataset(ScenarioType.LEFT_JOIN)
+        else:
+            dataset = GRAM_CASES[case]()
+        matrix = AmalurMatrix(dataset, backend=backend)
+        target = dataset.materialize()
+        columns = dataset.target_columns
+        for subset in (None, columns[1:][::-1]):
+            keep = [columns.index(c) for c in (subset or columns)]
+            view = matrix.blocked(columns=subset)
+            for labels in (None, rng.standard_normal(target.shape[0])):
+                augmented = target[:, keep]
+                if labels is not None:
+                    augmented = np.column_stack([augmented, labels])
+                runs = {
+                    (block_rows, workers): view.statistics(block_rows, labels, workers=workers)
+                    for block_rows, workers in
+                    [(3, 1), (7, 1), (7, 2), (7, 8), (target.shape[0] + 1, 1)]
+                }
+                for gram, sums in runs.values():
+                    np.testing.assert_allclose(
+                        gram, augmented.T @ augmented, atol=ATOL, rtol=0
+                    )
+                    np.testing.assert_allclose(sums, augmented.sum(axis=0), atol=ATOL, rtol=0)
+                for workers in (2, 8):
+                    assert all(
+                        np.array_equal(a, b) for a, b in zip(runs[7, workers], runs[7, 1])
+                    )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_many_to_one_join_parity(self, backend, rng):
         # 12 entity rows feed 150 target rows: the indicator is not
         # injective, so the plan's CSR projector path is exercised.

@@ -92,17 +92,26 @@ class TestBuildAndTrainParity:
                 results[workers], results[1], f"at {workers} workers, chunk {chunk_rows}"
             )
 
-    @pytest.mark.parametrize("task", ["linear", "logistic"])
-    def test_streaming_gd_same_bits_at_every_worker_count(self, task):
+    @pytest.mark.parametrize("task, labelled, options", [
+        ("linear", False, {"l2_penalty": 0.01}),
+        ("linear", False, {"tolerance": 5e-3, "n_iterations": 200}),
+        ("linear", True, {"fit_intercept": False}),
+        ("logistic", True, {"l2_penalty": 0.01}),
+        ("logistic", True, {"tolerance": 5e-3, "n_iterations": 200}),
+    ], ids=["linear-l2", "linear-tolerance", "linear-labels-no-intercept",
+            "logistic-l2", "logistic-tolerance"])
+    def test_streaming_gd_same_bits_at_every_worker_count(self, task, labelled, options):
         matrix = AmalurMatrix(generate_scenario_dataset(_spec(ScenarioType.LEFT_JOIN)))
         labels = None
         if task == "logistic":
             labels = (matrix.labels() > np.median(matrix.labels())).astype(float)
+        elif labelled:
+            labels = np.random.default_rng(2).standard_normal(matrix.n_rows)
+        options = {"n_iterations": 9, **options}
         fits = {}
         for workers in WORKER_COUNTS:
             model = StreamingGD(
-                task=task, block_rows=23, n_iterations=9, l2_penalty=0.01,
-                num_workers=workers,
+                task=task, block_rows=23, num_workers=workers, **options
             ).fit(matrix, labels)
             fits[workers] = model
         assert len(matrix.blocked().row_blocks(23)) > 2  # a real multi-block grid

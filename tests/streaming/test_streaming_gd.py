@@ -3,15 +3,62 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
+from repro.exceptions import CheckpointError
 from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.learning import LinearRegression, LogisticRegression, StreamingGD
-from repro.matrices.builder import integrate_tables
+from repro.matrices.builder import integrate_tables, star_schema
 from repro.metadata.mappings import ScenarioType
+from repro.reliability.checkpoint import CheckpointManager
 from repro.streaming import InMemoryTableStream, SpillStore, integrate_streams
 
 BLOCK_SIZES = (1, 7, 10_000)
 TOLERANCE = 1e-8
+WEIGHT_RTOL = 1e-10  # linear weights vs the row-space recurrence, relative
+LOSS_ATOL = 1e-8
+
+
+def row_space_gd(features, targets, *, learning_rate=0.01, n_iterations=200,
+                 l2_penalty=0.0, tolerance=0.0, fit_intercept=True):
+    """The least-squares GD recurrence over materialized rows, in plain
+    numpy: ``(weights, intercept, loss history)``."""
+    offset = float(targets.mean()) if fit_intercept else 0.0
+    centred = targets - offset
+    n_rows = features.shape[0]
+    weights, losses = np.zeros(features.shape[1]), []
+    for _ in range(n_iterations):
+        residuals = features @ weights - centred
+        losses.append(float(residuals @ residuals) / n_rows)
+        gradient = features.T @ residuals / n_rows + l2_penalty * weights / n_rows
+        step = learning_rate * gradient
+        weights = weights - step
+        if tolerance and np.linalg.norm(step) < tolerance:
+            break
+    return weights, offset, losses
+
+
+def assert_matches_row_space(model, reference):
+    weights, intercept, losses = reference
+    assert np.max(np.abs(model.coef_ - weights)) <= WEIGHT_RTOL * np.max(np.abs(weights))
+    assert abs(model.intercept_ - intercept) <= WEIGHT_RTOL * max(abs(intercept), 1.0)
+    assert len(model.loss_history_) == len(losses)
+    assert np.max(np.abs(np.asarray(model.loss_history_) - losses)) <= LOSS_ATOL
+
+
+def rank_deficient_dataset(n_rows=150, seed=4):
+    """A star join whose target carries an all-zero column and a column
+    duplicated from another: ``XᵀX`` is singular."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(n_rows), rng.standard_normal(n_rows)
+    label = 2.0 * a - b + 0.1 * rng.standard_normal(n_rows) + 3.0
+    entity = np.column_stack([label, a, np.zeros(n_rows), b, a])
+    dimension = rng.standard_normal((9, 2))
+    return star_schema(
+        ("S", ["label", "a", "zero", "b", "a_copy"], entity),
+        [("D", ["d1", "d2"], dimension, rng.integers(0, 9, size=n_rows))],
+        label_column="label",
+    )
 
 
 def _build(scenario, spilled, store):
@@ -99,6 +146,60 @@ class TestStreamingGDLinear:
             assert len(model.loss_history_) == len(reference.loss_history_)
             assert np.allclose(model.loss_history_, reference.loss_history_, atol=1e-8)
 
+    @pytest.mark.parametrize("options", [
+        pytest.param({}, id="plain"),
+        pytest.param({"l2_penalty": 0.05}, id="l2"),
+        pytest.param({"tolerance": 2e-3, "n_iterations": 400}, id="tolerance"),
+        pytest.param({"fit_intercept": False}, id="no-intercept"),
+    ])
+    @pytest.mark.parametrize("explicit_labels", [False, True], ids=["label-column", "labels"])
+    @pytest.mark.parametrize("block_rows", (7, 10_000))
+    def test_matches_the_row_space_recurrence(self, options, explicit_labels, block_rows):
+        options = {"n_iterations": 60, "learning_rate": 0.05, **options}
+        with SpillStore() as store:
+            matrix = AmalurMatrix(_build(ScenarioType.LEFT_JOIN, True, store))
+            target = matrix.materialize()
+            label = matrix.dataset.target_columns.index("label")
+            if explicit_labels:
+                labels = np.random.default_rng(1).standard_normal(matrix.n_rows)
+                features = target
+            else:
+                labels, features = None, np.delete(target, label, axis=1)
+            model = StreamingGD(
+                task="linear", block_rows=block_rows, release_pages=store.release, **options
+            ).fit(matrix, labels)
+        reference = row_space_gd(
+            features, target[:, label] if labels is None else labels, **options
+        )
+        if "tolerance" in options:
+            assert len(reference[2]) < options["n_iterations"]  # it did stop early
+        assert_matches_row_space(model, reference)
+
+    @pytest.mark.parametrize("block_rows", (1, 7, 10_000))
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_rank_deficient_target(self, block_rows, fit_intercept):
+        dataset = rank_deficient_dataset()
+        target = dataset.materialize()
+        fits = [
+            StreamingGD(
+                task="linear", block_rows=block_rows, n_iterations=80, learning_rate=0.05,
+                fit_intercept=fit_intercept, num_workers=workers,
+            ).fit(AmalurMatrix(dataset))
+            for workers in (1, 2, 8)
+        ]
+        model = fits[0]
+        for other in fits[1:]:  # the same bits at every worker count
+            assert np.array_equal(other.coef_, model.coef_)
+            assert other.intercept_ == model.intercept_
+            assert other.loss_history_ == model.loss_history_
+        reference = row_space_gd(
+            target[:, 1:], target[:, 0], learning_rate=0.05, n_iterations=80,
+            fit_intercept=fit_intercept,
+        )
+        assert_matches_row_space(model, reference)
+        assert abs(model.coef_[1]) <= 1e-12  # the all-zero column
+        assert abs(model.coef_[0] - model.coef_[3]) <= 1e-12  # duplicated columns share it
+
     def test_l2_and_tolerance_match(self):
         matrix = AmalurMatrix(_build(ScenarioType.INNER_JOIN, False, None))
         features = matrix.feature_matrix_view()
@@ -131,6 +232,80 @@ class TestStreamingGDLinear:
         assert np.allclose(
             model.predict(matrix), reference.predict(features), atol=1e-8
         )
+
+
+class TestSpillReads:
+    """``spill.bytes_read`` over one fit: a linear fit reads every mapped
+    row of every spilled ``D_k`` once, the label column's included; a
+    logistic fit reads them twice per iteration."""
+
+    N_ITERATIONS = 5
+
+    @staticmethod
+    def _bytes_read(matrix, task, labels=None):
+        with telemetry.collect(sample_memory=False) as session:
+            StreamingGD(task=task, block_rows=37, n_iterations=TestSpillReads.N_ITERATIONS).fit(
+                matrix, labels
+            )
+        return session.metrics.counter_values()["spill.bytes_read"]
+
+    @staticmethod
+    def _one_pass(plan):
+        return plan.n_mapped_rows * plan.storage.shape[1] * plan.storage.itemsize
+
+    @pytest.mark.parametrize("scenario", list(ScenarioType))
+    def test_linear_fit_reads_the_spill_once(self, scenario):
+        with SpillStore() as store:
+            matrix = AmalurMatrix(_build(scenario, True, store))
+            one_pass = sum(self._one_pass(plan) for plan in matrix._plans)
+            assert self._bytes_read(matrix, "linear") == one_pass
+            if scenario in (ScenarioType.FULL_OUTER_JOIN, ScenarioType.UNION):
+                # Every source row is mapped: one pass is the whole spill.
+                assert one_pass == sum(factor.data.nbytes for factor in matrix.dataset.factors)
+                assert one_pass == store.spilled_bytes
+
+    def test_linear_resume_reads_no_spill(self, tmp_path):
+        """A linear checkpoint carries the statistics: the resumed fit
+        reads nothing and ends on the uninterrupted run's bits."""
+        with SpillStore() as store:
+            matrix = AmalurMatrix(_build(ScenarioType.LEFT_JOIN, True, store))
+            straight = StreamingGD(task="linear", block_rows=37, n_iterations=8).fit(matrix)
+            manager = CheckpointManager(tmp_path, keep=2)
+            StreamingGD(task="linear", block_rows=37, n_iterations=5, checkpoint=manager).fit(
+                matrix
+            )
+            with telemetry.collect(sample_memory=False) as session:
+                resumed = StreamingGD(
+                    task="linear", block_rows=37, n_iterations=8, checkpoint=manager
+                ).fit(matrix)
+        assert resumed.resumed_from_ == 5
+        assert "spill.bytes_read" not in session.metrics.counter_values()
+        assert np.array_equal(resumed.coef_, straight.coef_)
+        assert resumed.intercept_ == straight.intercept_
+        assert resumed.loss_history_ == straight.loss_history_
+
+    def test_statistics_of_another_shape_are_rejected(self, tmp_path):
+        matrix = AmalurMatrix(_build(ScenarioType.LEFT_JOIN, False, None))
+        d = matrix.n_columns - 1
+        manager = CheckpointManager(tmp_path)
+        manager.save(
+            1,
+            {"weights": np.zeros((d, 1)), "loss_history": np.zeros(1),
+             "gram": np.zeros((d, d)), "sums": np.zeros(d)},
+            {"task": "linear", "intercept": 0.0, "iteration": 1, "block_cursor": 0},
+        )
+        with pytest.raises(CheckpointError, match="statistics of shape"):
+            StreamingGD(task="linear", n_iterations=3, checkpoint=manager).fit(matrix)
+
+    @pytest.mark.parametrize("scenario", [ScenarioType.FULL_OUTER_JOIN, ScenarioType.LEFT_JOIN])
+    def test_logistic_fit_reads_every_block_twice_per_iteration(self, scenario):
+        with SpillStore() as store:
+            matrix = AmalurMatrix(_build(scenario, True, store))
+            one_pass = sum(self._one_pass(plan) for plan in matrix._plans)
+            labels = (matrix.labels() > np.median(matrix.labels())).astype(float)
+            assert self._bytes_read(matrix, "logistic", labels) == (
+                2 * self.N_ITERATIONS * one_pass
+            )
 
 
 class TestStreamingGDLogistic:
