@@ -7,11 +7,15 @@ non-zero when a guard fails — the CI ``fault-guard`` job)::
 
 Three phases over one spilled left-join scenario:
 
-* **Checkpoint overhead**: ``StreamingGD`` with a checkpoint written every
-  epoch must cost at most **5%** more wall-clock than the identical run
-  without one. Checkpoints are a weight vector plus a short loss history
-  (kilobytes) against an epoch of row-block matmuls — the atomic
-  write-then-rename plus CRC32 has to disappear into that.
+* **Checkpoint overhead**: a logistic ``StreamingGD`` with a checkpoint
+  written every epoch must cost at most **5%** more wall-clock than the
+  identical run without one. Checkpoints are a weight vector plus a short
+  loss history (kilobytes) against an epoch of row-block matmuls — the
+  atomic write-then-rename plus fsync and CRC32 has to disappear into
+  that. A linear fit's epochs are no longer block passes (one statistics
+  pass, then ``d × d`` steps), so every epoch's durable write meets a
+  step of microseconds: its overhead is recorded under
+  ``checkpoint_linear`` but not gated.
 
 * **Recovery latency**: a cold N-epoch fit versus a crash simulated at
   epoch ``3N/4`` and resumed from the newest checkpoint. The resumed run
@@ -90,15 +94,17 @@ def _build(tmp_dir: Path):
     return store, AmalurMatrix(dataset)
 
 
-def _fit(matrix, store, n_iterations, manager=None, checkpoint_every=1):
+def _fit(
+    matrix, store, n_iterations, manager=None, checkpoint_every=1, task="linear", labels=None
+):
     return StreamingGD(
-        task="linear",
+        task=task,
         block_rows=CHUNK_ROWS,
         n_iterations=n_iterations,
         release_pages=store.release,
         checkpoint=manager,
         checkpoint_every=checkpoint_every,
-    ).fit(matrix)
+    ).fit(matrix, labels)
 
 
 def _best_of(repeats, fn):
@@ -114,16 +120,22 @@ def _best_of(repeats, fn):
 # -- checkpoint overhead --------------------------------------------------------------
 
 
-def run_checkpoint_overhead(matrix, store, tmp_dir: Path) -> dict:
-    plain_seconds = _best_of(REPEATS, lambda: _fit(matrix, store, N_EPOCHS))
+def run_checkpoint_overhead(matrix, store, tmp_dir: Path, task: str, labels=None) -> dict:
+    plain_seconds = _best_of(
+        REPEATS, lambda: _fit(matrix, store, N_EPOCHS, task=task, labels=labels)
+    )
 
     def checkpointed():
         ckpt_dir = tmp_dir / f"ckpt-overhead-{time.monotonic_ns()}"
-        _fit(matrix, store, N_EPOCHS, CheckpointManager(ckpt_dir, keep=2))
+        _fit(
+            matrix, store, N_EPOCHS, CheckpointManager(ckpt_dir, keep=2),
+            task=task, labels=labels,
+        )
 
     checkpointed_seconds = _best_of(REPEATS, checkpointed)
     overhead = (checkpointed_seconds - plain_seconds) / plain_seconds
     return {
+        "task": task,
         "epochs": N_EPOCHS,
         "plain_seconds": plain_seconds,
         "checkpointed_seconds": checkpointed_seconds,
@@ -205,7 +217,10 @@ def run_benchmark() -> dict:
         tmp_dir = Path(tmp)
         store, matrix = _build(tmp_dir)
         with store:
-            checkpoint = run_checkpoint_overhead(matrix, store, tmp_dir)
+            labels = matrix.labels()
+            binary = (labels > np.median(labels)).astype(float)
+            checkpoint = run_checkpoint_overhead(matrix, store, tmp_dir, "logistic", binary)
+            checkpoint_linear = run_checkpoint_overhead(matrix, store, tmp_dir, "linear")
             recovery = run_recovery(matrix, store, tmp_dir)
             disabled = run_disabled_overhead(matrix, store)
     return {
@@ -217,6 +232,7 @@ def run_benchmark() -> dict:
             "chunk_rows": CHUNK_ROWS,
         },
         "checkpoint": checkpoint,
+        "checkpoint_linear": checkpoint_linear,
         "recovery": recovery,
         "disabled": disabled,
     }
@@ -228,7 +244,7 @@ def check_guards(results: dict) -> list:
     if checkpoint["overhead_fraction"] > CHECKPOINT_OVERHEAD_LIMIT:
         failures.append(
             f"every-epoch checkpointing costs {checkpoint['overhead_fraction']:.1%}"
-            f" per run, over the {CHECKPOINT_OVERHEAD_LIMIT:.0%} limit"
+            f" of a {checkpoint['task']} run, over the {CHECKPOINT_OVERHEAD_LIMIT:.0%} limit"
         )
     recovery = results["recovery"]
     if not recovery["bit_identical"]:
@@ -262,16 +278,20 @@ def save_results(results: dict) -> Path:
 
 
 def report_lines(results: dict) -> list:
-    checkpoint = results["checkpoint"]
     recovery = results["recovery"]
     disabled = results["disabled"]
     return [
-        "checkpoint overhead: %.2fs plain vs %.2fs checkpointed over %d epochs "
-        "(%+.1f%%)"
+        "checkpoint overhead (%s%s): %.2fs plain vs %.2fs checkpointed over %d "
+        "epochs (%+.1f%%)"
         % (
+            checkpoint["task"], "" if gated else ", not gated",
             checkpoint["plain_seconds"], checkpoint["checkpointed_seconds"],
             checkpoint["epochs"], 100 * checkpoint["overhead_fraction"],
-        ),
+        )
+        for checkpoint, gated in (
+            (results["checkpoint"], True), (results["checkpoint_linear"], False)
+        )
+    ] + [
         "recovery: cold %.2fs vs resume-from-epoch-%d %.2fs (%.1fx), "
         "bit identical=%s"
         % (
