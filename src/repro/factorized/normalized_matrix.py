@@ -49,7 +49,6 @@ same bits; different *grids* agree to reassociation (<= 1e-8).
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,10 +63,9 @@ from repro.factorized.operator_plan import (
     BlockedMatrixView,
     GramCache,
     OperatorPlan,
-    composed_indicator,
-    cross_term,
+    cross_operands,
+    gram_terms,
     row_grid,
-    same_source_term,
 )
 from repro.factorized.ops_counter import FlopCounter, charges
 from repro.matrices.builder import IntegratedDataset, SourceFactor
@@ -376,70 +374,53 @@ class AmalurMatrix:
         threshold.
 
         Every term is ``rows_kᵀ C_kl rows_l`` over the plans'
-        :meth:`~OperatorPlan.row_form`, with ``C_kl = I_kᵀ I_l``. For
-        ``k = l`` that is ``diag(multiplicity)``, so the same-source term
-        is ``rowsᵀ weighted``. A cross term runs in the order with fewer
+        :meth:`~OperatorPlan.row_form`, with ``C_kl = I_kᵀ I_l``
+        (:func:`~repro.factorized.operator_plan.gram_terms`, which a row
+        block's statistics sum too). For ``k = l`` that is
+        ``diag(multiplicity)``, so the same-source term is
+        ``rowsᵀ weighted``. A cross term runs in the order with fewer
         multiply-adds (:meth:`_cross_operands`), blocked over the rows of
         its outer factor, and each term is charged the count of what ran.
         """
         backend = self.backend
-        take = backend.take_rows
         forms = [plan.row_form() for plan in self._plans]
         cols = [plan.target_cols for plan in self._plans]
-        # (compute, target index, transpose target index or None), in the
-        # deterministic order the reduction below replays.
+        # (term, rows of its outer operand), in the deterministic order the
+        # reduction below replays.
         tasks: List[Tuple] = []
-        for k, form in enumerate(forms):
-            for rows in self._row_slices(form.rows.shape[0]):
-                weighted = None if form.weighted is None else take(form.weighted, rows)
-                compute = partial(same_source_term, backend, take(form.rows, rows), weighted)
-                tasks.append((compute, np.ix_(cols[k], cols[k]), None))
-            self.counter.add("crossprod.local", backend.crossprod_flops(form.rows))
-            for j in range(k + 1, len(forms)):
-                outer, inner, composed = self._cross_operands(k, j, forms)
-                if composed.nnz == 0:
-                    continue
-                left, right = forms[outer].rows, forms[inner].rows
-                for rows in self._row_slices(left.shape[0]):
-                    compute = partial(
-                        cross_term, backend, take(left, rows), take(composed, rows), right
-                    )
-                    tasks.append((
-                        compute, np.ix_(cols[outer], cols[inner]), np.ix_(cols[inner], cols[outer])
-                    ))
-                width = right.shape[1]
+        for term in gram_terms(forms, cols, self._cross_operands):
+            tasks.extend((term, rows) for rows in self._row_slices(term.outer.shape[0]))
+            if term.composed is None:
+                self.counter.add("crossprod.local", backend.crossprod_flops(term.outer))
+            else:
+                width = term.inner.shape[1]
                 self.counter.add(
-                    "crossprod.cross", composed.nnz * width + backend.matmul_flops(left, width)
+                    "crossprod.cross",
+                    term.composed.nnz * width + backend.matmul_flops(term.outer, width),
                 )
         # Below the row threshold the terms stay on this thread: a small
         # (serving-session) Gram must not pay pool round trips.
         workers = None if self.n_rows >= _parallel.get_min_parallel_rows() else 1
         partials = _parallel.imap_ordered(
-            lambda task: task[0](), tasks, workers=workers, label="crossprod"
+            lambda task: task[0].compute(backend, task[1]), tasks, workers=workers,
+            label="crossprod",
         )
         gram = np.zeros((self.n_columns, self.n_columns))
-        for (_, ix, ix_t), term in zip(tasks, partials):
-            gram[ix] += term
-            if ix_t is not None:
-                gram[ix_t] += term.T
+        for (term, _), value in zip(tasks, partials):
+            term.add_to(gram, value)
         gram.setflags(write=False)
         return gram
 
     def _row_slices(self, n_rows: int) -> List[slice]:
         return [slice(lo, hi) for lo, hi in self._row_grid(n_rows)]
 
-    def _cross_operands(self, k: int, j: int, forms) -> Tuple[int, int, sparse.csr_matrix]:
-        """``(outer, inner, C)`` of the cross term between factors ``k < j``:
-        the term is ``rows_outerᵀ (C rows_inner)`` with ``C = I_outerᵀ
-        I_inner`` as CSR (one entry per distinct row pair, nnz at most the
-        shared target rows). The order is the one with fewer multiply-adds
-        by shape. ``C`` depends on the row maps only, so it is cached per
-        pair for the life of the matrix, :meth:`invalidate` included."""
+    def _cross_operands(self, forms, k: int, j: int) -> Tuple[int, int, sparse.csr_matrix]:
+        """:func:`~repro.factorized.operator_plan.cross_operands`, cached
+        per factor pair for the life of the matrix, :meth:`invalidate`
+        included: ``C`` depends on the row maps only."""
         entry = self._composed.get((k, j))
         if entry is None:
-            swapped, composed = composed_indicator(forms[k], forms[j])
-            entry = (j, k, composed) if swapped else (k, j, composed)
-            self._composed[(k, j)] = entry
+            entry = self._composed[(k, j)] = cross_operands(forms, k, j)
         return entry
 
     # -- element-wise and aggregation operators ----------------------------------------------

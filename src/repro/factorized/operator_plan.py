@@ -54,7 +54,7 @@ is kept for the blocks of the view's current grid only; see
 form (:meth:`BlockedFactorView.row_form`) is the same :class:`RowForm`
 the whole-factor Gram uses, restricted to the block's rows, so
 :meth:`BlockedMatrixView.statistics` sums the Gram block by block with
-the same term kernels (:func:`same_source_term`, :func:`cross_term`).
+the same terms (:func:`gram_terms`).
 
 When plans are invalidated
 --------------------------
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -228,19 +228,12 @@ def row_form_of(
     return RowForm(rows, codes, weighted)
 
 
-def same_source_term(backend: Backend, rows: Storage, weighted: Optional[Storage]) -> np.ndarray:
-    """``rowsᵀ diag(multiplicity) rows`` — one factor's own term of ``TᵀT``
-    (``I_kᵀ I_k`` is the diagonal of row multiplicities)."""
-    if weighted is None:
-        return backend.crossprod(rows)
-    return backend.gram_pair(rows, weighted)
-
-
-def composed_indicator(form_k: RowForm, form_l: RowForm) -> Tuple[bool, sparse.csr_matrix]:
-    """``C = I_kᵀ I_l`` of two row forms over the same target rows, as CSR
-    (one entry per target row both cover), in the order with fewer
-    multiply-adds by shape: ``(False, C)`` when the cross term is
-    ``rows_kᵀ (C rows_l)``, ``(True, Cᵀ)`` when it is ``rows_lᵀ (Cᵀ rows_k)``."""
+def cross_operands(forms: Sequence[RowForm], k: int, j: int) -> Tuple[int, int, sparse.csr_matrix]:
+    """``(outer, inner, C)`` of the cross term between row forms ``k < j``
+    over the same target rows: the term is ``rows_outerᵀ (C rows_inner)``
+    with ``C = I_outerᵀ I_inner`` as CSR (one entry per target row both
+    cover), in the order with fewer multiply-adds by shape."""
+    form_k, form_l = forms[k], forms[j]
     codes_k, codes_l = form_k.codes, form_l.codes
     shared = (codes_k >= 0) & (codes_l >= 0)
     (n_k, c_k), (n_l, c_l) = form_k.rows.shape, form_l.rows.shape
@@ -249,15 +242,71 @@ def composed_indicator(form_k: RowForm, form_l: RowForm) -> Tuple[bool, sparse.c
         shape=(n_k, n_l),
     )
     if composed.nnz * c_l + n_k * c_k * c_l <= composed.nnz * c_k + n_l * c_k * c_l:
-        return False, composed
-    return True, composed.T.tocsr()
+        return k, j, composed
+    return j, k, composed.T.tocsr()
 
 
-def cross_term(backend: Backend, outer: Storage, composed, inner: Storage) -> np.ndarray:
-    """``outerᵀ (composed inner)`` — a cross term of ``TᵀT`` (or one row
-    block of it): the composed indicator segment-sums ``inner`` onto the
-    rows of ``outer`` before the multiply."""
-    return backend.gram_pair(outer, composed @ inner)
+class GramTerm(NamedTuple):
+    """One term of ``TᵀT`` over row forms, ``outerᵀ (composed inner)``,
+    placed at ``gram[index]`` and, for a cross term, transposed at
+    ``gram[transposed]``. A same-source term has no ``composed``: it is
+    ``outerᵀ inner`` with ``inner`` the form's ``weighted`` rows, or
+    ``outerᵀ outer`` when ``inner`` is ``None`` (``I_kᵀ I_k`` is the
+    diagonal of row multiplicities)."""
+
+    outer: Storage
+    composed: Optional[sparse.csr_matrix]
+    inner: Optional[Storage]
+    index: Tuple[np.ndarray, np.ndarray]
+    transposed: Optional[Tuple[np.ndarray, np.ndarray]]
+
+    def compute(self, backend: Backend, rows: Optional[slice] = None) -> np.ndarray:
+        """The term, or with ``rows`` its partial over those rows of
+        ``outer``: the composed indicator segment-sums ``inner`` onto the
+        rows of ``outer`` before the multiply."""
+        outer, composed, inner = self.outer, self.composed, self.inner
+        if rows is not None:
+            outer = backend.take_rows(outer, rows)
+            if composed is not None:
+                composed = backend.take_rows(composed, rows)
+            elif inner is not None:
+                inner = backend.take_rows(inner, rows)
+        if composed is not None:
+            return backend.gram_pair(outer, composed @ inner)
+        if inner is None:
+            return backend.crossprod(outer)
+        return backend.gram_pair(outer, inner)
+
+    def add_to(self, gram: np.ndarray, value: np.ndarray) -> None:
+        """Add ``value`` (the term or a partial of it) into ``gram``."""
+        gram[self.index] += value
+        if self.transposed is not None:
+            gram[self.transposed] += value.T
+
+
+def gram_terms(
+    forms: Sequence[RowForm],
+    cols: Sequence[np.ndarray],
+    operands: Callable[[Sequence[RowForm], int, int], Tuple] = cross_operands,
+) -> Iterator[GramTerm]:
+    """The terms of ``TᵀT`` over ``forms``, whose columns sit at target
+    positions ``cols``, in a fixed order: factor ``k``'s same-source term,
+    then its cross term with every later factor ``j`` whose rows meet its
+    own. ``operands(forms, k, j)`` orients a cross term (default
+    :func:`cross_operands`; the composed indicator depends on the row maps
+    only, so a caller may cache it). Both the whole-matrix Gram
+    (``AmalurMatrix.crossprod``) and a row block's
+    (:meth:`BlockedMatrixView.statistics`) sum these terms; each chooses
+    its blocking and its reduction order."""
+    for k, form in enumerate(forms):
+        yield GramTerm(form.rows, None, form.weighted, np.ix_(cols[k], cols[k]), None)
+        for j in range(k + 1, len(forms)):
+            outer, inner, composed = operands(forms, k, j)
+            if composed.nnz:
+                yield GramTerm(
+                    forms[outer].rows, composed, forms[inner].rows,
+                    np.ix_(cols[outer], cols[inner]), np.ix_(cols[inner], cols[outer]),
+                )
 
 
 class OperatorPlan:
@@ -809,8 +858,7 @@ class BlockedMatrixView:
             vectors.append(y)
             gram[-1, -1] += y @ y
             sums[-1] += y.sum()
-        for k, (cols, form) in enumerate(present):
-            gram[np.ix_(cols, cols)] += same_source_term(backend, form.rows, form.weighted)
+        for cols, form in present:
             covered = form.codes >= 0
             projected = np.column_stack([
                 np.bincount(form.codes[covered], weights=v[covered], minlength=form.rows.shape[0])
@@ -821,14 +869,6 @@ class BlockedMatrixView:
             if labels is not None:
                 gram[cols, -1] += local[:, 1]
                 gram[-1, cols] += local[:, 1]
-            for other in present[k + 1:]:
-                swapped, composed = composed_indicator(form, other[1])
-                if composed.nnz == 0:
-                    continue
-                (outer_cols, outer), (inner_cols, inner) = (
-                    (other, (cols, form)) if swapped else ((cols, form), other)
-                )
-                term = cross_term(backend, outer.rows, composed, inner.rows)
-                gram[np.ix_(outer_cols, inner_cols)] += term
-                gram[np.ix_(inner_cols, outer_cols)] += term.T
+        for term in gram_terms([form for _, form in present], [cols for cols, _ in present]):
+            term.add_to(gram, term.compute(backend))
         return gram, sums

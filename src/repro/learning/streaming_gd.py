@@ -117,11 +117,17 @@ class StreamingGD:
         return 1
 
     # -- checkpointing ----------------------------------------------------------------
-    def _restore_state(self, n_columns: int):
+    def _statistics_grid(self, n_rows: int) -> dict:
+        """The rows and block grid a linear fit's statistics are summed
+        over; a checkpoint's statistics are restored onto the same only."""
+        return {"n_rows": int(n_rows), "block_rows": int(self.block_rows)}
+
+    def _restore_state(self, n_rows: int, n_columns: int):
         """``(weights, intercept, loss_history, start_iteration,
         statistics)`` from the newest valid checkpoint, or ``None`` for a
         fresh start. ``statistics`` is the ``(gram, sums)`` pair a linear
-        checkpoint carries (``None`` when it carries none)."""
+        checkpoint carries (``None`` when it carries none); they must have
+        been summed over this fit's row count and block grid."""
         if self.checkpoint is None:
             return None
         restored = self.checkpoint.latest()
@@ -147,6 +153,13 @@ class StreamingGD:
                     f"checkpoint at {restored.path} holds statistics of shape "
                     f"{statistics[0].shape}, expected {(width, width)}"
                 )
+            grid = self._statistics_grid(n_rows)
+            saved = {key: restored.metadata.get(key) for key in grid}
+            if saved != grid:
+                raise CheckpointError(
+                    f"checkpoint at {restored.path} holds statistics summed over "
+                    f"{saved}, this fit is over {grid}"
+                )
         self.resumed_from_ = restored.step
         if _telemetry.ENABLED:
             _telemetry.counter_add("checkpoint.resumes")
@@ -159,12 +172,13 @@ class StreamingGD:
         )
 
     def _save_state(
-        self, iteration: int, weights: np.ndarray, intercept: float, statistics=None
+        self, iteration: int, weights: np.ndarray, intercept: float, n_rows: int,
+        statistics=None,
     ) -> None:
         """Persist epoch-boundary state: ``iteration`` epochs are complete,
         so the block cursor is always 0 — the next epoch starts clean. A
-        linear fit also saves its ``(gram, sums)`` statistics, so a resume
-        reads no data."""
+        linear fit also saves its ``(gram, sums)`` statistics and the grid
+        they were summed over, so a resume reads no data."""
         if self.checkpoint is None:
             return
         every = max(1, int(self.checkpoint_every))
@@ -174,18 +188,16 @@ class StreamingGD:
             "weights": weights,
             "loss_history": np.asarray(self.loss_history_, dtype=np.float64),
         }
+        metadata = {
+            "task": self.task,
+            "intercept": float(intercept),
+            "iteration": int(iteration),
+            "block_cursor": 0,
+        }
         if statistics is not None:
             arrays["gram"], arrays["sums"] = statistics
-        self.checkpoint.save(
-            iteration,
-            arrays,
-            {
-                "task": self.task,
-                "intercept": float(intercept),
-                "iteration": int(iteration),
-                "block_cursor": 0,
-            },
-        )
+            metadata.update(self._statistics_grid(n_rows))
+        self.checkpoint.save(iteration, arrays, metadata)
 
     # -- block-wise column products ---------------------------------------------------
     def _lmm_column(self, view: BlockedMatrixView, x: np.ndarray) -> np.ndarray:
@@ -242,7 +254,8 @@ class StreamingGD:
         ):
             if self.task == "linear":
                 restored = self._restore_state(
-                    len(feature_columns) if labels is None else matrix.n_columns
+                    matrix.n_rows,
+                    len(feature_columns) if labels is None else matrix.n_columns,
                 )
                 statistics = None if restored is None else restored[4]
                 if statistics is None:
@@ -274,7 +287,7 @@ class StreamingGD:
                 gd.check_binary(labels)
                 self._descend(
                     view, view.row_blocks(self.block_rows), labels, 0.0,
-                    self._restore_state(view.n_columns),
+                    self._restore_state(view.n_rows, view.n_columns),
                     workers=self._workers_for(view.n_rows), on_block=self.release_pages,
                 )
         return self
@@ -307,7 +320,7 @@ class StreamingGD:
             loss_metric="gd.streaming.loss", start_iteration=start_iteration,
             workers=workers, on_block=on_block,
             on_epoch=lambda iteration, stepped, learned: self._save_state(
-                iteration, stepped, learned + target_offset, statistics
+                iteration, stepped, learned + target_offset, view.shape[0], statistics
             ),
         )
         self.coef_ = weights[:, 0]

@@ -284,18 +284,33 @@ class TestSpillReads:
         assert resumed.intercept_ == straight.intercept_
         assert resumed.loss_history_ == straight.loss_history_
 
-    def test_statistics_of_another_shape_are_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "width, grid, message",
+        [
+            (0, {}, "statistics of shape"),
+            (1, {"n_rows": 1_000_000, "block_rows": 37}, "summed over"),
+            (1, {"block_rows": 36}, "summed over"),
+        ],
+        ids=["shape", "rows", "block_rows"],
+    )
+    def test_statistics_of_another_fit_are_rejected(self, tmp_path, width, grid, message):
+        """Statistics are restored only onto the shape, row count and block
+        grid they were summed over: rows added or dropped since the
+        checkpoint would otherwise train a model from the old data."""
         matrix = AmalurMatrix(_build(ScenarioType.LEFT_JOIN, False, None))
-        d = matrix.n_columns - 1
+        d = matrix.n_columns - 1 + width
         manager = CheckpointManager(tmp_path)
         manager.save(
             1,
-            {"weights": np.zeros((d, 1)), "loss_history": np.zeros(1),
+            {"weights": np.zeros((matrix.n_columns - 1, 1)), "loss_history": np.zeros(1),
              "gram": np.zeros((d, d)), "sums": np.zeros(d)},
-            {"task": "linear", "intercept": 0.0, "iteration": 1, "block_cursor": 0},
+            {"task": "linear", "intercept": 0.0, "iteration": 1, "block_cursor": 0,
+             "n_rows": matrix.n_rows, "block_rows": 37, **grid},
         )
-        with pytest.raises(CheckpointError, match="statistics of shape"):
-            StreamingGD(task="linear", n_iterations=3, checkpoint=manager).fit(matrix)
+        with pytest.raises(CheckpointError, match=message):
+            StreamingGD(task="linear", block_rows=37, n_iterations=3, checkpoint=manager).fit(
+                matrix
+            )
 
     @pytest.mark.parametrize("scenario", [ScenarioType.FULL_OUTER_JOIN, ScenarioType.LEFT_JOIN])
     def test_logistic_fit_reads_every_block_twice_per_iteration(self, scenario):
