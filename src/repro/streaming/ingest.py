@@ -3,8 +3,31 @@
 :class:`ChunkedCsvReader` reads row blocks and coerces them straight into
 typed numpy columns + validity masks — the storage layout of
 :class:`repro.relational.Table` — without the per-cell ``parse_cell`` loop
-of the seed reader. Parsing is *column-at-a-time, sweep then classify*
-(:func:`parse_cell_block`):
+of the seed reader. A block is parsed by one of two tiers, chosen by its
+own content; both give every cell the reference value.
+
+**The C tier** takes a block of ``chunk_rows`` physical lines when it is
+plain (:func:`_is_plain`): no line holds the quote character or is
+blank, every line ends in ``\n`` or ``\r\n``, the text is ASCII without
+the information separators ``\x1c``–``\x1f`` (which numpy's converters
+strip as whitespace and ``float()`` rejects), no line is longer than
+``csv.field_size_limit()``, and the delimiter is not whitespace. Then each
+line is one record, and :func:`_parse_plain` reads the block with one
+``np.loadtxt(lines, dtype=float64, comments=None, quotechar=None)``. Its
+converter calls ``PyOS_string_to_double`` — the function ``float()``
+calls — after stripping whitespace, and rejects underscores, non-ASCII
+digits and empty cells, so a cell it accepts has the reference float.
+Columns whose every value is integral get one more ``loadtxt`` as int64
+over ``usecols`` (a strict integer parse that rejects ``"3.0"``). In any
+other column only the integral-valued cells fetch their text, from a
+lazy split of just their lines, and take the int sweep below. A block
+numpy rejects anywhere, or whose shape is not ``(lines, header width)``,
+takes the ``csv.reader`` tier instead, and so does any other block.
+After a quote character the rest of the file takes it, since a quoted
+field may span lines.
+
+**The ``csv.reader`` tier** parses *column-at-a-time, sweep then
+classify* (:func:`parse_cell_block`):
 
 1. **Float sweep.** The column's cells — the very ``str`` objects
    ``csv.reader`` produced — go through one
@@ -29,10 +52,13 @@ of the seed reader. Parsing is *column-at-a-time, sweep then classify*
    candidates with string kernels and hands whatever its casts reject to
    the scalar ``parse_cell``.
 
-Every step either returns what ``float()``/``int()`` returned or defers, so
-the semantics are exactly those of ``[parse_cell(c) for c in cells]``
-followed by :func:`repro.relational.types.coerce_column` — the parity and
-property suites assert this cell-for-cell.
+Both tiers end in ``ParsedColumnBlock._bucket`` (the NaN / fractional
+split of step 1, then step 2), so the bucket rules live in one place.
+Every step either returns what ``float()``/``int()`` returned or defers,
+so the semantics are exactly those of ``[parse_cell(c) for c in cells]`` followed by
+:func:`repro.relational.types.coerce_column` — the parity and property
+suites assert this cell-for-cell, and that a replay record is the same
+bytes with the C tier on and off.
 
 One parse loop (raw chunk -> parsed blocks -> merged type flags) serves
 both consumption modes:
@@ -61,10 +87,12 @@ entry of a few dozen bytes. On ``csv_stream_spill`` (seed 0, 2 048-row
 chunks) the file holds 9.5 / 8.9 B per cell, 1.30 / 1.21x the CSV bytes.
 
 Parsing runs on the caller's thread at any ``repro.parallel`` worker
-count: ``csv.reader`` and the per-cell ``float()``/``int()`` of the sweeps
-all hold the GIL, so fanning raw blocks out to worker threads only added
-hand-offs (two workers measured slower than one). Typing from the replay
-(``chunk_at``) is numpy work and runs on the builder's workers.
+count. ``np.loadtxt`` holds the GIL while it reads a list of lines, as do
+``csv.reader`` and the sweeps' ``float()``/``int()``: on
+``csv_stream_spill``'s blocks, two threads parsing half the blocks each
+ran at 0.67–0.87x the speed of one thread parsing all of them (2 cores).
+Typing from the replay (``chunk_at``) is numpy work and runs on the
+builder's workers.
 """
 
 from __future__ import annotations
@@ -75,8 +103,9 @@ import pickle
 import tempfile
 import threading
 import weakref
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,13 +220,31 @@ class ParsedColumnBlock:
         numpy converts a ``str`` with Python's ``float()``/``int()`` — the
         functions ``_parse_string`` calls — so whatever a sweep returns is
         the reference value. Returns False, with nothing bucketed, when
-        some cell is not a float; integral-valued cells ``int()`` rejects
-        (``"12.0"``, ``"1e3"``, beyond int64) go to :meth:`_classify`.
+        some cell is not a float.
         """
         try:
             values = np.array(_take(cells, positions), dtype=np.float64)
         except ValueError:
             return False
+        self._bucket(values, positions, cells)
+        return True
+
+    def _bucket(
+        self,
+        values: np.ndarray,
+        positions: np.ndarray,
+        cells: Sequence[str],
+        ints: Optional[np.ndarray] = None,
+    ) -> None:
+        """Bucket ``cells[positions]`` by their float ``values``: NaN is NULL,
+        a fractional value is a FLOAT, and the integral rest are INTs.
+
+        ``ints``, passed only when every value is integral, are the cells'
+        int64 values; otherwise the integral cells' text gets one ``int()``
+        sweep, and the cells it rejects (``"12.0"``, ``"1e3"``, beyond
+        int64) go to :meth:`_classify`. Both parse tiers end here, so the
+        bucket rules live in one place.
+        """
         # inf counts as integral: only int() can tell "1e400" from a 400-digit integer.
         integral = values == np.floor(values)
         if not integral.all():
@@ -208,14 +255,15 @@ class ParsedColumnBlock:
             fractional = ~(integral | nan)
             self._add("float", positions[fractional], values[fractional])
             positions = positions[integral]
-        if positions.size:
+        if not positions.size:
+            return
+        if ints is None:
             try:
                 ints = np.array(_take(cells, positions), dtype=np.int64)
             except (ValueError, OverflowError):
                 self._classify(cells, positions)
-            else:
-                self._add("int", positions, ints)
-        return True
+                return
+        self._add("int", positions, ints)
 
     def _peel_literals(self, cells: Sequence[str]) -> np.ndarray:
         """Bucket the NULL and bool literals; return every other cell's position.
@@ -408,8 +456,9 @@ class ParsedColumnBlock:
 
 
 def _take(cells: Sequence[str], positions: np.ndarray) -> Sequence[str]:
-    """``cells[positions]``; positions are increasing, so all of them is ``cells`` itself."""
-    if positions.size == len(cells):
+    """``cells[positions]``; positions are increasing, so all of them is ``cells``
+    itself — unless ``cells`` is a plain block's column, whose text is fetched here."""
+    if positions.size == len(cells) and not isinstance(cells, _PlainColumn):
         return cells
     return [cells[pos] for pos in positions.tolist()]
 
@@ -431,6 +480,111 @@ def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
     if rest.size and (rest.size == block.n or not block._sweep(cells, rest)):
         block._classify(cells, rest)
     return block
+
+
+#: The quote character of the ``csv`` dialect the reader parses (``excel``).
+_QUOTE = csv.excel.quotechar
+#: ASCII information separators: numpy's converters strip them as
+#: whitespace (``"\x1c1"`` reads as 1.0), ``float()`` and ``int()`` do not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _is_plain(lines: List[str]) -> bool:
+    """Whether the C tier may parse ``lines``: each line is one unquoted record.
+
+    The text is ASCII without the quote character or an information
+    separator (where numpy's converters and ``float()`` agree); every line
+    ends in ``\n`` or ``\r\n`` (a line ends at a lone ``\r`` too, so such
+    a line fails) and none is blank; and no line is longer than
+    ``csv.field_size_limit()``, so no field can be.
+    """
+    text = "".join(lines)
+    return (
+        text.isascii()
+        and _QUOTE not in text
+        and not any(separator in text for separator in _SEPARATORS)
+        and all(map(str.endswith, lines, repeat("\n")))
+        and "\n" not in lines
+        and "\r\n" not in lines
+        and max(map(len, lines)) <= csv.field_size_limit()
+    )
+
+
+def _split_line(line: str, delimiter: str) -> List[str]:
+    """One plain line's cells, the strings ``csv.reader`` yields for it."""
+    return line.rstrip("\r\n").split(delimiter)
+
+
+class _PlainColumn:
+    """One column of a plain block, as the sequence of its cells' text.
+
+    A line is split only when one of its cells is asked for, and at most
+    once per block: ``fields`` is shared by the block's columns.
+    """
+
+    __slots__ = ("_lines", "_delimiter", "_fields", "_column")
+
+    def __init__(self, lines: List[str], delimiter: str, fields: Dict[int, List[str]], column: int):
+        self._lines = lines
+        self._delimiter = delimiter
+        self._fields = fields
+        self._column = column
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, pos: int) -> str:
+        fields = self._fields.get(pos)
+        if fields is None:
+            fields = self._fields[pos] = _split_line(self._lines[pos], self._delimiter)
+        return fields[self._column]
+
+
+def _parse_plain(lines: List[str], width: int, delimiter: str) -> Optional[List[ParsedColumnBlock]]:
+    """The C tier: parse a plain block with numpy's C reader, or return None.
+
+    One ``np.loadtxt`` reads every cell as float64 through
+    ``PyOS_string_to_double``, the function ``float()`` calls, and one
+    more reads the all-integral columns as int64 with a strict integer
+    parse; both reject what they do not fully read (``"1_000"``,
+    non-ASCII digits, an empty cell). Any rejection, or a shape other than
+    ``(len(lines), width)``, returns None and the block takes
+    ``csv.reader`` + :func:`parse_cell_block`. Otherwise every column ends
+    in :meth:`ParsedColumnBlock._bucket`, like a float sweep; only the
+    integral-valued cells of a column without int64 values fetch their
+    text, from a lazy split of just their lines.
+    """
+    options = dict(delimiter=delimiter, comments=None, quotechar=None, ndmin=2)
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, **options)
+    except ValueError:
+        return None
+    n = len(lines)
+    if values.shape != (n, width):
+        return None
+    # Columns of finite whole numbers: int64 can hold what the strict parse accepts.
+    whole = np.flatnonzero(((values == np.floor(values)) & np.isfinite(values)).all(axis=0))
+    ints: Dict[int, np.ndarray] = {}
+    if whole.size:
+        try:
+            parsed = np.loadtxt(lines, dtype=np.int64, usecols=whole.tolist(), **options)
+        except ValueError:
+            pass  # "3.0" or "1e3" in a whole column: its cells go to the int() sweep
+        else:
+            ints = {int(column): parsed[:, j] for j, column in enumerate(whole)}
+    positions = np.arange(n)
+    fields: Dict[int, List[str]] = {}
+    blocks = []
+    for column in range(width):
+        block = ParsedColumnBlock(n)
+        block._bucket(
+            values[:, column],
+            positions,
+            _PlainColumn(lines, delimiter, fields, column),
+            ints.get(column),
+        )
+        blocks.append(block)
+    return blocks
 
 
 #: The typed buckets of a :class:`ParsedColumnBlock`, in record order.
@@ -519,6 +673,42 @@ class _ReplayFile:
         return blocks
 
 
+class _PlainLines:
+    """A block of physical lines that passed :func:`_is_plain`: each line is
+    one record, the first of them row ``row_number + 1``."""
+
+    __slots__ = ("lines", "row_number")
+
+    def __init__(self, lines: List[str], row_number: int):
+        self.lines = lines
+        self.row_number = row_number
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+#: One chunk's raw input: plain lines for the C tier, or validated ``csv.reader`` rows.
+_RawBlock = Union[_PlainLines, List[List[str]]]
+
+
+def _read_lines(
+    handle: Iterable[str], count: int
+) -> Tuple[List[str], Optional[UnicodeDecodeError]]:
+    """Up to ``count`` lines, and the decode error that ended the read early, if any."""
+    lines: List[str] = []
+    try:
+        lines.extend(islice(handle, count))
+    except UnicodeDecodeError as exc:
+        return lines, exc
+    return lines, None
+
+
+def _raising(error: BaseException) -> Iterator[str]:
+    """An iterator that raises ``error``: the rest of a file that failed to decode."""
+    raise error
+    yield  # pragma: no cover - makes this a generator
+
+
 class ChunkedCsvReader(TableChunkStream):
     """Columnar CSV reader producing typed :class:`TableChunk` row blocks.
 
@@ -555,13 +745,17 @@ class ChunkedCsvReader(TableChunkStream):
         self._scan_lock = threading.Lock()
 
     # -- raw row blocks -------------------------------------------------------------
-    def _raw_chunks(self) -> Iterator[Tuple[List[str], List[List[str]]]]:
-        """Yield ``(header, rows)`` blocks; validates widths like the seed.
+    def _raw_chunks(self) -> Iterator[Tuple[List[str], _RawBlock]]:
+        """Yield ``(header, block)`` chunks of ``chunk_rows`` rows from one open handle.
 
-        Every malformed-input failure — width mismatch, undecodable
-        bytes, csv-level framing errors — surfaces as a typed
-        :class:`TableError` carrying the offending row number, never a
-        bare ``ValueError`` from the stdlib.
+        Lines are read ``chunk_rows`` at a time. A block of lines that
+        passes :func:`_is_plain` is yielded as :class:`_PlainLines` for the
+        C tier; any other block is read by ``csv.reader`` into validated
+        rows, and once a line holds the quote character the rest of the
+        file is (a quoted field may span lines). Chunk boundaries are those
+        of a ``csv.reader`` over the whole file: a chunk that blank lines
+        left short is topped up through ``csv.reader`` before the next
+        block is read.
         """
         with self._path.open(newline="") as handle:
             reader = csv.reader(handle, delimiter=self._delimiter)
@@ -578,42 +772,78 @@ class ChunkedCsvReader(TableChunkStream):
                 raise TableError(
                     f"CSV file {self._path} is malformed (header, row 1): {exc}"
                 ) from exc
-            width = len(header)
+            c_tier = not self._delimiter.isspace()
             rows: List[List[str]] = []
             row_number = 1  # 1-based physical row; the header is row 1
             while True:
-                try:
-                    row = next(reader)
-                except StopIteration:
+                lines, error = _read_lines(handle, self._chunk_rows - len(rows))
+                if c_tier and not rows and error is None and lines and _is_plain(lines):
+                    yield header, _PlainLines(lines, row_number)
+                    row_number += len(lines)
+                    continue
+                if not lines and error is None:
                     break
-                except UnicodeDecodeError as exc:
-                    raise TableError(
-                        f"CSV file {self._path} is not valid UTF-8 "
-                        f"near row {row_number + 1}: {exc}"
-                    ) from exc
-                except csv.Error as exc:
-                    raise TableError(
-                        f"CSV file {self._path} is malformed "
-                        f"at row {row_number + 1}: {exc}"
-                    ) from exc
-                row_number += 1
-                if not row:
-                    continue  # blank lines, as in the seed reader
-                if len(row) != width:
-                    raise TableError(
-                        f"CSV row width {len(row)} does not match header width "
-                        f"{width} (row {row_number} of {self._path})"
-                    )
-                rows.append(row)
-                if len(rows) >= self._chunk_rows:
-                    yield header, rows
-                    rows = []
+                quoted = any(_QUOTE in line for line in lines)
+                rest: Iterable[str] = ()
+                if error is not None:
+                    rest = _raising(error)
+                elif quoted:
+                    rest = handle
+                for row in self._csv_rows(chain(lines, rest), row_number, len(header)):
+                    rows.append(row)
+                    if len(rows) >= self._chunk_rows:
+                        yield header, rows
+                        rows = []
+                if quoted:
+                    break
+                row_number += len(lines)
             yield header, rows
 
-    def _parse_chunk(self, header: List[str], rows: List[List[str]]):
-        if not rows:
+    def _csv_rows(self, lines: Iterable[str], row_number: int, width: int) -> Iterator[List[str]]:
+        """``csv.reader`` over ``lines``, whose first record is row ``row_number + 1``.
+
+        Skips blank lines, as the seed reader did. Every malformed-input
+        failure — width mismatch, undecodable bytes, csv-level framing
+        errors — surfaces as a typed :class:`TableError` carrying the
+        offending row number, never a bare ``ValueError`` from the stdlib.
+        """
+        reader = csv.reader(lines, delimiter=self._delimiter)
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except UnicodeDecodeError as exc:
+                raise TableError(
+                    f"CSV file {self._path} is not valid UTF-8 "
+                    f"near row {row_number + 1}: {exc}"
+                ) from exc
+            except csv.Error as exc:
+                raise TableError(
+                    f"CSV file {self._path} is malformed "
+                    f"at row {row_number + 1}: {exc}"
+                ) from exc
+            row_number += 1
+            if not row:
+                continue  # blank lines, as in the seed reader
+            if len(row) != width:
+                raise TableError(
+                    f"CSV row width {len(row)} does not match header width "
+                    f"{width} (row {row_number} of {self._path})"
+                )
+            yield row
+
+    def _parse_chunk(self, header: List[str], block: _RawBlock) -> List[ParsedColumnBlock]:
+        """One chunk's parsed column blocks: the C tier for plain lines it
+        accepts, ``csv.reader`` + :func:`parse_cell_block` for the rest."""
+        if isinstance(block, _PlainLines):
+            parsed = _parse_plain(block.lines, len(header), self._delimiter)
+            if parsed is not None:
+                return parsed
+            block = list(self._csv_rows(block.lines, block.row_number, len(header)))
+        if not block:
             return [ParsedColumnBlock(0) for _ in header]
-        transposed = list(zip(*rows))
+        transposed = list(zip(*block))
         return [parse_cell_block(transposed[i]) for i in range(len(header))]
 
     def _schema_from_flags(self, header: List[str], flags: List[ColumnTypeFlags]) -> Schema:
@@ -631,7 +861,7 @@ class ChunkedCsvReader(TableChunkStream):
 
     def _parse_file(
         self,
-        parse: Callable[[List[str], List[List[str]]], List[ParsedColumnBlock]],
+        parse: Callable[[List[str], _RawBlock], List[ParsedColumnBlock]],
         keep: Callable[[List[ParsedColumnBlock]], None],
     ) -> Tuple[Schema, int]:
         """The one parse loop: raw chunk -> parsed blocks -> merged type flags.
@@ -714,14 +944,14 @@ class ChunkedCsvReader(TableChunkStream):
         """Parse once and assemble a resident :class:`Table` (the
         single-chunk fast path ``read_csv`` routes through); no replay file."""
 
-        def _faulted_parse(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
+        def _faulted_parse(header: List[str], block: _RawBlock) -> List[ParsedColumnBlock]:
             _faults.fault_point("ingest.chunk", file=str(self._path))
-            return self._parse_chunk(header, rows)
+            return self._parse_chunk(header, block)
 
-        def _parse(header: List[str], rows: List[List[str]]) -> List[ParsedColumnBlock]:
+        def _parse(header: List[str], block: _RawBlock) -> List[ParsedColumnBlock]:
             if _faults.ACTIVE:
-                return INGEST_RETRY.call(_faulted_parse, header, rows, site="ingest.chunk")
-            return self._parse_chunk(header, rows)
+                return INGEST_RETRY.call(_faulted_parse, header, block, site="ingest.chunk")
+            return self._parse_chunk(header, block)
 
         parsed: List[List[ParsedColumnBlock]] = []
         schema, _ = self._parse_file(_parse, parsed.append)

@@ -15,7 +15,7 @@ from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.metadata.mappings import ScenarioType
 from repro.relational.types import NULL, is_null, parse_cell
-from repro.streaming.ingest import parse_cell_block
+from repro.streaming.ingest import ParsedColumnBlock, parse_cell_block
 
 
 @pytest.fixture
@@ -89,9 +89,9 @@ def _block_values(block):
     return values
 
 
-def _assert_matches_scalar_parser(cells):
-    """``parse_cell_block(cells)`` is ``[parse_cell(c) for c in cells]``, value and type."""
-    block = parse_cell_block(cells)
+def _assert_matches_scalar_parser(cells, parse=parse_cell_block):
+    """``parse(cells)`` is ``[parse_cell(c) for c in cells]``, value and type."""
+    block = parse(cells)
     for cell, got, want in zip(cells, _block_values(block), map(parse_cell, cells)):
         if is_null(want):
             assert got is NULL, (cell, got)
@@ -105,3 +105,19 @@ def assert_matches_scalar_parser():
     """The cell-for-cell parity check of the CSV kernel, shared by the
     ingest, work-bound and property suites."""
     return _assert_matches_scalar_parser
+
+
+def _assert_same_buckets(got, want):
+    """Same positions, dtypes and bits in every bucket, same ``str_vals`` and ``extra``."""
+    for name in ParsedColumnBlock.__slots__:
+        have, expect = getattr(got, name), getattr(want, name)
+        if isinstance(expect, np.ndarray):
+            assert have.dtype == expect.dtype and have.tobytes() == expect.tobytes(), name
+        else:
+            assert have == expect, name
+
+
+@pytest.fixture(scope="session")
+def assert_same_buckets():
+    """Bitwise equality of two parsed column blocks, shared by the ingest suites."""
+    return _assert_same_buckets

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,6 +20,13 @@ from repro.streaming.ingest import ChunkedCsvReader, parse_cell_block
 
 CHUNK_SIZES = (1, 7, 10_000)
 
+#: Cells where numpy's C converters and ``float()``/``int()`` could part ways:
+#: the C tier must give each the reference value or defer it.
+ADVERSARIAL_CELLS = [
+    " 1.5", "1e400", "-0", "inf", "-nan", "1_000", "0003", "9223372036854775808",
+    "\u0661", "3.0", "1e3", "\x1c1", "1.5\x1f",
+]
+
 MESSY_CELLS = [
     "", "null", "NA", "nan", "-nan", "inf", "-inf", "true", "FALSE", "0", "-0",
     "+5", "007", "--5", "9223372036854775807", "9223372036854775808",
@@ -28,7 +36,49 @@ MESSY_CELLS = [
     # A trailing NUL survives the replay file (numpy "U" arrays would drop
     # it); csv.reader rejects NUL before Python 3.11.
     *(["nul\x00"] if sys.version_info >= (3, 11) else []),
+    *ADVERSARIAL_CELLS,
 ]
+
+#: The adversarial cells the C tier leaves to ``csv.reader`` + ``parse_cell_block``.
+C_TIER_DEFERS = {"1_000", "\u0661", "\x1c1", "1.5\x1f"}
+
+
+def c_tier_block(cells):
+    """The C tier's block for a one-column plain block of ``cells``, or None if it defers."""
+    lines = [cell + "\r\n" for cell in cells]
+    blocks = ingest._parse_plain(lines, 1, ",") if ingest._is_plain(lines) else None
+    return None if blocks is None else blocks[0]
+
+
+def replay_records(reader):
+    """The bytes of every record of ``reader``'s replay file."""
+    replay = reader._replay
+    return [os.pread(replay._file.fileno(), length, start) for start, length in replay._spans]
+
+
+@pytest.fixture
+def c_tier_accepted(monkeypatch):
+    """How many blocks the C tier parsed while the fixture is live."""
+    accepted = []
+    parse_plain = ingest._parse_plain
+
+    def counting(*args):
+        blocks = parse_plain(*args)
+        accepted.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(ingest, "_parse_plain", counting)
+    return accepted
+
+
+@pytest.fixture
+def no_c_tier(monkeypatch):
+    """Call to turn the C tier off: ``np.loadtxt`` then rejects every block."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("C tier off")
+
+    return lambda: monkeypatch.setattr(np, "loadtxt", refuse)
 
 
 def _write(tmp_path, name, text):
@@ -68,19 +118,44 @@ class TestParseCellBlock:
         assert block.n == 0
         assert not block.flags.any_value
 
+    @pytest.mark.parametrize("cell", ADVERSARIAL_CELLS)
+    def test_c_tier_gives_the_reference_buckets_or_defers(
+        self, cell, assert_matches_scalar_parser, assert_same_buckets
+    ):
+        """A plain block the C tier accepts holds ``parse_cell_block``'s buckets,
+        bit for bit; a cell numpy and ``float()`` could read apart is deferred."""
+        for cells in ([cell], [cell, "2.5", cell], ["7", cell, "-3"]):
+            block = c_tier_block(cells)
+            if cell in C_TIER_DEFERS:
+                assert block is None
+                continue
+            assert_matches_scalar_parser(cells, parse=lambda _: block)
+            assert_same_buckets(block, parse_cell_block(cells))
+
 
 class TestChunkedReaderParity:
-    @pytest.fixture
-    def messy_csv(self, tmp_path):
+    @pytest.fixture(
+        params=[(kind, eol) for kind in ("messy", "numeric") for eol in ("\n", "\r\n")],
+        ids=["messy-lf", "messy-crlf", "numeric-lf", "numeric-crlf"],
+    )
+    def messy_csv(self, tmp_path, request):
+        """The messy cells in one column, or a numeric file whose blocks take
+        both parse tiers; written with LF and with CRLF line endings."""
+        kind, eol = request.param
         header = ["k", "num", "mix", "text", "flag"]
         rows = []
-        for i, cell in enumerate(MESSY_CELLS):
-            rows.append(
-                [str(i), f"{i}.25", cell, f"name {i % 5}", "true" if i % 2 else "false"]
-            )
-        path = tmp_path / "messy.csv"
+        if kind == "messy":
+            for i, cell in enumerate(MESSY_CELLS):
+                rows.append(
+                    [str(i), f"{i}.25", cell, f"name {i % 5}", "true" if i % 2 else "false"]
+                )
+        else:
+            for i in range(60):
+                cell = ADVERSARIAL_CELLS[i // 5 % len(ADVERSARIAL_CELLS)] if i % 5 == 0 else str(i)
+                rows.append([str(i), f"{i}.25", cell, str(i * 3), str(i % 2)])
+        path = tmp_path / f"{kind}.csv"
         with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
+            writer = csv.writer(handle, lineterminator=eol)
             writer.writerow(header)
             writer.writerows(rows)
         return path
@@ -116,6 +191,16 @@ class TestChunkedReaderParity:
         with pytest.raises(IndexError):
             reader.chunk_at(reader.chunk_count)
 
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_replay_bytes_without_the_c_tier(self, messy_csv, chunk_rows, no_c_tier):
+        reader = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
+        reader.scan()
+        records = replay_records(reader)
+        no_c_tier()
+        without = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
+        without.scan()
+        assert replay_records(without) == records
+
     def test_types_and_roles(self, tmp_path):
         path = _write(tmp_path, "t.csv", "id,x,name,b\n1,1.5,ann,true\n2,,na,false\n")
         table = read_csv(path, key_columns=["id"], label_column="b")
@@ -137,12 +222,72 @@ class TestChunkedReaderParity:
         assert list(reader.chunks()) == []
 
 
+class TestAcrossTiers:
+    """Blocks that take the C tier and blocks that take ``csv.reader`` read as
+    if the whole file took ``csv.reader``."""
+
+    @pytest.fixture
+    def tiers_csv(self, tmp_path):
+        def plain(rows):
+            return [f"{i},{i * 0.5},{i % 3}\r\n" for i in rows]
+
+        text = "".join([
+            "k,x,s\r\n", *plain(range(20)),
+            "20,,1\r\n",              # a NULL
+            "21,2.5,true\r\n",        # a bool
+            "\r\n",                   # a blank line: its chunk is topped up
+            *plain(range(22, 32)),
+            '32,3.5,"a\r\nb"\r\n',  # a quoted field with an embedded newline
+            "\n", *plain(range(33, 45)),
+        ])
+        path = tmp_path / "tiers.csv"
+        path.write_bytes(text.encode())
+        return path
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_streamed_chunks_equal_read_csv(self, tiers_csv, chunk_rows, c_tier_accepted):
+        full = read_csv(tiers_csv, key_columns=["k"])
+        reader = ChunkedCsvReader(tiers_csv, key_columns=["k"], chunk_rows=chunk_rows)
+        assert reader.schema == full.schema and full.schema["s"].dtype is DataType.STRING
+        assert reader.read_table().equals(full)
+        assert full.column("s")[19:23] == ["1", "1", "True", "1"]
+        assert full.cell(32, "s") == "a\r\nb" and full.cell(20, "x") is NULL
+        assert reader.n_rows == full.n_rows == 45
+        chunks = list(reader.chunks())
+        assert [chunk.offset for chunk in chunks] == list(range(0, 45, chunk_rows))
+        assert [chunk.n_rows for chunk in chunks] == [
+            min(chunk_rows, 45 - offset) for offset in range(0, 45, chunk_rows)
+        ]
+        # the C tier took the plain numeric chunks: all there are below row 32
+        assert (True in c_tier_accepted) is (chunk_rows < 32)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_same_chunks_and_replay_bytes_without_the_c_tier(
+        self, tiers_csv, chunk_rows, no_c_tier
+    ):
+        with_c = ChunkedCsvReader(tiers_csv, chunk_rows=chunk_rows)
+        chunks, records, table = list(with_c.chunks()), replay_records(with_c), read_csv(tiers_csv)
+        no_c_tier()
+        without = ChunkedCsvReader(tiers_csv, chunk_rows=chunk_rows)
+        without.scan()
+        assert replay_records(without) == records
+        assert without.chunk_count == len(chunks)
+        for got, want in zip(without.chunks(), chunks):
+            assert_same_chunk(got, want)
+        assert read_csv(tiers_csv).equals(table)
+
+
 def assert_same_chunk(got, want):
     assert got.offset == want.offset and got.n_rows == want.n_rows
     assert got.schema == want.schema
     for name in want.schema.names:
         assert np.array_equal(got.column_valid(name), want.column_valid(name))
-        assert got.column_values(name).tolist() == want.column_values(name).tolist()
+        values, expected = got.column_values(name), want.column_values(name)
+        assert values.dtype == expected.dtype
+        if expected.dtype.kind == "f":  # bit for bit: a NULL's NaN is not == itself
+            assert values.tobytes() == expected.tobytes()
+        else:
+            assert values.tolist() == expected.tolist()
 
 
 class TestReplay:
@@ -236,6 +381,56 @@ class TestReplay:
         assert len(opened) == 2 and all(handle.closed for handle in opened)
 
 
+def _numeric_lines(n):
+    return b"".join(b"%d,%d.5\r\n" % (i, i) for i in range(n))
+
+
+#: Malformed files, as bytes, by the error the seed reader raises on them.
+SEED_ERROR_CASES = {
+    "width_after_blank_lines": lambda: (
+        b"a,b\r\n" + _numeric_lines(9) + b"\r\n\n" + _numeric_lines(5)
+        + b"1,2,3\r\n" + _numeric_lines(3)
+    ),
+    "utf8_in_header": lambda: b"a,\xff\r\n" + _numeric_lines(3),
+    # past the text decoder's first 8 KiB read, so the row it names depends on the read-ahead
+    "utf8_mid_file": lambda: (
+        b"a,b\r\n" + _numeric_lines(2_000) + b"7,\xff\r\n" + _numeric_lines(500)
+    ),
+    "over_limit_field": lambda: (
+        b"a,b\r\n" + _numeric_lines(9) + b"1," + b"1" * (csv.field_size_limit() + 1) + b"\r\n"
+    ),
+}
+
+
+def seed_reader_error(path):
+    """The message the seed reader raised for ``path`` — one ``csv.reader``
+    over the whole file, rows counted as records — or None."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return f"CSV file {path} is empty"
+        except UnicodeDecodeError as exc:
+            return f"CSV file {path} is not valid UTF-8 (header, row 1): {exc}"
+        row_number = 1
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return None
+            except UnicodeDecodeError as exc:
+                return f"CSV file {path} is not valid UTF-8 near row {row_number + 1}: {exc}"
+            except csv.Error as exc:
+                return f"CSV file {path} is malformed at row {row_number + 1}: {exc}"
+            row_number += 1
+            if row and len(row) != len(header):
+                return (
+                    f"CSV row width {len(row)} does not match header width "
+                    f"{len(header)} (row {row_number} of {path})"
+                )
+
+
 class TestSeedErrorParity:
     def test_empty_file_raises(self, tmp_path):
         path = _write(tmp_path, "empty.csv", "")
@@ -260,6 +455,34 @@ class TestSeedErrorParity:
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "blank.csv", "a,b\n1,2\n\n3,4\n")
         assert read_csv(path).n_rows == 2
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_over_limit_field_raises(self, tmp_path, chunk_rows):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text("a\n" + "1" * (limit + 1) + "\n2\n")
+        for parse in (ChunkedCsvReader(path, chunk_rows=chunk_rows).scan, lambda: read_csv(path)):
+            with pytest.raises(
+                TableError, match=rf"malformed at row 2: field larger than field limit \({limit}\)"
+            ):
+                parse()
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    @pytest.mark.parametrize("case", sorted(SEED_ERROR_CASES))
+    def test_message_and_row_are_the_seed_readers(self, tmp_path, case, chunk_rows):
+        """Both consumption modes raise the seed reader's message, row number included."""
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(SEED_ERROR_CASES[case]())
+        expected = seed_reader_error(path)
+        assert expected is not None
+        for parse in (
+            ChunkedCsvReader(path, chunk_rows=chunk_rows).scan,
+            ChunkedCsvReader(path, chunk_rows=chunk_rows).read,
+        ):
+            with pytest.raises(TableError) as excinfo:
+                parse()
+            assert str(excinfo.value) == expected
+
 
 
 class TestWriteReadRoundTrip:

@@ -8,6 +8,11 @@ sends none; empty and ``NA`` cells in a numeric column are peeled by
 literal and cost the other cells nothing; an integral spelling ``int()``
 rejects (``"3.0"``) sends itself and no neighbour. One text cell does send
 the column down the general path — with the reference's exact buckets.
+
+The C tier (``np.loadtxt`` over a plain block of lines) is bounded the
+same way: a NULL-free numeric block calls ``parse_cell_block`` for none of
+its columns and splits none of its lines, and an integral spelling in a
+float column fetches its own cell's text and no neighbour's.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.streaming.ingest import ParsedColumnBlock, parse_cell_block
+from repro.streaming import ingest
+from repro.streaming.ingest import ChunkedCsvReader, ParsedColumnBlock, parse_cell_block
 
 N = 2_048
 
@@ -102,3 +108,53 @@ def test_one_text_cell_still_gives_the_reference_buckets(cells_sent, assert_matc
     assert cells_sent["_classify"] == len(cells) - 2
     assert block.str_pos.tolist() == [10] and block.str_vals == ["abc"]
     assert block.flags.seen_str and block.flags.seen_int and block.flags.seen_bool
+
+
+@pytest.fixture
+def c_tier_work(monkeypatch):
+    """Columns handed to ``parse_cell_block`` and lines split for cell text."""
+    work: Counter = Counter()
+
+    def counting(name):
+        inner = getattr(ingest, name)
+
+        def function(*args):
+            work[name] += 1
+            return inner(*args)
+
+        return function
+
+    for name in ("parse_cell_block", "_split_line"):
+        monkeypatch.setattr(ingest, name, counting(name))
+    return work
+
+
+def numeric_lines(x_cells):
+    """A plain block: an int key, the given float column and an int column, CRLF."""
+    counts = np.random.default_rng(7).integers(-10**6, 10**6, len(x_cells))
+    return [f"{i},{x},{c}\r\n" for i, (x, c) in enumerate(zip(x_cells, counts.tolist()))]
+
+
+def test_numeric_block_takes_the_c_tier(tmp_path, c_tier_work, cells_sent):
+    x = float_cells()
+    path = tmp_path / "numeric.csv"
+    path.write_text("k,x,n\r\n" + "".join(numeric_lines(x)), newline="")
+    table = ChunkedCsvReader(path, chunk_rows=N).read()
+    assert not c_tier_work and not cells_sent
+    assert [c.dtype.value for c in table.schema] == ["int", "float", "int"]
+    assert table.column_values("x").tolist() == [float(c) for c in x]
+    assert table.column_values("k").tolist() == list(range(N))
+
+
+def test_integral_spellings_in_a_float_column_fetch_only_their_text(
+    c_tier_work, cells_sent, assert_matches_scalar_parser, assert_same_buckets
+):
+    x = float_cells()
+    integral = range(5, N, 211)  # k spellings float() reads as whole and int() rejects
+    for pos in integral:
+        x[pos] = "3.0"
+    blocks = ingest._parse_plain(numeric_lines(x), 3, ",")
+    assert c_tier_work == Counter(_split_line=len(integral))
+    assert cells_sent["_classify"] == len(integral) and cells_sent["_scalar_fallback"] == 0
+    block = assert_matches_scalar_parser(x, parse=lambda _: blocks[1])
+    assert_same_buckets(block, parse_cell_block(x))

@@ -96,6 +96,12 @@ class TestAdapters:
         assert 'repro_serving_failure_ratio{mode="error",session="demo"} 0.5' in text
 
 
+def fetch(url):
+    """The body at ``url``, with the response closed."""
+    with urllib.request.urlopen(url) as response:
+        return response.read().decode()
+
+
 class TestMetricsServer:
     def test_metrics_health_and_404(self):
         state = {"status": "ok"}
@@ -104,19 +110,20 @@ class TestMetricsServer:
             lambda: dict(state),
         )
         try:
-            body = urllib.request.urlopen(server.url("/metrics")).read().decode()
-            assert validate_openmetrics(body) == []
-            health = urllib.request.urlopen(server.url("/health"))
-            assert health.status == 200
-            assert json.loads(health.read())["status"] == "ok"
+            assert validate_openmetrics(fetch(server.url("/metrics"))) == []
+            with urllib.request.urlopen(server.url("/health")) as health:
+                assert health.status == 200
+                assert json.loads(health.read())["status"] == "ok"
 
             state["status"] = "degraded"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url("/health"))
+            excinfo.value.close()
             assert excinfo.value.code == 503
 
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url("/nope"))
+            excinfo.value.close()
             assert excinfo.value.code == 404
         finally:
             server.stop()
@@ -143,8 +150,7 @@ class TestMetricsServer:
 
         def scraper():
             for _ in range(20):
-                body = urllib.request.urlopen(server.url("/metrics")).read().decode()
-                errors = validate_openmetrics(body)
+                errors = validate_openmetrics(fetch(server.url("/metrics")))
                 if errors:
                     problems.append(errors)
 
