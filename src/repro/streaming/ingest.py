@@ -18,13 +18,18 @@ converter calls ``PyOS_string_to_double`` — the function ``float()``
 calls — after stripping whitespace, and rejects underscores, non-ASCII
 digits and empty cells, so a cell it accepts has the reference float.
 Columns whose every value is integral get one more ``loadtxt`` as int64
-over ``usecols`` (a strict integer parse that rejects ``"3.0"``). In any
-other column only the integral-valued cells fetch their text, from a
-lazy split of just their lines, and take the int sweep below. A block
-numpy rejects anywhere, or whose shape is not ``(lines, header width)``,
-takes the ``csv.reader`` tier instead, and so does any other block.
-After a quote character the rest of the file takes it, since a quoted
-field may span lines.
+over ``usecols``, when numpy's int64 parse is strict (it rejects
+``"3.0"``, ``"1e3"`` and ``"9223372036854775808"``; :data:`_STRICT_INT64`
+probes this at import, because from numpy 1.23 until that deprecation
+expired it read such a cell as a float and cast it). In any other column,
+and in every column where the parse is not strict, only the
+integral-valued cells fetch their text, from a lazy split of just their
+lines, and take the int sweep below. Any other block takes the
+``csv.reader`` tier. So does the rest of the file after a quote character,
+since a quoted field may span lines, and after a block numpy rejects
+anywhere or whose shape is not ``(lines, header width)``: numpy may have
+read most of that block before it stopped, and a file with one NULL or
+text cell per block would pay that on every block.
 
 **The ``csv.reader`` tier** parses *column-at-a-time, sweep then
 classify* (:func:`parse_cell_block`):
@@ -102,6 +107,7 @@ import os
 import pickle
 import tempfile
 import threading
+import warnings
 import weakref
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -510,6 +516,30 @@ def _is_plain(lines: List[str]) -> bool:
     )
 
 
+def _int64_parse_is_strict() -> bool:
+    """Whether numpy's int64 ``loadtxt`` rejects every cell ``int()`` rejects.
+
+    From numpy 1.23 until the deprecation expired, an int64 ``loadtxt``
+    read a cell its integer parse rejected as a float and cast it
+    (``"3.0"`` -> 3, ``"1e3"`` -> 1000), with a ``DeprecationWarning``.
+    The probe silences that warning, so its answer does not depend on the
+    caller's warning filters.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spelling in ("3.0", "1e3", "9223372036854775808"):
+            try:
+                np.loadtxt([spelling], dtype=np.int64, comments=None, quotechar=None)
+            except ValueError:
+                continue
+            return False
+    return True
+
+
+#: Whether the C tier may read all-integral columns with an int64 ``loadtxt``.
+_STRICT_INT64 = _int64_parse_is_strict()
+
+
 def _split_line(line: str, delimiter: str) -> List[str]:
     """One plain line's cells, the strings ``csv.reader`` yields for it."""
     return line.rstrip("\r\n").split(delimiter)
@@ -544,15 +574,15 @@ def _parse_plain(lines: List[str], width: int, delimiter: str) -> Optional[List[
     """The C tier: parse a plain block with numpy's C reader, or return None.
 
     One ``np.loadtxt`` reads every cell as float64 through
-    ``PyOS_string_to_double``, the function ``float()`` calls, and one
-    more reads the all-integral columns as int64 with a strict integer
-    parse; both reject what they do not fully read (``"1_000"``,
-    non-ASCII digits, an empty cell). Any rejection, or a shape other than
-    ``(len(lines), width)``, returns None and the block takes
-    ``csv.reader`` + :func:`parse_cell_block`. Otherwise every column ends
-    in :meth:`ParsedColumnBlock._bucket`, like a float sweep; only the
-    integral-valued cells of a column without int64 values fetch their
-    text, from a lazy split of just their lines.
+    ``PyOS_string_to_double``, the function ``float()`` calls, and, where
+    :data:`_STRICT_INT64` holds, one more reads the all-integral columns
+    as int64 with a strict integer parse; both reject what they do not
+    fully read (``"1_000"``, non-ASCII digits, an empty cell). Any
+    rejection, or a shape other than ``(len(lines), width)``, returns None
+    and the block takes ``csv.reader`` + :func:`parse_cell_block`.
+    Otherwise every column ends in :meth:`ParsedColumnBlock._bucket`, like
+    a float sweep; only the integral-valued cells of a column without
+    int64 values fetch their text, from a lazy split of just their lines.
     """
     options = dict(delimiter=delimiter, comments=None, quotechar=None, ndmin=2)
     try:
@@ -565,7 +595,7 @@ def _parse_plain(lines: List[str], width: int, delimiter: str) -> Optional[List[
     # Columns of finite whole numbers: int64 can hold what the strict parse accepts.
     whole = np.flatnonzero(((values == np.floor(values)) & np.isfinite(values)).all(axis=0))
     ints: Dict[int, np.ndarray] = {}
-    if whole.size:
+    if whole.size and _STRICT_INT64:
         try:
             parsed = np.loadtxt(lines, dtype=np.int64, usecols=whole.tolist(), **options)
         except ValueError:
@@ -675,13 +705,15 @@ class _ReplayFile:
 
 class _PlainLines:
     """A block of physical lines that passed :func:`_is_plain`: each line is
-    one record, the first of them row ``row_number + 1``."""
+    one record, the first of them row ``row_number + 1``. ``rejected`` is
+    set when the C tier gave the block to ``csv.reader``."""
 
-    __slots__ = ("lines", "row_number")
+    __slots__ = ("lines", "row_number", "rejected")
 
     def __init__(self, lines: List[str], row_number: int):
         self.lines = lines
         self.row_number = row_number
+        self.rejected = False
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -751,8 +783,9 @@ class ChunkedCsvReader(TableChunkStream):
         Lines are read ``chunk_rows`` at a time. A block of lines that
         passes :func:`_is_plain` is yielded as :class:`_PlainLines` for the
         C tier; any other block is read by ``csv.reader`` into validated
-        rows, and once a line holds the quote character the rest of the
-        file is (a quoted field may span lines). Chunk boundaries are those
+        rows. Once a line holds the quote character (a quoted field may
+        span lines), or the C tier rejected a block, ``csv.reader`` reads
+        the rest of the file. Chunk boundaries are those
         of a ``csv.reader`` over the whole file: a chunk that blank lines
         left short is topped up through ``csv.reader`` before the next
         block is read.
@@ -778,23 +811,25 @@ class ChunkedCsvReader(TableChunkStream):
             while True:
                 lines, error = _read_lines(handle, self._chunk_rows - len(rows))
                 if c_tier and not rows and error is None and lines and _is_plain(lines):
-                    yield header, _PlainLines(lines, row_number)
+                    plain = _PlainLines(lines, row_number)
+                    yield header, plain  # parsed before the generator resumes
+                    c_tier = not plain.rejected
                     row_number += len(lines)
                     continue
                 if not lines and error is None:
                     break
-                quoted = any(_QUOTE in line for line in lines)
+                to_end = not c_tier or any(_QUOTE in line for line in lines)
                 rest: Iterable[str] = ()
                 if error is not None:
                     rest = _raising(error)
-                elif quoted:
+                elif to_end:
                     rest = handle
                 for row in self._csv_rows(chain(lines, rest), row_number, len(header)):
                     rows.append(row)
                     if len(rows) >= self._chunk_rows:
                         yield header, rows
                         rows = []
-                if quoted:
+                if to_end:
                     break
                 row_number += len(lines)
             yield header, rows
@@ -840,6 +875,7 @@ class ChunkedCsvReader(TableChunkStream):
             parsed = _parse_plain(block.lines, len(header), self._delimiter)
             if parsed is not None:
                 return parsed
+            block.rejected = True
             block = list(self._csv_rows(block.lines, block.row_number, len(header)))
         if not block:
             return [ParsedColumnBlock(0) for _ in header]

@@ -4,6 +4,7 @@ import csv
 import itertools
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -81,6 +82,26 @@ def no_c_tier(monkeypatch):
     return lambda: monkeypatch.setattr(np, "loadtxt", refuse)
 
 
+def write_tiers_csv(path):
+    """Plain numeric blocks, then a NULL, a bool, a blank line, a quoted field
+    with an embedded newline and an LF blank line among more plain rows."""
+
+    def plain(rows):
+        return [f"{i},{i * 0.5},{i % 3}\r\n" for i in rows]
+
+    text = "".join([
+        "k,x,s\r\n", *plain(range(20)),
+        "20,,1\r\n",              # a NULL
+        "21,2.5,true\r\n",        # a bool
+        "\r\n",                   # a blank line: its chunk is topped up
+        *plain(range(22, 32)),
+        '32,3.5,"a\r\nb"\r\n',  # a quoted field with an embedded newline
+        "\n", *plain(range(33, 45)),
+    ])
+    path.write_bytes(text.encode())
+    return path
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -135,13 +156,19 @@ class TestParseCellBlock:
 
 class TestChunkedReaderParity:
     @pytest.fixture(
-        params=[(kind, eol) for kind in ("messy", "numeric") for eol in ("\n", "\r\n")],
-        ids=["messy-lf", "messy-crlf", "numeric-lf", "numeric-crlf"],
+        params=[
+            *((kind, eol) for kind in ("messy", "numeric") for eol in ("\n", "\r\n")),
+            ("tiers", None),
+        ],
+        ids=["messy-lf", "messy-crlf", "numeric-lf", "numeric-crlf", "tiers"],
     )
     def messy_csv(self, tmp_path, request):
         """The messy cells in one column, or a numeric file whose blocks take
-        both parse tiers; written with LF and with CRLF line endings."""
+        both parse tiers, written with LF and with CRLF line endings; or the
+        file of :func:`write_tiers_csv`."""
         kind, eol = request.param
+        if kind == "tiers":
+            return write_tiers_csv(tmp_path / "tiers.csv")
         header = ["k", "num", "mix", "text", "flag"]
         rows = []
         if kind == "messy":
@@ -192,14 +219,19 @@ class TestChunkedReaderParity:
             reader.chunk_at(reader.chunk_count)
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_replay_bytes_without_the_c_tier(self, messy_csv, chunk_rows, no_c_tier):
-        reader = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
-        reader.scan()
-        records = replay_records(reader)
+    def test_same_chunks_replay_bytes_and_table_without_the_c_tier(
+        self, messy_csv, chunk_rows, no_c_tier
+    ):
+        with_c = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
+        chunks, records, table = list(with_c.chunks()), replay_records(with_c), read_csv(messy_csv)
         no_c_tier()
         without = ChunkedCsvReader(messy_csv, chunk_rows=chunk_rows)
         without.scan()
         assert replay_records(without) == records
+        assert without.chunk_count == len(chunks)
+        for got, want in zip(without.chunks(), chunks):
+            assert_same_chunk(got, want)
+        assert read_csv(messy_csv).equals(table)
 
     def test_types_and_roles(self, tmp_path):
         path = _write(tmp_path, "t.csv", "id,x,name,b\n1,1.5,ann,true\n2,,na,false\n")
@@ -224,57 +256,64 @@ class TestChunkedReaderParity:
 
 class TestAcrossTiers:
     """Blocks that take the C tier and blocks that take ``csv.reader`` read as
-    if the whole file took ``csv.reader``."""
-
-    @pytest.fixture
-    def tiers_csv(self, tmp_path):
-        def plain(rows):
-            return [f"{i},{i * 0.5},{i % 3}\r\n" for i in rows]
-
-        text = "".join([
-            "k,x,s\r\n", *plain(range(20)),
-            "20,,1\r\n",              # a NULL
-            "21,2.5,true\r\n",        # a bool
-            "\r\n",                   # a blank line: its chunk is topped up
-            *plain(range(22, 32)),
-            '32,3.5,"a\r\nb"\r\n',  # a quoted field with an embedded newline
-            "\n", *plain(range(33, 45)),
-        ])
-        path = tmp_path / "tiers.csv"
-        path.write_bytes(text.encode())
-        return path
+    if the whole file took ``csv.reader``; the parity suite above runs on the
+    same file."""
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_streamed_chunks_equal_read_csv(self, tiers_csv, chunk_rows, c_tier_accepted):
-        full = read_csv(tiers_csv, key_columns=["k"])
-        reader = ChunkedCsvReader(tiers_csv, key_columns=["k"], chunk_rows=chunk_rows)
-        assert reader.schema == full.schema and full.schema["s"].dtype is DataType.STRING
-        assert reader.read_table().equals(full)
+    def test_cells_and_tiers(self, tmp_path, chunk_rows, c_tier_accepted):
+        path = write_tiers_csv(tmp_path / "tiers.csv")
+        full = read_csv(path, key_columns=["k"])
+        assert full.schema["s"].dtype is DataType.STRING
         assert full.column("s")[19:23] == ["1", "1", "True", "1"]
         assert full.cell(32, "s") == "a\r\nb" and full.cell(20, "x") is NULL
-        assert reader.n_rows == full.n_rows == 45
-        chunks = list(reader.chunks())
-        assert [chunk.offset for chunk in chunks] == list(range(0, 45, chunk_rows))
-        assert [chunk.n_rows for chunk in chunks] == [
-            min(chunk_rows, 45 - offset) for offset in range(0, 45, chunk_rows)
-        ]
-        # the C tier took the plain numeric chunks: all there are below row 32
-        assert (True in c_tier_accepted) is (chunk_rows < 32)
+        assert full.n_rows == 45
+        # The C tier takes the plain blocks up to the one holding the NULL
+        # (row 20); numpy rejects that one, and csv.reader reads the rest.
+        c_tier_accepted.clear()
+        assert ChunkedCsvReader(path, chunk_rows=chunk_rows).n_rows == 45
+        expected = [True] * (20 // chunk_rows) + [False] if chunk_rows <= 20 else []
+        assert c_tier_accepted == expected
 
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_same_chunks_and_replay_bytes_without_the_c_tier(
-        self, tiers_csv, chunk_rows, no_c_tier
+
+class TestLenientInt64Parse:
+    """From numpy 1.23 until its deprecation expired, an int64 ``loadtxt``
+    read ``"3.0"`` as 3; the C tier must not take such a numpy's int64 values."""
+
+    @pytest.fixture
+    def lenient_loadtxt(self, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def lenient(lines, dtype=np.float64, **kwargs):
+            if np.dtype(dtype) != np.int64:
+                return loadtxt(lines, dtype=dtype, **kwargs)
+            warnings.warn("loadtxt(): parsing an integer via a float", DeprecationWarning)
+            return loadtxt(lines, dtype=np.float64, **kwargs).astype(np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+
+    def test_probe_reads_the_installed_parse(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                np.loadtxt(["3.0"], dtype=np.int64, comments=None, quotechar=None)
+            except ValueError:
+                strict = True
+            else:
+                strict = False
+        assert ingest._STRICT_INT64 is ingest._int64_parse_is_strict() is strict
+
+    @pytest.mark.parametrize("cells", [["3.0"] * 3, ["7", "1e3", "-2"], ["12.0", "4"]])
+    def test_float_spellings_stay_floats(
+        self, lenient_loadtxt, monkeypatch, cells, assert_matches_scalar_parser, assert_same_buckets
     ):
-        with_c = ChunkedCsvReader(tiers_csv, chunk_rows=chunk_rows)
-        chunks, records, table = list(with_c.chunks()), replay_records(with_c), read_csv(tiers_csv)
-        no_c_tier()
-        without = ChunkedCsvReader(tiers_csv, chunk_rows=chunk_rows)
-        without.scan()
-        assert replay_records(without) == records
-        assert without.chunk_count == len(chunks)
-        for got, want in zip(without.chunks(), chunks):
-            assert_same_chunk(got, want)
-        assert read_csv(tiers_csv).equals(table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the caller's filters do not change the answer
+            assert not ingest._int64_parse_is_strict()
+        monkeypatch.setattr(ingest, "_STRICT_INT64", False)
+        block = c_tier_block(cells)
+        assert_matches_scalar_parser(cells, parse=lambda _: block)
+        assert_same_buckets(block, parse_cell_block(cells))
+        assert block.float_pos.size  # the reference reads every such spelling as a FLOAT
 
 
 def assert_same_chunk(got, want):
@@ -396,6 +435,11 @@ SEED_ERROR_CASES = {
     "utf8_mid_file": lambda: (
         b"a,b\r\n" + _numeric_lines(2_000) + b"7,\xff\r\n" + _numeric_lines(500)
     ),
+    # csv.reader reads the rest of a file after a block numpy rejected
+    "width_after_a_null": lambda: b"a,b\r\n1,\r\n" + _numeric_lines(20) + b"1,2,3\r\n",
+    "utf8_after_a_null": lambda: (
+        b"a,b\r\n1,\r\n" + _numeric_lines(2_000) + b"7,\xff\r\n" + _numeric_lines(500)
+    ),
     "over_limit_field": lambda: (
         b"a,b\r\n" + _numeric_lines(9) + b"1," + b"1" * (csv.field_size_limit() + 1) + b"\r\n"
     ),
@@ -457,20 +501,10 @@ class TestSeedErrorParity:
         assert read_csv(path).n_rows == 2
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_over_limit_field_raises(self, tmp_path, chunk_rows):
-        limit = csv.field_size_limit()
-        path = tmp_path / "long.csv"
-        path.write_text("a\n" + "1" * (limit + 1) + "\n2\n")
-        for parse in (ChunkedCsvReader(path, chunk_rows=chunk_rows).scan, lambda: read_csv(path)):
-            with pytest.raises(
-                TableError, match=rf"malformed at row 2: field larger than field limit \({limit}\)"
-            ):
-                parse()
-
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
     @pytest.mark.parametrize("case", sorted(SEED_ERROR_CASES))
     def test_message_and_row_are_the_seed_readers(self, tmp_path, case, chunk_rows):
-        """Both consumption modes raise the seed reader's message, row number included."""
+        """Both consumption modes and ``read_csv`` raise the seed reader's
+        message, row number included."""
         path = tmp_path / f"{case}.csv"
         path.write_bytes(SEED_ERROR_CASES[case]())
         expected = seed_reader_error(path)
@@ -478,6 +512,7 @@ class TestSeedErrorParity:
         for parse in (
             ChunkedCsvReader(path, chunk_rows=chunk_rows).scan,
             ChunkedCsvReader(path, chunk_rows=chunk_rows).read,
+            lambda: read_csv(path),
         ):
             with pytest.raises(TableError) as excinfo:
                 parse()
