@@ -38,9 +38,6 @@ from repro.matrices import (
     MappingMatrix,
     IndicatorMatrix,
     RedundancyMatrix,
-    TrivialRedundancy,
-    SparseComplementRedundancy,
-    DenseRedundancy,
     IntegratedDataset,
     SourceFactor,
     integrate_tables,
@@ -63,9 +60,6 @@ __all__ = [
     "MappingMatrix",
     "IndicatorMatrix",
     "RedundancyMatrix",
-    "TrivialRedundancy",
-    "SparseComplementRedundancy",
-    "DenseRedundancy",
     "IntegratedDataset",
     "SourceFactor",
     "integrate_tables",

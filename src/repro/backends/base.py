@@ -193,10 +193,9 @@ class Backend(abc.ABC):
     def apply_redundancy(self, storage: Storage, redundancy) -> Storage:
         """Zero the redundant cells marked by a ``RedundancyMatrix``.
 
-        Dispatches to the mask representation's own ``apply``, which
-        preserves the storage format (a CSR storage stays CSR, dense stays
-        dense) and never materializes a dense ``r × c`` mask for trivial or
-        sparse-complement representations.
+        Dispatches to ``RedundancyMatrix.apply``, which preserves the
+        storage format (a CSR storage stays CSR, dense stays dense) and
+        never materializes a dense ``r × c`` mask.
         """
         return redundancy.apply(storage)
 

@@ -52,8 +52,8 @@ def dense_matmul_flops(n: int, k: int, m: int) -> float:
 def redundancy_apply_flops(n_redundant: int) -> float:
     """Cost of applying a redundancy mask ``R_k`` to a contribution.
 
-    With the lazy/sparse representations, masking zeroes exactly the
-    redundant cells — one operation per stored cell of the complement —
+    ``R_k`` stores its redundant cells as a CSR complement, so masking zeroes
+    exactly those cells — one operation per stored cell of the complement —
     instead of the ``r_T · c_T`` Hadamard product a dense mask paid. A
     trivial (all-ones) mask costs nothing.
     """

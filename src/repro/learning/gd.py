@@ -15,8 +15,9 @@ depend on the grid only — any worker count, one included, gives the same bits.
 Least squares needs the rows only through the Gram: a linear
 :class:`~repro.learning.StreamingGD` gathers ``[X y]ᵀ[X y]`` in one pass,
 centres it (:func:`centred_statistics`, which the serving session's
-normal-equation solve shares) and descends over its ``d + 1``-row square
-root (:class:`GramRoot`) — the same loop, each iteration a ``d × d`` step.
+normal-equation solve :func:`normal_solve` shares) and descends over its
+``d + 1``-row square root (:class:`GramRoot`) — the same loop, each
+iteration a ``d × d`` step.
 Logistic GD walks the row blocks every iteration.
 """
 
@@ -97,6 +98,17 @@ def centred_statistics(
     moment = gram[features, label] - offset * sums[features]
     residual = float(gram[label, label] - offset * sums[label])
     return gram[np.ix_(features, features)], moment, residual, offset
+
+
+def normal_solve(xtx: np.ndarray, xty: np.ndarray, l2_penalty: float = 0.0) -> np.ndarray:
+    """The least-squares weights ``(XᵀX + λI)⁻¹ Xᵀy``: the one
+    normal-equation solve behind ``LinearRegression(solver="normal")`` and
+    the serving session. A ``1e-12·I`` ridge keeps a rank-deficient
+    ``XᵀX`` solvable."""
+    identity = np.eye(xtx.shape[0])
+    if l2_penalty:
+        xtx = xtx + l2_penalty * identity
+    return np.linalg.solve(xtx + 1e-12 * identity, xty)
 
 
 class GramRoot:

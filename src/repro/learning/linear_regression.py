@@ -49,7 +49,7 @@ class LinearRegression:
             )
         centered_targets, target_offset = gd.centre(targets, self.fit_intercept)
         if self.solver == "normal":
-            self.coef_ = self._fit_normal(operand, centered_targets, n_columns)
+            self.coef_ = self._fit_normal(operand, centered_targets)
         elif self.solver == "gd":
             self.coef_ = self._fit_gd(operand, centered_targets, n_columns)
         else:
@@ -57,14 +57,12 @@ class LinearRegression:
         self.intercept_ = target_offset
         return self
 
-    def _fit_normal(self, operand, targets: np.ndarray, n_columns: int) -> np.ndarray:
+    def _fit_normal(self, operand, targets: np.ndarray) -> np.ndarray:
         # Factorized operands cache the Gram matrix, so repeated fits (and
         # the silo orchestrator's retries) pay for crossprod once.
         gram = operand.crossprod()
-        if self.l2_penalty:
-            gram = gram + self.l2_penalty * np.eye(n_columns)
         moment = operand.transpose_lmm(targets[:, None])[:, 0]
-        return np.linalg.solve(gram + 1e-12 * np.eye(n_columns), moment)
+        return gd.normal_solve(gram, moment, self.l2_penalty)
 
     def _fit_gd(self, operand, targets: np.ndarray, n_columns: int) -> np.ndarray:
         if self.warm_start and self.coef_ is not None and self.coef_.size == n_columns:

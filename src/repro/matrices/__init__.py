@@ -18,12 +18,7 @@ factorized linear-algebra layer.
 
 from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.indicator_matrix import IndicatorMatrix
-from repro.matrices.redundancy_matrix import (
-    RedundancyMatrix,
-    TrivialRedundancy,
-    SparseComplementRedundancy,
-    DenseRedundancy,
-)
+from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.matrices.builder import (
     SourceFactor,
     IntegratedDataset,
@@ -37,9 +32,6 @@ __all__ = [
     "MappingMatrix",
     "IndicatorMatrix",
     "RedundancyMatrix",
-    "TrivialRedundancy",
-    "SparseComplementRedundancy",
-    "DenseRedundancy",
     "SourceFactor",
     "IntegratedDataset",
     "build_integrated_dataset",

@@ -101,7 +101,7 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
                     return False
                 raise SchemaError(f"cannot coerce string {value!r} to BOOL")
             return bool(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"cannot coerce {value!r} to {dtype.value}") from exc
     raise SchemaError(f"unknown data type {dtype!r}")  # pragma: no cover
 

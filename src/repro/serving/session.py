@@ -63,7 +63,7 @@ from repro import telemetry as _telemetry
 from repro.exceptions import ServiceError, StaleDatasetError
 from repro.telemetry import flight as _flight
 from repro.factorized.normalized_matrix import AmalurMatrix
-from repro.learning.gd import centred_statistics, sigmoid
+from repro.learning.gd import centred_statistics, normal_solve, sigmoid
 from repro.matrices.builder import (
     IntegratedDataset,
     integrate_tables,
@@ -811,10 +811,7 @@ class DatasetSession:
         system, moment, _, y_mean = centred_statistics(
             gram, state.colsums, n_rows, label_index
         )
-        identity = np.eye(system.shape[0])
-        if spec.l2_penalty:
-            system = system + spec.l2_penalty * identity
-        weights = np.linalg.solve(system + 1e-12 * identity, moment)
+        weights = normal_solve(system, moment, spec.l2_penalty)
         return SessionModel(
             handle=ModelHandle(name=name, task="regression", dataset=dataset.name),
             task="regression",

@@ -116,7 +116,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.exceptions import TableError
+from repro.exceptions import SchemaError, TableError
 from repro.reliability import faults as _faults
 from repro.reliability.retry import INGEST_RETRY
 from repro.relational.schema import Column, Schema
@@ -141,6 +141,8 @@ _NOT_A_LITERAL = object()
 
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
+#: The least magnitude ``float()`` of an int rounds past the largest float64.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 class ColumnTypeFlags:
@@ -151,7 +153,7 @@ class ColumnTypeFlags:
     while retaining O(1) state per column.
     """
 
-    __slots__ = ("seen_bool", "seen_int", "seen_float", "seen_str", "any_value")
+    __slots__ = ("seen_bool", "seen_int", "seen_float", "seen_str", "any_value", "float_overflow")
 
     def __init__(self) -> None:
         self.seen_bool = False
@@ -159,6 +161,8 @@ class ColumnTypeFlags:
         self.seen_float = False
         self.seen_str = False
         self.any_value = False
+        # An integer no float64 holds: a FLOAT column cannot type it.
+        self.float_overflow = False
 
     def merge(self, other: "ColumnTypeFlags") -> None:
         self.seen_bool |= other.seen_bool
@@ -166,6 +170,7 @@ class ColumnTypeFlags:
         self.seen_float |= other.seen_float
         self.seen_str |= other.seen_str
         self.any_value |= other.any_value
+        self.float_overflow |= other.float_overflow
 
     def infer(self) -> DataType:
         """The ``infer_type`` priority: str > float > int > bool; all-NULL → FLOAT."""
@@ -396,6 +401,7 @@ class ParsedColumnBlock:
         flags.any_value = (
             flags.seen_bool or flags.seen_int or flags.seen_float or flags.seen_str
         )
+        flags.float_overflow = any(abs(value) >= _FLOAT_OVERFLOW for _, value in self.extra)
         return flags
 
     # -- typed finalization ---------------------------------------------------------
@@ -426,8 +432,6 @@ class ParsedColumnBlock:
                 try:
                     out[pos] = coerce_value(value, dtype)
                 except OverflowError as exc:
-                    from repro.exceptions import SchemaError
-
                     raise SchemaError(
                         f"value overflows the {dtype.value} column storage"
                     ) from exc
@@ -883,6 +887,11 @@ class ChunkedCsvReader(TableChunkStream):
         return [parse_cell_block(transposed[i]) for i in range(len(header))]
 
     def _schema_from_flags(self, header: List[str], flags: List[ColumnTypeFlags]) -> Schema:
+        """The inferred schema; a FLOAT column holding an integer beyond
+        float range fails here, at the parse, not when a chunk is typed."""
+        for col, column_flags in zip(header, flags):
+            if column_flags.float_overflow and column_flags.infer() is DataType.FLOAT:
+                raise SchemaError(f"column {col!r} holds an integer beyond float range")
         return Schema(
             [
                 Column(

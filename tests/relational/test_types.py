@@ -1,5 +1,6 @@
 """Tests for repro.relational.types."""
 
+import sys
 
 import pytest
 
@@ -70,6 +71,11 @@ class TestCoerceValue:
     def test_coerce_invalid_int(self):
         with pytest.raises(SchemaError):
             coerce_value("abc", DataType.INT)
+
+    def test_coerce_integer_beyond_float_range(self):
+        with pytest.raises(SchemaError):
+            coerce_value(10**400, DataType.FLOAT)
+        assert coerce_value(2**1024 - 2**970 - 1, DataType.FLOAT) == sys.float_info.max
 
 
 class TestInferType:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exceptions import TableError
+from repro.exceptions import SchemaError, TableError
 from repro.streaming import ingest
 from repro.relational.io import _protect_string, read_csv, write_csv
 from repro.relational.table import Table
@@ -518,6 +518,23 @@ class TestSeedErrorParity:
                 parse()
             assert str(excinfo.value) == expected
 
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    @pytest.mark.parametrize("c_tier", [True, False], ids=["c_tier", "csv_reader"])
+    def test_integer_beyond_float_range_is_a_schema_error(
+        self, tmp_path, chunk_rows, c_tier, no_c_tier
+    ):
+        """A 400-digit integer in a column that infers FLOAT: every parse
+        raises the typed error ``coerce_value`` raises, not ``OverflowError``."""
+        if not c_tier:
+            no_c_tier()
+        path = tmp_path / "overflow.csv"
+        path.write_bytes(
+            b"a,b\r\n" + _numeric_lines(9) + b"9," + b"9" * 400 + b"\r\n" + _numeric_lines(3)
+        )
+        reader = ChunkedCsvReader(path, chunk_rows=chunk_rows)
+        for parse in (lambda: read_csv(path), reader.scan, lambda: reader.chunk_at(0)):
+            with pytest.raises(SchemaError, match="beyond float range"):
+                parse()
 
 
 class TestWriteReadRoundTrip:
