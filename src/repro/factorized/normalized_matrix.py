@@ -69,6 +69,7 @@ from repro.factorized.operator_plan import (
 )
 from repro.factorized.ops_counter import FlopCounter, charges
 from repro.matrices.builder import IntegratedDataset, SourceFactor
+from repro.matrices.mapping_matrix import MappingMatrix
 
 
 class AmalurMatrix:
@@ -522,35 +523,19 @@ class AmalurMatrix:
         keep_indices = [self.dataset.target_columns.index(n) for n in names]
         factors = []
         for factor in self.dataset.factors:
-            new_correspondences = {
-                source_col: target_col
-                for source_col, target_col in factor.mapping.correspondences.items()
-                if target_col in names
-            }
-            kept_source_cols = [
-                c for c in factor.source_columns if c in new_correspondences
-            ]
-            if not kept_source_cols:
+            correspondences = factor.mapping.correspondences
+            kept = [c for c in factor.source_columns if correspondences.get(c) in names]
+            if not kept:
                 continue
-            col_indices = [factor.source_columns.index(c) for c in kept_source_cols]
-            from repro.matrices.mapping_matrix import MappingMatrix
-
+            col_indices = [factor.source_columns.index(c) for c in kept]
             mapping = MappingMatrix(
-                factor.name, list(names), kept_source_cols,
-                {c: new_correspondences[c] for c in kept_source_cols},
+                factor.name, list(names), kept, {c: correspondences[c] for c in kept}
             )
-            redundancy = factor.redundancy.select_columns(keep_indices)
-            factors.append(
-                SourceFactor(
-                    factor.name,
-                    factor.data[:, col_indices],
-                    kept_source_cols,
-                    mapping,
-                    factor.indicator,
-                    redundancy,
-                    backend=factor.backend,
-                )
-            )
+            factors.append(SourceFactor(
+                factor.name, factor._raw_data()[:, col_indices], kept, mapping,
+                factor.indicator, factor.redundancy.select_columns(keep_indices),
+                backend=factor.backend,
+            ))
         if not factors:
             raise FactorizationError("column selection removed every source factor")
         label = self.dataset.label_column if self.dataset.label_column in names else None

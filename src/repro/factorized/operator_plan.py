@@ -80,7 +80,7 @@ from repro import telemetry as _telemetry
 from repro.backends import Backend
 from repro.backends.base import Storage, stored_cells
 from repro.factorized.ops_counter import FactorStats
-from repro.matrices.builder import SourceFactor
+from repro.matrices.builder import SourceFactor, as_slice
 from repro.reliability import faults as _faults
 from repro.reliability.retry import SPILL_RETRY
 
@@ -95,16 +95,6 @@ def row_grid(n_rows: int, block_rows: int) -> List[Tuple[int, int]]:
     n_blocks = -(-n_rows // max(1, int(block_rows)))
     edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)] if n_blocks else [0]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def as_slice(index: np.ndarray):
-    """``index`` as a ``slice`` when it is a non-empty ascending run of
-    consecutive integers — indexing with it then yields a view instead of
-    a copy — and unchanged otherwise."""
-    n = index.size
-    if n and index[-1] - index[0] == n - 1 and bool((index[1:] - index[:-1] == 1).all()):
-        return slice(int(index[0]), int(index[0]) + n)
-    return index
 
 
 class GramCache:

@@ -154,22 +154,17 @@ class SourceFactor:
             return np.asarray(raw[rows, cols], dtype=np.float64).ravel()
         return np.asarray(raw[rows, cols], dtype=np.float64)
 
-    def contribution(self) -> np.ndarray:
-        """The raw contribution ``T_k = I_k D_k M_kᵀ`` (dense, target-shaped).
+    def coverage(self) -> np.ndarray:
+        """The cells this factor maps at all: mapped row and mapped column."""
+        return np.outer(self.indicator._compressed >= 0, self.mapping._compressed >= 0)
 
-        ``M_k`` is a (partial) permutation, so the multiplication is executed
-        as a column scatter instead of a dense matmul.
-        """
-        lifted = self.indicator.apply(self.data)  # (r_T, c_Sk)
-        out = np.zeros((self.indicator.n_target_rows, self.mapping.n_target_columns))
-        out[:, self.mapping.mapped_target_indices()] = lifted[
-            :, self.mapping.mapped_source_indices()
-        ]
-        return out
+    def contribution(self) -> np.ndarray:
+        """The raw contribution ``T_k = I_k D_k M_kᵀ`` (dense, target-shaped)."""
+        return gather_target([self], masked=False)
 
     def masked_contribution(self) -> np.ndarray:
         """The deduplicated contribution ``(I_k D_k M_kᵀ) ∘ R_k``."""
-        return self.redundancy.apply(self.contribution())
+        return gather_target([self])
 
 
 def _source_factor_get_data(self) -> np.ndarray:
@@ -198,6 +193,86 @@ def _source_factor_set_data(self, value) -> None:
 # path actually reads it. Attached after the dataclass decorator runs, so the
 # property object is not mistaken for a field default.
 SourceFactor.data = property(_source_factor_get_data, _source_factor_set_data)
+
+
+#: Output cells one block of :func:`gather_target` covers (2 MiB of float64).
+_GATHER_CELLS = 1 << 18
+
+
+def as_slice(index: np.ndarray):
+    """``index`` as a ``slice`` when it is a non-empty ascending run of
+    consecutive integers — indexing with it then yields a view instead of
+    a copy — and unchanged otherwise."""
+    n = index.size
+    if n and index[-1] - index[0] == n - 1 and bool((index[1:] - index[:-1] == 1).all()):
+        return slice(int(index[0]), int(index[0]) + n)
+    return index
+
+
+def _column_runs(mapping: MappingMatrix) -> list:
+    """``CM_k`` as ``(target, source)`` slice pairs, one per run over which
+    both column indices count up by one."""
+    target, source = mapping.mapped_target_indices(), mapping.mapped_source_indices()
+    edges = np.flatnonzero((np.diff(target) != 1) | (np.diff(source) != 1)) + 1
+    edges = [0, *edges.tolist(), target.size]
+    return [(slice(target[a], target[b - 1] + 1), slice(source[a], source[b - 1] + 1))
+            for a, b in zip(edges, edges[1:]) if b > a]
+
+
+def gather_target(
+    factors: Sequence[SourceFactor], rows: Optional[np.ndarray] = None, masked: bool = True
+) -> np.ndarray:
+    """``T[rows] = Σ_k ((I_k D_k M_kᵀ) ∘ R_k)[rows]``, written straight into the result.
+
+    The one reader of target values: every row when ``rows`` is None, no
+    ``R_k`` when not ``masked``. It walks the output in blocks; per block
+    and factor, rows come through ``CI_k`` (a slice where they count up by
+    one, else into one scratch buffer; a CSR ``D_k`` densifies the block's
+    rows only) and columns through ``CM_k``, one slice per run. Values are
+    added into zeros in factor order, so ``-0.0`` reads ``0.0``; a redundant
+    cell keeps what earlier factors left: read before the add, written back
+    after it.
+    """
+    n_columns = factors[0].mapping.n_target_columns
+    n_out = factors[0].indicator.n_target_rows if rows is None else rows.size
+    out = np.zeros((n_out, n_columns))
+    width = max([n_columns] + [f.n_columns for f in factors])
+    step = max(1, _GATHER_CELLS // max(width, 1))
+    scratch = np.empty(step * width)
+    plans = []
+    for f in factors:
+        cut = f.redundancy._complement if masked else None
+        cut = cut[rows] if cut is not None and rows is not None else cut
+        plans.append((f._raw_data(), f.indicator._compressed, _column_runs(f.mapping), cut))
+    for start in range(0, n_out, step):
+        block = out[start : start + step]
+        span = slice(start, start + len(block))
+        for data, compressed, runs, cut in plans:
+            source = compressed[span if rows is None else rows[span]]
+            fed = source >= 0
+            if not (runs and fed.any()):
+                continue
+            local = slice(None)
+            if not fed.all():
+                local, source = as_slice(np.flatnonzero(fed)), source[fed]
+            gathered = as_slice(source)
+            values = scratch[: source.size * data.shape[1]].reshape(source.size, -1)
+            if sparse.issparse(data):
+                data[gathered].toarray(out=values)
+            elif isinstance(gathered, slice):
+                values = data[gathered]
+            else:
+                data.take(gathered, axis=0, mode="clip", out=values)
+            if cut is not None:
+                ptr = cut.indptr[start : span.stop + 1]
+                cells = np.repeat(np.arange(0, block.size, n_columns), np.diff(ptr))
+                cells += cut.indices[ptr[0] : ptr[-1]]
+                kept = block.reshape(-1)[cells]
+            for columns, source_columns in runs:
+                block[local, columns] += values[:, source_columns]
+            if cut is not None:
+                block.reshape(-1)[cells] = kept
+    return out
 
 
 @dataclass
@@ -317,26 +392,13 @@ class IntegratedDataset:
 
     def redundancy_in_target(self) -> float:
         """Fraction of target cells that are covered by more than one source."""
-        coverage = np.zeros(self.shape)
-        for factor in self.factors:
-            covered = (np.abs(factor.contribution()) > 0) | self._coverage_mask(factor)
-            coverage += covered.astype(float)
-        overlapping = np.sum(coverage > 1)
-        return float(overlapping) / coverage.size if coverage.size else 0.0
-
-    def _coverage_mask(self, factor: SourceFactor) -> np.ndarray:
-        """Cells structurally covered by a factor (mapped row AND mapped column)."""
-        row_mask = factor.indicator.compressed >= 0
-        col_mask = factor.mapping.compressed >= 0
-        return np.outer(row_mask, col_mask)
+        coverage = sum(factor.coverage().astype(np.int64) for factor in self.factors)
+        return float(np.sum(coverage > 1)) / coverage.size if coverage.size else 0.0
 
     # -- materialization -------------------------------------------------------------
     def materialize(self) -> np.ndarray:
         """Reconstruct the target table ``T = Σ_k (I_k D_k M_kᵀ) ∘ R_k``."""
-        total = np.zeros(self.shape)
-        for factor in self.factors:
-            total += factor.masked_contribution()
-        return total
+        return gather_target(self.factors)
 
     def materialize_table(self) -> Table:
         """Materialize into a relational :class:`Table` (floats, NULLs as 0)."""
@@ -646,34 +708,10 @@ def integrate_tables(
 
 
 def target_row_values(dataset: IntegratedDataset, rows: np.ndarray) -> np.ndarray:
-    """The materialized target values of a subset of target rows.
-
-    Computes ``T[rows, :] = Σ_k ((I_k D_k M_kᵀ) ∘ R_k)[rows, :]`` touching
-    only the selected rows — the building block of the serving layer's
-    rank-k Gram updates (``Gram += VᵀV`` for appended rows,
-    ``Gram += V_newᵀV_new − V_oldᵀV_old`` for updated ones), where a full
-    :meth:`IntegratedDataset.materialize` would be O(r_T · c_T).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n_cols = len(dataset.target_columns)
-    out = np.zeros((rows.size, n_cols))
-    if rows.size == 0:
-        return out
-    col_range = np.arange(n_cols, dtype=np.int64)
-    for factor in dataset.factors:
-        source_rows = np.asarray(factor.indicator._compressed)[rows]
-        mapped = source_rows >= 0
-        if not mapped.any():
-            continue
-        lifted = np.zeros((rows.size, n_cols))
-        block = factor.data[source_rows[mapped]]
-        lifted[np.ix_(mapped, factor.mapping.mapped_target_indices())] = block[
-            :, factor.mapping.mapped_source_indices()
-        ]
-        if not factor.redundancy.is_trivial:
-            lifted = factor.redundancy.submatrix(rows, col_range).apply(lifted)
-        out += lifted
-    return out
+    """``T[rows, :]``, gathered from the selected rows only: the serving
+    layer's rank-k Gram updates read these instead of O(r_T · c_T)
+    :meth:`IntegratedDataset.materialize`."""
+    return gather_target(dataset.factors, np.asarray(rows, dtype=np.int64))
 
 
 def build_integrated_dataset(

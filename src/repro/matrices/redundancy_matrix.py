@@ -87,7 +87,6 @@ class RedundancyMatrix:
         self.source_name = source_name
         self._shape = (n_rows, n_columns)
         self._complement: Optional[sparse.csr_matrix] = None
-        self._coordinates: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if complement is None:
             return
         if sparse.issparse(complement):
@@ -195,18 +194,11 @@ class RedundancyMatrix:
         return self.size * np.dtype(np.float64).itemsize
 
     # -- representations ------------------------------------------------------------
-    def _coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the redundant cells (cached)."""
-        if self._coordinates is None:
-            coo = self._complement.tocoo()
-            self._coordinates = (coo.row, coo.col)
-        return self._coordinates
-
     def to_dense(self) -> np.ndarray:
         """The explicit ``r_T × c_T`` 0/1 mask (allocates; escape hatch only)."""
         mask = np.ones(self._shape, dtype=np.float64)
         if self._complement is not None:
-            mask[self._coords()] = 0.0
+            mask[self._complement.nonzero()] = 0.0
         return mask
 
     def to_sparse_complement(self) -> sparse.csr_matrix:
@@ -239,7 +231,7 @@ class RedundancyMatrix:
             masked.eliminate_zeros()
             return masked
         out = coerced.copy()
-        out[self._coords()] = 0.0
+        out[self._complement.nonzero()] = 0.0
         return out
 
     # -- slicing --------------------------------------------------------------------

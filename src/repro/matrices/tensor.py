@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from repro.matrices.builder import IntegratedDataset, SourceFactor
+from repro.matrices.builder import IntegratedDataset
 
 
 @dataclass
@@ -58,15 +58,9 @@ def stack_metadata_tensor(dataset: IntegratedDataset) -> MetadataTensor:
     names = []
     for factor in dataset.factors:
         contribution = factor.contribution()
-        coverage = _coverage(factor)
+        coverage = factor.coverage().astype(float)
         redundancy = factor.redundancy.to_dense()
         slices.append(np.stack([contribution, coverage, redundancy]))
         names.append(factor.name)
     tensor = np.stack(slices)
     return MetadataTensor(tensor, names, list(dataset.target_columns))
-
-
-def _coverage(factor: SourceFactor) -> np.ndarray:
-    row_mask = (factor.indicator.compressed >= 0).astype(float)
-    col_mask = (factor.mapping.compressed >= 0).astype(float)
-    return np.outer(row_mask, col_mask)

@@ -115,7 +115,6 @@ class Orchestrator:
             operand = operand[:, None]
         self._check_pushdown_allowed(dataset)
         result = np.zeros((dataset.n_target_rows, operand.shape[1]))
-        matrix = AmalurMatrix(dataset)
         for index, factor in enumerate(dataset.factors):
             silo_name = self._table_to_silo.get(factor.name, factor.name)
             # Operand travels to the silo, the (target-shaped) partial result

@@ -4,8 +4,9 @@ On a 10:1 key-foreign-key join (20 000 × 3 ⋈ 2 000 × 60, a 10.1 MB dense
 target) the ``tracemalloc`` peak of one ``crossprod``, ``lmm`` and
 ``transpose_lmm`` on a fresh matrix, and of a five-iteration GD fit, each
 stays below half the dense target's bytes: no operator expands a factor
-to the join. ``tracemalloc`` sees numpy's buffers, so the peak counts
-every array an operator allocates.
+to the join. ``materialize`` holds the target and one gather block.
+``tracemalloc`` sees numpy's buffers, so the peak counts every array an
+operator allocates.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def test_operator_heap_peak_stays_below_half_the_dense_target(join_10_to_1, oper
         "gd_fit": _fit,
     }
     assert _peak_over_dense(join_10_to_1, runs[operator]) < HEAP_BOUND
+
+
+def test_materialize_heap_peak_is_the_target_and_a_block(join_10_to_1):
+    """The gather writes straight into the target: no lifted copy and no
+    per-factor target-sized temporary."""
+    assert _peak_over_dense(join_10_to_1, lambda m: m.dataset.materialize()) <= 1.5
 
 
 def test_cross_term_is_charged_the_order_that_ran(join_10_to_1):

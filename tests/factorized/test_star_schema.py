@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.datagen.synthetic import OneHotSpec, generate_one_hot_pair
 from repro.exceptions import MappingError
@@ -185,6 +186,27 @@ class TestFactorMaps:
         assert peak < 5 * 2**20
         # Every cell of the dense 20 000 × 4 base, the 5 000 stored ones of the CSR.
         assert matrix.counter.by_operation[op] == 20_000 * 4 + 5_000
+
+    def test_feature_view_leaves_the_parent_csr(self, rng):
+        """Projecting columns slices the CSR ``D_k``; it never densifies it
+        (nor caches a dense copy on the parent factor)."""
+        dataset = _big_one_hot()
+        dataset.label_column = "x0"
+        matrix = AmalurMatrix(dataset)
+        tracemalloc.start()
+        try:
+            view = matrix.feature_matrix_view()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(dataset.factor("S2")._raw_data())
+        assert matrix.storage_formats() == view.storage_formats() == ["dense", "csr"]
+        assert peak < 5 * 2**20
+        target = dataset.materialize()[:, 1:]
+        x = rng.standard_normal((view.n_columns, 2))
+        y = rng.standard_normal((view.n_rows, 2))
+        assert np.allclose(view.lmm(x), target @ x)
+        assert np.allclose(view.transpose_lmm(y), target.T @ y)
 
     def test_learners_match_materialized(self):
         dataset = generate_one_hot_pair(

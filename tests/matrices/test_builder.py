@@ -1,16 +1,23 @@
 """Tests for repro.matrices.builder: the integrated (factorized) dataset."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy import sparse
 from dense_reference import assert_matches_dense, assert_two_source_matches_dense
 
 from repro import parallel, telemetry
 from repro.exceptions import MappingError
+from repro.datagen.synthetic import OneHotSpec, generate_one_hot_pair
+from repro.matrices import builder
 from repro.matrices.builder import (
     IntegratedDataset,
     SourceFactor,
     build_integrated_dataset,
     integrate_tables,
+    star_schema,
+    target_row_values,
 )
 from repro.matrices.indicator_matrix import IndicatorMatrix
 from repro.matrices.mapping_matrix import MappingMatrix
@@ -25,7 +32,11 @@ from repro.datagen.hospital import (
     hospital_row_matches,
     hospital_tables,
 )
-from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
+from repro.datagen.scenarios import (
+    ScenarioSpec,
+    generate_scenario_dataset,
+    generate_scenario_tables,
+)
 from repro.streaming import SpillStore, integrate_streams
 from repro.streaming.chunks import DEFAULT_CHUNK_ROWS
 
@@ -120,12 +131,111 @@ class TestDatasetStatistics:
         assert dataset.target_cells() == 120 * 9
 
     def test_redundancy_in_target_detects_overlap(self, hospital_dataset):
-        assert hospital_dataset.redundancy_in_target() > 0.0
+        # Jane's m and a: 2 of the 6 × 4 target cells.
+        assert hospital_dataset.redundancy_in_target() == 2 / 24
+
+    @pytest.mark.parametrize(
+        "scenario, overlapping, cells",
+        [
+            (ScenarioType.FULL_OUTER_JOIN, 18, 34 * 6),
+            (ScenarioType.INNER_JOIN, 18, 9 * 6),
+            (ScenarioType.LEFT_JOIN, 18, 25 * 6),
+            (ScenarioType.UNION, 0, 43 * 4),
+        ],
+        ids=lambda v: v.value if isinstance(v, ScenarioType) else None,
+    )
+    def test_redundancy_in_target_per_scenario(self, scenario, overlapping, cells):
+        """Nine overlap rows × two overlap columns are covered twice."""
+        dataset = _scenario_dataset(scenario)
+        assert dataset.redundancy_in_target() == overlapping / cells
 
     def test_factor_lookup(self, hospital_dataset):
         assert hospital_dataset.factor("S1").name == "S1"
         with pytest.raises(MappingError):
             hospital_dataset.factor("missing")
+
+
+def _scenario_dataset(scenario):
+    return generate_scenario_dataset(ScenarioSpec(
+        scenario, base_rows=25, other_rows=18, base_features=3, other_features=4,
+        overlap_rows=9, overlap_columns=2, seed=7,
+    ))
+
+
+def _reversed_columns_dataset():
+    """Target columns in reverse order: each column is its own run of
+    ``CM_k``, beside target rows the other source does not feed."""
+    spec = ScenarioSpec(
+        ScenarioType.FULL_OUTER_JOIN, base_rows=25, other_rows=18, base_features=9,
+        other_features=10, overlap_rows=9, overlap_columns=2, seed=7,
+    )
+    base, other, matches, row_matches, targets = generate_scenario_tables(spec)
+    return integrate_tables(base, other, matches, row_matches, targets[::-1], spec.scenario)
+
+
+def _star_dataset():
+    rng = np.random.default_rng(5)
+    return star_schema(
+        ("S", ["s0", "s1", "s2"], rng.standard_normal((50, 3))),
+        [("A", ["a0", "a1"], rng.standard_normal((10, 2)), rng.integers(0, 10, 50)),
+         ("B", ["b0"], rng.standard_normal((5, 1)), rng.integers(0, 5, 50))],
+    )
+
+
+def _one_hot_dataset():
+    dataset = generate_one_hot_pair(
+        OneHotSpec(n_rows=300, n_categories=20, n_entities=40, base_columns=3), backend="auto"
+    )
+    assert sparse.issparse(dataset.factor("S2")._raw_data())
+    return dataset
+
+
+GATHER_DATASETS = {
+    **{f"table1-{s.value}": partial(_scenario_dataset, s) for s in ScenarioType},
+    "table1-reversed-columns": _reversed_columns_dataset,
+    "star": _star_dataset,
+    "one-hot-csr": _one_hot_dataset,
+}
+
+
+def _pick_rows(dataset, which):
+    unmapped = np.flatnonzero(dataset.factors[-1].indicator.compressed < 0)
+    return {
+        "empty": np.empty(0, dtype=np.int64),
+        "unmapped": unmapped,
+        "random": np.random.default_rng(1).integers(0, dataset.n_target_rows, 40),
+        "all": np.arange(dataset.n_target_rows),
+    }[which]
+
+
+class TestTargetGather:
+    """``materialize``, ``target_row_values`` and the contributions are one
+    gather; its blocks and slices change no bit of the result."""
+
+    @pytest.mark.parametrize("which", ["empty", "unmapped", "random", "all"])
+    @pytest.mark.parametrize("make", GATHER_DATASETS.values(), ids=GATHER_DATASETS.keys())
+    def test_row_values_are_the_materialized_rows(self, make, which):
+        dataset = make()
+        rows = _pick_rows(dataset, which)
+        assert np.array_equal(target_row_values(dataset, rows), dataset.materialize()[rows])
+
+    @pytest.mark.parametrize("make", GATHER_DATASETS.values(), ids=GATHER_DATASETS.keys())
+    def test_any_block_size_gives_the_dense_formula(self, make, monkeypatch):
+        dataset = make()
+        whole = dataset.materialize()
+        rows = _pick_rows(dataset, "random")
+        monkeypatch.setattr(builder, "_GATHER_CELLS", 7)  # a block is one or two rows
+        assert dataset.materialize().tobytes() == whole.tobytes()
+        assert target_row_values(dataset, rows).tobytes() == whole[rows].tobytes()
+        masked = [f.masked_contribution() for f in dataset.factors]
+        unmasked = [f.contribution() for f in dataset.factors]
+        assert np.array_equal(sum(masked), whole)
+        # Σ_k (I_k D_k M_kᵀ) ∘ R_k with every matrix explicit (reading
+        # ``data`` densifies a CSR D_k, so it comes after the gathers).
+        for factor, part, raw in zip(dataset.factors, masked, unmasked):
+            lifted = factor.indicator.to_dense() @ np.asarray(factor.data)
+            assert np.array_equal(raw, lifted @ factor.mapping.to_dense().T)
+            assert np.array_equal(part, raw * factor.redundancy.to_dense())
 
 
 class TestValidation:
