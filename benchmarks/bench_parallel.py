@@ -38,8 +38,10 @@ Three phases:
   ``lmm`` / ``transpose_lmm`` / a 20-iteration GD fit are timed in
   alternating serial / blocked rounds; ``blocked_over_serial`` is serial
   seconds over blocked seconds (1.0 = parity, higher = the blocked engine
-  wins).  On ≥2 cores the GD fit must reach 0.8; results must agree
-  within 1e-8 on every machine.
+  wins).  At m = 1 a block's priced work does not pay for a pool round
+  trip, so ``repro.parallel.should_parallelize`` keeps these maps on the
+  calling thread: on ≥2 cores all three must reach 0.9; results must
+  agree within 1e-8 on every machine.
 
 The committed JSON records the core count it was generated on.  The CI
 job always enforces the fresh in-run guards on its own runner and only
@@ -72,6 +74,7 @@ from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.learning import LinearRegression, StreamingGD
 from repro.metadata.mappings import ScenarioType
+from repro.parallel import pool as parallel_pool
 from repro.streaming import SpillStore, integrate_streams
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_PARALLEL.json"
@@ -94,7 +97,7 @@ RESIDENT_SPEC = SyntheticSiloSpec(
 RESIDENT_GD_ITERATIONS = 20
 RESIDENT_OP_CALLS = 20
 RESIDENT_ROUNDS = 9
-BLOCKED_OVER_SERIAL_FLOOR = 0.8  # blocked GD fit vs one worker, on >= 2 cores
+BLOCKED_OVER_SERIAL_FLOOR = 0.9  # each resident call vs one worker, on >= 2 cores
 
 PARITY_SPEC = ScenarioSpec(
     ScenarioType.LEFT_JOIN,
@@ -140,20 +143,24 @@ def run_parity() -> dict:
     )
 
     # Factorized operators across worker counts, forced onto the blocked
-    # path regardless of scale.
+    # path and, with a zero break-even, onto the pool regardless of scale.
     parallel.set_min_parallel_rows(0)
     parallel.set_block_rows(997)
     dataset = generate_scenario_dataset(PARITY_SPEC)
     outputs = {}
-    for workers in PARITY_WORKERS:
-        parallel.set_num_workers(workers)
-        matrix = AmalurMatrix(dataset)
-        x = np.random.default_rng(5).standard_normal((matrix.n_columns, 4))
-        xt = np.random.default_rng(6).standard_normal((matrix.n_rows, 3))
-        outputs[workers] = (
-            matrix.lmm(x), matrix.transpose_lmm(xt), matrix.crossprod(),
-            matrix.counter.total,
-        )
+    break_even, parallel_pool._break_even = parallel_pool._break_even, 0.0
+    try:
+        for workers in PARITY_WORKERS:
+            parallel.set_num_workers(workers)
+            matrix = AmalurMatrix(dataset)
+            x = np.random.default_rng(5).standard_normal((matrix.n_columns, 4))
+            xt = np.random.default_rng(6).standard_normal((matrix.n_rows, 3))
+            outputs[workers] = (
+                matrix.lmm(x), matrix.transpose_lmm(xt), matrix.crossprod(),
+                matrix.counter.total,
+            )
+    finally:
+        parallel_pool._break_even = break_even
     lmm1, tlmm1, gram1, flops1 = outputs[1]
     max_operator_diff = max(
         float(np.max(np.abs(outputs[workers][i] - serial)))
@@ -338,7 +345,7 @@ def run_resident(cores: int) -> dict:
     serial_ms, blocked_ms = per_call_ms(1), per_call_ms(workers)
     ratios = {name: serial_ms[name] / blocked_ms[name] for name in calls}
     if cores >= 2:
-        guard = f"gd_fit >= {BLOCKED_OVER_SERIAL_FLOOR}x enforced"
+        guard = f"lmm, transpose_lmm, gd_fit >= {BLOCKED_OVER_SERIAL_FLOOR}x enforced"
     else:
         guard = "blocked-over-serial floor skipped (1 core)"
     return {
@@ -353,7 +360,7 @@ def run_resident(cores: int) -> dict:
         "serial_ms": serial_ms,
         "blocked_ms": blocked_ms,
         "blocked_over_serial": ratios,
-        "required_gd_fit": BLOCKED_OVER_SERIAL_FLOOR if cores >= 2 else 0.0,
+        "required": BLOCKED_OVER_SERIAL_FLOOR if cores >= 2 else 0.0,
         "guard": guard,
         "max_abs_diff": max_abs_diff,
     }
@@ -411,12 +418,12 @@ def check_guards(results: dict) -> list:
         failures.append(
             f"resident blocked operators off serial by {resident['max_abs_diff']:.2e}"
         )
-    if resident["blocked_over_serial"]["gd_fit"] < resident["required_gd_fit"]:
-        failures.append(
-            f"resident blocked GD fit runs at {resident['blocked_over_serial']['gd_fit']:.2f}x "
-            f"of serial, below the floor {resident['required_gd_fit']:.2f}x "
-            f"on {results['cores']} core(s)"
-        )
+    for name, ratio in resident["blocked_over_serial"].items():
+        if ratio < resident["required"]:
+            failures.append(
+                f"resident blocked {name} runs at {ratio:.2f}x of serial, below the "
+                f"floor {resident['required']:.2f}x on {results['cores']} core(s)"
+            )
     return failures
 
 

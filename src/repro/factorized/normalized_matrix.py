@@ -21,14 +21,18 @@ One blocked engine runs ``lmm`` / ``transpose_lmm`` / ``crossprod`` (and
 ``rmm``, which is ``transpose_lmm`` of the transposed operand). A target
 with at least ``REPRO_PARALLEL_MIN_ROWS`` rows is cut into the block-size
 grid, below that it is one block; :func:`repro.parallel.imap_ordered`
-maps the blocks — over the shared worker pool when more than one worker
-is configured and the grid has more than one block, as a plain loop on
-the calling thread otherwise — and the partial results reduce on the
-calling thread in fixed block order. The work is done in the source
-dimension — the FLOP counters' per-factor formulas describe what runs:
+maps the blocks and the partial results reduce on the calling thread in
+fixed block order. Each call is priced once, with the charges it books
+(:func:`~repro.factorized.ops_counter.charges`), and every block map
+hands its per-block share of them to
+:func:`repro.parallel.should_parallelize`: the blocks go to the shared
+worker pool only when that share pays for the hand-off and no block
+multiplies a CSR ``D_k``; otherwise the map is a plain loop on the
+calling thread. The work is done in the source dimension — the FLOP
+counters' per-factor formulas describe what runs:
 
 * a **many-to-one** factor multiplies once per call (``D_k (M_kᵀ X)`` /
-  ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, fanned over *source*-row
+  ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, cut into *source*-row
   blocks only when ``r_Sk`` itself clears the threshold); the target-row
   blocks only lift. ``I_kᵀ X`` is one CSR product on the calling thread
   (SciPy's kernel holds the GIL, so blocks of it would not overlap);
@@ -70,6 +74,22 @@ from repro.factorized.operator_plan import (
 from repro.factorized.ops_counter import FlopCounter, charges
 from repro.matrices.builder import IntegratedDataset, SourceFactor
 from repro.matrices.mapping_matrix import MappingMatrix
+
+
+def _holds_csr(factor) -> bool:
+    """Whether a block factor's multiply is a SciPy CSR kernel."""
+    return sparse.issparse(factor.storage)
+
+
+def _workers(work: float, tasks: Sequence, csr: bool) -> Optional[int]:
+    """The worker count for a map of ``tasks`` sharing ``work`` priced
+    multiply-adds: the calling thread alone when a task's share does not
+    pay for the hand-off (:func:`repro.parallel.should_parallelize`),
+    else the configured count (``None``; one task never leaves the
+    calling thread)."""
+    if len(tasks) > 1 and not _parallel.should_parallelize(work / len(tasks), csr=csr):
+        return 1
+    return None
 
 
 class AmalurMatrix:
@@ -222,10 +242,10 @@ class AmalurMatrix:
         view = self._blocked_view
         return view, view.row_blocks(self._block_rows(self.n_rows))
 
-    def _source_matmul(self, factor, operand: np.ndarray) -> np.ndarray:
+    def _source_matmul(self, factor, operand: np.ndarray, work: float) -> np.ndarray:
         """``D_k @ operand`` (r_Sk × m), once per call, in the source
-        dimension; fanned over *source*-row blocks when ``r_Sk`` itself
-        clears the parallel threshold."""
+        dimension, over *source*-row blocks; ``work`` is its priced
+        multiply-adds (``lmm.local``)."""
         n_source_rows = factor.plan.n_source_rows
         local = np.empty((n_source_rows, operand.shape[1]))
 
@@ -233,10 +253,15 @@ class AmalurMatrix:
             lo, hi = bounds
             local[lo:hi] = self.backend.matmul(factor.storage_rows(slice(lo, hi)), operand)
 
-        list(_parallel.imap_ordered(_fill, self._row_grid(n_source_rows), label="lmm.local"))
+        grid = self._row_grid(n_source_rows)
+        list(_parallel.imap_ordered(
+            _fill, grid, workers=_workers(work, grid, _holds_csr(factor)), label="lmm.local"
+        ))
         return local
 
-    def _source_transpose_matmul(self, factor, projected: np.ndarray) -> np.ndarray:
+    def _source_transpose_matmul(
+        self, factor, projected: np.ndarray, work: float
+    ) -> np.ndarray:
         """``D_kᵀ @ projected`` (c_Sk × m) — the transpose twin of
         :meth:`_source_matmul`; source-row partials reduce in block order."""
         def _partial(bounds: Tuple[int, int]) -> np.ndarray:
@@ -245,19 +270,25 @@ class AmalurMatrix:
                 factor.storage_rows(slice(lo, hi)), projected[lo:hi]
             )
 
+        grid = self._row_grid(factor.plan.n_source_rows)
         partials = list(_parallel.imap_ordered(
-            _partial, self._row_grid(factor.plan.n_source_rows), label="transpose_lmm.local"
+            _partial, grid, workers=_workers(work, grid, _holds_csr(factor)),
+            label="transpose_lmm.local",
         ))
         local = partials[0]
         for piece in partials[1:]:
             local += piece
         return local
 
-    def _charge(self, operator: str, m: int) -> None:
-        """Add one call of ``operator`` to the counter, factor by factor,
-        at the price list's charges (see :mod:`repro.factorized.ops_counter`)."""
-        for plan in self._plans:
-            for label, flops in charges(operator, plan.stats(), m).items():
+    def _price(self, operator: str, m: int) -> Dict[OperatorPlan, Dict[str, float]]:
+        """One call of ``operator`` at the price list's charges (see
+        :mod:`repro.factorized.ops_counter`), factor by factor: what the
+        call's block maps weigh before it runs and what it books after."""
+        return {plan: charges(operator, plan.stats(), m) for plan in self._plans}
+
+    def _book(self, priced: Dict[OperatorPlan, Dict[str, float]]) -> None:
+        for price in priced.values():
+            for label, flops in price.items():
                 self.counter.add(label, flops)
 
     def _lmm(self, x: np.ndarray) -> np.ndarray:
@@ -266,10 +297,13 @@ class AmalurMatrix:
         dimension, and the target-row blocks only lift; an injective
         factor's source rows partition with the target rows, so each block
         multiplies its own. Blocks fill disjoint slices of the result."""
+        priced = self._price("lmm", x.shape[1])
         view, blocks = self._target_blocks()
         products = [
             None if factor.plan.rows_injective
-            else self._source_matmul(factor, factor.operand_rows(x))
+            else self._source_matmul(
+                factor, factor.operand_rows(x), priced[factor.plan]["lmm.local"]
+            )
             for factor in view.factors
         ]
         result = np.zeros((self.n_rows, x.shape[1]))
@@ -280,8 +314,17 @@ class AmalurMatrix:
             for factor, product in zip(view.factors, products):
                 factor.lmm_block_add(x, start, stop, out, product)
 
-        list(_parallel.imap_ordered(_fill, blocks, label="lmm"))
-        self._charge("lmm", x.shape[1])
+        # The blocks run everything but a many-to-one factor's multiply.
+        work = sum(
+            sum(priced[f.plan].values())
+            - (0.0 if f.plan.rows_injective else priced[f.plan]["lmm.local"])
+            for f in view.factors
+        )
+        csr = any(_holds_csr(f) for f in view.factors if f.plan.rows_injective)
+        list(_parallel.imap_ordered(
+            _fill, blocks, workers=_workers(work, blocks, csr), label="lmm"
+        ))
+        self._book(priced)
         return result
 
     def rmm(self, x: np.ndarray) -> np.ndarray:
@@ -310,6 +353,7 @@ class AmalurMatrix:
         Its projection stays on this thread — SciPy's CSR kernel holds
         the GIL, so blocks of it could not overlap."""
         m = x.shape[1]
+        priced = self._price("transpose_lmm", m)
         view, blocks = self._target_blocks()
         result = np.zeros((self.n_columns, m))
         injective = [f for f in view.factors if f.plan.rows_injective]
@@ -322,16 +366,22 @@ class AmalurMatrix:
                     factor.transpose_lmm_block_add(x[start:stop], start, stop, out)
                 return out
 
-            for out in _parallel.imap_ordered(_partial, blocks, label="transpose_lmm"):
+            work = sum(sum(priced[f.plan].values()) for f in injective)
+            workers = _workers(work, blocks, any(map(_holds_csr, injective)))
+            for out in _parallel.imap_ordered(
+                _partial, blocks, workers=workers, label="transpose_lmm"
+            ):
                 result += out
         for factor in view.factors:
             if factor.plan.rows_injective:
                 continue
             projected = factor.plan.project_rows(x)  # (r_Sk × m)
-            factor.scatter_add(result, self._source_transpose_matmul(factor, projected))
+            factor.scatter_add(result, self._source_transpose_matmul(
+                factor, projected, priced[factor.plan]["tlmm.local"]
+            ))
             if factor.correction is not None:
                 result -= factor.correction.T @ x
-        self._charge("transpose_lmm", m)
+        self._book(priced)
         return result
 
     def crossprod(self) -> np.ndarray:
@@ -370,9 +420,13 @@ class AmalurMatrix:
 
     def _compute_gram(self) -> np.ndarray:
         """``Tᵀ T`` as row-block partial sums of one term per factor pair,
-        reduced in a fixed ``(k, l, block)`` order — one block per term, on
-        the calling thread, unless the target clears the parallel
-        threshold.
+        reduced in a fixed ``(k, l, block)`` order — one block per term
+        unless the target clears the row threshold. The partials fan out
+        when their mean booked count pays for the hand-off and no term is
+        a cross term or multiplies a CSR ``D_k``: a cross term multiplies
+        through its CSR composed indicator, and a 20 000-row serving Gram
+        with one ran at 0.87–0.89 ms on this thread and 0.97–1.45 ms
+        fanned out (2 cores).
 
         Every term is ``rows_kᵀ C_kl rows_l`` over the plans'
         :meth:`~OperatorPlan.row_form`, with ``C_kl = I_kᵀ I_l``
@@ -389,22 +443,23 @@ class AmalurMatrix:
         # (term, rows of its outer operand), in the deterministic order the
         # reduction below replays.
         tasks: List[Tuple] = []
+        work, csr = 0.0, False
         for term in gram_terms(forms, cols, self._cross_operands):
             tasks.extend((term, rows) for rows in self._row_slices(term.outer.shape[0]))
             if term.composed is None:
-                self.counter.add("crossprod.local", backend.crossprod_flops(term.outer))
+                flops = backend.crossprod_flops(term.outer)
+                self.counter.add("crossprod.local", flops)
             else:
                 width = term.inner.shape[1]
-                self.counter.add(
-                    "crossprod.cross",
-                    term.composed.nnz * width + backend.matmul_flops(term.outer, width),
-                )
-        # Below the row threshold the terms stay on this thread: a small
-        # (serving-session) Gram must not pay pool round trips.
-        workers = None if self.n_rows >= _parallel.get_min_parallel_rows() else 1
+                flops = term.composed.nnz * width + backend.matmul_flops(term.outer, width)
+                self.counter.add("crossprod.cross", flops)
+            work += flops
+            csr = csr or term.composed is not None or any(
+                sparse.issparse(side) for side in (term.outer, term.inner)
+            )
         partials = _parallel.imap_ordered(
-            lambda task: task[0].compute(backend, task[1]), tasks, workers=workers,
-            label="crossprod",
+            lambda task: task[0].compute(backend, task[1]), tasks,
+            workers=_workers(work, tasks, csr), label="crossprod",
         )
         gram = np.zeros((self.n_columns, self.n_columns))
         for (term, _), value in zip(tasks, partials):
@@ -438,7 +493,7 @@ class AmalurMatrix:
             dataclasses.replace(factor, data=fn(storage))
             for factor, storage in zip(self.dataset.factors, self._storages)
         ]
-        self._charge(operator, 1)
+        self._book(self._price(operator, 1))
         dataset = dataclasses.replace(self.dataset, factors=factors)
         return AmalurMatrix(dataset, self.counter, backend=self.backend)
 

@@ -28,9 +28,10 @@ Either pass maps the row blocks through ``repro.parallel``'s ordered
 bounded-window pipeline: workers pull spilled blocks off the memmap and
 compute their partials — overlapping spill I/O with the current matmuls —
 while the calling thread reduces the partials in block order and
-releases pages as blocks retire. With one worker (``num_workers``, or the
-global ``repro.parallel`` configuration below its row threshold) the same
-map is a plain loop on the calling thread. Results depend on the
+releases pages as blocks retire. With one worker (``num_workers``, or a
+block whose priced work does not pay for the hand-off — see
+:func:`repro.parallel.should_parallelize`) the same map is a plain loop
+on the calling thread. Results depend on the
 ``block_rows`` grid only: any worker count, one included, gives the same
 bits.
 """
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro import parallel as _parallel
 from repro import telemetry as _telemetry
@@ -69,8 +71,10 @@ class StreamingGD:
     pages leave the process RSS as soon as a block is consumed.
 
     ``num_workers`` overrides the global ``repro.parallel`` worker count
-    for this model: ``None`` inherits it (gated by the global row
-    threshold so small fits stay on the calling thread), ``1`` runs the
+    for this model: ``None`` inherits it (gated by
+    :func:`repro.parallel.should_parallelize` on a block's priced work —
+    ``rows × (d+1)²`` for the statistics pass, ``2 · rows × d`` for a
+    logistic pass — so small fits stay on the calling thread), ``1`` runs the
     block map as a plain loop, and any larger value fans blocks over the
     shared pool — with the same bits at every count.
 
@@ -109,10 +113,15 @@ class StreamingGD:
         defaults = _LINEAR_DEFAULTS if self.task == "linear" else _LOGISTIC_DEFAULTS
         return defaults[name]
 
-    def _workers_for(self, n_rows: int) -> int:
+    def _workers_for(self, view: BlockedMatrixView, work_per_row: int) -> int:
+        """Workers for a map over ``view``'s blocks that prices
+        ``work_per_row`` multiply-adds a row: ``num_workers`` when set,
+        else the configured count when a block pays for the hand-off."""
         if self.num_workers is not None:
             return max(1, int(self.num_workers))
-        if _parallel.should_parallelize(n_rows):
+        work = min(self.block_rows, view.n_rows) * work_per_row
+        csr = any(sparse.issparse(factor.storage) for factor in view.factors)
+        if _parallel.should_parallelize(work, csr=csr):
             return _parallel.get_num_workers()
         return 1
 
@@ -210,7 +219,7 @@ class StreamingGD:
 
         for _ in _parallel.imap_ordered(
             _fill, view.row_blocks(self.block_rows),
-            workers=self._workers_for(view.n_rows),
+            workers=self._workers_for(view, view.n_columns),
         ):
             if self.release_pages is not None:
                 self.release_pages()
@@ -263,8 +272,9 @@ class StreamingGD:
                         view = matrix.blocked(columns=feature_columns + [label_column])
                     else:
                         view = matrix.blocked()
+                    width = view.n_columns + (labels is not None)
                     statistics = view.statistics(
-                        self.block_rows, labels, workers=self._workers_for(matrix.n_rows),
+                        self.block_rows, labels, workers=self._workers_for(view, width**2),
                         on_block=self.release_pages,
                     )
                 gram, sums = statistics
@@ -288,7 +298,8 @@ class StreamingGD:
                 self._descend(
                     view, view.row_blocks(self.block_rows), labels, 0.0,
                     self._restore_state(view.n_rows, view.n_columns),
-                    workers=self._workers_for(view.n_rows), on_block=self.release_pages,
+                    workers=self._workers_for(view, 2 * view.n_columns),
+                    on_block=self.release_pages,
                 )
         return self
 

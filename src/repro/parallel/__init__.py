@@ -21,6 +21,14 @@ Determinism contract:
   reductions (Gram, GD gradients) reassociate across blocks, so results
   over *different* grids agree to <= 1e-8.
 
+Fan-out rule: a block map goes to the pool only when
+:func:`should_parallelize` says a block pays for its hand-off — more than
+one worker, no CSR work (a SciPy CSR matvec has read 1.00–1.08× of one
+thread on two) and priced multiply-adds per
+block (the charges of :mod:`repro.factorized.ops_counter`, or the
+statistics a streaming block sums) that clear the pool round trip,
+measured once per process. The rule picks the schedule, never the grid.
+
 Work bound of the blocked operators (``repro.factorized``): a block
 multiplies its distinct source rows of ``D_k`` — at most
 ``min(block rows, r_Sk)`` — and contiguous ranges of them are views of
@@ -40,9 +48,8 @@ from repro.parallel.config import (
     set_block_rows,
     set_min_parallel_rows,
     set_num_workers,
-    should_parallelize,
 )
-from repro.parallel.pool import imap_ordered, parallel_map, shutdown
+from repro.parallel.pool import imap_ordered, parallel_map, should_parallelize, shutdown
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",

@@ -10,9 +10,10 @@ the environment:
     every map is a plain loop of the same tasks on the calling thread.
 
 ``REPRO_PARALLEL_MIN_ROWS``
-    Row-count threshold below which the factorized operators run as one
-    block — small matrices lose more to task dispatch than they gain
-    from extra cores.
+    Row-count threshold below which the factorized operators cut their
+    rows as one block. It sets the grid only: whether a grid's blocks
+    fan out is :func:`repro.parallel.should_parallelize`'s call, from
+    the priced work of a block.
 
 ``REPRO_PARALLEL_BLOCK_ROWS``
     Row-block size used when an operator partitions work itself (the
@@ -99,10 +100,3 @@ def num_threads(workers: Optional[int]) -> Iterator[int]:
         yield applied
     finally:
         set_num_workers(previous)
-
-
-def should_parallelize(n_rows: int, workers: Optional[int] = None) -> bool:
-    """True when a row-partitioned map over ``n_rows`` should fan out."""
-    effective = get_num_workers() if workers is None else workers
-    return effective > 1 and n_rows >= get_min_parallel_rows()
-

@@ -17,6 +17,10 @@ Two primitives cover every parallel call site in the engine:
     The eager form of ``imap_ordered`` over a finite task list: the
     window is the whole list and the results come back as a list.
 
+Whether a block map fans out at all is :func:`should_parallelize`'s
+call: a block must carry enough priced multiply-adds, in a kernel that
+releases the GIL, to pay for the hand-off to a worker.
+
 Pools are plain ``ThreadPoolExecutor``s, cached per size. Threads are the
 right vehicle here: the hot kernels are BLAS matmuls and numpy slice
 copies, all of which release the GIL. Tasks submitted from *inside* a
@@ -27,10 +31,14 @@ safe by construction instead of deadlock-prone.
 
 from __future__ import annotations
 
+import statistics
 import threading
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.exceptions import PoisonTaskError, TransientError
@@ -44,6 +52,12 @@ R = TypeVar("R")
 _pool_lock = threading.Lock()
 _executors: Dict[int, ThreadPoolExecutor] = {}
 _task_local = threading.local()
+_probe_lock = threading.Lock()
+#: Priced multiply-adds a block must carry for fanning out to pay:
+#: measured on first use (see :func:`_measure_break_even`), then cached
+#: for the life of the process.
+_break_even: Optional[float] = None
+_PROBE_SAMPLES = 15
 
 
 def _get_executor(workers: int) -> ThreadPoolExecutor:
@@ -111,6 +125,64 @@ def _run_task(fn: Callable[[T], R], item: T, label: str = "", index: int = -1) -
             raise
     finally:
         _task_local.in_worker = previous
+
+
+def _median_seconds(call: Callable[[], object]) -> float:
+    samples = []
+    for _ in range(_PROBE_SAMPLES):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def _measure_break_even(workers: int) -> float:
+    """The pool round trip, in the multiply-adds one thread does meanwhile,
+    times two: splitting a block map saves at most half of each block's
+    serial time, so a block pays for its hand-off only when half its
+    work outlasts one round trip. Both are medians timed here — an empty
+    task through the pool and a dense matrix-vector product of 2^16 cells
+    (512 KB) on the calling thread — so the break-even follows the
+    machine."""
+    executor = _get_executor(workers)
+    executor.submit(int).result()  # the pool's threads exist before timing
+    round_trip = _median_seconds(lambda: executor.submit(int).result())
+    cells, operand = np.ones((1024, 64)), np.ones((64, 1))
+    matvec = _median_seconds(lambda: cells @ operand)
+    return 2.0 * round_trip * cells.size / matvec
+
+
+def _get_break_even(workers: int) -> float:
+    global _break_even
+    if _break_even is None:
+        with _probe_lock:
+            if _break_even is None:
+                _break_even = _measure_break_even(workers)
+    return _break_even
+
+
+def should_parallelize(
+    work: float, *, csr: bool = False, workers: Optional[int] = None
+) -> bool:
+    """True when a block map whose blocks each carry ``work`` priced
+    multiply-adds should fan out over the pool. All three must hold:
+
+    * more than one worker (``workers``, default the configured count)
+      and a caller that is not itself a pool task (nested maps run
+      inline);
+    * no ``csr`` work: a 10 M-nnz SciPy CSR matvec has read 1.00–1.08×
+      of one thread on two (1.9× on an idle 2-core box, so this clause
+      is the cautious side of the readings);
+    * ``work`` clears the break-even, the pool round trip priced in
+      multiply-adds (:func:`_measure_break_even`, once per process).
+
+    Declining changes only the schedule, never the block grid, so the
+    bits are the same either way.
+    """
+    effective = config.get_num_workers() if workers is None else workers
+    if effective <= 1 or csr or _in_worker():
+        return False
+    return work >= _get_break_even(effective)
 
 
 def shutdown() -> None:

@@ -104,7 +104,11 @@ class Orchestrator:
                 raise PrivacyError(
                     f"silo {silo.name!r} does not allow exporting table {factor.name!r}"
                 )
-            self.network.send(silo_name, self.ORCHESTRATOR, f"data:{factor.name}", factor.data)
+            # Charged as the dense float64 block it ships, rows × columns × 8
+            # bytes, from a zero-strided stand-in: reading ``factor.data``
+            # would densify a CSR D_k and keep the copy on the factor.
+            shipped = np.broadcast_to(np.float64(0.0), (factor.n_rows, factor.n_columns))
+            self.network.send(silo_name, self.ORCHESTRATOR, f"data:{factor.name}", shipped)
         return dataset.materialize()
 
     # -- factorized execution --------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.datagen.hospital import (
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
 from repro.datagen.synthetic import SyntheticSiloSpec, generate_integrated_pair
 from repro.metadata.mappings import ScenarioType
+from repro.parallel import pool as parallel_pool
 from repro.relational.types import NULL, is_null, parse_cell
 from repro.streaming.ingest import ParsedColumnBlock, parse_cell_block
 
@@ -21,6 +22,15 @@ from repro.streaming.ingest import ParsedColumnBlock, parse_cell_block
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def fan_out_every_block(monkeypatch):
+    """Every block map that may fan out does: the break-even of
+    ``repro.parallel.should_parallelize`` drops to 0 priced multiply-adds,
+    so worker-count parity suites on small shapes still compare the pool
+    with the plain loop (CSR work and one worker still stay inline)."""
+    monkeypatch.setattr(parallel_pool, "_break_even", 0.0)
 
 
 @pytest.fixture

@@ -325,6 +325,7 @@ def test_blocked_views_match_the_materialized_target(order, storage, redundant, 
             assert np.max(np.abs(window - reference[4:31] @ x)) <= 1e-10
 
 
+@pytest.mark.usefixtures("fan_out_every_block")
 @pytest.mark.parametrize("redundant", [False, True], ids=["trivial-R", "masked-R"])
 @pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("order", ["sorted", "shuffled", "skewed"])
@@ -358,6 +359,7 @@ def test_resident_operators_match_at_every_block_size_and_worker_count(
                     assert np.array_equal(result, reference)
 
 
+@pytest.mark.usefixtures("fan_out_every_block")
 def test_the_worker_count_does_not_move_the_grid():
     """Flipping workers between calls on one matrix keeps the grid object
     (and with it every block's kept row structure)."""
@@ -427,6 +429,7 @@ def test_many_to_one_gram_term_stays_in_the_source_dimension():
 # -- training -----------------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("fan_out_every_block")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streaming_gd_on_a_spilled_many_to_one_join_matches_full_batch(workers, tmp_path):
     parallel.set_num_workers(workers)

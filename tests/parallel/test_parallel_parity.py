@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import parallel
+from repro import parallel, telemetry
 from repro.datagen.scenarios import (
     ScenarioSpec,
     generate_scenario_dataset,
@@ -30,6 +30,10 @@ from repro.factorized.normalized_matrix import AmalurMatrix
 from repro.learning import StreamingGD
 from repro.metadata.mappings import ScenarioType
 from repro.streaming import ChunkedCsvReader, SpillStore, integrate_streams
+
+# Small shapes: without the fixture no block would pay for its hand-off,
+# and every worker count would walk the plain loop.
+pytestmark = pytest.mark.usefixtures("fan_out_every_block")
 
 CHUNK_SIZES = (1, 7, 10_000)
 WORKER_COUNTS = (1, 2, 8)
@@ -145,6 +149,18 @@ class TestOperatorParity:
             for result, reference in zip(outputs[workers][:4], outputs[1][:4]):
                 assert np.array_equal(result, reference), f"at {workers} workers"
             assert outputs[workers][4] == outputs[1][4], "FLOPs depend on the grid only"
+
+    def test_the_operators_reach_the_pool(self):
+        """The parity above compares the pool with the plain loop, not
+        the plain loop with itself."""
+        parallel.set_min_parallel_rows(0)
+        parallel.set_block_rows(29)
+        parallel.set_num_workers(2)
+        matrix = AmalurMatrix(generate_scenario_dataset(_spec(ScenarioType.LEFT_JOIN)))
+        with telemetry.collect(sample_memory=False) as session:
+            matrix.lmm(np.ones((matrix.n_columns, 1)))
+            matrix.transpose_lmm(np.ones((matrix.n_rows, 1)))
+        assert session.metrics.counter_values().get("parallel.tasks", 0) > 0
 
 
 class TestIngestParity:

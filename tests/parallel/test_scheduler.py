@@ -5,9 +5,21 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro import parallel
+from repro import parallel, telemetry
+from repro.datagen.scenarios import ScenarioSpec, generate_scenario_dataset
+from repro.datagen.synthetic import (
+    OneHotSpec,
+    SyntheticSiloSpec,
+    generate_integrated_pair,
+    generate_one_hot_pair,
+)
+from repro.factorized import AmalurMatrix
+from repro.factorized.ops_counter import charges
+from repro.learning import StreamingGD
+from repro.metadata.mappings import ScenarioType
 from repro.parallel import pool as pool_module
 
 
@@ -24,13 +36,99 @@ class TestConfig:
             assert parallel.get_num_workers() == 3
         assert parallel.get_num_workers() == before
 
-    def test_should_parallelize_respects_threshold_and_workers(self):
-        parallel.set_min_parallel_rows(100)
-        parallel.set_num_workers(4)
-        assert parallel.should_parallelize(100)
-        assert not parallel.should_parallelize(99)
+
+class TestFanOutRule:
+    """``should_parallelize``: more than one worker, a kernel that releases
+    the GIL, and per-block priced work above the measured break-even."""
+
+    def test_one_worker_never_fans_out(self):
+        assert not parallel.should_parallelize(1e12, workers=1)
         parallel.set_num_workers(1)
-        assert not parallel.should_parallelize(10_000)
+        assert not parallel.should_parallelize(1e12)
+
+    def test_csr_work_never_fans_out(self):
+        assert not parallel.should_parallelize(1e12, csr=True, workers=4)
+
+    def test_small_work_declines_and_large_work_fans_out(self):
+        parallel.set_num_workers(2)
+        assert not parallel.should_parallelize(1e3)
+        assert parallel.should_parallelize(1e9)
+
+    def test_the_break_even_is_measured_once(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_break_even", None)
+        parallel.should_parallelize(1e6, workers=2)
+        measured = pool_module._break_even
+        assert measured is not None and 1e3 < measured < 1e9
+        monkeypatch.setattr(pool_module, "_measure_break_even", None)  # never called again
+        parallel.should_parallelize(1e6, workers=2)
+        assert pool_module._break_even == measured
+
+    def test_a_pool_task_never_fans_out(self):
+        parallel.set_num_workers(2)
+        assert parallel.parallel_map(
+            lambda _: parallel.should_parallelize(1e12), range(2)
+        ) == [False, False]
+
+    def test_explicit_streaming_workers_are_honoured(self):
+        dataset = generate_scenario_dataset(ScenarioSpec(
+            ScenarioType.LEFT_JOIN, base_rows=120, other_rows=90, base_features=3,
+            other_features=3, overlap_rows=40, overlap_columns=1, seed=4,
+        ))
+        parallel.set_num_workers(2)
+        tasks = {}
+        for num_workers in (None, 2):
+            with telemetry.collect(sample_memory=False) as session:
+                StreamingGD(
+                    "linear", block_rows=16, n_iterations=2, num_workers=num_workers
+                ).fit(AmalurMatrix(dataset))
+            tasks[num_workers] = session.metrics.counter_values().get("parallel.tasks", 0)
+        assert tasks[None] == 0  # a 16-row block does not pay for the hand-off
+        assert tasks[2] > 0
+
+
+class TestOperatorFanOut:
+    """The factorized operators price each call and fan a block map out
+    only when a block's share pays for the hand-off."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # A break-even in the range measured on a 2-core box (2^18 to 2^19
+        # multiply-adds), fixed so the outcome does not follow the host.
+        monkeypatch.setattr(pool_module, "_break_even", float(1 << 19))
+        parallel.set_num_workers(2)
+
+    @staticmethod
+    def _maps(matrix, m: int = 1) -> float:
+        with telemetry.collect(sample_memory=False) as session:
+            matrix.lmm(np.ones((matrix.n_columns, m)))
+            matrix.transpose_lmm(np.ones((matrix.n_rows, m)))
+        return session.metrics.counter_values().get("parallel.maps", 0)
+
+    def test_the_resident_one_hot_stays_on_the_calling_thread(self):
+        dataset = generate_one_hot_pair(
+            OneHotSpec(n_rows=70_000, n_categories=100, base_columns=5, seed=0)
+        )
+        dataset.label_column = "x0"
+        matrix = AmalurMatrix(dataset, backend="auto").feature_matrix_view()
+        assert "csr" in matrix.storage_formats()
+        assert len(matrix._target_blocks()[1]) > 1  # a grid that could fan out
+        assert self._maps(matrix) == 0
+
+    def test_a_dense_injective_matrix_with_heavy_blocks_fans_out(self):
+        dataset = generate_integrated_pair(SyntheticSiloSpec(
+            base_rows=4_096, base_columns=8, other_rows=4_096, other_columns=8,
+            redundancy_in_target=False, seed=1,
+        ))
+        parallel.set_min_parallel_rows(0)
+        parallel.set_block_rows(2_048)
+        matrix = AmalurMatrix(dataset)
+        assert all(plan.rows_injective for plan in matrix._plans)
+        m = 256  # 2 048 rows x ~16 columns x 256 operand columns: >= 4 M a block
+        per_block = sum(
+            sum(charges("lmm", plan.stats(), m).values()) for plan in matrix._plans
+        ) / 2
+        assert per_block >= 4e6
+        assert self._maps(matrix, m) > 0
 
 
 class TestParallelMap:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.datagen.synthetic import OneHotSpec, generate_one_hot_pair
 from repro.exceptions import CatalogError, PrivacyError
+from repro.factorized import AmalurMatrix
 from repro.silos.orchestrator import Orchestrator
 from repro.silos.silo import DataSilo, PrivacyLevel
 
@@ -57,6 +59,24 @@ class TestMaterializedExecution:
         assert target.shape == (6, 4)
         # Both source data matrices crossed the network.
         assert hospital_orchestrator.network.n_messages == 2
+
+    def test_materialize_charges_a_csr_factor_without_densifying_it(self):
+        dataset = generate_one_hot_pair(
+            OneHotSpec(n_rows=2_000, n_categories=200, n_entities=500), backend="auto"
+        )
+        dataset.label_column = "x0"
+        onehot = dataset.factors[1]
+        assert onehot._dense_data is None  # stored as CSR
+        orchestrator = Orchestrator()
+        target = orchestrator.materialize_target(dataset)
+        assert onehot._dense_data is None
+        assert np.array_equal(target, dataset.materialize())
+        # Bytes shipped are the dense blocks: rows x columns x 8 per factor.
+        assert orchestrator.network.total_bytes == sum(
+            factor.n_rows * factor.n_columns * 8 for factor in dataset.factors
+        )
+        view = AmalurMatrix(dataset, backend="auto").feature_matrix_view()
+        assert view.storage_formats()[1] == "csr"
 
     def test_materialize_blocked_for_private_silo(self, hospital, hospital_dataset):
         s1, s2 = hospital

@@ -31,6 +31,7 @@ from repro.metadata.similarity import (
     token_sort_similarity,
     value_overlap,
 )
+from repro.parallel import pool as parallel_pool
 from repro.relational.table import Table
 from repro.relational.types import (
     NULL_LITERALS,
@@ -120,9 +121,11 @@ class TestOperatorGrid:
         expected = (target @ x, target.T @ y, target.T @ target, y.T @ target)
         saved = (
             parallel.get_num_workers(), parallel.get_min_parallel_rows(),
-            parallel.get_block_rows(),
+            parallel.get_block_rows(), parallel_pool._break_even,
         )
         try:
+            # every block fans out, small as it is (see fan_out_every_block)
+            parallel_pool._break_even = 0.0
             parallel.set_block_rows(block_rows)
             # threshold 0 cuts every target into the grid; one above
             # ``n_rows`` keeps it in one block
@@ -139,6 +142,7 @@ class TestOperatorGrid:
             parallel.set_num_workers(saved[0])
             parallel.set_min_parallel_rows(saved[1])
             parallel.set_block_rows(saved[2])
+            parallel_pool._break_even = saved[3]
         for result, reference in zip(runs[1][:4], expected):
             assert np.max(np.abs(result - reference), initial=0.0) <= 1e-8
         for workers in (2, 8):
