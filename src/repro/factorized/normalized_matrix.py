@@ -26,10 +26,11 @@ fixed block order. Each call is priced once, with the charges it books
 (:func:`~repro.factorized.ops_counter.charges`), and every block map
 hands its per-block share of them to
 :func:`repro.parallel.should_parallelize`: the blocks go to the shared
-worker pool only when that share pays for the hand-off and no block
-multiplies a CSR ``D_k``; otherwise the map is a plain loop on the
-calling thread. The work is done in the source dimension — the FLOP
-counters' per-factor formulas describe what runs:
+worker pool only when that share pays for the hand-off (a Gram below
+the row threshold never fans out, see ``_gram_workers``); otherwise the
+map is a plain loop on the calling thread. The work is done in the
+source dimension — the FLOP counters' per-factor formulas describe what
+runs:
 
 * a **many-to-one** factor multiplies once per call (``D_k (M_kᵀ X)`` /
   ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, cut into *source*-row
@@ -76,18 +77,13 @@ from repro.matrices.builder import IntegratedDataset, SourceFactor
 from repro.matrices.mapping_matrix import MappingMatrix
 
 
-def _holds_csr(factor) -> bool:
-    """Whether a block factor's multiply is a SciPy CSR kernel."""
-    return sparse.issparse(factor.storage)
-
-
-def _workers(work: float, tasks: Sequence, csr: bool) -> Optional[int]:
+def _workers(work: float, tasks: Sequence) -> Optional[int]:
     """The worker count for a map of ``tasks`` sharing ``work`` priced
     multiply-adds: the calling thread alone when a task's share does not
     pay for the hand-off (:func:`repro.parallel.should_parallelize`),
     else the configured count (``None``; one task never leaves the
     calling thread)."""
-    if len(tasks) > 1 and not _parallel.should_parallelize(work / len(tasks), csr=csr):
+    if len(tasks) > 1 and not _parallel.should_parallelize(work / len(tasks)):
         return 1
     return None
 
@@ -254,9 +250,7 @@ class AmalurMatrix:
             local[lo:hi] = self.backend.matmul(factor.storage_rows(slice(lo, hi)), operand)
 
         grid = self._row_grid(n_source_rows)
-        list(_parallel.imap_ordered(
-            _fill, grid, workers=_workers(work, grid, _holds_csr(factor)), label="lmm.local"
-        ))
+        list(_parallel.imap_ordered(_fill, grid, workers=_workers(work, grid), label="lmm.local"))
         return local
 
     def _source_transpose_matmul(
@@ -272,8 +266,7 @@ class AmalurMatrix:
 
         grid = self._row_grid(factor.plan.n_source_rows)
         partials = list(_parallel.imap_ordered(
-            _partial, grid, workers=_workers(work, grid, _holds_csr(factor)),
-            label="transpose_lmm.local",
+            _partial, grid, workers=_workers(work, grid), label="transpose_lmm.local",
         ))
         local = partials[0]
         for piece in partials[1:]:
@@ -320,10 +313,7 @@ class AmalurMatrix:
             - (0.0 if f.plan.rows_injective else priced[f.plan]["lmm.local"])
             for f in view.factors
         )
-        csr = any(_holds_csr(f) for f in view.factors if f.plan.rows_injective)
-        list(_parallel.imap_ordered(
-            _fill, blocks, workers=_workers(work, blocks, csr), label="lmm"
-        ))
+        list(_parallel.imap_ordered(_fill, blocks, workers=_workers(work, blocks), label="lmm"))
         self._book(priced)
         return result
 
@@ -367,9 +357,8 @@ class AmalurMatrix:
                 return out
 
             work = sum(sum(priced[f.plan].values()) for f in injective)
-            workers = _workers(work, blocks, any(map(_holds_csr, injective)))
             for out in _parallel.imap_ordered(
-                _partial, blocks, workers=workers, label="transpose_lmm"
+                _partial, blocks, workers=_workers(work, blocks), label="transpose_lmm"
             ):
                 result += out
         for factor in view.factors:
@@ -421,12 +410,8 @@ class AmalurMatrix:
     def _compute_gram(self) -> np.ndarray:
         """``Tᵀ T`` as row-block partial sums of one term per factor pair,
         reduced in a fixed ``(k, l, block)`` order — one block per term
-        unless the target clears the row threshold. The partials fan out
-        when their mean booked count pays for the hand-off and no term is
-        a cross term or multiplies a CSR ``D_k``: a cross term multiplies
-        through its CSR composed indicator, and a 20 000-row serving Gram
-        with one ran at 0.87–0.89 ms on this thread and 0.97–1.45 ms
-        fanned out (2 cores).
+        unless the target clears the row threshold; whether the partials
+        fan out is :meth:`_gram_workers`' call.
 
         Every term is ``rows_kᵀ C_kl rows_l`` over the plans'
         :meth:`~OperatorPlan.row_form`, with ``C_kl = I_kᵀ I_l``
@@ -443,7 +428,7 @@ class AmalurMatrix:
         # (term, rows of its outer operand), in the deterministic order the
         # reduction below replays.
         tasks: List[Tuple] = []
-        work, csr = 0.0, False
+        work = 0.0
         for term in gram_terms(forms, cols, self._cross_operands):
             tasks.extend((term, rows) for rows in self._row_slices(term.outer.shape[0]))
             if term.composed is None:
@@ -454,18 +439,31 @@ class AmalurMatrix:
                 flops = term.composed.nnz * width + backend.matmul_flops(term.outer, width)
                 self.counter.add("crossprod.cross", flops)
             work += flops
-            csr = csr or term.composed is not None or any(
-                sparse.issparse(side) for side in (term.outer, term.inner)
-            )
         partials = _parallel.imap_ordered(
             lambda task: task[0].compute(backend, task[1]), tasks,
-            workers=_workers(work, tasks, csr), label="crossprod",
+            workers=self._gram_workers(work, tasks), label="crossprod",
         )
         gram = np.zeros((self.n_columns, self.n_columns))
         for (term, _), value in zip(tasks, partials):
             term.add_to(gram, value)
         gram.setflags(write=False)
         return gram
+
+    def _gram_workers(self, work: float, tasks: Sequence) -> Optional[int]:
+        """The Gram's fan-out decision: a target below the row threshold
+        keeps its terms on the calling thread, a larger one fans them out
+        when a task's share of the booked ``work`` pays for the hand-off
+        (:func:`_workers`). Below the threshold the tasks are whole terms
+        of uneven cost, and their booked counts misjudge them: a cross
+        term's ``composed @ inner`` is a SciPy CSR product that ran at a
+        quarter of its booked rate. So the 20 000-row serving Gram, three
+        terms booking 1.56 M a task, ran 0.92 ms on this thread and
+        1.20 ms fanned out, while the 80 000-row ``resident_dense_redundant``
+        Gram ran 3.0 ms on this thread and 2.2 ms fanned out (2 cores,
+        BLAS on one thread)."""
+        if self.n_rows < _parallel.get_min_parallel_rows():
+            return 1
+        return _workers(work, tasks)
 
     def _row_slices(self, n_rows: int) -> List[slice]:
         return [slice(lo, hi) for lo, hi in self._row_grid(n_rows)]

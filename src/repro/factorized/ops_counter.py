@@ -109,16 +109,26 @@ def scale_charges(factor: FactorStats, m: int = 1) -> Dict[str, float]:
     return {"scale": float(factor.stored)}
 
 
+def statistics_charges(factor: FactorStats, m: int) -> Dict[str, float]:
+    """The Gram and column sums of a target ``m`` columns wide, gathered
+    block by block (:meth:`~repro.factorized.operator_plan.BlockedMatrixView.statistics`):
+    each stored cell meets at most every column of its row. No counter
+    books it; the fan-out rule weighs a streaming fit's statistics pass
+    with it."""
+    return {"statistics": float(factor.stored) * m}
+
+
 def charges(operator: str, factor: FactorStats, m: int) -> Dict[str, float]:
     """One call of ``operator`` (an :class:`~repro.factorized.AmalurMatrix`
-    method name) over one factor. ``labels`` reads the label column as one
-    ``lmm`` with a one-column selector."""
+    method name, or ``statistics``) over one factor. ``labels`` reads the
+    label column as one ``lmm`` with a one-column selector."""
     price = {
         "lmm": lmm_charges,
         "labels": lmm_charges,
         "transpose_lmm": transpose_lmm_charges,
         "square": square_charges,
         "scale": scale_charges,
+        "statistics": statistics_charges,
     }.get(operator)
     if price is None:
         raise ValueError(f"the price list has no operator {operator!r}")

@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro import parallel as _parallel
 from repro import telemetry as _telemetry
 from repro.exceptions import CheckpointError, FactorizationError
 from repro.factorized.operator_plan import BlockedMatrixView
+from repro.factorized.ops_counter import charges
 from repro.learning import gd
 from repro.reliability.checkpoint import CheckpointManager
 
@@ -72,9 +72,10 @@ class StreamingGD:
 
     ``num_workers`` overrides the global ``repro.parallel`` worker count
     for this model: ``None`` inherits it (gated by
-    :func:`repro.parallel.should_parallelize` on a block's priced work —
-    ``rows × (d+1)²`` for the statistics pass, ``2 · rows × d`` for a
-    logistic pass — so small fits stay on the calling thread), ``1`` runs the
+    :func:`repro.parallel.should_parallelize` on a block's share of the
+    pass's charges — ``statistics`` for a linear fit, one ``lmm`` and one
+    ``transpose_lmm`` for a logistic iteration — so small fits stay on
+    the calling thread), ``1`` runs the
     block map as a plain loop, and any larger value fans blocks over the
     shared pool — with the same bits at every count.
 
@@ -113,15 +114,20 @@ class StreamingGD:
         defaults = _LINEAR_DEFAULTS if self.task == "linear" else _LOGISTIC_DEFAULTS
         return defaults[name]
 
-    def _workers_for(self, view: BlockedMatrixView, work_per_row: int) -> int:
-        """Workers for a map over ``view``'s blocks that prices
-        ``work_per_row`` multiply-adds a row: ``num_workers`` when set,
-        else the configured count when a block pays for the hand-off."""
+    def _workers_for(self, view: BlockedMatrixView, m: int, *operators: str) -> int:
+        """Workers for a map over ``view``'s blocks whose pass runs
+        ``operators`` on an ``m``-column operand: ``num_workers`` when set,
+        else the configured count when a full block's share of the price
+        list's charges (:func:`~repro.factorized.ops_counter.charges`)
+        pays for the hand-off."""
         if self.num_workers is not None:
             return max(1, int(self.num_workers))
-        work = min(self.block_rows, view.n_rows) * work_per_row
-        csr = any(sparse.issparse(factor.storage) for factor in view.factors)
-        if _parallel.should_parallelize(work, csr=csr):
+        work = sum(
+            sum(charges(operator, factor.plan.stats(), m).values())
+            for operator in operators for factor in view.factors
+        )
+        share = min(self.block_rows, view.n_rows) / max(view.n_rows, 1)
+        if _parallel.should_parallelize(work * share):
             return _parallel.get_num_workers()
         return 1
 
@@ -219,7 +225,7 @@ class StreamingGD:
 
         for _ in _parallel.imap_ordered(
             _fill, view.row_blocks(self.block_rows),
-            workers=self._workers_for(view, view.n_columns),
+            workers=self._workers_for(view, x.shape[1], "lmm"),
         ):
             if self.release_pages is not None:
                 self.release_pages()
@@ -274,7 +280,8 @@ class StreamingGD:
                         view = matrix.blocked()
                     width = view.n_columns + (labels is not None)
                     statistics = view.statistics(
-                        self.block_rows, labels, workers=self._workers_for(view, width**2),
+                        self.block_rows, labels,
+                        workers=self._workers_for(view, width, "statistics"),
                         on_block=self.release_pages,
                     )
                 gram, sums = statistics
@@ -298,7 +305,7 @@ class StreamingGD:
                 self._descend(
                     view, view.row_blocks(self.block_rows), labels, 0.0,
                     self._restore_state(view.n_rows, view.n_columns),
-                    workers=self._workers_for(view, 2 * view.n_columns),
+                    workers=self._workers_for(view, 1, "lmm", "transpose_lmm"),
                     on_block=self.release_pages,
                 )
         return self

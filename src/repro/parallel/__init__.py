@@ -23,11 +23,11 @@ Determinism contract:
 
 Fan-out rule: a block map goes to the pool only when
 :func:`should_parallelize` says a block pays for its hand-off — more than
-one worker, no CSR work (a SciPy CSR matvec has read 1.00–1.08× of one
-thread on two) and priced multiply-adds per
-block (the charges of :mod:`repro.factorized.ops_counter`, or the
-statistics a streaming block sums) that clear the pool round trip,
-measured once per process. The rule picks the schedule, never the grid.
+one worker, and priced multiply-adds per block (its share of the charges
+of :mod:`repro.factorized.ops_counter`) that clear the pool round trip,
+measured once per process. The Gram adds one condition of its own: a
+target below the row threshold keeps its terms on the calling thread.
+The rule picks the schedule, never the grid.
 
 Work bound of the blocked operators (``repro.factorized``): a block
 multiplies its distinct source rows of ``D_k`` — at most

@@ -11,9 +11,10 @@ the environment:
 
 ``REPRO_PARALLEL_MIN_ROWS``
     Row-count threshold below which the factorized operators cut their
-    rows as one block. It sets the grid only: whether a grid's blocks
-    fan out is :func:`repro.parallel.should_parallelize`'s call, from
-    the priced work of a block.
+    rows as one block. It sets the grid, and a Gram below it stays on the
+    calling thread; whether any other grid's blocks fan out is
+    :func:`repro.parallel.should_parallelize`'s call, from the priced
+    work of a block.
 
 ``REPRO_PARALLEL_BLOCK_ROWS``
     Row-block size used when an operator partitions work itself (the

@@ -18,8 +18,8 @@ Two primitives cover every parallel call site in the engine:
     window is the whole list and the results come back as a list.
 
 Whether a block map fans out at all is :func:`should_parallelize`'s
-call: a block must carry enough priced multiply-adds, in a kernel that
-releases the GIL, to pay for the hand-off to a worker.
+call: a block must carry enough priced multiply-adds to pay for the
+hand-off to a worker.
 
 Pools are plain ``ThreadPoolExecutor``s, cached per size. Threads are the
 right vehicle here: the hot kernels are BLAS matmuls and numpy slice
@@ -161,26 +161,22 @@ def _get_break_even(workers: int) -> float:
     return _break_even
 
 
-def should_parallelize(
-    work: float, *, csr: bool = False, workers: Optional[int] = None
-) -> bool:
+def should_parallelize(work: float, *, workers: Optional[int] = None) -> bool:
     """True when a block map whose blocks each carry ``work`` priced
-    multiply-adds should fan out over the pool. All three must hold:
+    multiply-adds should fan out over the pool. Both must hold:
 
     * more than one worker (``workers``, default the configured count)
       and a caller that is not itself a pool task (nested maps run
       inline);
-    * no ``csr`` work: a 10 M-nnz SciPy CSR matvec has read 1.00–1.08×
-      of one thread on two (1.9× on an idle 2-core box, so this clause
-      is the cautious side of the readings);
     * ``work`` clears the break-even, the pool round trip priced in
       multiply-adds (:func:`_measure_break_even`, once per process).
 
-    Declining changes only the schedule, never the block grid, so the
-    bits are the same either way.
+    A CSR factor is priced by its stored cells, so its blocks weigh what
+    its kernel does. Declining changes only the schedule, never the block
+    grid, so the bits are the same either way.
     """
     effective = config.get_num_workers() if workers is None else workers
-    if effective <= 1 or csr or _in_worker():
+    if effective <= 1 or _in_worker():
         return False
     return work >= _get_break_even(effective)
 

@@ -157,10 +157,15 @@ class TestOperatorParity:
         parallel.set_block_rows(29)
         parallel.set_num_workers(2)
         matrix = AmalurMatrix(generate_scenario_dataset(_spec(ScenarioType.LEFT_JOIN)))
-        with telemetry.collect(sample_memory=False) as session:
-            matrix.lmm(np.ones((matrix.n_columns, 1)))
-            matrix.transpose_lmm(np.ones((matrix.n_rows, 1)))
-        assert session.metrics.counter_values().get("parallel.tasks", 0) > 0
+        calls = {
+            "lmm": lambda: matrix.lmm(np.ones((matrix.n_columns, 1))),
+            "transpose_lmm": lambda: matrix.transpose_lmm(np.ones((matrix.n_rows, 1))),
+            "crossprod": matrix.crossprod,  # a join: its cross term is in the pool too
+        }
+        for name, call in calls.items():
+            with telemetry.collect(sample_memory=False) as session:
+                call()
+            assert session.metrics.counter_values().get("parallel.tasks", 0) > 0, name
 
 
 class TestIngestParity:

@@ -38,16 +38,13 @@ class TestConfig:
 
 
 class TestFanOutRule:
-    """``should_parallelize``: more than one worker, a kernel that releases
-    the GIL, and per-block priced work above the measured break-even."""
+    """``should_parallelize``: more than one worker, outside a pool task,
+    and per-block priced work above the measured break-even."""
 
     def test_one_worker_never_fans_out(self):
         assert not parallel.should_parallelize(1e12, workers=1)
         parallel.set_num_workers(1)
         assert not parallel.should_parallelize(1e12)
-
-    def test_csr_work_never_fans_out(self):
-        assert not parallel.should_parallelize(1e12, csr=True, workers=4)
 
     def test_small_work_declines_and_large_work_fans_out(self):
         parallel.set_num_workers(2)
@@ -129,6 +126,35 @@ class TestOperatorFanOut:
         ) / 2
         assert per_block >= 4e6
         assert self._maps(matrix, m) > 0
+
+    @staticmethod
+    def _gram_tasks(matrix) -> float:
+        with telemetry.collect(sample_memory=False) as session:
+            matrix.crossprod()
+        return session.metrics.counter_values().get("parallel.tasks", 0)
+
+    def test_a_gram_below_the_row_threshold_stays_on_the_calling_thread(self, monkeypatch):
+        dataset = generate_integrated_pair(SyntheticSiloSpec(
+            base_rows=4_096, base_columns=8, other_rows=512, other_columns=8,
+            redundancy_in_target=True, seed=2,
+        ))
+        monkeypatch.setattr(pool_module, "_break_even", 0.0)  # any price pays
+        parallel.set_min_parallel_rows(4_097)
+        assert self._gram_tasks(AmalurMatrix(dataset)) == 0
+        parallel.set_min_parallel_rows(4_096)
+        parallel.set_block_rows(2_048)
+        assert self._gram_tasks(AmalurMatrix(dataset)) > 0
+
+    def test_a_gram_above_the_row_threshold_fans_out_on_its_price(self):
+        dataset = generate_integrated_pair(SyntheticSiloSpec(
+            base_rows=4_096, base_columns=4, other_rows=512, other_columns=120,
+            redundancy_in_target=True, seed=2,
+        ))
+        parallel.set_min_parallel_rows(0)
+        parallel.set_block_rows(2_048)
+        assert self._gram_tasks(AmalurMatrix(dataset)) > 0  # a cross term among them
+        parallel.set_block_rows(64)  # 64-row blocks book too little to pay
+        assert self._gram_tasks(AmalurMatrix(dataset)) == 0
 
 
 class TestParallelMap:

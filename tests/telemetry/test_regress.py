@@ -116,16 +116,20 @@ class TestCompare:
             },
             # Would fail the 1.5 / 0.8 floors on a multi-core run.
             "scaling": {"speedup": 1.0},
-            "resident": {"blocked_over_serial": {"gd_fit": 0.1}, "max_abs_diff": 0.0},
+            "resident": {
+                "blocked_over_serial": {"lmm": 0.1, "transpose_lmm": 0.1, "gd_fit": 0.1},
+                "max_abs_diff": 0.0,
+            },
         }
         write(fresh, "BENCH_PARALLEL.json", one_core)
         findings = compare(fresh, tmp_path)
         parallel = [f for f in findings if f["file"] == "BENCH_PARALLEL.json"]
         gated = [
             f for f in parallel
-            if f["metric"] in ("scaling.speedup", "resident.blocked_over_serial.gd_fit")
+            if f["metric"] == "scaling.speedup"
+            or f["metric"].startswith("resident.blocked_over_serial.")
         ]
-        assert len(gated) == 2 and all(f["status"] == "skip" for f in gated)
+        assert len(gated) == 4 and all(f["status"] == "skip" for f in gated)
         assert not any(f["status"] == "fail" for f in parallel)
 
     def test_blocked_over_serial_floor_enforced_on_two_cores(self, tmp_path):
@@ -141,7 +145,10 @@ class TestCompare:
             "scaling": {"speedup": 1.3},
             # The default-path pessimization this floor exists for: two
             # workers 13x slower than one.
-            "resident": {"blocked_over_serial": {"gd_fit": 0.078}, "max_abs_diff": 0.0},
+            "resident": {
+                "blocked_over_serial": {"lmm": 1.0, "transpose_lmm": 1.0, "gd_fit": 0.078},
+                "max_abs_diff": 0.0,
+            },
         }
         write(fresh, "BENCH_PARALLEL.json", pessimized)
         failed = [f for f in compare(fresh, tmp_path) if f["status"] == "fail"]
@@ -159,7 +166,10 @@ class TestCompare:
                 "max_weight_diff": 2.2e-16,
             },
             "scaling": {"speedup": 1.0},
-            "resident": {"blocked_over_serial": {"gd_fit": 1.0}, "max_abs_diff": 0.0},
+            "resident": {
+                "blocked_over_serial": {"lmm": 1.0, "transpose_lmm": 1.0, "gd_fit": 1.0},
+                "max_abs_diff": 0.0,
+            },
         }
         write(fresh, "BENCH_PARALLEL.json", last_bit)
         failed = [f for f in compare(fresh, tmp_path) if f["status"] == "fail"]
