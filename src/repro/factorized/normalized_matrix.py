@@ -36,7 +36,9 @@ runs:
   ``D_kᵀ (I_kᵀ X)`` over its ``r_Sk`` rows, cut into *source*-row
   blocks only when ``r_Sk`` itself clears the threshold); the target-row
   blocks only lift. ``I_kᵀ X`` is one CSR product on the calling thread
-  (SciPy's kernel holds the GIL, so blocks of it would not overlap);
+  (two threads ran SciPy 1.17.1's CSR kernel at 1.49–1.93× of one on an
+  idle 2-core box, so blocks of it can overlap; it stays serial until a
+  re-measure, idle and loaded, says fanning it out pays);
 * an **injective** factor's source rows partition with the target rows,
   so each block multiplies its own — a slice *view* of ``D_k`` when the
   row map is contiguous there, never more rows than the block has;
@@ -73,7 +75,7 @@ from repro.factorized.operator_plan import (
     row_grid,
 )
 from repro.factorized.ops_counter import FlopCounter, charges
-from repro.matrices.builder import IntegratedDataset, SourceFactor
+from repro.matrices.builder import IntegratedDataset, SourceFactor, target_row_values
 from repro.matrices.mapping_matrix import MappingMatrix
 
 
@@ -340,8 +342,10 @@ class AmalurMatrix:
         block multiplies its own rows of the injective factors and the
         partials reduce here, in block order; a many-to-one factor
         projects and multiplies once per call, in the source dimension.
-        Its projection stays on this thread — SciPy's CSR kernel holds
-        the GIL, so blocks of it could not overlap."""
+        Its projection stays on this thread: two threads ran SciPy
+        1.17.1's CSR kernel at 1.49–1.93× of one on an idle 2-core box,
+        but it stays serial until an idle-and-loaded re-measure says
+        blocks of it pay for the hand-off."""
         m = x.shape[1]
         priced = self._price("transpose_lmm", m)
         view, blocks = self._target_blocks()
@@ -455,12 +459,14 @@ class AmalurMatrix:
         when a task's share of the booked ``work`` pays for the hand-off
         (:func:`_workers`). Below the threshold the tasks are whole terms
         of uneven cost, and their booked counts misjudge them: a cross
-        term's ``composed @ inner`` is a SciPy CSR product that ran at a
-        quarter of its booked rate. So the 20 000-row serving Gram, three
-        terms booking 1.56 M a task, ran 0.92 ms on this thread and
-        1.20 ms fanned out, while the 80 000-row ``resident_dense_redundant``
-        Gram ran 3.0 ms on this thread and 2.2 ms fanned out (2 cores,
-        BLAS on one thread)."""
+        term's ``composed @ inner`` is a SciPy CSR segment sum that runs
+        below its booked rate. So the 20 000-row serving Gram, three
+        terms booking 1.56 M a task, ran 1.06–1.25 ms on this thread and
+        1.19–1.48 ms fanned out. The 80 000-row ``resident_dense_redundant``
+        Gram fans out (four tasks) and ran 2.8–3.4 ms on this thread,
+        3.0–3.6 ms fanned out (2 cores, BLAS on one thread, medians of
+        101 alternated calls in each of two processes; an earlier idle-box
+        reading was 3.0 / 2.2 ms)."""
         if self.n_rows < _parallel.get_min_parallel_rows():
             return 1
         return _workers(work, tasks)
@@ -527,6 +533,14 @@ class AmalurMatrix:
         """Materialize the target table (the alternative execution strategy)."""
         self.counter.add("materialize", float(self.n_rows) * self.n_columns)
         return self.dataset.materialize()
+
+    def row_values(self, rows: np.ndarray) -> np.ndarray:
+        """``T[rows]``, gathered from those rows of the factors only
+        (:func:`~repro.matrices.builder.target_row_values`): bit for bit
+        the rows of :meth:`materialize`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.counter.add("materialize", float(rows.size) * self.n_columns)
+        return target_row_values(self.dataset, rows)
 
     def column(self, name: str) -> np.ndarray:
         """One target column, reconstructed without materializing the rest."""

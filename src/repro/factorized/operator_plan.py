@@ -262,7 +262,7 @@ class GramTerm(NamedTuple):
             elif inner is not None:
                 inner = backend.take_rows(inner, rows)
         if composed is not None:
-            return backend.gram_pair(outer, composed @ inner)
+            return backend.gram_pair(outer, _segment_sums(composed, inner))
         if inner is None:
             return backend.crossprod(outer)
         return backend.gram_pair(outer, inner)
@@ -272,6 +272,22 @@ class GramTerm(NamedTuple):
         gram[self.index] += value
         if self.transposed is not None:
             gram[self.transposed] += value.T
+
+
+def _segment_sums(composed: sparse.csr_matrix, inner: Storage) -> Storage:
+    """``composed @ inner``. SciPy's CSR kernel copies a dense operand into
+    C order before it reads it, and the stored rows of a column selection
+    are F-ordered: such an operand goes one contiguous column at a time,
+    the same sums in the same order without the copy. The cross term of
+    ``resident_dense_redundant`` (80 000 × 2 operand) ran 1.39 → 0.67 ms
+    and ``resident_onehot_sparse``'s (70 000 × 4) 1.32 → 0.63 ms (2 cores,
+    BLAS on one thread, medians of 201 alternated calls)."""
+    if isinstance(inner, np.ndarray) and not inner.flags.c_contiguous and inner.flags.f_contiguous:
+        out = np.empty((composed.shape[0], inner.shape[1]))
+        for j in range(inner.shape[1]):
+            out[:, j] = composed @ inner[:, j]
+        return out
+    return composed @ inner
 
 
 def gram_terms(
@@ -452,6 +468,36 @@ class OperatorPlan:
         )
 
 
+def _take_rows(array: np.ndarray, rows) -> np.ndarray:
+    """``array[rows]``: a view for a ``slice``, else a gather by ``np.take``,
+    which copies whole rows where 2-D fancy indexing goes element by
+    element (40 000 rows out of 4 000: 111 → 49 µs at one column, 493 →
+    58 µs at four)."""
+    return array[rows] if isinstance(rows, slice) else np.take(array, rows, axis=0)
+
+
+def distinct_source_rows(
+    source: np.ndarray, n_source_rows: int, n_block_rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(source, return_inverse=True)`` for the ``source`` rows a
+    block of ``n_block_rows`` target rows reads from a ``D_k`` of
+    ``n_source_rows`` rows: the distinct rows ascending, and where each
+    entry of ``source`` sits among them.
+
+    Against a ``D_k`` no larger than the block, a mark over its rows finds
+    the distinct rows and a cumulative count ranks them, in time linear in
+    the block, without the sort (40 000 rows into 4 000: 0.21 ms, where
+    ``np.unique`` took 1.21 ms); a larger ``D_k`` keeps ``np.unique``.
+    """
+    if n_source_rows > n_block_rows:
+        return np.unique(source, return_inverse=True)
+    touched = np.zeros(n_source_rows, dtype=bool)
+    touched[source] = True
+    rank = np.cumsum(touched, dtype=np.intp)
+    rank -= 1
+    return np.flatnonzero(touched), rank[source]
+
+
 class BlockRows:
     """One factor's row structure inside one target-row block.
 
@@ -487,15 +533,15 @@ class BlockRows:
     def lift_add(self, out: np.ndarray, local: np.ndarray) -> None:
         """``out += I_k[block] @ local``, ``local`` holding one row per
         entry of ``rows``."""
-        out[self.targets] += local if self.inverse is None else local[self.inverse]
+        out[self.targets] += local if self.inverse is None else _take_rows(local, self.inverse)
 
     def project(self, x_block: np.ndarray) -> np.ndarray:
         """``I_k[block]ᵀ @ x_block`` — one row per entry of ``rows``."""
         if self.inverse is None:
-            return x_block[self.targets]
+            return _take_rows(x_block, self.targets)
         if self.injective:
             projected = np.zeros((self.n_rows, x_block.shape[1]))
-            projected[self.inverse] = x_block[self.targets]
+            projected[self.inverse] = _take_rows(x_block, self.targets)
             return projected
         if self._projector is None:
             targets = self.targets
@@ -615,7 +661,7 @@ class BlockedFactorView:
         if plan.rows_injective:
             rows, inverse, n_touched = as_slice(source), None, source.size
         else:
-            distinct, inverse = np.unique(source, return_inverse=True)
+            distinct, inverse = distinct_source_rows(source, plan.n_source_rows, stop - start)
             rows, n_touched = as_slice(distinct), distinct.size
         if not isinstance(rows, slice) and plan.n_source_rows <= min(stop - start, 2 * n_touched):
             # Scattered over at least half of a D_k no larger than the

@@ -89,6 +89,9 @@ class DenseMatrix:
     def materialize(self) -> np.ndarray:
         return self._data.copy()
 
+    def row_values(self, rows: np.ndarray) -> np.ndarray:
+        return self._data[rows]
+
     def __repr__(self) -> str:
         return f"DenseMatrix(shape={self.shape})"
 

@@ -61,8 +61,8 @@ class KMeans:
             # Re-seed empty clusters at the farthest points.
             if (~nonempty).any():
                 farthest = np.argsort(distances.min(axis=1))[::-1]
-                for idx, cluster in enumerate(np.where(~nonempty)[0]):
-                    new_centers[cluster] = self._row(operand, int(farthest[idx]))
+                empty = np.where(~nonempty)[0]
+                new_centers[empty] = operand.row_values(farthest[: empty.size])
             shift = float(np.linalg.norm(new_centers - centers))
             centers = new_centers
             self.n_iter_ = iteration + 1
@@ -77,12 +77,7 @@ class KMeans:
     def _init_centers(self, operand, rng: np.random.Generator) -> np.ndarray:
         n_rows = operand.shape[0]
         indices = rng.choice(n_rows, size=self.n_clusters, replace=False)
-        return np.vstack([self._row(operand, int(i)) for i in indices])
-
-    def _row(self, operand, index: int) -> np.ndarray:
-        selector = np.zeros((operand.shape[0], 1))
-        selector[index, 0] = 1.0
-        return operand.transpose_lmm(selector)[:, 0]
+        return operand.row_values(indices)
 
     def _distances(self, operand, centers: np.ndarray, row_norms: np.ndarray) -> np.ndarray:
         cross = operand.lmm(centers.T)  # (n × k) — the only data-touching term

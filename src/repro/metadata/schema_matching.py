@@ -10,18 +10,26 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.exceptions import MatchingError
 from repro.metadata.similarity import (
+    intersection_sizes,
     jaro_winkler_similarity,
     levenshtein_similarity,
     ngram_jaccard_similarity,
     token_sort_similarity,
 )
+from repro.relational.factorize import exact_value_codes
 from repro.relational.table import Table
 from repro.relational.types import DataType
+
+#: One score per (left, right) profile pair: ``grid[i][j]`` scores ``lefts[i]`` with ``rights[j]``.
+Grid = List[List[float]]
 
 
 @dataclass(frozen=True)
@@ -46,24 +54,29 @@ class ColumnProfile:
 
     ``name`` is lower-cased. The remaining fields are the instance signals
     and keep their defaults in the profile of a matcher that never looks at
-    values: the numeric flag, the sample of distinct values, and — for a
-    non-empty numeric sample — its bounds.
+    values: the column's data type, the sample of distinct values, and —
+    for a non-empty numeric sample — its bounds.
     """
 
     name: str
-    is_numeric: bool = False
+    dtype: Optional[DataType] = None
     values: FrozenSet = frozenset()
     lo: Optional[float] = None
     hi: Optional[float] = None
+
+    @property
+    def is_numeric(self) -> bool:
+        return self.dtype is not None and self.dtype.is_numeric
 
 
 class SchemaMatcher:
     """Base class for schema matchers.
 
-    Subclasses implement :meth:`score_profiles` for two column profiles (and
-    :meth:`profile` when they read more of a column than its name); the base
-    class profiles each column once per call and provides stable-greedy 1:1
-    match extraction over the full score matrix.
+    Subclasses implement :meth:`score_grid` over two lists of column
+    profiles (and :meth:`profile` when they read more of a column than its
+    name); the base class profiles each column once per call, scores one
+    pair as the 1 × 1 grid, and provides stable-greedy 1:1 match
+    extraction over the full score matrix.
     """
 
     def __init__(self, threshold: float = 0.6):
@@ -75,9 +88,15 @@ class SchemaMatcher:
         """What this matcher reads of ``column``; the name alone by default."""
         return ColumnProfile(column.lower())
 
+    def score_grid(
+        self, lefts: Sequence[ColumnProfile], rights: Sequence[ColumnProfile]
+    ) -> Grid:
+        """Score every pair of a left and a right profile."""
+        raise NotImplementedError
+
     def score_profiles(self, a: ColumnProfile, b: ColumnProfile) -> float:
         """Score a column pair from the profiles this matcher built of them."""
-        raise NotImplementedError
+        return self.score_grid([a], [b])[0][0]
 
     def score(self, left: Table, left_column: str, right: Table, right_column: str) -> float:
         """Score one column pair; :meth:`score_matrix` profiles a column once for all its pairs."""
@@ -87,12 +106,15 @@ class SchemaMatcher:
 
     def score_matrix(self, left: Table, right: Table) -> Dict[Tuple[str, str], float]:
         """Score every column pair of the two tables."""
-        left_profiles = [(c, self.profile(left, c)) for c in left.schema.names]
-        right_profiles = [(c, self.profile(right, c)) for c in right.schema.names]
+        left_columns, right_columns = left.schema.names, right.schema.names
+        grid = self.score_grid(
+            [self.profile(left, c) for c in left_columns],
+            [self.profile(right, c) for c in right_columns],
+        )
         return {
-            (left_column, right_column): self.score_profiles(a, b)
-            for left_column, a in left_profiles
-            for right_column, b in right_profiles
+            (left_column, right_column): score
+            for left_column, row in zip(left_columns, grid)
+            for right_column, score in zip(right_columns, row)
         }
 
     def match(self, left: Table, right: Table) -> List[ColumnMatch]:
@@ -128,15 +150,21 @@ class NameBasedMatcher(SchemaMatcher):
     strength (typos, prefixes, re-ordered words) is captured.
     """
 
-    def score_profiles(self, a: ColumnProfile, b: ColumnProfile) -> float:
-        if a.name == b.name:
-            return 1.0
-        return max(
-            levenshtein_similarity(a.name, b.name),
-            jaro_winkler_similarity(a.name, b.name),
-            ngram_jaccard_similarity(a.name, b.name),
-            token_sort_similarity(a.name, b.name),
-        )
+    def score_grid(
+        self, lefts: Sequence[ColumnProfile], rights: Sequence[ColumnProfile]
+    ) -> Grid:
+        return [[_name_score(a.name, b.name) for b in rights] for a in lefts]
+
+
+def _name_score(a: str, b: str) -> float:
+    if a == b:
+        return 1.0
+    return max(
+        levenshtein_similarity(a, b),
+        jaro_winkler_similarity(a, b),
+        ngram_jaccard_similarity(a, b),
+        token_sort_similarity(a, b),
+    )
 
 
 class InstanceBasedMatcher(SchemaMatcher):
@@ -168,21 +196,33 @@ class InstanceBasedMatcher(SchemaMatcher):
         else:
             sample = list(distinct)[: self.sample_size]
         lo, hi = (min(sample), max(sample)) if dtype.is_numeric and sample else (None, None)
-        return ColumnProfile(column.lower(), dtype.is_numeric, frozenset(sample), lo, hi)
+        return ColumnProfile(column.lower(), dtype, frozenset(sample), lo, hi)
 
-    def score_profiles(self, a: ColumnProfile, b: ColumnProfile) -> float:
-        if a.is_numeric != b.is_numeric:
-            return 0.0
-        if not a.values or not b.values:
-            return 0.0
-        # similarity.value_overlap without its copy of either set
-        overlap = len(a.values & b.values) / min(len(a.values), len(b.values))
-        if a.is_numeric:
-            overlap = max(overlap, _range_overlap(a, b))
-        return overlap
+    def score_grid(
+        self, lefts: Sequence[ColumnProfile], rights: Sequence[ColumnProfile]
+    ) -> Grid:
+        shared = _shared_values(lefts, rights)
+        return [
+            [_instance_score(a, b, count) for b, count in zip(rights, row)]
+            for a, row in zip(lefts, shared)
+        ]
+
+
+def _instance_score(a: ColumnProfile, b: ColumnProfile, shared: int) -> float:
+    """The score of a pair whose samples share ``shared`` values."""
+    if a.is_numeric != b.is_numeric:
+        return 0.0
+    if not a.values or not b.values:
+        return 0.0
+    overlap = shared / min(len(a.values), len(b.values))
+    if a.is_numeric:
+        overlap = max(overlap, _range_overlap(a, b))
+    return overlap
 
 
 def _range_overlap(a: ColumnProfile, b: ColumnProfile) -> float:
+    # Per pair in Python: int bounds subtract and divide exactly before the
+    # one rounding, which a float64 or int64 array would not reproduce.
     intersection = min(a.hi, b.hi) - max(a.lo, b.lo)
     if intersection <= 0:
         return 0.0
@@ -190,6 +230,61 @@ def _range_overlap(a: ColumnProfile, b: ColumnProfile) -> float:
     if union <= 0:
         return 1.0
     return intersection / union
+
+
+_NUMERIC_SAMPLES = {DataType.INT: np.int64, DataType.FLOAT: np.float64}
+
+
+def _shared_values(
+    lefts: Sequence[ColumnProfile], rights: Sequence[ColumnProfile]
+) -> List[List[int]]:
+    """``len(a.values & b.values)`` for every pair, from one sparse product.
+
+    Every sample value gets a code in one code space, and two values share
+    a code exactly when Python ``==`` holds between them: INT and FLOAT
+    samples through :func:`~repro.relational.factorize.exact_value_codes`
+    (NaN equals nothing, so each NaN gets a code of its own), STRING and
+    BOOL samples through a dict, which compares keys as a set does, in a
+    range of their own. A sample holds each code once, so
+    :func:`~repro.metadata.similarity.intersection_sizes` counts every
+    pair's shared values at once.
+    """
+    profiles = [*lefts, *rights]
+    sizes = [len(p.values) for p in profiles]
+    indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    groups: Dict[object, List[int]] = {np.int64: [], np.float64: [], None: []}
+    for i, p in enumerate(profiles):
+        if p.values:
+            groups[_NUMERIC_SAMPLES.get(p.dtype)].append(i)
+    codes = np.empty(int(indptr[-1]), dtype=np.int64)
+
+    def place(members: List[int], member_codes: np.ndarray) -> None:
+        """Write ``member_codes``, the members' samples end to end, into ``codes``."""
+        offset = 0
+        for i in members:
+            codes[indptr[i] : indptr[i + 1]] = member_codes[offset : offset + sizes[i]]
+            offset += sizes[i]
+
+    def samples(dtype) -> np.ndarray:
+        members = groups[dtype]
+        return np.fromiter(
+            chain.from_iterable(profiles[i].values for i in members),
+            dtype=dtype, count=sum(sizes[i] for i in members),
+        )
+
+    int_codes, float_codes = exact_value_codes(samples(np.int64), samples(np.float64))
+    place(groups[np.int64], int_codes)
+    place(groups[np.float64], float_codes)
+    base = int(max(int_codes.max(initial=-1), float_codes.max(initial=-1))) + 1
+    del int_codes, float_codes
+    index: Dict[object, int] = {}
+    others = [
+        base + index.setdefault(v, len(index))
+        for v in chain.from_iterable(profiles[i].values for i in groups[None])
+    ]
+    place(groups[None], np.asarray(others, dtype=np.int64))
+    return intersection_sizes(codes, indptr, len(lefts)).astype(np.int64).tolist()
 
 
 class HybridMatcher(SchemaMatcher):
@@ -217,10 +312,18 @@ class HybridMatcher(SchemaMatcher):
     def profile(self, table: Table, column: str) -> ColumnProfile:
         return self._instance_matcher.profile(table, column)
 
-    def score_profiles(self, a: ColumnProfile, b: ColumnProfile) -> float:
-        name_score = self._name_matcher.score_profiles(a, b)
-        instance_score = self._instance_matcher.score_profiles(a, b)
-        return self.name_weight * name_score + self.instance_weight * instance_score
+    def score_grid(
+        self, lefts: Sequence[ColumnProfile], rights: Sequence[ColumnProfile]
+    ) -> Grid:
+        names = self._name_matcher.score_grid(lefts, rights)
+        instances = self._instance_matcher.score_grid(lefts, rights)
+        return [
+            [
+                self.name_weight * name_score + self.instance_weight * instance_score
+                for name_score, instance_score in zip(name_row, instance_row)
+            ]
+            for name_row, instance_row in zip(names, instances)
+        ]
 
 
 def match_schemas(

@@ -5,8 +5,10 @@ The measures are classic data-integration primitives (Rahm & Bernstein
 value-overlap / Jaccard for instance-based matching. For dirty-key entity
 resolution at scale, :func:`ngram_jaccard_matrix` scores whole candidate
 *batches* at once via factorized n-gram codes (``np.unique`` over the gram
-vocabulary + one sparse set-intersection matmul) instead of a Python loop
-per pair.
+vocabulary + one sparse set-intersection matmul, :func:`intersection_sizes`)
+instead of a Python loop per pair; schema matching counts its value
+overlaps through the same product. :func:`levenshtein_distance` is Myers'
+bit-parallel algorithm.
 """
 
 from __future__ import annotations
@@ -18,23 +20,43 @@ from scipy import sparse
 
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Classic dynamic-programming edit distance between two strings."""
+    """Edit distance between two strings, bit-parallel over the longer one.
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's form for the global
+    distance: one column of the dynamic-programming table is two bit
+    vectors of vertical +1 / -1 steps, and each character of the shorter
+    string advances the whole column in a fixed number of integer
+    operations. The distance is the same integer the table gives.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (0 if char_a == char_b else 1)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    # Peq[c]: the positions of a that hold c.
+    peq: dict = {}
+    for i, char in enumerate(a):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, distance = mask, 0, len(a)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        # Row 0 of the table counts up by one per character of b.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -138,12 +160,27 @@ def ngram_code_sets(strings: Sequence[str], n: int = 3) -> Tuple[np.ndarray, np.
     return codes, indptr
 
 
-def _gram_indicator(codes: np.ndarray, indptr: np.ndarray, vocabulary: int
-                    ) -> sparse.csr_matrix:
+def _indicator(codes: np.ndarray, indptr: np.ndarray, vocabulary: int) -> sparse.csr_matrix:
     data = np.ones(codes.size, dtype=np.float64)
     return sparse.csr_matrix(
-        (data, codes.astype(np.int64), indptr), shape=(indptr.size - 1, vocabulary)
+        (data, codes.astype(np.int64, copy=False), indptr), shape=(indptr.size - 1, vocabulary)
     )
+
+
+def intersection_sizes(codes: np.ndarray, indptr: np.ndarray, n_left: int) -> np.ndarray:
+    """``|A_i ∩ B_j|`` for every pair of coded sets, as one sparse product.
+
+    Set ``s`` is ``codes[indptr[s]:indptr[s + 1]]`` (duplicate-free codes
+    in one code space); the first ``n_left`` sets are the ``A_i``, the
+    rest the ``B_j``. Each side becomes a set × code 0/1 CSR ``L`` and
+    ``R``, and ``L @ Rᵀ`` counts every pair's shared codes (exactly: the
+    counts stay far below 2**53).
+    """
+    vocabulary = int(codes.max(initial=-1)) + 1
+    split = indptr[n_left]
+    left = _indicator(codes[:split], indptr[: n_left + 1], vocabulary)
+    right = _indicator(codes[split:], indptr[n_left:] - split, vocabulary)
+    return (left @ right.T).toarray()
 
 
 def ngram_jaccard_matrix(
@@ -159,14 +196,8 @@ def ngram_jaccard_matrix(
     """
     both = list(left) + list(right)
     codes, indptr = ngram_code_sets(both, n)
-    vocabulary = int(codes.max(initial=-1)) + 1
     n_left = len(left)
-    left_ind = _gram_indicator(codes[: indptr[n_left]], indptr[: n_left + 1], vocabulary)
-    right_start = indptr[n_left]
-    right_ind = _gram_indicator(
-        codes[right_start:], indptr[n_left:] - right_start, vocabulary
-    )
-    intersection = np.asarray((left_ind @ right_ind.T).todense(), dtype=np.float64)
+    intersection = intersection_sizes(codes, indptr, n_left)
     left_sizes = np.diff(indptr[: n_left + 1]).astype(np.float64)
     right_sizes = np.diff(indptr[n_left:]).astype(np.float64)
     union = left_sizes[:, None] + right_sizes[None, :] - intersection

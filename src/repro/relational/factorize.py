@@ -86,6 +86,13 @@ def _integer_view(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral(floats: np.ndarray) -> np.ndarray:
+    """Where ``floats`` hold an integer inside the int64 range, so that
+    converting to int64 is exact (``-0.0`` included; NaN and the
+    infinities never)."""
+    return (floats == np.floor(floats)) & (floats >= INT64_MIN_FLOAT) & (floats < INT64_MAX_FLOAT)
+
+
 def _mixed_int_float_codes(
     int_values: np.ndarray,
     int_valid: np.ndarray,
@@ -102,12 +109,7 @@ def _mixed_int_float_codes(
     """
     ints = np.asarray(int_values, dtype=np.int64)
     floats = np.asarray(float_values, dtype=np.float64)
-    convertible = (
-        float_valid
-        & (floats == np.floor(floats))
-        & (floats >= INT64_MIN_FLOAT)
-        & (floats < INT64_MAX_FLOAT)
-    )
+    convertible = float_valid & _integral(floats)
     mapped = np.where(convertible, floats, 0.0).astype(np.int64)
     combined = np.concatenate([np.where(int_valid, ints, 0), mapped])
     _, codes = np.unique(combined, return_inverse=True)
@@ -119,6 +121,47 @@ def _mixed_int_float_codes(
         base = int(codes.max(initial=-1)) + 1
         float_codes[non_convertible] = base + np.arange(non_convertible.size)
     return int_codes, float_codes
+
+
+def exact_value_codes(ints: np.ndarray, floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes for int64 and float64 values in one space, equal exactly when
+    Python ``==`` holds between the values.
+
+    An integral float inside the int64 range shares the code of its exact
+    int64 (so ``2**53 + 1`` and ``2.0**53`` differ, and ``-0.0``, ``0.0``
+    and ``0`` agree). The other floats (fractional, infinite, beyond int64)
+    never equal an int64 and share codes among themselves by float64
+    equality, except NaN: every NaN gets a code of its own.
+    """
+    ints = np.asarray(ints, dtype=np.int64)
+    floats = np.asarray(floats, dtype=np.float64)
+    convertible, nan = _integral(floats), np.isnan(floats)
+    rest = ~(convertible | nan)
+    rest_codes = _ranks(floats[rest])
+    codes = _ranks(np.concatenate([ints, floats[convertible].astype(np.int64)]))
+    float_codes = np.empty(floats.size, dtype=np.int64)
+    float_codes[convertible] = codes[ints.size:]
+    base = int(codes.max(initial=-1)) + 1
+    rest_codes += base
+    float_codes[rest] = rest_codes
+    base = int(rest_codes.max(initial=base - 1)) + 1
+    float_codes[nan] = base + np.arange(np.count_nonzero(nan))
+    return codes[: ints.size], float_codes
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's position among the distinct values (int64): equal
+    values, equal ranks — the inverse of ``np.unique``, without the
+    copies it makes on the way (half the peak memory, the same time)."""
+    order = np.argsort(values)
+    ordered = values[order]
+    step = np.zeros(values.size, dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    del ordered
+    np.cumsum(step, out=step)
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = step
+    return ranks
 
 
 def _string_view(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -276,6 +319,7 @@ def gather_column(
 
 __all__: List[str] = [
     "cumcount",
+    "exact_value_codes",
     "expand_ranges",
     "gather_column",
     "hash_join_index",

@@ -20,6 +20,7 @@ from repro.datagen.synthetic import (
     generate_one_hot_pair,
 )
 from repro.factorized.normalized_matrix import AmalurMatrix
+from repro.factorized.operator_plan import _segment_sums, distinct_source_rows, gram_terms
 from repro.matrices.builder import star_schema
 from repro.metadata.mappings import ScenarioType
 
@@ -303,3 +304,61 @@ class TestOperandFastPath:
         checked = matrix._check_lmm_operand(x)
         assert checked is not x
         assert checked.dtype == np.float64
+
+
+class TestGramCrossTerm:
+    """A cross term's segment sums over an F-ordered operand are the bits
+    SciPy's CSR kernel gives the C-ordered copy it would make of it."""
+
+    def test_f_ordered_operand_gives_the_c_ordered_bits(self, rng):
+        composed = sparse.random(300, 5_000, density=0.002, format="csr", random_state=3)
+        composed.data[:] = 1.0
+        for width in (1, 2, 5):
+            inner = np.asfortranarray(rng.standard_normal((5_000, width)))
+            expected = composed @ np.ascontiguousarray(inner)
+            assert np.array_equal(_segment_sums(composed, inner), expected)
+            assert np.array_equal(_segment_sums(composed, np.ascontiguousarray(inner)), expected)
+
+    @pytest.mark.parametrize("backend", ["dense", "auto"])
+    def test_feature_view_gram_equals_the_c_ordered_gram(self, backend):
+        """The label-free view's factors are F-ordered column selections;
+        its Gram is the one computed from C-ordered copies, bit for bit."""
+        dataset = generate_integrated_pair(SyntheticSiloSpec(
+            base_rows=3_000, base_columns=4, other_rows=300, other_columns=3,
+            redundancy_in_target=True, seed=5,
+        ))
+        dataset.label_column = dataset.target_columns[0]
+        view = AmalurMatrix(dataset, backend=backend).feature_matrix_view()
+        forms = [plan.row_form() for plan in view._plans]
+        cols = [plan.target_cols for plan in view._plans]
+        cross = [term for term in gram_terms(forms, cols) if term.composed is not None]
+        assert cross and any(
+            isinstance(term.inner, np.ndarray) and not term.inner.flags.c_contiguous
+            for term in cross
+        )
+        for term in cross:
+            inner = term.inner
+            if isinstance(inner, np.ndarray):
+                inner = np.ascontiguousarray(inner)
+            expected = view.backend.gram_pair(term.outer, term.composed @ inner)
+            assert np.array_equal(term.compute(view.backend), expected)
+
+
+class TestDistinctSourceRows:
+    """The mark-and-rank derivation of a block's source rows is ``np.unique``'s."""
+
+    @pytest.mark.parametrize("n_source_rows", [1, 7, 64, 500, 4_000])
+    @pytest.mark.parametrize("n_block_rows", [1, 50, 1_000])
+    def test_equals_the_sort(self, n_source_rows, n_block_rows):
+        rng = np.random.default_rng(n_source_rows * 7 + n_block_rows)
+        for touched in {1, min(2, n_source_rows), max(1, n_source_rows // 3), n_source_rows}:
+            pool = rng.choice(n_source_rows, size=touched, replace=False)
+            for source in (
+                rng.choice(pool, size=n_block_rows),
+                np.sort(rng.choice(pool, size=n_block_rows)),
+                np.repeat(np.arange(touched), 2)[:n_block_rows],
+            ):
+                rows, inverse = distinct_source_rows(source, n_source_rows, n_block_rows)
+                want_rows, want_inverse = np.unique(source, return_inverse=True)
+                assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse)
+                assert inverse.dtype == want_inverse.dtype

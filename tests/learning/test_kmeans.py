@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.factorized.normalized_matrix import AmalurMatrix
+from repro.learning.base import as_linop
 from repro.learning.kmeans import KMeans
 
 
@@ -75,3 +76,19 @@ class TestFactorizedEquivalence:
         factorized = KMeans(n_clusters=2, random_state=3, n_iterations=15).fit(matrix)
         materialized = KMeans(n_clusters=2, random_state=3, n_iterations=15).fit(target)
         assert np.allclose(factorized.cluster_centers_, materialized.cluster_centers_)
+
+
+class TestSeeds:
+    """Seeds are gathered rows of the data, bit for bit."""
+
+    @pytest.mark.parametrize("view", ["full", "features"])
+    def test_seeds_are_the_materialized_rows(self, synthetic_redundant_dataset, view):
+        matrix = AmalurMatrix(synthetic_redundant_dataset)
+        if view == "features":
+            matrix = matrix.select_columns(synthetic_redundant_dataset.target_columns[1:])
+        indices = np.random.default_rng(3).choice(matrix.shape[0], size=4, replace=False)
+        seeds = KMeans(n_clusters=4)._init_centers(matrix, np.random.default_rng(3))
+        assert np.array_equal(seeds, matrix.materialize()[indices])
+        dense = matrix.materialize()
+        seeds = KMeans(n_clusters=4)._init_centers(as_linop(dense), np.random.default_rng(3))
+        assert np.array_equal(seeds, dense[indices])

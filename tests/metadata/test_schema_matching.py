@@ -134,6 +134,17 @@ class TestInstanceBasedMatcher:
         # half of either column is shared, and the coordinated samples say so
         assert 0.4 < scores[0] < 0.6
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a numeric sample is the first sample_size values in set order: "
+        "0..999 against 1500..2499 share no value and their ranges do not meet",
+    )
+    def test_numeric_sample_estimates_the_overlap(self):
+        left = Table.from_dict("L", {"c": list(range(3000))})
+        right = Table.from_dict("R", {"c": list(range(1500, 4500))})
+        # half of either column is shared
+        assert 0.4 < InstanceBasedMatcher().score(left, "c", right, "c") < 0.6
+
 
 class TestHybridMatcher:
     def test_combines_signals(self, hospital_pair):

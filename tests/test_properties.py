@@ -19,6 +19,7 @@ from repro.metadata.entity_resolution import KeyBasedResolver, declared_key_pair
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import (
     ColumnMatch,
+    ColumnProfile,
     HybridMatcher,
     InstanceBasedMatcher,
     NameBasedMatcher,
@@ -401,7 +402,28 @@ class TestCompressedRoundTrips:
         assert np.allclose(indicator.apply(data), indicator.to_dense() @ data)
 
 
+def dynamic_program_levenshtein(a, b):
+    """The edit-distance table, row by row: the oracle for the bit-parallel distance."""
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            current.append(min(
+                current[j - 1] + 1, previous[j] + 1, previous[j - 1] + (char_a != char_b)
+            ))
+        previous = current
+    return previous[-1]
+
+
 class TestSimilarityProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.text(max_size=40), st.text("ab_", max_size=40)),
+        st.one_of(st.text(max_size=40), st.text("ab_", max_size=40)),
+    )
+    def test_levenshtein_equals_the_dynamic_program(self, a, b):
+        assert levenshtein_distance(a, b) == dynamic_program_levenshtein(a, b)
+
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_levenshtein_symmetry_and_bounds(self, a, b):
@@ -498,9 +520,16 @@ def reference_match(matcher, left, right, scores):
 #: small domains, so values repeat inside a column and are shared between
 #: tables, and distinct counts land on both sides of the drawn ``sample_size``
 MATCH_CELLS = {
-    DataType.INT: st.integers(0, 7),
-    DataType.FLOAT: st.floats(-2, 2, allow_nan=False, width=16),
-    DataType.STRING: st.sampled_from(["a", "b", "cc", "d", "ee", "1", "2"]),
+    DataType.INT: st.one_of(
+        st.integers(0, 7), st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1])
+    ),
+    # no NaN: a table reads it as NULL (``TestValueOverlapCodes`` draws NaN samples)
+    DataType.FLOAT: st.one_of(
+        st.floats(-2, 2, allow_nan=False, width=16),
+        st.sampled_from([-0.0, 2.0**53, 2.0**53 + 2, 2.0**63, float("inf")]),
+    ),
+    DataType.STRING: st.sampled_from(["a", "b", "cc", "d", "ee", "1", "2", "True"]),
+    DataType.BOOL: st.booleans(),
 }
 MATCH_NAMES = ["id", "ID", "age", "Age_Years", "years age", "heart_rate", "heartrate", "x1"]
 
@@ -568,6 +597,58 @@ class TestSchemaMatchingProfiles:
                 if dtype.is_numeric and sample:
                     assert (profile.lo, profile.hi) == (min(sample), max(sample))
             assert profile.name == column.lower() and profile.is_numeric == dtype.is_numeric
+
+
+#: sample values where Python ``==`` is not float64 equality: ints past 2**53,
+#: signed zeros, infinities, NaN (a fresh object per draw, as ``tolist()``
+#: gives), and bools beside strings that spell them
+OVERLAP_VALUES = {
+    DataType.INT: st.sampled_from([0, 1, 2, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]),
+    DataType.FLOAT: st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0**53, 2.0**53 + 2, 2.0**63, -(2.0**63),
+                         float("inf"), float("-inf")]),
+        st.builds(float, st.just("nan")),
+    ),
+    DataType.STRING: st.sampled_from(["", "0", "1", "True", "nan", "inf"]),
+    DataType.BOOL: st.booleans(),
+}
+
+
+@st.composite
+def sample_profiles(draw):
+    dtype = draw(st.sampled_from(list(OVERLAP_VALUES)))
+    values = frozenset(draw(st.lists(OVERLAP_VALUES[dtype], max_size=8)))
+    lo, hi = (min(values), max(values)) if dtype.is_numeric and values else (None, None)
+    return ColumnProfile("c", dtype, values, lo, hi)
+
+
+def reference_profile_score(a, b):
+    """The instance score of one pair of profiles, with the frozenset intersection."""
+    if a.is_numeric != b.is_numeric or not a.values or not b.values:
+        return 0.0
+    overlap = len(a.values & b.values) / min(len(a.values), len(b.values))
+    if a.is_numeric:
+        intersection = min(a.hi, b.hi) - max(a.lo, b.lo)
+        union = max(a.hi, b.hi) - min(a.lo, b.lo)
+        if intersection <= 0:
+            ranged = 0.0
+        else:
+            ranged = 1.0 if union <= 0 else intersection / union
+        overlap = max(overlap, ranged)
+    return overlap
+
+
+class TestValueOverlapCodes:
+    """One sparse product counts what every pair's frozenset intersection counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lefts=st.lists(sample_profiles(), min_size=1, max_size=4),
+        rights=st.lists(sample_profiles(), min_size=1, max_size=4),
+    )
+    def test_score_grid_equals_the_frozenset_scores(self, lefts, rights):
+        grid = InstanceBasedMatcher().score_grid(lefts, rights)
+        assert grid == [[reference_profile_score(a, b) for b in rights] for a in lefts]
 
 
 # -- CSV cell kernel -------------------------------------------------------------------------
