@@ -19,9 +19,10 @@ Two phases:
   budget is generated, built and trained entirely through the streaming
   path — hashed chunk generation, memmap-spilled factors, row-block GD —
   under a hard peak-RSS budget of **1/4 of the dense materialized
-  footprint**. ``SpillStore.release`` (flush + ``MADV_DONTNEED``) after
-  every block is what keeps file-backed pages out of the resident set;
-  the guard fails if the process high-water RSS ever crosses the budget.
+  footprint**. ``SpillStore.release`` (``MADV_DONTNEED``) after every
+  block is what keeps file-backed pages out of the resident set; dropped
+  pages stay in the page cache and are never forced to disk. The guard
+  fails if the process high-water RSS ever crosses the budget.
 
 The committed JSON is the trajectory baseline: CI re-runs the benchmark
 and additionally checks the fresh RSS-to-dense ratio has not regressed to

@@ -165,11 +165,21 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _string_view(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Key column as a fixed-width string array with NULLs neutralized."""
+    """Key column as strings ``np.unique`` orders like ``str``, NULLs neutralized.
+
+    Fixed-width ``<U`` strings drop trailing NULs (``'a\\x00'`` reads back
+    ``'a'``), so a column holding such a key keeps its Python strings:
+    slower to sort, but ``'a'`` and ``'a\\x00'`` stay apart as ``==`` keeps
+    them. Every other column takes the ``<U`` view, whose order and codes
+    are the same.
+    """
     if values.dtype.kind == "O":
         if not bool(valid.all()):
             values = np.where(valid, values, "")
-        return values.astype(str)
+        strings = values.astype(str)
+        if sum(map(len, values)) != int(np.char.str_len(strings).sum()):
+            return values
+        return strings
     return np.asarray(values, dtype=str)
 
 

@@ -11,7 +11,8 @@ the in-memory chunk stream it already was) and ``build_integrated_dataset``
 * ``D_k`` is assembled block-wise into a :class:`repro.streaming.spill.
   SpillStore` memmap, with pages released after every chunk so the
   resident set stays one chunk — or, without a store, written in place
-  into a resident array.
+  into a resident array. Released pages stay in the page cache and are
+  never forced to disk, so a release costs no write-back wait.
 * ``CI_k`` comes straight from the row maps — no per-row expansion.
 * the redundancy complement is this source's non-NULL cells on rows an
   earlier source already filled, tracked as one ``r_T`` validity bitmap

@@ -8,10 +8,14 @@ it unchanged — only residency differs.
 
 Residency is the point: file-backed pages count toward RSS while mapped in,
 so after writing a block (and between training blocks) callers invoke
-:meth:`SpillStore.release` which flushes dirty pages and ``madvise``\\ s the
-mappings with ``MADV_DONTNEED``. Clean pages stay in the kernel page cache
-(subsequent reads are minor faults, not disk I/O) but leave the process
-RSS, which is what keeps the peak under a hard memory budget.
+:meth:`SpillStore.release` which ``madvise``\\ s the mappings with
+``MADV_DONTNEED``. The mappings are shared file mappings, so a dropped page
+— dirty or clean — stays in the kernel page cache and is never forced to
+disk by a release: later reads are minor faults, not disk I/O, and the
+kernel writes dirty pages back on its own schedule (a store that owns its
+directory deletes the files at cleanup, often before that). The pages
+leave the process RSS, which is what keeps the peak under a hard memory
+budget.
 """
 
 from __future__ import annotations
@@ -169,14 +173,17 @@ class SpillStore:
 
     # -- residency control --------------------------------------------------------------
     def release(self) -> None:
-        """Flush dirty pages and drop all mappings from the process RSS.
+        """Drop all mappings from the process RSS without writing them back.
 
-        No-op on platforms without ``madvise``/``MADV_DONTNEED``; data is
-        never lost — file-backed shared mappings are written back before
-        pages are reclaimed, and later reads fault the pages back in.
+        Dropped pages stay in the page cache and are never forced to disk:
+        ``MADV_DONTNEED`` on a shared file mapping unmaps the pages but
+        keeps their data (dirty pages stay dirty in the cache), and the
+        next touch faults them back in. Spill files are scratch that every
+        reader sees through the cache, so a flush here would only make the
+        caller wait on write-back. No-op on platforms without
+        ``madvise``/``MADV_DONTNEED``.
         """
         for matrix in self._maps.values():
-            matrix.flush()
             raw = getattr(matrix, "_mmap", None)
             if raw is not None and _MADV_DONTNEED is not None and hasattr(raw, "madvise"):
                 raw.madvise(_MADV_DONTNEED)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -19,7 +20,9 @@ from repro.metadata.schema_matching import (
     NameBasedMatcher,
     match_schemas,
 )
+from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
+from repro.relational.types import DataType
 
 
 @pytest.fixture
@@ -133,6 +136,22 @@ class TestInstanceBasedMatcher:
         assert scores[0] == scores[1]
         # half of either column is shared, and the coordinated samples say so
         assert 0.4 < scores[0] < 0.6
+
+    def test_valid_nan_is_left_out_of_the_profile(self):
+        values = np.array([np.nan, 1.0, 2.5, np.nan, 4.0, 8.0, np.nan, 16.0, 3.0, np.nan, 0.5])
+        left = Table._from_storage(
+            "L", Schema([Column("x", DataType.FLOAT)]),
+            {"x": values}, {"x": np.ones(values.size, dtype=bool)},
+        )
+        right = Table.from_dict("R", {"y": [0.5, 1.0, 2.5, 32.0]})
+        matcher = InstanceBasedMatcher(sample_size=5)
+        profiles = [matcher.profile(left, "x") for _ in range(30)]
+        assert all(profile == profiles[0] for profile in profiles)
+        sample = profiles[0].values
+        assert len(sample) == 5 and not any(np.isnan(list(sample)))
+        assert (profiles[0].lo, profiles[0].hi) == (min(sample), max(sample))
+        score = matcher.score(left, "x", right, "y")
+        assert score == matcher.score_matrix(left, right)[("x", "y")]
 
     @pytest.mark.xfail(
         strict=True,

@@ -133,6 +133,10 @@ KEY_CASES = {
     "all_null": ([NULL, NULL], [NULL]),
 }
 
+# Keys that a fixed-width numpy string view would collapse: trailing NULs.
+NUL_LEFT_KEYS = ["a", "a\x00", "b", "a\x00\x00", NULL]
+NUL_RIGHT_KEYS = ["a\x00", "a", "c", "a\x00\x00", "a\x00b"]
+
 
 class TestJoinNullParity:
     @pytest.mark.parametrize("flavour", list(JOINS))
@@ -159,6 +163,17 @@ class TestJoinNullParity:
         left, right = make_tables(
             ["a", NULL, "b", "a"], ["a", "c", NULL, "a"], key_dtype=DataType.STRING
         )
+        result = operator(left, right, on=["k"])
+        pairs = reference_join(left, right, ["k"], **flags)
+        assert list(zip(result.left_rows, result.right_rows)) == pairs
+        expected = reference_emit(left, right, pairs, result.table.schema.names)
+        assert canonical(result_rows(result)) == canonical(expected)
+
+    @pytest.mark.parametrize("flavour", list(JOINS))
+    def test_string_keys_differing_in_trailing_nuls(self, flavour):
+        """'a' and 'a\\x00' are different keys, as Python == says."""
+        operator, flags = JOINS[flavour]
+        left, right = make_tables(NUL_LEFT_KEYS, NUL_RIGHT_KEYS, key_dtype=DataType.STRING)
         result = operator(left, right, on=["k"])
         pairs = reference_join(left, right, ["k"], **flags)
         assert list(zip(result.left_rows, result.right_rows)) == pairs
@@ -237,6 +252,13 @@ class TestResolverNullParity:
         resolver = KeyBasedResolver([("k", "k")])
         got = [(m.left_row, m.right_row) for m in resolver.resolve(left, right)]
         assert got == reference_resolve(left, right, [("k", "k")])
+
+    def test_string_keys_differing_in_trailing_nuls(self):
+        left, right = make_tables(NUL_LEFT_KEYS, NUL_RIGHT_KEYS, key_dtype=DataType.STRING)
+        resolver = KeyBasedResolver([("k", "k")])
+        got = [(m.left_row, m.right_row) for m in resolver.resolve(left, right)]
+        assert got == reference_resolve(left, right, [("k", "k")])
+        assert got == [(0, 1), (1, 0), (3, 3)]
 
     def test_resolve_index_equals_resolve(self):
         left, right = make_tables(*KEY_CASES["duplicates_and_nulls"])

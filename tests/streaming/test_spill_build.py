@@ -7,6 +7,8 @@ count. What the factors *should* be comes from the independent dense
 formulation in ``tests/dense_reference.py``.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 from dense_reference import assert_two_source_matches_dense
@@ -22,6 +24,7 @@ from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import ColumnMatch
 from repro.relational.table import Table
 from repro.streaming import InMemoryTableStream, SpillStore, integrate_streams
+from repro.telemetry.memory import rss_breakdown
 
 CHUNK_SIZES = (1, 7, 10_000)
 STORAGE_ROUTES = ("resident", "spilled", "spilled+checksums")
@@ -205,11 +208,44 @@ class TestSpillStore:
         store = SpillStore(tmp_path / "spill")
         matrix = store.allocate("d", 10, 3)
         matrix[:] = 1.5
-        store.release()  # flush + drop pages; data must survive
+        store.release()  # drop pages without writing back; data must survive
         assert np.all(np.asarray(matrix) == 1.5)
         assert store.spilled_bytes == 10 * 3 * 8
         assert (tmp_path / "spill" / "d.f64").exists()
         store.cleanup()
+
+    def test_release_drops_pages_without_writing_back(self, tmp_path, monkeypatch):
+        flushes = []
+
+        class SpyMmap(mmap.mmap):
+            def flush(self, *args):
+                flushes.append("mmap.mmap.flush")
+                return super().flush(*args)
+
+        real_memmap_flush = np.memmap.flush
+
+        def spy_memmap_flush(matrix):
+            flushes.append("np.memmap.flush")
+            real_memmap_flush(matrix)
+
+        monkeypatch.setattr(mmap, "mmap", SpyMmap)  # numpy's memmap maps through it
+        monkeypatch.setattr(np.memmap, "flush", spy_memmap_flush)
+        store = SpillStore(tmp_path / "spill")
+        rows, columns = 2048, 1024  # 16 MiB of float64
+        matrix = store.allocate("d", rows, columns)
+        assert isinstance(matrix._mmap, SpyMmap)
+        expected = np.arange(rows * columns, dtype=np.float64).reshape(rows, columns)
+        matrix[:] = expected
+        before = rss_breakdown()
+        store.release()
+        after = rss_breakdown()
+        assert flushes == []
+        assert np.array_equal(matrix, expected)
+        store.cleanup()
+        if not before["available"]:
+            pytest.skip("no /proc/self/smaps_rollup: file-backed RSS is not readable")
+        dropped = before["file_backed_bytes"] - after["file_backed_bytes"]
+        assert dropped > 0.75 * matrix.nbytes
 
     def test_duplicate_name_rejected(self):
         with SpillStore() as store:
