@@ -184,15 +184,14 @@ class InstanceBasedMatcher(SchemaMatcher):
 
     def profile(self, table: Table, column: str) -> ColumnProfile:
         dtype = table.schema[column].dtype
-        distinct = table.distinct_values(column)
         if dtype is DataType.FLOAT:
             # A valid NaN (only trusted storage holds one: the constructors
             # read NaN as NULL) hashes by identity, so where each fresh NaN
             # lands would move the sample and the bounds call to call. Drop it.
-            values, valid = table.column_values(column), table.column_valid(column)
-            nan = np.isnan(values)
-            if bool((nan & valid).any()):
-                distinct = set(values[valid & ~nan].tolist())
+            values = table.column_values(column)
+            distinct = set(values[table.column_valid(column) & ~np.isnan(values)].tolist())
+        else:
+            distinct = table.distinct_values(column)
         if dtype is DataType.STRING and len(distinct) > self.sample_size:
             # Set order follows PYTHONHASHSEED for strings. Keeping the values
             # with the smallest checksum is the same in every process, and a
