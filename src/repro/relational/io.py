@@ -37,7 +37,10 @@ def read_csv(
     """Read a CSV file into a :class:`Table`, inferring column types.
 
     Empty cells and the literals ``null``/``none``/``na``/``nan`` become
-    NULL. This is the single-pass fast path of the chunked reader; use
+    NULL. The file is UTF-8; a leading byte-order mark is not part of the
+    first column's name. A key or label column the header lacks raises
+    :class:`repro.exceptions.SchemaError`.
+    This is the single-pass fast path of the chunked reader; use
     :class:`repro.streaming.ingest.ChunkedCsvReader` directly for
     bounded-memory streaming over files larger than RAM.
     """
@@ -88,7 +91,7 @@ def _csv_rows(block):
 
 
 def write_csv(table, path: PathLike, delimiter: str = ",") -> None:
-    """Write a :class:`Table` or chunk stream to CSV; NULLs become empty cells.
+    """Write a :class:`Table` or chunk stream to UTF-8 CSV; NULLs become empty cells.
 
     STRING values spelled like a NULL literal (``"null"``, ``"na"``, the
     empty string, whitespace), like a number or bool (``"5"``, ``"true"``),
@@ -108,7 +111,7 @@ def write_csv(table, path: PathLike, delimiter: str = ",") -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     names = table.schema.names
     blocks = table.chunks() if isinstance(table, TableChunkStream) else (table,)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(names)
         for block in blocks:

@@ -12,24 +12,46 @@ blank, every line ends in ``\n`` or ``\r\n``, the text is ASCII without
 the information separators ``\x1c``–``\x1f`` (which numpy's converters
 strip as whitespace and ``float()`` rejects), no line is longer than
 ``csv.field_size_limit()``, and the delimiter is not whitespace. Then each
-line is one record, and :func:`_parse_plain` reads the block with one
-``np.loadtxt(lines, dtype=float64, comments=None, quotechar=None)``. Its
-converter calls ``PyOS_string_to_double`` — the function ``float()``
-calls — after stripping whitespace, and rejects underscores, non-ASCII
-digits and empty cells, so a cell it accepts has the reference float.
-Columns whose every value is integral get one more ``loadtxt`` as int64
-over ``usecols``, when numpy's int64 parse is strict (it rejects
-``"3.0"``, ``"1e3"`` and ``"9223372036854775808"``; :data:`_STRICT_INT64`
-probes this at import, because from numpy 1.23 until that deprecation
-expired it read such a cell as a float and cast it). In any other column,
-and in every column where the parse is not strict, only the
-integral-valued cells fetch their text, from a lazy split of just their
-lines, and take the int sweep below. Any other block takes the
-``csv.reader`` tier. So does the rest of the file after a quote character,
-since a quoted field may span lines, and after a block numpy rejects
-anywhere or whose shape is not ``(lines, header width)``: numpy may have
-read most of that block before it stopped, and a file with one NULL or
-text cell per block would pay that on every block.
+line is one record, and :func:`_parse_plain` reads the block with **one**
+``np.loadtxt(lines, dtype=<record>, comments=None, quotechar=None)``. The
+record dtype has int64 fields for the columns expected to be integral —
+those the previous block held as int64 in every row, or, in a file's
+first block, those whose first-line cell is an integer literal — and
+float64 fields elsewhere. The float64 converter calls
+``PyOS_string_to_double`` — the function ``float()`` calls — after
+stripping whitespace, and rejects underscores, non-ASCII digits and empty
+cells, so a cell it accepts has the reference float. The int64 fields are
+used only where numpy's int64 parse is strict (it rejects ``"3.0"``,
+``"1e3"`` and ``"9223372036854775808"``, as ``int()`` does;
+:data:`_STRICT_INT64` probes this at import, because from numpy 1.23
+until that deprecation expired it read such a cell as a float and cast
+it). When the typed pass raises, one float64 pass reads the block, and a
+guessed column that did not hold is not guessed again in that file
+(:class:`_IntColumns`), so a column whose type flips costs one rejected
+pass per file, not one per block.
+
+One pass over the block matrix then classifies it: a column with no
+integral and no NaN cell, like an int64 column, becomes a block whose one
+bucket holds every row (:meth:`ParsedColumnBlock.one_bucket`), which then
+costs O(1) numpy calls into the replay record and out of it into a typed
+chunk. Only a column with an integral or NaN cell takes the per-column
+path: if every value is integral it gets one int64 ``loadtxt`` over
+``usecols``, and otherwise only its integral-valued cells fetch their
+text, from a lazy split of just their lines, and take the int sweep
+below. Any other block takes the ``csv.reader`` tier. So does the rest of
+the file after a quote character, since a quoted field may span lines,
+and after a block numpy rejects anywhere or whose shape is not
+``(lines, header width)``: numpy may have read most of that block before
+it stopped, and a file with one NULL or text cell per block would pay
+that on every block.
+
+The file's leading plain blocks are read as ASCII bytes
+(:meth:`ChunkedCsvReader._ascii_blocks`), which skips the text reader's
+per-line work; the text reader (UTF-8, a leading byte-order mark
+dropped) takes over at the first block that is not plain ASCII, or whose
+bytes up to where the text reader would have decoded are not, so every
+decode error keeps the row and message a text read of the whole file
+gives.
 
 **The ``csv.reader`` tier** parses *column-at-a-time, sweep then
 classify* (:func:`parse_cell_block`):
@@ -88,14 +110,19 @@ a whole chunk of a column stores no positions, and a column chunk
 without NULLs stores no mask, so a NULL-free numeric column costs 8 B
 per cell. A string cell costs its 8 B position plus its pickled UTF-8
 (length + a few bytes), and each column of each chunk adds a layout
-entry of a few dozen bytes. On ``csv_stream_spill`` (seed 0, 2 048-row
-chunks) the file holds 9.5 / 8.9 B per cell, 1.30 / 1.21x the CSV bytes.
+entry of a few dozen bytes. A block whose one bucket holds the whole
+column (its positions are :func:`_every_row`'s shared array) is written
+and read back without a positions or NULL-mask check, and its chunk is
+one cast; the record bytes are the same either way. On
+``csv_stream_spill`` (seed 0, 2 048-row chunks) the file holds 9.5 /
+8.9 B per cell, 1.30 / 1.21x the CSV bytes.
 
 Parsing runs on the caller's thread at any ``repro.parallel`` worker
 count. ``np.loadtxt`` holds the GIL while it reads a list of lines, as do
 ``csv.reader`` and the sweeps' ``float()``/``int()``: on
-``csv_stream_spill``'s blocks, two threads parsing half the blocks each
-ran at 0.67–0.87x the speed of one thread parsing all of them (2 cores).
+``csv_stream_spill``'s seed-0 blocks, two threads running
+:func:`_parse_plain` on half the blocks each ran at 0.79–1.22x (median
+1.0x) the speed of one thread parsing all of them (2 cores, 14 runs).
 Typing from the replay (``chunk_at``) is numpy work and runs on the
 builder's workers.
 """
@@ -103,6 +130,8 @@ builder's workers.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import os
 import pickle
 import tempfile
@@ -111,7 +140,9 @@ import warnings
 import weakref
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -133,6 +164,8 @@ from repro.relational.types import (
 from repro.streaming.chunks import DEFAULT_CHUNK_ROWS, TableChunk, TableChunkStream, read_chunk
 
 PathLike = Union[str, Path]
+#: A line of a plain block: ``str`` from the text reader, ASCII ``bytes`` read ahead of it.
+_Line = Union[str, bytes]
 
 #: Stripped, lower-cased spelling -> what the cell is: ``None`` for NULL, else the bool.
 _LITERALS = {**dict.fromkeys(NULL_LITERALS), "true": True, "false": False}
@@ -143,6 +176,27 @@ _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
 #: The least magnitude ``float()`` of an int rounds past the largest float64.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
+
+#: The typed buckets of a :class:`ParsedColumnBlock` and their value dtypes, in record order.
+_BUCKETS = (("bool", np.bool_), ("int", np.int64), ("float", np.float64), ("str", None))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_NO_POSITIONS = _read_only(np.empty(0, dtype=np.int64))
+_NO_VALUES = {
+    dtype: _read_only(np.empty(0, dtype=dtype)) for dtype in (np.bool_, np.int64, np.float64)
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _every_row(n: int) -> np.ndarray:
+    """``arange(n)``, one read-only array per ``n``: the positions of a
+    bucket that holds a whole column (see :attr:`ParsedColumnBlock.whole_bucket`)."""
+    return _read_only(np.arange(n, dtype=np.int64))
 
 
 class ColumnTypeFlags:
@@ -204,15 +258,40 @@ class ParsedColumnBlock:
     def __init__(self, n: int):
         self.n = n
         self.null_mask = np.zeros(n, dtype=bool)
-        self.bool_pos = np.empty(0, dtype=np.int64)
-        self.bool_vals = np.empty(0, dtype=np.bool_)
-        self.int_pos = np.empty(0, dtype=np.int64)
-        self.int_vals = np.empty(0, dtype=np.int64)
-        self.float_pos = np.empty(0, dtype=np.int64)
-        self.float_vals = np.empty(0, dtype=np.float64)
-        self.str_pos = np.empty(0, dtype=np.int64)
+        # Empty buckets share read-only arrays: a bucket is replaced, never written.
+        self.bool_pos = self.int_pos = self.float_pos = self.str_pos = _NO_POSITIONS
+        self.bool_vals = _NO_VALUES[np.bool_]
+        self.int_vals = _NO_VALUES[np.int64]
+        self.float_vals = _NO_VALUES[np.float64]
         self.str_vals: List[str] = []
         self.extra: List[Tuple[int, int]] = []  # out-of-int64-range python ints
+
+    @classmethod
+    def one_bucket(cls, bucket: str, values: np.ndarray) -> "ParsedColumnBlock":
+        """A block whose every cell is in ``bucket`` (``bool``/``int``/``float``)."""
+        block = cls(len(values))
+        setattr(block, bucket + "_pos", _every_row(block.n))
+        setattr(block, bucket + "_vals", values)
+        return block
+
+    @property
+    def whole_bucket(self) -> Optional[str]:
+        """The bucket that holds every row in row order, or None.
+
+        Such a bucket's positions are :func:`_every_row`'s array itself, so
+        this costs no numpy call; every other cell lands elsewhere, so the
+        column has no NULL.
+        """
+        rows = _every_row(self.n)
+        if self.float_pos is rows:
+            return "float"
+        if self.int_pos is rows:
+            return "int"
+        if self.bool_pos is rows:
+            return "bool"
+        if self.str_pos is rows:
+            return "str"
+        return None
 
     # -- classification -------------------------------------------------------------
     def _add(self, bucket: str, positions: np.ndarray, values: np.ndarray) -> None:
@@ -258,12 +337,18 @@ class ParsedColumnBlock:
         """
         # inf counts as integral: only int() can tell "1e400" from a 400-digit integer.
         integral = values == np.floor(values)
+        nan = np.isnan(values)
+        has_nan = nan.any()
+        if not has_nan and not integral.any():
+            self._add("float", positions, values)  # every cell a FLOAT: no subset to take
+            return
         if not integral.all():
-            # A parsed NaN ("nan", "-nan") is NULL under is_null(), exactly as
-            # the scalar pipeline treats it everywhere downstream.
-            nan = np.isnan(values)
-            self.null_mask[positions[nan]] = True
-            fractional = ~(integral | nan)
+            fractional = ~integral
+            if has_nan:
+                # A parsed NaN ("nan", "-nan") is NULL under is_null(), exactly as
+                # the scalar pipeline treats it everywhere downstream.
+                self.null_mask[positions[nan]] = True
+                fractional &= ~nan
             self._add("float", positions[fractional], values[fractional])
             positions = positions[integral]
         if not positions.size:
@@ -407,6 +492,11 @@ class ParsedColumnBlock:
     # -- typed finalization ---------------------------------------------------------
     def finalize(self, dtype: DataType) -> Tuple[np.ndarray, np.ndarray]:
         """``(storage, valid)`` arrays, matching ``coerce_column`` exactly."""
+        whole = self.whole_bucket
+        if whole is not None and whole in _WIDENS_TO[dtype]:
+            # One bucket, no NULL: the column is its values, cast to the storage dtype.
+            values = getattr(self, whole + "_vals").astype(_STORAGE_DTYPE[dtype])
+            return values, np.ones(self.n, dtype=bool)
         valid = ~self.null_mask
         if dtype is DataType.FLOAT:
             out = np.full(self.n, np.nan, dtype=np.float64)
@@ -465,6 +555,15 @@ class ParsedColumnBlock:
         raise TableError(f"unknown data type {dtype!r}")  # pragma: no cover
 
 
+#: The buckets whose values a column of each type stores by a plain cast.
+_WIDENS_TO = {
+    DataType.FLOAT: ("bool", "int", "float"),
+    DataType.INT: ("bool", "int"),
+    DataType.BOOL: ("bool",),
+    DataType.STRING: (),
+}
+
+
 def _take(cells: Sequence[str], positions: np.ndarray) -> Sequence[str]:
     """``cells[positions]``; positions are increasing, so all of them is ``cells``
     itself — unless ``cells`` is a plain block's column, whose text is fetched here."""
@@ -483,7 +582,7 @@ def parse_cell_block(cells: Sequence[str]) -> ParsedColumnBlock:
     sweeps reject reach the string-kernel classifier.
     """
     block = ParsedColumnBlock(len(cells))
-    if block.n == 0 or block._sweep(cells, np.arange(block.n)):
+    if block.n == 0 or block._sweep(cells, _every_row(block.n)):
         return block
     rest = block._peel_literals(cells)
     # Nothing peeled: the same cells would fail the same sweep again.
@@ -544,9 +643,9 @@ def _int64_parse_is_strict() -> bool:
 _STRICT_INT64 = _int64_parse_is_strict()
 
 
-def _split_line(line: str, delimiter: str) -> List[str]:
+def _split_line(line: _Line, delimiter: str) -> List[str]:
     """One plain line's cells, the strings ``csv.reader`` yields for it."""
-    return line.rstrip("\r\n").split(delimiter)
+    return _text(line).rstrip("\r\n").split(delimiter)
 
 
 class _PlainColumn:
@@ -574,64 +673,165 @@ class _PlainColumn:
         return fields[self._column]
 
 
-def _parse_plain(lines: List[str], width: int, delimiter: str) -> Optional[List[ParsedColumnBlock]]:
-    """The C tier: parse a plain block with numpy's C reader, or return None.
+def _int_literal(cell: str) -> bool:
+    """Whether ``cell`` spells an integer int64 holds: an optional sign and digits."""
+    stripped = cell.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    # No int64 has more than 19 digits; int() refuses thousands of them.
+    return digits.isdigit() and len(digits) <= 19 and _INT64_MIN <= int(stripped) <= _INT64_MAX
 
-    One ``np.loadtxt`` reads every cell as float64 through
-    ``PyOS_string_to_double``, the function ``float()`` calls, and, where
-    :data:`_STRICT_INT64` holds, one more reads the all-integral columns
-    as int64 with a strict integer parse; both reject what they do not
-    fully read (``"1_000"``, non-ASCII digits, an empty cell). Any
-    rejection, or a shape other than ``(len(lines), width)``, returns None
-    and the block takes ``csv.reader`` + :func:`parse_cell_block`.
-    Otherwise every column ends in :meth:`ParsedColumnBlock._bucket`, like
-    a float sweep; only the integral-valued cells of a column without
-    int64 values fetch their text, from a lazy split of just their lines.
+
+def _first_line_ints(lines: Sequence[_Line], width: int, delimiter: str) -> Tuple[int, ...]:
+    """The columns whose cell on the block's first line is an integer literal."""
+    cells = _text(lines[0]).rstrip("\r\n").split(delimiter)[:width]
+    return tuple(column for column, cell in enumerate(cells) if _int_literal(cell))
+
+
+#: ``np.loadtxt`` keeps a plain line's text whole: no comment, no quoting.
+_VERBATIM = dict(comments=None, quotechar=None)
+
+
+@functools.lru_cache(maxsize=32)
+def _row_dtype(width: int, ints: Tuple[int, ...]) -> np.dtype:
+    """A record of ``width`` 8-byte fields: int64 at ``ints``, float64 elsewhere."""
+    formats: List[type] = [np.float64] * width
+    for column in ints:
+        formats[column] = np.int64
+    return np.dtype({"names": [f"c{column}" for column in range(width)], "formats": formats})
+
+
+def _typed_pass(
+    lines: Sequence[_Line], width: int, delimiter: str, ints: Tuple[int, ...]
+) -> Optional[np.ndarray]:
+    """One ``np.loadtxt`` of a plain block, or None where numpy rejects it.
+
+    Returns the ``(len(lines), width)`` cells as float64, except that the
+    ``ints`` columns hold the bits of a strict int64 parse.
     """
-    options = dict(delimiter=delimiter, comments=None, quotechar=None, ndmin=2)
     try:
-        values = np.loadtxt(lines, dtype=np.float64, **options)
+        if ints:
+            dtype = _row_dtype(width, ints)
+            records = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, ndmin=1, **_VERBATIM)
+            cells = records.view(np.float64).reshape(len(records), width)
+        else:
+            cells = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, ndmin=2, **_VERBATIM)
     except ValueError:
         return None
-    n = len(lines)
-    if values.shape != (n, width):
+    return cells if cells.shape == (len(lines), width) else None
+
+
+def _parse_plain(
+    lines: Sequence[_Line], width: int, delimiter: str, ints: Optional[Tuple[int, ...]] = None
+) -> Optional[List[ParsedColumnBlock]]:
+    """The C tier: parse a plain block with numpy's C reader, or return None.
+
+    One ``np.loadtxt`` with a record dtype reads the ``ints`` columns
+    (by default those whose first-line cell is an integer literal) as
+    int64, where :data:`_STRICT_INT64` holds, and every other cell as
+    float64 through ``PyOS_string_to_double``, the function ``float()``
+    calls; both reject what they do not fully read (``"1_000"``,
+    non-ASCII digits, an empty cell). When that pass raises, one float64
+    pass reads the block instead. If that raises too, or the shape is not
+    ``(len(lines), width)``, this returns None and the block takes
+    ``csv.reader`` + :func:`parse_cell_block`.
+
+    One pass over the block matrix then finds the columns with an
+    integral or NaN cell. Every other column, like an int64 one, is a
+    block with one bucket. A column with such a cell takes
+    :meth:`ParsedColumnBlock._bucket`, like a float sweep: if all of its
+    values are integral, it gets one int64 ``loadtxt`` over ``usecols``
+    (shared with the block's other such columns); otherwise only its
+    integral-valued cells fetch their text, from a lazy split of just
+    their lines.
+    """
+    if not _STRICT_INT64:
+        ints = ()
+    elif ints is None:
+        ints = _first_line_ints(lines, width, delimiter)
+    cells = _typed_pass(lines, width, delimiter, ints)
+    if cells is None and ints:
+        ints = ()
+        cells = _typed_pass(lines, width, delimiter, ints)
+    if cells is None:
         return None
-    # Columns of finite whole numbers: int64 can hold what the strict parse accepts.
-    whole = np.flatnonzero(((values == np.floor(values)) & np.isfinite(values)).all(axis=0))
-    ints: Dict[int, np.ndarray] = {}
-    if whole.size and _STRICT_INT64:
-        try:
-            parsed = np.loadtxt(lines, dtype=np.int64, usecols=whole.tolist(), **options)
-        except ValueError:
-            pass  # "3.0" or "1e3" in a whole column: its cells go to the int() sweep
-        else:
-            ints = {int(column): parsed[:, j] for j, column in enumerate(whole)}
-    positions = np.arange(n)
+    n = len(lines)
+    columns = np.ascontiguousarray(cells.T)  # each column's cells contiguous, ready to store
+    # floor(x) < x holds for a fractional float, not for an integral one, inf
+    # or NaN: those cells need the per-column path. An int64 column's bits are
+    # no float, so its answer is discarded.
+    with np.errstate(invalid="ignore"):
+        mixed = ~(np.floor(columns) < columns).all(axis=1)
+    mixed[list(ints)] = False
+    mixed_columns = np.flatnonzero(mixed)
+    whole_ints: Dict[int, np.ndarray] = {}
+    if mixed_columns.size and _STRICT_INT64:
+        # Columns of finite whole numbers: int64 can hold what the strict parse accepts.
+        values = columns[mixed_columns]
+        integral = mixed_columns[((values == np.floor(values)) & np.isfinite(values)).all(axis=1)]
+        if integral.size:
+            try:
+                parsed = np.loadtxt(
+                    lines, dtype=np.int64, usecols=integral.tolist(), delimiter=delimiter,
+                    ndmin=2, **_VERBATIM,
+                )
+            except ValueError:
+                pass  # "3.0" or "1e3" in a whole column: its cells go to the int() sweep
+            else:
+                whole_ints = {int(column): parsed[:, j] for j, column in enumerate(integral)}
+    int_columns = set(ints)
+    rows = _every_row(n)
     fields: Dict[int, List[str]] = {}
     blocks = []
-    for column in range(width):
-        block = ParsedColumnBlock(n)
-        block._bucket(
-            values[:, column],
-            positions,
-            _PlainColumn(lines, delimiter, fields, column),
-            ints.get(column),
-        )
-        blocks.append(block)
+    for column, is_mixed in enumerate(mixed.tolist()):
+        if column in int_columns:
+            blocks.append(ParsedColumnBlock.one_bucket("int", columns[column].view(np.int64)))
+        elif not is_mixed:
+            blocks.append(ParsedColumnBlock.one_bucket("float", columns[column]))
+        else:
+            block = ParsedColumnBlock(n)
+            block._bucket(
+                columns[column],
+                rows,
+                _PlainColumn(lines, delimiter, fields, column),
+                whole_ints.get(column),
+            )
+            blocks.append(block)
     return blocks
 
 
-#: The typed buckets of a :class:`ParsedColumnBlock`, in record order.
-_BUCKETS = (("bool", np.bool_), ("int", np.int64), ("float", np.float64), ("str", None))
+class _IntColumns:
+    """Which columns the typed pass of a file's next plain block reads as int64.
+
+    The first block guesses from its first line (``None``); each later
+    block takes the columns the previous block held as int64 in every row.
+    A guessed column that then held anything else cost a rejected typed
+    pass, so it is not guessed again: a column whose type flips pays that
+    once per file, not once per block.
+    """
+
+    __slots__ = ("guess", "dropped")
+
+    def __init__(self) -> None:
+        self.guess: Optional[Tuple[int, ...]] = None
+        self.dropped: Set[int] = set()
+
+    def update(self, blocks: List[ParsedColumnBlock]) -> None:
+        held = {column for column, block in enumerate(blocks) if block.whole_bucket == "int"}
+        if self.guess is not None:
+            self.dropped.update(set(self.guess) - held)
+        self.guess = tuple(sorted(held - self.dropped))
+
+
 #: A bucket size meaning "every row, in order": its positions are not stored.
 _EVERY_ROW = -1
 
 
 def _add_positions(positions: np.ndarray, n: int, buffers: List[np.ndarray]) -> int:
     """Queue a bucket's positions unless they are ``0 .. n-1``; return the layout size."""
-    if positions.size == n and np.array_equal(positions, np.arange(n)):
+    if positions.size == n and np.array_equal(positions, _every_row(n)):
         return _EVERY_ROW
-    buffers.append(np.ascontiguousarray(positions, dtype=np.int64))
+    if positions.size:
+        buffers.append(np.ascontiguousarray(positions, dtype=np.int64))
     return int(positions.size)
 
 
@@ -658,15 +858,19 @@ class _ReplayFile:
         layout = []
         buffers: List[np.ndarray] = []
         for block in blocks:
-            has_nulls = bool(block.null_mask.any())
+            whole = block.whole_bucket
+            has_nulls = whole is None and bool(block.null_mask.any())
             if has_nulls:
                 buffers.append(block.null_mask)
             sizes = []
             for bucket, dtype in _BUCKETS:
-                positions = getattr(block, bucket + "_pos")
-                sizes.append(_add_positions(positions, block.n, buffers))
-                if bucket != "str":
-                    buffers.append(np.ascontiguousarray(getattr(block, bucket + "_vals"), dtype))
+                values = getattr(block, bucket + "_vals")
+                if bucket == whole:
+                    sizes.append(_EVERY_ROW)
+                else:
+                    sizes.append(_add_positions(getattr(block, bucket + "_pos"), block.n, buffers))
+                if dtype is not None and values.size:
+                    buffers.append(np.ascontiguousarray(values, dtype))
             layout.append((block.n, has_nulls, sizes, block.str_vals, block.extra))
         head = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
         record = b"".join([len(head).to_bytes(8, "little"), head, *buffers])
@@ -697,10 +901,10 @@ class _ReplayFile:
             for (bucket, dtype), size in zip(_BUCKETS, sizes):
                 if size == _EVERY_ROW:
                     size = n
-                    setattr(block, bucket + "_pos", np.arange(n, dtype=np.int64))
-                else:
+                    setattr(block, bucket + "_pos", _every_row(n))
+                elif size:
                     setattr(block, bucket + "_pos", take(np.int64, size))
-                if bucket != "str":
+                if dtype is not None and size:
                     setattr(block, bucket + "_vals", take(dtype, size))
             block.str_vals, block.extra = str_vals, extra
             blocks.append(block)
@@ -708,15 +912,18 @@ class _ReplayFile:
 
 
 class _PlainLines:
-    """A block of physical lines that passed :func:`_is_plain`: each line is
-    one record, the first of them row ``row_number + 1``. ``rejected`` is
-    set when the C tier gave the block to ``csv.reader``."""
+    """A block of physical lines that passed :func:`_is_plain` (or, read as
+    bytes, :func:`_is_plain_bytes`): each line is one record, the first of
+    them row ``row_number + 1``. ``ints`` is the
+    file's :class:`_IntColumns`; ``rejected`` is set when the C tier gave
+    the block to ``csv.reader``."""
 
-    __slots__ = ("lines", "row_number", "rejected")
+    __slots__ = ("lines", "row_number", "ints", "rejected")
 
-    def __init__(self, lines: List[str], row_number: int):
+    def __init__(self, lines: List[_Line], row_number: int, ints: _IntColumns):
         self.lines = lines
         self.row_number = row_number
+        self.ints = ints
         self.rejected = False
 
     def __len__(self) -> int:
@@ -737,6 +944,48 @@ def _read_lines(
     except UnicodeDecodeError as exc:
         return lines, exc
     return lines, None
+
+
+#: How far past a line the text reader may have decoded: its read size.
+_DECODE_AHEAD = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+
+
+def _has_lone_cr(data: bytes) -> bool:
+    """Whether some ``\r`` in ``data`` is not followed by ``\n``."""
+    if b"\r" not in data:
+        return False
+    codes = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(codes == ord("\r"))
+    return cr[-1] + 1 == codes.size or bool((codes[cr + 1] != ord("\n")).any())
+
+
+def _is_plain_bytes(lines: List[bytes], fd: int, end: int) -> bool:
+    """:func:`_is_plain` for lines read as bytes, which end at offset ``end``
+    of file ``fd``, and whether the text reader reads the same lines.
+
+    A bytes line ends at ``\n`` alone, so only the last line can lack one,
+    and the text reader also ends a line at a lone ``\r``: there must be
+    none. ASCII decodes alike; the file must be ASCII for
+    :data:`_DECODE_AHEAD` bytes past the lines too, since the text reader
+    decodes ahead of a line and so met no undecodable byte there either.
+    """
+    data = b"".join(lines)
+    return (
+        data.isascii()
+        and os.pread(fd, _DECODE_AHEAD, end).isascii()
+        and _QUOTE.encode() not in data
+        and not any(separator.encode() in data for separator in _SEPARATORS)
+        and lines[-1].endswith(b"\n")
+        and not _has_lone_cr(data)
+        and b"\n" not in lines
+        and b"\r\n" not in lines
+        and max(map(len, lines)) <= csv.field_size_limit()
+    )
+
+
+def _text(line: _Line) -> str:
+    """A plain block's line as ``str``: one read as bytes is ASCII."""
+    return line.decode("ascii") if isinstance(line, bytes) else line
 
 
 def _raising(error: BaseException) -> Iterator[str]:
@@ -782,7 +1031,7 @@ class ChunkedCsvReader(TableChunkStream):
 
     # -- raw row blocks -------------------------------------------------------------
     def _raw_chunks(self) -> Iterator[Tuple[List[str], _RawBlock]]:
-        """Yield ``(header, block)`` chunks of ``chunk_rows`` rows from one open handle.
+        """Yield ``(header, block)`` chunks of ``chunk_rows`` rows from one open file.
 
         Lines are read ``chunk_rows`` at a time. A block of lines that
         passes :func:`_is_plain` is yielded as :class:`_PlainLines` for the
@@ -792,51 +1041,111 @@ class ChunkedCsvReader(TableChunkStream):
         the rest of the file. Chunk boundaries are those
         of a ``csv.reader`` over the whole file: a chunk that blank lines
         left short is topped up through ``csv.reader`` before the next
-        block is read.
+        block is read. The file's leading ASCII blocks are read as bytes
+        (:meth:`_ascii_blocks`); the text reader takes over at the first
+        block that is not one, so it reads, decodes and reports every
+        other line as if it had read the whole file.
         """
-        with self._path.open(newline="") as handle:
-            reader = csv.reader(handle, delimiter=self._delimiter)
-            try:
-                header = next(reader)
-            except StopIteration as exc:
-                raise TableError(f"CSV file {self._path} is empty") from exc
-            except UnicodeDecodeError as exc:
-                raise TableError(
-                    f"CSV file {self._path} is not valid UTF-8 "
-                    f"(header, row 1): {exc}"
-                ) from exc
-            except csv.Error as exc:
-                raise TableError(
-                    f"CSV file {self._path} is malformed (header, row 1): {exc}"
-                ) from exc
-            c_tier = not self._delimiter.isspace()
-            rows: List[List[str]] = []
-            row_number = 1  # 1-based physical row; the header is row 1
-            while True:
-                lines, error = _read_lines(handle, self._chunk_rows - len(rows))
-                if c_tier and not rows and error is None and lines and _is_plain(lines):
-                    plain = _PlainLines(lines, row_number)
-                    yield header, plain  # parsed before the generator resumes
-                    c_tier = not plain.rejected
+        with self._path.open("rb", buffering=0) as raw:
+            start = yield from self._ascii_blocks(raw)
+            if start is None:
+                return
+            taken, c_tier, ints = start
+            raw.seek(0)
+            # "utf-8-sig": a byte-order mark is not part of the first column's name.
+            text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+            with text as handle:
+                reader = csv.reader(handle, delimiter=self._delimiter)
+                try:
+                    header = next(reader)
+                except StopIteration as exc:
+                    raise TableError(f"CSV file {self._path} is empty") from exc
+                except UnicodeDecodeError as exc:
+                    raise TableError(
+                        f"CSV file {self._path} is not valid UTF-8 "
+                        f"(header, row 1): {exc}"
+                    ) from exc
+                except csv.Error as exc:
+                    raise TableError(
+                        f"CSV file {self._path} is malformed (header, row 1): {exc}"
+                    ) from exc
+                # Skip the lines the ASCII blocks took after the header: they decode.
+                for _ in islice(handle, max(taken - 1, 0)):
+                    pass
+                rows: List[List[str]] = []
+                row_number = max(taken, 1)  # 1-based physical row; the header is row 1
+                while True:
+                    lines, error = _read_lines(handle, self._chunk_rows - len(rows))
+                    if c_tier and not rows and error is None and lines and _is_plain(lines):
+                        plain = _PlainLines(lines, row_number, ints)
+                        yield header, plain  # parsed before the generator resumes
+                        c_tier = not plain.rejected
+                        row_number += len(lines)
+                        continue
+                    if not lines and error is None:
+                        break
+                    to_end = not c_tier or any(_QUOTE in line for line in lines)
+                    rest: Iterable[str] = ()
+                    if error is not None:
+                        rest = _raising(error)
+                    elif to_end:
+                        rest = handle
+                    for row in self._csv_rows(chain(lines, rest), row_number, len(header)):
+                        rows.append(row)
+                        if len(rows) >= self._chunk_rows:
+                            yield header, rows
+                            rows = []
+                    if to_end:
+                        break
                     row_number += len(lines)
-                    continue
-                if not lines and error is None:
-                    break
-                to_end = not c_tier or any(_QUOTE in line for line in lines)
-                rest: Iterable[str] = ()
-                if error is not None:
-                    rest = _raising(error)
-                elif to_end:
-                    rest = handle
-                for row in self._csv_rows(chain(lines, rest), row_number, len(header)):
-                    rows.append(row)
-                    if len(rows) >= self._chunk_rows:
-                        yield header, rows
-                        rows = []
-                if to_end:
-                    break
-                row_number += len(lines)
-            yield header, rows
+                yield header, rows
+
+    def _ascii_blocks(
+        self, raw: io.RawIOBase
+    ) -> Generator[Tuple[List[str], _RawBlock], None, Optional[Tuple[int, bool, _IntColumns]]]:
+        """Yield the file's leading plain blocks, read as bytes, for the C tier.
+
+        Bytes lines skip the text reader's per-line work. The header and
+        then each block are taken while :func:`_is_plain_bytes` holds.
+        Returns None when they reached the end of the file, else
+        where the text reader takes over: the physical lines taken (the
+        header's included; 0 when the text reader reads the header),
+        whether the C tier is still on, and the file's int64 guess.
+        """
+        ints = _IntColumns()
+        if self._delimiter.isspace():
+            return 0, False, ints
+        binary = io.BufferedReader(raw)
+        try:
+            first = binary.readline()
+            if not first or not _is_plain_bytes([first], raw.fileno(), binary.tell()):
+                return 0, True, ints
+            header = next(csv.reader([first.decode("ascii")], delimiter=self._delimiter))
+            taken = 1
+            while True:
+                lines = list(islice(binary, self._chunk_rows))
+                if not lines:
+                    yield header, []
+                    return None
+                if not _is_plain_bytes(lines, raw.fileno(), binary.tell()):
+                    return taken, True, ints
+                plain = _PlainLines(lines, taken, ints)
+                yield header, plain  # parsed before the generator resumes
+                taken += len(lines)
+                if plain.rejected:
+                    return taken, False, ints
+        finally:
+            binary.detach()  # the text reader takes ``raw`` over
+
+    def _check_roles(self, header: List[str]) -> None:
+        """Raise :class:`SchemaError` when a named key or label column is not in ``header``."""
+        named = [*self._key_columns, *([] if self._label_column is None else [self._label_column])]
+        missing = [column for column in named if column not in header]
+        if missing:
+            raise SchemaError(
+                f"CSV file {self._path} has no column {', '.join(map(repr, missing))} "
+                f"(named as a key or label column)"
+            )
 
     def _csv_rows(self, lines: Iterable[str], row_number: int, width: int) -> Iterator[List[str]]:
         """``csv.reader`` over ``lines``, whose first record is row ``row_number + 1``.
@@ -876,11 +1185,13 @@ class ChunkedCsvReader(TableChunkStream):
         """One chunk's parsed column blocks: the C tier for plain lines it
         accepts, ``csv.reader`` + :func:`parse_cell_block` for the rest."""
         if isinstance(block, _PlainLines):
-            parsed = _parse_plain(block.lines, len(header), self._delimiter)
+            parsed = _parse_plain(block.lines, len(header), self._delimiter, block.ints.guess)
             if parsed is not None:
+                block.ints.update(parsed)
                 return parsed
             block.rejected = True
-            block = list(self._csv_rows(block.lines, block.row_number, len(header)))
+            lines = [_text(line) for line in block.lines]
+            block = list(self._csv_rows(lines, block.row_number, len(header)))
         if not block:
             return [ParsedColumnBlock(0) for _ in header]
         transposed = list(zip(*block))
@@ -919,9 +1230,10 @@ class ChunkedCsvReader(TableChunkStream):
         flags: List[ColumnTypeFlags] = []
         n_rows = 0
         for header, rows in self._raw_chunks():
-            blocks = parse(header, rows)
             if not flags:
+                self._check_roles(header)
                 flags = [ColumnTypeFlags() for _ in header]
+            blocks = parse(header, rows)
             for accumulated, block in zip(flags, blocks):
                 accumulated.merge(block.flags)
             if rows:

@@ -1,6 +1,13 @@
 """Tests for repro.relational.io (CSV round-trips)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.exceptions import TableError
 from repro.relational.io import read_csv, write_csv
@@ -26,33 +33,33 @@ class TestReadCsv:
 
     def test_key_and_label_roles(self, tmp_path):
         path = tmp_path / "roles.csv"
-        path.write_text("id,m,x\n1,0,2.0\n2,1,3.0\n")
+        path.write_text("id,m,x\n1,0,2.0\n2,1,3.0\n", encoding="utf-8")
         table = read_csv(path, key_columns=["id"], label_column="m")
         assert table.schema["id"].is_key
         assert table.schema["m"].is_label
 
     def test_custom_name_and_delimiter(self, tmp_path):
         path = tmp_path / "data.tsv"
-        path.write_text("a;b\n1;2\n")
+        path.write_text("a;b\n1;2\n", encoding="utf-8")
         table = read_csv(path, name="custom", delimiter=";")
         assert table.name == "custom"
         assert table.cell(0, "b") == 2
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(TableError):
             read_csv(path)
 
     def test_ragged_row_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2,3\n")
+        path.write_text("a,b\n1,2,3\n", encoding="utf-8")
         with pytest.raises(TableError):
             read_csv(path)
 
     def test_null_literals(self, tmp_path):
         path = tmp_path / "nulls.csv"
-        path.write_text("a,b\nnull,1\nNA,2\n,3\n")
+        path.write_text("a,b\nnull,1\nNA,2\n,3\n", encoding="utf-8")
         table = read_csv(path)
         assert all(v is NULL for v in table.column("a"))
 
@@ -61,6 +68,38 @@ class TestReadCsv:
         path = tmp_path / "nested" / "dir" / "t.csv"
         write_csv(table, path)
         assert path.exists()
+
+
+class TestUtf8:
+    """CSV files are UTF-8 whatever the locale, and a byte-order mark is no part of a name."""
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffid,b\n1,2\n".encode("utf-8"))
+        table = read_csv(path, key_columns=["id"])
+        assert table.schema.names == ["id", "b"]
+        assert table.schema["id"].is_key
+
+    def test_non_ascii_round_trips_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "cafe.csv"
+        path.write_bytes("name,x\r\ncaf\u00e9,1\r\n".encode("utf-8"))  # csv.writer's line ends
+        script = (
+            "import sys; from repro.relational.io import read_csv, write_csv; "
+            "table = read_csv(sys.argv[1]); write_csv(table, sys.argv[2]); "
+            "print(ascii(read_csv(sys.argv[2]).column('name')))"
+        )
+        env = dict(
+            os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+        )
+        copy = tmp_path / "copy.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(copy)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ascii(["caf\u00e9"])
+        assert copy.read_bytes() == path.read_bytes()
 
 
 class TestStringTypedRoundTrip:

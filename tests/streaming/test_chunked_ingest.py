@@ -104,7 +104,7 @@ def write_tiers_csv(path):
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -181,7 +181,7 @@ class TestChunkedReaderParity:
                 cell = ADVERSARIAL_CELLS[i // 5 % len(ADVERSARIAL_CELLS)] if i % 5 == 0 else str(i)
                 rows.append([str(i), f"{i}.25", cell, str(i * 3), str(i % 2)])
         path = tmp_path / f"{kind}.csv"
-        with path.open("w", newline="") as handle:
+        with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator=eol)
             writer.writerow(header)
             writer.writerows(rows)
@@ -189,9 +189,10 @@ class TestChunkedReaderParity:
 
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
     def test_stream_equals_read_csv(self, messy_csv, chunk_rows):
-        full = read_csv(messy_csv, key_columns=["k"], label_column="flag")
+        label = "s" if messy_csv.name == "tiers.csv" else "flag"  # a column of the file
+        full = read_csv(messy_csv, key_columns=["k"], label_column=label)
         reader = ChunkedCsvReader(
-            messy_csv, key_columns=["k"], label_column="flag", chunk_rows=chunk_rows
+            messy_csv, key_columns=["k"], label_column=label, chunk_rows=chunk_rows
         )
         assert reader.schema == full.schema
         assert reader.n_rows == full.n_rows
@@ -273,6 +274,28 @@ class TestAcrossTiers:
         assert ChunkedCsvReader(path, chunk_rows=chunk_rows).n_rows == 45
         expected = [True] * (20 // chunk_rows) + [False] if chunk_rows <= 20 else []
         assert c_tier_accepted == expected
+
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_a_lone_cr_ends_a_line(self, tmp_path, chunk_rows):
+        """The text reader ends a line at a lone CR, so the bytes read ahead of
+        it do not take a block holding one: its rows are csv.reader's."""
+        rows = [f"{i},{i}.5" for i in range(20)]
+        text = "k,x\r\n" + "\r\n".join(rows[:11]) + "\r" + "\r\n".join(rows[11:]) + "\r\n"
+        path = tmp_path / "lone_cr.csv"
+        path.write_bytes(text.encode())
+        table = read_csv(path)
+        assert table.column("k") == list(range(20))
+        assert ChunkedCsvReader(path, chunk_rows=chunk_rows).read_table().equals(table)
+
+    def test_a_long_digit_run_is_no_int64_guess(self, tmp_path, no_c_tier):
+        """A first-line cell of thousands of digits (more than ``int()`` reads)
+        is not guessed int64, and reads as it does without the C tier."""
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a,b\r\n" + b"1" * 5000 + b",2.5\r\n3,4.5\r\n")
+        table = read_csv(path)
+        no_c_tier()
+        assert read_csv(path).equals(table)
 
 
 class TestLenientInt64Parse:
@@ -400,7 +423,7 @@ class TestReplay:
         reader = ChunkedCsvReader(numbers_csv, chunk_rows=7)
         expected = read_csv(numbers_csv)
         reader.scan()
-        numbers_csv.write_text("k,v,s\nchanged,1,2\n")
+        numbers_csv.write_text("k,v,s\nchanged,1,2\n", encoding="utf-8")
         assert reader.read_table().equals(expected)
         assert reader.n_rows == expected.n_rows
 
@@ -412,7 +435,7 @@ class TestReplay:
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
         opened.clear()
         reader = ChunkedCsvReader(path, chunk_rows=1)
         with pytest.raises(TableError):
@@ -449,7 +472,7 @@ SEED_ERROR_CASES = {
 def seed_reader_error(path):
     """The message the seed reader raised for ``path`` — one ``csv.reader``
     over the whole file, rows counted as records — or None."""
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -537,6 +560,31 @@ class TestSeedErrorParity:
                 parse()
 
 
+class TestNamedColumns:
+    """A key or label column the header lacks is a SchemaError that names it."""
+
+    @pytest.mark.parametrize("c_tier", [True, False], ids=["c_tier", "csv_reader"])
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1,2.5\n3,4.5\n", 'a,b\n1,"x"\n3,4.5\n', "a,b\n"],
+        ids=["plain", "quoted", "header_only"],
+    )
+    def test_absent_key_or_label_is_a_schema_error(self, tmp_path, text, c_tier, no_c_tier):
+        if not c_tier:
+            no_c_tier()
+        path = _write(tmp_path, "roles.csv", text)
+        for parse in (
+            ChunkedCsvReader(path, key_columns=["zzz"], label_column="yyy").scan,
+            ChunkedCsvReader(path, key_columns=["a", "zzz"], label_column="yyy").read,
+            lambda: read_csv(path, key_columns=["zzz"], label_column="yyy"),
+        ):
+            with pytest.raises(SchemaError, match="no column 'zzz', 'yyy'"):
+                parse()
+        with pytest.raises(SchemaError, match="no column 'yyy'"):
+            read_csv(path, key_columns=["a"], label_column="yyy")
+        table = read_csv(path, key_columns=["a"], label_column="b")
+        assert table.schema["a"].is_key and table.schema["b"].is_label
+
+
 class TestWriteReadRoundTrip:
     def test_null_literal_strings_survive(self, tmp_path):
         table = Table.from_dict(
@@ -580,7 +628,7 @@ def write_csv_rowwise(table, path):
     else:
         rows = (row for chunk in table.chunks() for row in chunk.to_table(table.name).rows())
     strings = {c.name for c in table.schema if c.dtype is DataType.STRING}
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.schema.names)
         for row in rows:

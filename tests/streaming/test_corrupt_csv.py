@@ -43,7 +43,7 @@ def _rows(draw, n_columns, n_rows, cell=plain_cell):
 
 def _write(tmp_path, lines):
     path = tmp_path / "fuzz.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 

@@ -12,7 +12,10 @@ the column down the general path — with the reference's exact buckets.
 The C tier (``np.loadtxt`` over a plain block of lines) is bounded the
 same way: a NULL-free numeric block calls ``parse_cell_block`` for none of
 its columns and splits none of its lines, and an integral spelling in a
-float column fetches its own cell's text and no neighbour's.
+float column fetches its own cell's text and no neighbour's. While a
+file's integral columns stay integral, each block is one typed
+``np.loadtxt``; a column whose type flips costs one rejected typed pass
+per file.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def numeric_lines(x_cells):
 def test_numeric_block_takes_the_c_tier(tmp_path, c_tier_work, cells_sent):
     x = float_cells()
     path = tmp_path / "numeric.csv"
-    path.write_text("k,x,n\r\n" + "".join(numeric_lines(x)), newline="")
+    path.write_text("k,x,n\r\n" + "".join(numeric_lines(x)), encoding="utf-8", newline="")
     table = ChunkedCsvReader(path, chunk_rows=N).read()
     assert not c_tier_work and not cells_sent
     assert [c.dtype.value for c in table.schema] == ["int", "float", "int"]
@@ -158,3 +161,51 @@ def test_integral_spellings_in_a_float_column_fetch_only_their_text(
     assert cells_sent["_classify"] == len(integral) and cells_sent["_scalar_fallback"] == 0
     block = assert_matches_scalar_parser(x, parse=lambda _: blocks[1])
     assert_same_buckets(block, parse_cell_block(x))
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Every ``np.loadtxt`` call while the fixture is live, as its dtype:
+    ``"typed"`` for a record of int64 and float64 fields."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, dtype=np.float64, **kwargs):
+        calls.append("typed" if np.dtype(dtype).names else np.dtype(dtype).name)
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+def test_numeric_block_is_one_loadtxt(tmp_path, c_tier_work, loadtxt_calls):
+    """While its integral columns stay integral, a NULL-free numeric file
+    reads each block with one typed ``np.loadtxt`` and splits no line."""
+    path = tmp_path / "numeric.csv"
+    lines = numeric_lines(float_cells(3 * N))
+    path.write_text("k,x,n\r\n" + "".join(lines), encoding="utf-8", newline="")
+    reader = ChunkedCsvReader(path, chunk_rows=N)
+    reader.scan()
+    assert len(loadtxt_calls) == 3
+    if ingest._STRICT_INT64:
+        assert not c_tier_work
+    assert [c.dtype.value for c in reader.schema] == ["int", "float", "int"]
+    loadtxt_calls.clear()
+    assert ChunkedCsvReader(path, chunk_rows=N).read().equals(reader.read_table())
+    assert len(loadtxt_calls) == 3
+
+
+@pytest.mark.skipif(not ingest._STRICT_INT64, reason="no int64 typed pass on this numpy")
+def test_a_type_flip_costs_one_rejected_typed_pass(tmp_path, loadtxt_calls):
+    """Column ``n`` is integral, then fractional for one block, then integral
+    again: only the block where it flips pays a rejected typed pass."""
+    lines = numeric_lines(float_cells(4 * N))
+    lines[N + 3] = lines[N + 3].rsplit(",", 1)[0] + ",2.5\r\n"
+    path = tmp_path / "flip.csv"
+    path.write_text("k,x,n\r\n" + "".join(lines), encoding="utf-8", newline="")
+    ChunkedCsvReader(path, chunk_rows=N).scan()
+    # block 2: the rejected typed pass, the float64 pass, the int64 pass of k;
+    # blocks 3-4: n is no longer guessed, so the typed pass and n's int64 pass
+    assert loadtxt_calls == [
+        "typed", "typed", "float64", "int64", "typed", "int64", "typed", "int64",
+    ]

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for the core invariants of DESIGN.md §5."""
 
+import os
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.metadata.similarity import (
     value_overlap,
 )
 from repro.parallel import pool as parallel_pool
+from repro.relational.io import read_csv
 from repro.relational.table import Table
 from repro.relational.types import (
     NULL_LITERALS,
@@ -43,7 +46,7 @@ from repro.relational.types import (
     parse_cell,
 )
 from repro.serving import DatasetSession
-from repro.streaming import SpillStore, integrate_streams
+from repro.streaming import SpillStore, ingest, integrate_streams
 from repro.system.requests import DeltaBatch, IntegrationConfig
 
 # Bounded sizes keep each hypothesis example fast while still exploring the
@@ -765,3 +768,108 @@ class TestCsvCellKernel:
                 assert got[1] == want[1] and np.array_equal(got[0], want[0]), (dtype, got, want)
             else:
                 assert got == want, (dtype, got, want)
+
+
+# -- the C tier's typed pass across blocks -------------------------------------------------------
+#
+# Multi-block plain files (ASCII, unquoted, no blank line) whose columns change
+# integral spelling at a block boundary or mid-block, so that the typed pass's
+# int64 guess is right, wrong, or dropped from one block to the next. Their
+# lines end in LF, CRLF or a mix, with now and then a lone CR (the text reader
+# ends a line there, so the bytes read ahead of it must not take that block).
+
+ascii_integer_cells = st.one_of(
+    *[st.integers(-(10**12), 10**12).map(str)] * 4,
+    st.builds(  # the cell grammar's signs and zero pads, with ASCII digits
+        "{}{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "000"]),
+        st.text(alphabet="0123456789", min_size=1, max_size=6),
+    ),
+)
+fractional_cells = st.builds("{}.{:02d}".format, st.integers(-99, 99), st.integers(1, 99))
+# Spellings an int64 field rejects although float() reads them (or reads them as
+# NaN); numpy rejects "1_000" outright, so the rest of its file takes csv.reader.
+int_breakers = st.one_of(
+    st.sampled_from(["3.0", "-0.0", "1e3", "12.0", "nan", "-nan", "inf", "1e400", "1_000"]),
+    beyond_int64_cells,
+)
+# Cells that send a float column to the per-column path: integral or NaN.
+float_breakers = st.sampled_from(["nan", "-nan", "NaN", "3.0", "1e3", "inf", "-7", "0"])
+block_kinds = st.sampled_from(
+    ["int", "int", "float", "int then float", "int with a breaker", "float with a breaker"]
+)
+
+
+@st.composite
+def typed_pass_files(draw):
+    """``(text, chunk_rows)``: a CSV of 2-4 blocks and 1-4 columns."""
+    chunk_rows = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(chunk_rows + 1, 4 * chunk_rows))
+    width = draw(st.integers(1, 4))
+    pad = st.sampled_from(["", "", "", " ", "\t"])
+    columns = []
+    for _ in range(width):
+        cells: list = []
+        while len(cells) < n_rows:
+            kind = draw(block_kinds)
+            block = draw(st.lists(
+                fractional_cells if kind == "float" else ascii_integer_cells,
+                min_size=chunk_rows, max_size=chunk_rows,
+            ))
+            at = draw(st.integers(0, chunk_rows - 1))
+            if kind == "int then float":
+                tail = chunk_rows - at
+                block[at:] = draw(st.lists(fractional_cells, min_size=tail, max_size=tail))
+            elif kind == "int with a breaker":
+                block[at] = draw(int_breakers)
+            elif kind == "float with a breaker":
+                block[at] = draw(float_breakers)
+            cells.extend(block)
+        columns.append([draw(pad) + cell + draw(pad) for cell in cells[:n_rows]])
+    lines = [",".join(f"c{j}" for j in range(width)), *map(",".join, zip(*columns))]
+    eol = st.sampled_from(["\n", "\r\n"]).flatmap(
+        lambda common: st.sampled_from([common] * 30 + ["\n", "\r\n", "\r"])
+    )
+    ends = draw(st.lists(eol, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)), chunk_rows
+
+
+def ingest_outcome(path, chunk_rows):
+    """Replay records, chunk bytes and ``read_csv`` storage of ``path``, or the error raised."""
+    reader = ingest.ChunkedCsvReader(path, chunk_rows=chunk_rows)
+    try:
+        reader.scan()
+        replay = reader._replay
+        records = [os.pread(replay._file.fileno(), size, at) for at, size in replay._spans]
+        chunks = [
+            (chunk.offset, [(chunk.column_values(c).tobytes(), chunk.column_valid(c).tobytes())
+                            for c in chunk.schema.names])
+            for chunk in reader.chunks()
+        ]
+        table = read_csv(path)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    storage = []
+    for name in table.schema.names:
+        values = table.column_values(name)  # bit for bit: a NULL's NaN is not == itself
+        storage.append((values.tobytes() if values.dtype.kind == "f" else values.tolist(),
+                        table.column_valid(name).tolist()))
+    return str(reader.schema), records, chunks, str(table.schema), storage
+
+
+class TestTypedPass:
+    """The C tier's one typed ``np.loadtxt`` per block, its fallback, its
+    int64 guess from block to block and the bytes read ahead of the text
+    reader give every file what ``csv.reader`` alone gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(typed_pass_files())
+    def test_same_chunks_records_and_table_as_csv_reader(self, tmp_path_factory, csv_file):
+        text, chunk_rows = csv_file
+        path = tmp_path_factory.mktemp("typed") / "blocks.csv"
+        path.write_bytes(text.encode())
+        with_c_tier = ingest_outcome(path, chunk_rows)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError("C tier off")), \
+                mock.patch.object(ingest, "_is_plain_bytes", return_value=False):
+            assert ingest_outcome(path, chunk_rows) == with_c_tier
