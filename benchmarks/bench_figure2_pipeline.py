@@ -5,7 +5,8 @@ expensive: schema mapping (matching), entity resolution, materialization
 of the target table, and export to the downstream ML task. The harness
 runs exactly that pipeline on the running example and on a scaled-up
 version, timing every stage, and checks the materialized target equals
-Figure 2d.
+Figure 2d. The full outer join is the factor builder's
+(``integrate_tables``), materialized with ``materialize()``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 from repro.datagen.hospital import hospital_tables
 from repro.datagen.scenarios import ScenarioSpec, generate_scenario_tables
 from repro.learning.logistic_regression import LogisticRegression
+from repro.matrices.builder import integrate_tables
 from repro.metadata.entity_resolution import resolve_entities
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import match_schemas
-from repro.relational.joins import full_outer_join
 
 FIGURE_2D_TARGET = np.array(
     [
@@ -36,10 +37,11 @@ FIGURE_2D_TARGET = np.array(
 def traditional_pipeline(base, other, target_columns):
     """Schema matching → entity resolution → full outer join → export matrix."""
     column_matches = match_schemas(base, other)
-    resolve_entities(base, other, column_matches=column_matches)
-    join = full_outer_join(base, other, on=["n" if "n" in base.schema else "id"],
-                           target_columns=target_columns)
-    return join.table.to_matrix(target_columns)
+    row_matches = resolve_entities(base, other, column_matches=column_matches)
+    return integrate_tables(
+        base, other, column_matches, row_matches, target_columns,
+        ScenarioType.FULL_OUTER_JOIN,
+    ).materialize()
 
 
 def test_benchmark_traditional_pipeline_running_example(benchmark):
@@ -69,8 +71,7 @@ def test_report_figure2(report, benchmark):
     s1, s2 = hospital_tables()
     column_matches = match_schemas(s1, s2)
     row_matches = resolve_entities(s1, s2, column_matches=column_matches)
-    join = full_outer_join(s1, s2, on=["n"], target_columns=["m", "a", "hr", "o"])
-    exported = join.table.to_matrix(["m", "a", "hr", "o"])
+    exported = traditional_pipeline(s1, s2, ["m", "a", "hr", "o"])
 
     lines = ["Figure 2: traditional integration of data silos for ML", "=" * 64]
     lines.append("(a) base table S1(m, n, a, hr): 4 rows from the ER department")

@@ -13,9 +13,9 @@ writing the Chrome trace + run report artifacts without touching the
 committed benchmark cases.
 
 PR 3 made the factorized operators pure NumPy/CSR; this benchmark guards the
-layers *in front* of them: entity resolution, the four Table I join
-operators, and the ``(D_k, M_k, I_k, R_k)`` builder. The timed pipeline is
-the paper's integration flow from source tables to a trained model:
+layers *in front* of them: entity resolution and the ``(D_k, M_k, I_k, R_k)``
+builder, which defines each of the four Table I targets. The timed pipeline
+is the paper's integration flow from source tables to a trained model:
 
     entity-resolve -> build factorized dataset -> train (GD linear regression)
 
@@ -23,17 +23,17 @@ measured twice per workload — once with the **seed row-at-a-time
 implementations** (per-cell ``table.cell`` loops, dict-probe key matching,
 ``for i in range(n_rows)`` builder loops, per-value ``to_matrix``), preserved
 verbatim below as the baseline, and once with the **vectorized columnar
-engine** (factorized hash joins, array row maps, cached column-stack
+engine** (factorized key matching, array row maps, cached column-stack
 projections). Both paths construct the same ``IntegratedDataset`` and train
 with the same compiled operators, so the only difference measured is the
 integration substrate.
 
 Workloads: the four Table I scenarios at medium size, plus a 100k-row
 two-source inner join. Guards: exact parity (<= 1e-10) of the materialized
-target matrix, trained weights and join outputs between the two paths; the
-100k case must build-and-train >= 5x faster end to end (machine-invariant:
-both paths are re-measured in the same run); no case may be slower than the
-seed path beyond a 1.25x tolerance.
+target matrix and trained weights between the two paths; the 100k case must
+build-and-train >= 5x faster end to end (machine-invariant: both paths are
+re-measured in the same run); no case may be slower than the seed path
+beyond a 1.25x tolerance.
 """
 
 from __future__ import annotations
@@ -59,10 +59,8 @@ from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.metadata.entity_resolution import KeyBasedResolver
 from repro.metadata.mappings import ScenarioType
-from repro.relational.joins import full_outer_join, inner_join, left_join, union_all
-from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.types import NULL, is_null
+from repro.relational.types import is_null
 
 PARITY_ATOL = 1e-10
 MIN_SPEEDUP_100K = 5.0  # required end-to-end speedup on the 100k case
@@ -107,16 +105,9 @@ SCALE_SPEC = ScenarioSpec(
     overlap_rows=40_000, overlap_columns=2, seed=11,
 )
 
-JOIN_OPERATORS = {
-    ScenarioType.INNER_JOIN: inner_join,
-    ScenarioType.LEFT_JOIN: left_join,
-    ScenarioType.FULL_OUTER_JOIN: full_outer_join,
-}
-
-
 # ---------------------------------------------------------------------------------
 # Seed (pre-columnar) implementations, preserved verbatim as the baseline:
-# row-at-a-time joins, dict-probe entity resolution and per-cell builder loops.
+# dict-probe entity resolution and per-cell builder loops.
 # They run against the same Table API, so the only difference measured is the
 # row-at-a-time algorithm vs the vectorized one.
 # ---------------------------------------------------------------------------------
@@ -151,82 +142,6 @@ def seed_resolve(left: Table, right: Table, pairs: Sequence[Tuple[str, str]]):
             used_right.add(j)
             break
     return matches
-
-
-def _seed_key_tuple(table: Table, row: int, keys: Sequence[str]):
-    values = tuple(table.cell(row, k) for k in keys)
-    if any(is_null(v) for v in values):
-        return ("__null__", row)  # NULL keys never match anything
-    return values
-
-
-def _seed_emit_row(left, right, left_row, right_row, target_columns):
-    out = []
-    for name in target_columns:
-        value = NULL
-        in_left = name in left.schema and left_row >= 0
-        in_right = name in right.schema and right_row >= 0
-        if in_left:
-            value = left.cell(left_row, name)
-        if is_null(value) and in_right:
-            value = right.cell(right_row, name)
-        out.append(value)
-    return out
-
-
-def seed_join(left, right, on, scenario: ScenarioType, target_columns=None, result_name="T"):
-    """The seed row-at-a-time _join / union_all, returning (table, left_rows, right_rows)."""
-    if scenario is ScenarioType.UNION:
-        if target_columns is None:
-            target_columns = [n for n in left.schema.names if n in right.schema]
-        schema = Schema([left.schema[n] for n in target_columns])
-        rows, left_rows, right_rows = [], [], []
-        for i in range(left.n_rows):
-            rows.append([left.cell(i, name) for name in target_columns])
-            left_rows.append(i)
-            right_rows.append(-1)
-        for j in range(right.n_rows):
-            rows.append([right.cell(j, name) for name in target_columns])
-            left_rows.append(-1)
-            right_rows.append(j)
-        return Table.from_rows(result_name, schema, rows), left_rows, right_rows
-
-    keep_left = scenario is not ScenarioType.INNER_JOIN
-    keep_right = scenario is ScenarioType.FULL_OUTER_JOIN
-    if target_columns is None:
-        target_columns = list(left.schema.names)
-        target_columns.extend(n for n in right.schema.names if n not in target_columns)
-    schema = Schema(
-        [left.schema[n] if n in left.schema else right.schema[n] for n in target_columns]
-    )
-    right_index: Dict[Tuple, List[int]] = {}
-    for i in range(right.n_rows):
-        right_index.setdefault(_seed_key_tuple(right, i, on), []).append(i)
-
-    rows, left_rows, right_rows = [], [], []
-    matched_right: set = set()
-    for i in range(left.n_rows):
-        key = _seed_key_tuple(left, i, on)
-        matches = right_index.get(key, [])
-        real_matches = [j for j in matches if key[0] != "__null__"]
-        if real_matches:
-            for j in real_matches:
-                rows.append(_seed_emit_row(left, right, i, j, target_columns))
-                left_rows.append(i)
-                right_rows.append(j)
-                matched_right.add(j)
-        elif keep_left:
-            rows.append(_seed_emit_row(left, right, i, -1, target_columns))
-            left_rows.append(i)
-            right_rows.append(-1)
-    if keep_right:
-        for j in range(right.n_rows):
-            if j in matched_right:
-                continue
-            rows.append(_seed_emit_row(left, right, -1, j, target_columns))
-            left_rows.append(-1)
-            right_rows.append(j)
-    return Table.from_rows(result_name, schema, rows), left_rows, right_rows
 
 
 def seed_target_rows(base, other, matches, scenario: ScenarioType):
@@ -402,29 +317,10 @@ def _bench_case(name: str, spec: ScenarioSpec, repeats: int, failures: List[str]
         abs(seed_model.intercept_ - vec_model.intercept_),
     )
 
-    # -- join operator: seed vs vectorized on the same tables ---------------
-    if is_union:
-        seed_join_s, (seed_tbl, seed_l, seed_r) = _best_of(
-            lambda: seed_join(base, other, ["id"], spec.scenario), repeats
-        )
-        vec_join_s, vec_result = _best_of(lambda: union_all(base, other), repeats)
-    else:
-        operator = JOIN_OPERATORS[spec.scenario]
-        seed_join_s, (seed_tbl, seed_l, seed_r) = _best_of(
-            lambda: seed_join(base, other, ["id"], spec.scenario), repeats
-        )
-        vec_join_s, vec_result = _best_of(lambda: operator(base, other, on=["id"]), repeats)
-    join_err = _max_abs_err(seed_tbl.to_matrix(), vec_result.table.to_matrix())
-    if seed_l != vec_result.left_rows or seed_r != vec_result.right_rows:
-        failures.append(f"{name}: join provenance diverged from the seed implementation")
-    if not seed_tbl.equals(vec_result.table):
-        failures.append(f"{name}: join output table diverged from the seed implementation")
-
-    parity_err = max(target_err, model_err, join_err)
+    parity_err = max(target_err, model_err)
     if parity_err > PARITY_ATOL:
         failures.append(
-            f"{name}: parity broke (target={target_err:.2e}, model={model_err:.2e}, "
-            f"join={join_err:.2e})"
+            f"{name}: parity broke (target={target_err:.2e}, model={model_err:.2e})"
         )
 
     speedup = seed_s / vec_s if vec_s else float("inf")
@@ -436,16 +332,13 @@ def _bench_case(name: str, spec: ScenarioSpec, repeats: int, failures: List[str]
         "seed_end_to_end_s": seed_s,
         "vectorized_end_to_end_s": vec_s,
         "end_to_end_speedup": speedup,
-        "seed_join_s": seed_join_s,
-        "vectorized_join_s": vec_join_s,
-        "join_speedup": seed_join_s / vec_join_s if vec_join_s else float("inf"),
         "train_iterations": TRAIN_ITERATIONS,
         "parity_max_abs_err": parity_err,
     }
     print(
         f"  {name:<14} {record['target_shape'][0]:>7}x{record['target_shape'][1]:<4} "
         f"seed {seed_s * 1e3:9.1f} ms  vectorized {vec_s * 1e3:8.1f} ms  "
-        f"speedup {speedup:6.1f}x  join {record['join_speedup']:6.1f}x  "
+        f"speedup {speedup:6.1f}x  "
         f"parity {parity_err:.1e}"
     )
     return record

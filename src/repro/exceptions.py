@@ -19,10 +19,6 @@ class TableError(AmalurError):
     """Raised for invalid table construction or access."""
 
 
-class JoinError(AmalurError):
-    """Raised when a join cannot be performed (missing keys, bad types)."""
-
-
 class MappingError(AmalurError):
     """Raised for invalid schema mappings or mapping matrices."""
 

@@ -1,21 +1,16 @@
 """In-memory relational substrate used by the Amalur reproduction.
 
 This package provides the minimal relational machinery a data-integration
-system needs: typed schemas, column-oriented tables, the join flavours of
-Table I in the paper (inner, left, full outer, union) with row provenance,
-and CSV import/export.
+system needs: typed schemas, column-oriented tables, key factorization for
+entity resolution, and CSV import/export. The four Table I relationships
+(full outer, inner, left join and union) are not materialized here: the
+factor builder (:func:`repro.matrices.builder.integrate_tables`) defines
+each target through its row maps.
 """
 
 from repro.relational.types import DataType, NULL, coerce_value, infer_type
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
-from repro.relational.joins import (
-    JoinResult,
-    inner_join,
-    left_join,
-    full_outer_join,
-    union_all,
-)
 from repro.relational.io import read_csv, write_csv
 
 __all__ = [
@@ -26,11 +21,6 @@ __all__ = [
     "Column",
     "Schema",
     "Table",
-    "JoinResult",
-    "inner_join",
-    "left_join",
-    "full_outer_join",
-    "union_all",
     "read_csv",
     "write_csv",
 ]

@@ -1,12 +1,11 @@
-"""Vectorized key factorization shared by hash joins and entity resolution.
+"""Vectorized key factorization for entity resolution.
 
-Both the Table I join operators (:mod:`repro.relational.joins`) and the
-key-based entity resolver (:mod:`repro.metadata.entity_resolution`) need the
-same primitive: map the key tuples of two tables into one shared integer code
-space so that equal keys get equal codes, NULL keys get ``-1`` (SQL
-semantics: NULL never matches anything, including another NULL), and
-matching becomes ``np.searchsorted`` over sorted codes instead of a Python
-dict probe per row.
+The key-based entity resolver (:mod:`repro.metadata.entity_resolution`)
+maps the key tuples of two tables into one shared integer code space so
+that equal keys get equal codes, NULL keys get ``-1`` (SQL semantics: NULL
+never matches anything, including another NULL), and matching becomes
+``np.searchsorted`` over sorted codes instead of a Python dict probe per
+row.
 
 The factorization follows the value-equality rules of the row-at-a-time
 implementation it replaces: numeric and boolean keys compare numerically
@@ -21,30 +20,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.relational.table import Table
-from repro.relational.types import (
-    _STORAGE_DTYPE,
-    INT64_MAX_FLOAT,
-    INT64_MIN_FLOAT,
-    DataType,
-    null_placeholder,
-)
+from repro.relational.types import INT64_MAX_FLOAT, INT64_MIN_FLOAT, DataType
 
 _NUMERIC_KINDS = (DataType.INT, DataType.FLOAT, DataType.BOOL)
-
-
-def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, s + l) for s, l in zip(starts, lengths)]``."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    # Position within the flattened output minus the start of its own range
-    # gives the intra-range offset; add the range's source start.
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths) + np.repeat(
-        starts, lengths
-    )
 
 
 def cumcount(codes: np.ndarray) -> np.ndarray:
@@ -275,64 +253,9 @@ def key_codes(
     return combined[:n_left], combined[n_left:]
 
 
-def hash_join_index(
-    left_codes: np.ndarray,
-    right_codes: np.ndarray,
-    *,
-    keep_left_unmatched: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute join row provenance from shared key codes.
-
-    Returns ``(left_rows, right_rows, matched_right)``: per output row the
-    originating left / right row index (-1 when absent), in the same order
-    the row-at-a-time implementation produced — left rows in order, each
-    expanded by its right matches in right-row order — plus the boolean mask
-    of right rows that matched at least once.
-    """
-    n_left = left_codes.size
-    r_sort = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[r_sort]
-    start = np.searchsorted(sorted_codes, left_codes, side="left")
-    end = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = end - start
-    if n_left:
-        counts = np.where(left_codes < 0, 0, counts)  # NULL keys never match
-    out_counts = np.maximum(counts, 1) if keep_left_unmatched else counts
-    total = int(out_counts.sum())
-    left_rows = np.repeat(np.arange(n_left, dtype=np.int64), out_counts)
-    right_rows = np.full(total, -1, dtype=np.int64)
-    matched = counts > 0
-    offsets = np.cumsum(out_counts) - out_counts
-    positions = expand_ranges(offsets[matched], counts[matched])
-    sources = expand_ranges(start[matched], counts[matched])
-    right_rows[positions] = r_sort[sources]
-    matched_right = np.zeros(right_codes.size, dtype=bool)
-    hits = right_rows[right_rows >= 0]
-    matched_right[hits] = True
-    return left_rows, right_rows, matched_right
-
-
-def gather_column(
-    table: Table, name: str, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather one column at ``rows`` (-1 entries yield invalid positions)."""
-    values = table.column_values(name)
-    valid = table.column_valid(name)
-    present = rows >= 0
-    if table.n_rows == 0:
-        dtype = table.schema[name].dtype
-        out = np.full(rows.size, null_placeholder(dtype), dtype=_STORAGE_DTYPE[dtype])
-        return out, np.zeros(rows.size, dtype=bool)
-    take = np.where(present, rows, 0)
-    return values[take], valid[take] & present
-
-
 __all__: List[str] = [
     "cumcount",
     "exact_value_codes",
-    "expand_ranges",
-    "gather_column",
-    "hash_join_index",
     "key_codes",
     "pair_column_codes",
 ]

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
+import re
+import sys
+from decimal import Decimal
 from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
@@ -91,7 +94,13 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
         if dtype is DataType.FLOAT:
             return float(value)
         if dtype is DataType.STRING:
-            return str(value)
+            try:
+                return str(value)
+            except ValueError:
+                if not isinstance(value, int):
+                    raise
+                # str() refuses an int of more than sys.get_int_max_str_digits() digits.
+                return str(Decimal(value))
         if dtype is DataType.BOOL:
             if isinstance(value, str):
                 lowered = value.strip().lower()
@@ -162,6 +171,14 @@ def infer_type(values: Iterable[Any]) -> DataType:
     return DataType.STRING  # pragma: no cover - unreachable
 
 
+#: A stripped cell ``int()`` reads as base 10: a sign, then decimal digits
+#: grouped by single underscores.
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+#: The least ``sys.get_int_max_str_digits()`` other than 0 (no limit): no
+#: shorter literal trips the limit (interpreters before it have no limit).
+_LEAST_INT_DIGITS_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
 def _parse_string(text: str) -> Any:
     """Parse a string into bool/int/float if possible, else return it."""
     stripped = text.strip()
@@ -171,7 +188,10 @@ def _parse_string(text: str) -> Any:
     try:
         return int(stripped)
     except ValueError:
-        pass
+        # int() refuses a literal of more than sys.get_int_max_str_digits()
+        # digits; it is an integer all the same, and Decimal reads it exactly.
+        if len(stripped) > _LEAST_INT_DIGITS_LIMIT and _INT_LITERAL.fullmatch(stripped):
+            return int(Decimal(stripped))
     try:
         return float(stripped)
     except ValueError:

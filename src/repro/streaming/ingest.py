@@ -550,7 +550,7 @@ class ParsedColumnBlock:
             for pos, value in zip(self.str_pos.tolist(), self.str_vals):
                 out[pos] = value
             for pos, value in self.extra:
-                out[pos] = str(value)
+                out[pos] = coerce_value(value, dtype)
             return out, valid
         raise TableError(f"unknown data type {dtype!r}")  # pragma: no cover
 

@@ -24,9 +24,9 @@ Instrumented call sites use the module facade::
 
     from repro import telemetry as _telemetry
 
-    with _telemetry.span("join.inner", left_rows=n) as sp:
+    with _telemetry.span("resolve.key", left_rows=n) as sp:
         ...
-        sp.set(out_rows=result.n_rows)
+        sp.set(matches=int(left_rows.size))
 
     if _telemetry.ENABLED:              # hot loops: guard the whole block
         _telemetry.counter_add("spill.bytes_read", block.nbytes)

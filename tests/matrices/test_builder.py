@@ -24,7 +24,6 @@ from repro.matrices.mapping_matrix import MappingMatrix
 from repro.matrices.redundancy_matrix import RedundancyMatrix
 from repro.metadata.mappings import ScenarioType
 from repro.metadata.schema_matching import ColumnMatch
-from repro.relational.joins import full_outer_join, inner_join, left_join, union_all
 from repro.relational.table import Table
 from repro.datagen.hospital import (
     hospital_column_matches,
@@ -85,40 +84,6 @@ class TestHospitalRunningExample:
         table = hospital_dataset.materialize_table()
         assert table.schema["m"].is_label
         assert table.n_rows == 6
-
-
-class TestScenarioEquivalenceWithJoins:
-    """Factorized reconstruction must equal the relational join, per scenario."""
-
-    def _join_for(self, scenario, base, other, target_columns):
-        if scenario is ScenarioType.INNER_JOIN:
-            return inner_join(base, other, on=["id"], target_columns=target_columns)
-        if scenario is ScenarioType.LEFT_JOIN:
-            return left_join(base, other, on=["id"], target_columns=target_columns)
-        if scenario is ScenarioType.FULL_OUTER_JOIN:
-            return full_outer_join(base, other, on=["id"], target_columns=target_columns)
-        return union_all(base, other, target_columns=target_columns)
-
-    @pytest.mark.parametrize("scenario", list(ScenarioType), ids=lambda s: s.value)
-    def test_materialization_equals_relational_join(self, scenario):
-        spec = ScenarioSpec(
-            scenario=scenario,
-            base_rows=20,
-            other_rows=14,
-            base_features=3,
-            other_features=4,
-            overlap_rows=8,
-            overlap_columns=1,
-            seed=11,
-        )
-        base, other, column_matches, row_matches, target_columns = generate_scenario_tables(spec)
-        dataset = integrate_tables(
-            base, other, column_matches, row_matches, target_columns, scenario, label_column="label"
-        )
-        join_result = self._join_for(scenario, base, other, target_columns)
-        expected = join_result.table.to_matrix(target_columns)
-        assert dataset.shape == expected.shape
-        assert np.allclose(np.sort(dataset.materialize(), axis=0), np.sort(expected, axis=0))
 
 
 class TestDatasetStatistics:

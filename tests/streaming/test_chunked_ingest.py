@@ -6,6 +6,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.exceptions import SchemaError, TableError
 from repro.streaming import ingest
 from repro.relational.io import _protect_string, read_csv, write_csv
 from repro.relational.table import Table
-from repro.relational.types import NULL, DataType, infer_type, is_null
+from repro.relational.types import NULL, DataType, infer_type, is_null, parse_cell
 from repro.streaming.chunks import InMemoryTableStream
 from repro.streaming.ingest import ChunkedCsvReader, parse_cell_block
 
@@ -288,14 +289,30 @@ class TestAcrossTiers:
         assert table.column("k") == list(range(20))
         assert ChunkedCsvReader(path, chunk_rows=chunk_rows).read_table().equals(table)
 
-    def test_a_long_digit_run_is_no_int64_guess(self, tmp_path, no_c_tier):
-        """A first-line cell of thousands of digits (more than ``int()`` reads)
-        is not guessed int64, and reads as it does without the C tier."""
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    @pytest.mark.parametrize("digits", [30, 700, 5000])
+    def test_an_integer_of_any_length_is_an_int(self, tmp_path, no_c_tier, digits, limit):
+        """An integer literal longer than ``int()`` reads under
+        ``sys.get_int_max_str_digits()`` is still an INT: past int64 it fails
+        to store in both tiers, and a STRING column keeps its digits."""
+        literal = "1" * digits
         path = tmp_path / "long.csv"
-        path.write_bytes(b"a,b\r\n" + b"1" * 5000 + b",2.5\r\n3,4.5\r\n")
-        table = read_csv(path)
-        no_c_tier()
-        assert read_csv(path).equals(table)
+        path.write_text(f"a,b\r\n{literal},2.5\r\n3,4.5\r\n")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(f"a\r\n{literal}\r\nx\r\n")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert Decimal(parse_cell(literal)) == Decimal(literal)
+            assert infer_type([literal, "3"]) is DataType.INT
+            for tier in ("C", "csv.reader"):
+                if tier == "csv.reader":
+                    no_c_tier()
+                with pytest.raises(SchemaError, match="overflows the int column storage"):
+                    read_csv(path)
+                assert read_csv(mixed).column("a") == [literal, "x"], tier
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestLenientInt64Parse:

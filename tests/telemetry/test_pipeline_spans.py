@@ -9,49 +9,8 @@ from repro.datagen.scenarios import (
 )
 from repro.learning.linear_regression import LinearRegression
 from repro.metadata.mappings import ScenarioType
-from repro.relational.joins import inner_join, union_all
-from repro.relational.schema import Column, Schema
-from repro.relational.types import DataType
-from repro.relational.table import Table
 from repro.streaming.builder import integrate_streams
 from repro.streaming.spill import SpillStore
-
-
-def _key_tables():
-    schema_l = Schema([Column("id", DataType.INT, is_key=True), Column("x", DataType.FLOAT)])
-    schema_r = Schema([Column("id", DataType.INT, is_key=True), Column("y", DataType.FLOAT)])
-    left = Table.from_rows("L", schema_l, [[1, 1.0], [2, 2.0], [3, 3.0]])
-    right = Table.from_rows("R", schema_r, [[2, 20.0], [3, 30.0], [4, 40.0]])
-    return left, right
-
-
-class TestJoinSpans:
-    def test_inner_join_span_with_cardinalities(self):
-        left, right = _key_tables()
-        telemetry.enable(sample_memory=False)
-        result = inner_join(left, right, on=["id"])
-        session = telemetry.disable()
-        record = next(r for r in session.tracer.records if r.name == "join.inner")
-        assert record.attrs["left_rows"] == 3
-        assert record.attrs["right_rows"] == 3
-        assert record.attrs["out_rows"] == result.table.n_rows
-
-    def test_union_span(self):
-        schema = Schema([Column("id", DataType.INT, is_key=True), Column("x", DataType.FLOAT)])
-        a = Table.from_rows("A", schema, [[1, 1.0]])
-        b = Table.from_rows("B", schema, [[2, 2.0]])
-        telemetry.enable(sample_memory=False)
-        union_all(a, b)
-        session = telemetry.disable()
-        record = next(r for r in session.tracer.records if r.name == "join.union")
-        assert record.attrs["out_rows"] == 2
-
-    def test_no_spans_recorded_while_disabled(self):
-        left, right = _key_tables()
-        session = telemetry.enable(sample_memory=False)
-        telemetry.disable()
-        inner_join(left, right, on=["id"])
-        assert session.tracer.records == []
 
 
 class TestStreamingSpans:
